@@ -47,8 +47,12 @@ staticcheck: ## lint with staticcheck when installed (CI always runs it)
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2024.1.1)"; \
 	fi
 
-vet: ## go vet every package
+# perfbench/ is a separate module (replace repro => ../) that root ./...
+# never compiles; vetting it catches changes to names the benchmark
+# imports.
+vet: ## go vet every package, the benchmark module included
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # lint runs cmd/repolint, the repository's own go/analysis-style suite
 # (internal/analysis): the determinism and architecture invariants —

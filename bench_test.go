@@ -189,7 +189,7 @@ func BenchmarkCacheSim(b *testing.B) {
 	l2s := []int{512 * cachecfg.KB}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.BuildMissMatrix(p, l1s, l2s, 100_000); err != nil {
+		if _, err := sim.BuildMissMatrixCtx(b.Context(), p, l1s, l2s, 100_000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +198,7 @@ func BenchmarkCacheSim(b *testing.B) {
 
 func warmMissMatrix(b *testing.B) {
 	b.Helper()
-	if _, err := fixEnv.MissMatrix(); err != nil {
+	if _, err := fixEnv.MissMatrixCtx(b.Context()); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -230,7 +230,7 @@ func benchAll(b *testing.B, workers int) {
 		env := exp.NewQuickEnv()
 		env.Accesses = 100_000
 		env.Workers = workers
-		arts, err := env.All()
+		arts, err := env.AllCtx(b.Context())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -319,7 +319,7 @@ func BenchmarkBatchScenarios(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := scenario.RunBatch(batch, 0); err != nil {
+		if _, err := scenario.RunBatchCtx(b.Context(), batch, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -361,8 +361,8 @@ func BenchmarkSchemeIDP(b *testing.B) {
 	budget := lo + 0.5*(hi-lo)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := opt.OptimizeSchemeI(fixL1, fixOps, budget, 0)
-		if !r.Feasible {
+		r, err := opt.OptimizeSchemeICtx(b.Context(), fixL1, fixOps, budget, 0)
+		if err != nil || !r.Feasible {
 			b.Fatal("infeasible")
 		}
 	}
@@ -375,8 +375,8 @@ func BenchmarkSchemeIIScan(b *testing.B) {
 	budget := lo + 0.5*(hi-lo)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := opt.OptimizeSchemeII(fixL1, fixOps, budget)
-		if !r.Feasible {
+		r, err := opt.OptimizeSchemeIICtx(b.Context(), fixL1, fixOps, budget)
+		if err != nil || !r.Feasible {
 			b.Fatal("infeasible")
 		}
 	}

@@ -25,19 +25,21 @@
 //
 // The coordinator is crash-tolerant on both sides: a worker that dies
 // mid-unit loses only its lease (the unit is re-leased when the lease
-// expires), and with -checkpoint the coordinator journals every completed
-// line so `serve -resume` after a kill completes exactly the remainder —
-// against the same journal format `scenario -checkpoint` and `figures
-// -checkpoint` write. `sweepd journal` reassembles the complete ordered
-// result set from such a journal, because the journal — not any one run's
-// stdout — is the authoritative record across restarts.
+// expires), and with -checkpoint serve journals every completed line to
+// that file so `serve -resume` after a kill completes exactly the
+// remainder — against the same journal format `scenario -checkpoint` and
+// `figures -checkpoint` write. `sweepd journal` reassembles the complete
+// ordered result set from such a journal, because the journal — not any
+// one run's stdout — is the authoritative record across restarts.
 //
-// `sweepd serve -store DIR` replaces the one-shot coordinator with a
-// long-running multi-batch service: batches arrive over POST /v1/batches
-// (`sweepd submit`, which takes the same workload flags as serve and
-// streams the ordered results back with -results), any number of them
-// queue and run concurrently on one worker fleet, and every completed
-// line lands in a content-addressed result store under DIR — so
+// Both forms of serve run the same service (dist.Service): a one-shot
+// serve is that service holding its one batch over a store of one journal
+// (the -checkpoint file, or a scratch file removed on exit). `sweepd
+// serve -store DIR` runs it long-lived instead: batches arrive over POST
+// /v1/batches (`sweepd submit`, which takes the same workload flags as
+// serve and streams the ordered results back with -results), any number
+// of them queue and run concurrently on one worker fleet, and every
+// completed line lands in a content-addressed result store under DIR — so
 // resubmitting an identical batch (or one overlapping a prior batch on
 // individual items) is served from cache without re-executing anything,
 // and restarting the service re-queues every stored batch exactly where
@@ -87,6 +89,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -292,7 +295,7 @@ func runServe(ctx context.Context, args []string, stdin io.Reader, stdout, stder
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
 	}
-	spec, err := dist.SpecOf(b)
+	hdr, err := work.Header(b)
 	if err != nil {
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
@@ -303,85 +306,109 @@ func runServe(ctx context.Context, args []string, stdin io.Reader, stdout, stder
 		tickerW = stderr
 	}
 	prog := cli.NewProgress("sweepd", noun, tickerW)
-	reg := obs.NewRegistry()
-	cfg := dist.Config{Units: o.units, LeaseTTL: o.lease, Progress: prog.Hook(), Metrics: reg}
-
 	start := time.Now()
-	man := cli.Manifest{Tool: "sweepd serve", Kind: b.Kind(), BatchSHA256: spec.Hash,
-		Fidelity: work.FidelityOf(b), Items: spec.N, ItemsRun: spec.N}
+	man := cli.Manifest{Tool: "sweepd serve", Kind: b.Kind(), BatchSHA256: hdr.BatchSHA256,
+		Fidelity: work.FidelityOf(b), Items: b.Len(), ItemsRun: b.Len()}
 	var runErr error
 	defer func() {
 		man.Finish(start, nil, runErr)
 		cli.EmitManifest(stderr, man)
 	}()
-
-	if o.checkpoint != "" {
-		jr, done, err := work.OpenJournal(o.checkpoint, b, o.resume)
-		if err != nil {
-			runErr = err
-			fmt.Fprintln(stderr, "sweepd:", err)
-			return 1
-		}
-		defer jr.Close()
-		if len(done) > 0 {
-			fmt.Fprintf(stderr, "sweepd: resuming, %d/%d %s already journaled\n", len(done), spec.N, noun)
-		}
-		cfg.Journal, cfg.Done = jr, done
-		man.ItemsResumed = len(done)
-		man.ItemsRun = spec.N - len(done)
-	}
-
-	c, err := dist.New(ctx, spec, cfg)
-	if err != nil {
+	fail := func(err error) int {
 		runErr = err
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
 	}
+
+	// The one-shot is a Service holding this one batch over a store of one
+	// journal: the -checkpoint file, or a scratch file removed on exit.
+	path := o.checkpoint
+	if path == "" {
+		dir, err := os.MkdirTemp("", "sweepd-serve-")
+		if err != nil {
+			return fail(err)
+		}
+		defer os.RemoveAll(dir)
+		path = filepath.Join(dir, "batch.journal")
+	}
+	// resumed holds the indices the journal held before admission; they are
+	// not written again, so a resumed run's output is exactly the remainder.
+	var resumed map[int]json.RawMessage
+	if o.resume {
+		resumed, err = journal.Replay(path, hdr)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fail(err)
+		}
+		if len(resumed) > 0 {
+			fmt.Fprintf(stderr, "sweepd: resuming, %d/%d %s already journaled\n", len(resumed), b.Len(), noun)
+		}
+	} else if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		// Without -resume an existing checkpoint starts fresh.
+		return fail(err)
+	}
+	man.ItemsResumed = len(resumed)
+	man.ItemsRun = b.Len() - len(resumed)
+
+	reg := obs.NewRegistry()
+	sctx, stopService := context.WithCancel(ctx)
+	defer stopService()
+	svc, err := dist.NewService(sctx, dist.ServiceConfig{
+		Store: store.OpenFile(path), Units: o.units, LeaseTTL: o.lease, Metrics: reg,
+	})
+	if err != nil {
+		return fail(err)
+	}
+	defer svc.Close()
+	st, _, err := svc.Submit(b)
+	if err != nil {
+		return fail(err)
+	}
 	if o.metricsAddr != "" {
-		// The debug listener serves the coordinator's own registry — the
-		// same families the token-gated /metrics on -addr exposes — plus
-		// pprof, on an address the operator keeps off the worker network.
+		// The debug listener serves the service's own registry — the same
+		// families the token-gated /metrics on -addr exposes — plus pprof,
+		// on an address the operator keeps off the worker network.
 		maddr, stopMetrics, err := obs.Serve(o.metricsAddr, reg)
 		if err != nil {
-			runErr = err
-			fmt.Fprintln(stderr, "sweepd:", err)
-			return 1
+			return fail(err)
 		}
 		defer stopMetrics()
 		fmt.Fprintf(stderr, "sweepd: metrics on http://%s/metrics\n", maddr)
 	}
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		runErr = err
-		fmt.Fprintln(stderr, "sweepd:", err)
-		return 1
+		return fail(err)
 	}
-	srv := &http.Server{Handler: dist.RequireToken(o.token, c.Handler())}
+	srv := &http.Server{Handler: dist.RequireToken(o.token, svc.Handler())}
 	defer srv.Close()
 	// Serve returns ErrServerClosed when the deferred Close runs; the
-	// coordinator's Wait is the run's real verdict.
+	// batch's verdict from Results is the run's real outcome.
 	//lint:allow nofanout HTTP accept loop must not block the result drain; lifecycle is owned by the deferred Close, not the sweep engine
 	go func() { _ = srv.Serve(ln) }()
-	fmt.Fprintf(stderr, "sweepd: serving %d %s on http://%s\n", spec.N, noun, ln.Addr())
+	fmt.Fprintf(stderr, "sweepd: serving %d %s on http://%s\n", b.Len(), noun, ln.Addr())
 
-	var writeErr error
-	for line := range c.Results() {
-		if writeErr != nil {
-			continue // post-cancel drain
+	hook, emitted, total := prog.Hook(), 0, b.Len()-len(resumed)
+	err = svc.Results(ctx, st.ID, func(i int, line []byte) error {
+		if _, ok := resumed[i]; ok {
+			return nil
 		}
-		if _, err := stdout.Write(append(line, '\n')); err != nil {
-			writeErr = err
-			cancel()
+		// The full slice expression makes append copy: line may share
+		// backing storage with a live result body.
+		if _, err := stdout.Write(append(line[:len(line):len(line)], '\n')); err != nil {
+			return err
 		}
-	}
-	err = c.Wait()
-	if writeErr != nil {
-		// The wait error is the cancellation this function triggered; the
-		// write failure (e.g. a broken pipe) is the root cause.
-		runErr = writeErr
-		fmt.Fprintln(stderr, "sweepd:", writeErr)
-		return 1
-	}
+		emitted++
+		hook(emitted, total)
+		return nil
+	})
+	// The batch is over: from here every lease answers done, so workers
+	// exit cleanly. Shutdown lets requests already in flight — the last
+	// result upload among them — get their responses before the listener
+	// goes; one that outlasts the grace period is cut by the deferred
+	// Close.
+	stopService()
+	graceCtx, cancelGrace := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelGrace()
+	_ = srv.Shutdown(graceCtx)
 	if err != nil {
 		runErr = err
 		return cli.Report("sweepd", err, prog, stderr)

@@ -781,7 +781,7 @@ func TestServeMetricsAddrAndManifests(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: status %d", target, resp.StatusCode)
 		}
-		if want := `dist_items{kind="scenario-batch"} 3`; !strings.Contains(string(body), want) {
+		if want := "dist_queue_depth 1"; !strings.Contains(string(body), want) {
 			t.Errorf("GET %s: exposition misses %q:\n%s", target, want, body)
 		}
 	}

@@ -1,10 +1,10 @@
 // Distsweep demonstrates the distributed sweep subsystem end to end, in
-// one process: a coordinator splits the example scenario batch into work
+// one process: a service splits the example scenario batch into work
 // units, two workers lease and execute them over loopback HTTP, and the
-// coordinator reassembles the NDJSON results on stdout in input order —
-// byte-identical to what `scenario -stream` emits for the same batch. A
-// checkpoint journal rides along, so a killed run restarted with the same
-// command completes only the remainder.
+// service's ordered reader writes the NDJSON results to stdout in input
+// order — byte-identical to what `scenario -stream` emits for the same
+// batch. The batch journals to a checkpoint file, so a killed run
+// restarted with the same command completes only the remainder.
 //
 //	go run ./examples/distsweep
 //	go run ./examples/distsweep | diff - <(go run ./cmd/scenario -f examples/scenarios.json -stream)
@@ -16,6 +16,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -25,9 +27,13 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/dist"
+	"repro/internal/dist/journal"
+	"repro/internal/dist/store"
 	"repro/internal/scenario"
 	"repro/internal/work"
 )
+
+const checkpoint = "distsweep.journal"
 
 func main() {
 	log.SetFlags(0)
@@ -44,32 +50,39 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The spec tells the coordinator how to shard the batch; its hash pins
-	// the checkpoint journal to exactly this input. SpecOf works for any
-	// work.Batch — experiments distribute through the same two lines.
-	spec, err := dist.SpecOf(b)
+	// The header's content hash pins the checkpoint to exactly this input.
+	// Lines a previous run journaled are not printed again.
+	hdr, err := work.Header(b)
 	if err != nil {
 		log.Fatal(err)
 	}
-	jr, done, err := work.OpenJournal("distsweep.journal", b, true)
-	if err != nil {
+	resumed, err := journal.Replay(checkpoint, hdr)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		log.Fatal(err)
 	}
-	defer jr.Close()
-	if len(done) > 0 {
-		fmt.Fprintf(os.Stderr, "resuming: %d/%d scenarios already journaled\n", len(done), spec.N)
+	if len(resumed) > 0 {
+		fmt.Fprintf(os.Stderr, "resuming: %d/%d scenarios already journaled\n", len(resumed), b.Len())
 	}
 
-	c, err := dist.New(ctx, spec, dist.Config{
+	// A store of one journal is all a single batch needs; admission
+	// resumes it, so fully journaled units are never leased. Submit works
+	// for any work.Batch — experiments and grids distribute the same way.
+	sctx, stopService := context.WithCancel(ctx)
+	defer stopService()
+	svc, err := dist.NewService(sctx, dist.ServiceConfig{
+		Store:    store.OpenFile(checkpoint),
 		Units:    4,
 		LeaseTTL: 10 * time.Second,
-		Journal:  jr,
-		Done:     done,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
+	defer svc.Close()
+	st, _, err := svc.Submit(b)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
 	// Two workers — in production these are `sweepd work` processes on
@@ -94,13 +107,19 @@ func main() {
 		}()
 	}
 
-	// The coordinator emits assembled lines in input order as the ordered
-	// prefix completes; resumed lines are skipped, not re-emitted.
-	for line := range c.Results() {
-		fmt.Printf("%s\n", line)
-	}
+	// Results yields the lines in input order as the ordered prefix
+	// completes, then the batch's verdict.
+	err = svc.Results(ctx, st.ID, func(i int, line []byte) error {
+		if _, ok := resumed[i]; ok {
+			return nil
+		}
+		_, err := fmt.Printf("%s\n", line)
+		return err
+	})
+	// With the batch over, leases answer done and the workers exit.
+	stopService()
 	wg.Wait()
-	if err := c.Wait(); err != nil {
+	if err != nil {
 		if cli.Cancelled(err) {
 			log.Fatal("cancelled; the journal keeps what finished — rerun to resume")
 		}

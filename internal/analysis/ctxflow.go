@@ -14,7 +14,7 @@ import (
 // context.TODO(). The one sanctioned shape is the documented compat
 // wrapper — a function F whose body calls FCtx, the pattern every
 // non-context entry point in the repository follows (sweep.Map ->
-// sweep.MapCtx, scenario.Run -> scenario.RunCtx, ...), kept so examples
+// sweep.MapCtx, opt.Optimize -> opt.OptimizeCtx, ...), kept so examples
 // and simple callers stay simple.
 //
 // Rule 2 (the execution-stack packages): an exported function that loops

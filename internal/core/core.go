@@ -142,15 +142,9 @@ func (d *CacheDesign) DelayRange() (lo, hi float64) {
 	return opt.FeasibleDelayRange(d.Model, KnobGrid())
 }
 
-// TradeoffCurve sweeps n delay budgets across the feasible range and
+// TradeoffCurveCtx sweeps n delay budgets across the feasible range and
 // returns the optimized leakage at each — the scheme's leakage/delay
 // frontier.
-func (d *CacheDesign) TradeoffCurve(scheme opt.Scheme, n int) []opt.Result {
-	out, _ := d.TradeoffCurveCtx(context.Background(), scheme, n)
-	return out
-}
-
-// TradeoffCurveCtx is TradeoffCurve with cancellation.
 func (d *CacheDesign) TradeoffCurveCtx(ctx context.Context, scheme opt.Scheme, n int) ([]opt.Result, error) {
 	lo, hi := d.DelayRange()
 	return opt.FrontierCtx(ctx, scheme, d.Model, KnobGrid(), units.Linspace(lo, hi, n))

@@ -74,7 +74,10 @@ func TestOptimizeLeakageAllSchemes(t *testing.T) {
 
 func TestTradeoffCurve(t *testing.T) {
 	d, _ := setup(t)
-	curve := d.TradeoffCurve(opt.SchemeII, 6)
+	curve, err := d.TradeoffCurveCtx(t.Context(), opt.SchemeII, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(curve) != 6 {
 		t.Fatalf("curve size %d", len(curve))
 	}

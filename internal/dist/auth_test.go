@@ -1,30 +1,43 @@
 package dist
 
 import (
-	"bytes"
+	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/dist/store"
+	"repro/internal/sweep"
 )
 
-// TestRequireTokenGate pins the middleware contract: no header, a
-// malformed header, and a wrong secret are all 401 without reaching the
-// coordinator; the right secret passes through.
-func TestRequireTokenGate(t *testing.T) {
-	ctx := t.Context()
-	c, err := New(ctx, toySpec(2), Config{Units: 1, LeaseTTL: time.Minute})
+// gatedService boots a service over a temp store behind RequireToken; stop
+// cancels the service context.
+func gatedService(t *testing.T, token string) (*Service, *httptest.Server, context.CancelFunc) {
+	t.Helper()
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for range c.Results() {
-		}
-	}()
-	srv := httptest.NewServer(RequireToken("s3cret", c.Handler()))
+	ctx, stop := context.WithCancel(t.Context())
+	t.Cleanup(stop)
+	s, err := NewService(ctx, ServiceConfig{Store: st, LeaseTTL: time.Minute, RetryAfter: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	srv := httptest.NewServer(RequireToken(token, s.Handler()))
 	t.Cleanup(srv.Close)
+	return s, srv, stop
+}
 
+// TestRequireTokenGate pins the middleware contract: no header, a
+// malformed header, and a wrong secret are all 401 without reaching the
+// service; the right secret passes through.
+func TestRequireTokenGate(t *testing.T) {
+	_, srv, _ := gatedService(t, "s3cret")
 	post := func(auth string) int {
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/lease", strings.NewReader(`{"worker":"w"}`))
 		if err != nil {
@@ -50,30 +63,44 @@ func TestRequireTokenGate(t *testing.T) {
 	}
 }
 
-// TestTokenCoversEveryEndpoint pins that the observability endpoints sit
-// behind the same gate as the work protocol: every route — the status
-// probe and the metrics exposition included — answers 401 without the
-// secret and 200 with it. A fleet whose wire protocol needs a token must
-// not leak progress or worker liveness to anonymous scrapers.
+// TestTokenCoversEveryEndpoint pins that every route the service handler
+// serves — the batch lifecycle, the status probe, and the metrics
+// exposition included — sits behind the same gate as the work protocol:
+// each answers 401 without the secret and 2xx with it. A fleet whose wire
+// protocol needs a token must not leak progress or worker liveness to
+// anonymous scrapers. The requests run in order over one real batch, so
+// each authorized one succeeds.
 func TestTokenCoversEveryEndpoint(t *testing.T) {
-	ctx := t.Context()
-	c, err := New(ctx, toySpec(2), Config{Units: 1, LeaseTTL: time.Minute})
+	_, srv, _ := gatedService(t, "s3cret")
+	b := testBatch(t, 1)
+	payload, err := b.MarshalRange(sweep.Range{Lo: 0, Hi: b.Len()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for range c.Results() {
-		}
-	}()
-	srv := httptest.NewServer(RequireToken("s3cret", c.Handler()))
-	t.Cleanup(srv.Close)
+	submission, err := json.Marshal(map[string]any{"kind": b.Kind(), "payload": json.RawMessage(payload)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := b.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := store.BatchID(b.Kind(), hash)
 
 	endpoints := []struct {
 		method, path, body string
 	}{
+		{http.MethodPost, "/v1/batches", string(submission)},
 		{http.MethodPost, "/v1/lease", `{"worker":"w"}`},
+		{http.MethodPost, "/v1/heartbeat", `{"worker":"w","unit":0,"batch":"` + id + `"}`},
+		{http.MethodPost, "/v1/result?worker=w&unit=0&batch=" + id, "{}\n"},
+		{http.MethodPost, "/v1/fail", `{"worker":"w","unit":0,"batch":"` + id + `","error":"x"}`},
 		{http.MethodGet, "/v1/status", ""},
 		{http.MethodGet, "/metrics", ""},
+		{http.MethodGet, "/v1/batches", ""},
+		{http.MethodGet, "/v1/batches/" + id, ""},
+		{http.MethodGet, "/v1/batches/" + id + "/results", ""},
+		{http.MethodDelete, "/v1/batches/" + id, ""},
 	}
 	for _, ep := range endpoints {
 		do := func(withToken bool) int {
@@ -94,8 +121,8 @@ func TestTokenCoversEveryEndpoint(t *testing.T) {
 		if code := do(false); code != http.StatusUnauthorized {
 			t.Errorf("%s %s without token: status %d, want 401", ep.method, ep.path, code)
 		}
-		if code := do(true); code != http.StatusOK {
-			t.Errorf("%s %s with token: status %d, want 200", ep.method, ep.path, code)
+		if code := do(true); code/100 != 2 {
+			t.Errorf("%s %s with token: status %d, want 2xx", ep.method, ep.path, code)
 		}
 	}
 }
@@ -112,39 +139,35 @@ func TestRequireTokenEmptyDisables(t *testing.T) {
 }
 
 // TestWorkerSendsToken runs a full distributed toy batch through a
-// token-gated coordinator: workers carrying the secret complete it,
-// workers without it fail their first lease with a 401.
+// token-gated service: workers carrying the secret complete it, workers
+// without it fail their first lease with a 401.
 func TestWorkerSendsToken(t *testing.T) {
-	ctx := t.Context()
-	c, err := New(ctx, toySpec(6), Config{Units: 3, LeaseTTL: time.Minute})
+	s, srv, stop := gatedService(t, "s3cret")
+	st, _, err := s.Submit(toyBatch{6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(RequireToken("s3cret", c.Handler()))
-	t.Cleanup(srv.Close)
 
 	intruder := &Worker{
 		Coordinator: srv.URL, ID: "intruder", Exec: toyExec(-1),
 		Client: srv.Client(), Poll: 5 * time.Millisecond,
 	}
-	if err := intruder.Run(ctx); err == nil || !strings.Contains(err.Error(), "401") {
+	if err := intruder.Run(t.Context()); err == nil || !strings.Contains(err.Error(), "401") {
 		t.Fatalf("tokenless worker must fail with 401, got %v", err)
 	}
 
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
 	w := &Worker{
 		Coordinator: srv.URL, ID: "w0", Exec: toyExec(-1),
 		Client: srv.Client(), Poll: 5 * time.Millisecond, Token: "s3cret",
 	}
-	if err := w.Run(ctx); err != nil {
+	werr := make(chan error, 1)
+	go func() { werr <- w.Run(t.Context()) }()
+	got, verdict := results(t.Context(), s, st.ID)
+	stop()
+	if err := <-werr; err != nil {
 		t.Fatal(err)
 	}
-	buf := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.String(), toyWant(6); got != want {
-		t.Errorf("token-gated run:\n got: %q\nwant: %q", got, want)
+	if verdict != nil || got != toyWant(6) {
+		t.Errorf("token-gated run (verdict %v):\n got: %q\nwant: %q", verdict, got, toyWant(6))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,23 +16,25 @@ import (
 	"time"
 
 	"repro/internal/dist/journal"
+	"repro/internal/dist/store"
 	"repro/internal/exp"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
+	"repro/internal/work"
 )
 
-// toySpec is a fast synthetic batch: item i's result line is {"i":i}. It
-// exercises every protocol path without paying for real simulations.
-func toySpec(n int) Spec {
-	return Spec{
-		Kind: "toy",
-		Hash: "toyhash",
-		N:    n,
-		Payload: func(r sweep.Range) (json.RawMessage, error) {
-			return json.Marshal(r)
-		},
-	}
+// toyBatch is a fast synthetic work.Batch: item i's result line is
+// {"i":i}, and a unit's payload is its own range. It exercises every
+// protocol path without paying for real simulations.
+type toyBatch struct{ n int }
+
+func (b toyBatch) Kind() string          { return "toy" }
+func (b toyBatch) Len() int              { return b.n }
+func (b toyBatch) Hash() (string, error) { return fmt.Sprintf("toy%d", b.n), nil }
+func (b toyBatch) RunItem(_ context.Context, i int) (json.RawMessage, error) {
+	return json.RawMessage(fmt.Sprintf(`{"i":%d}`, i)), nil
 }
+func (b toyBatch) MarshalRange(r sweep.Range) (json.RawMessage, error) { return json.Marshal(r) }
 
 // toyExec executes toy units; failAt >= 0 makes the unit containing that
 // index fail deterministically.
@@ -61,21 +64,37 @@ func toyWant(n int) string {
 	return b.String()
 }
 
-// startCoordinator boots a coordinator and its HTTP server, cleaning both
-// up with the test.
-func startCoordinator(t *testing.T, ctx context.Context, spec Spec, cfg Config) (*Coordinator, *httptest.Server) {
+// batchService boots a service over a temp store with batch b submitted
+// — the shape of a one-shot serve. It returns the service, its server,
+// the batch ID, and stop, which cancels the service context: from then
+// on every lease answers done, as when a one-shot serve exits.
+func batchService(t *testing.T, b work.Batch, cfg ServiceConfig) (*Service, *httptest.Server, string, context.CancelFunc) {
 	t.Helper()
-	c, err := New(ctx, spec, cfg)
+	ctx, stop := context.WithCancel(t.Context())
+	t.Cleanup(stop)
+	s, srv := startService(t, ctx, t.TempDir(), cfg)
+	st, _, err := s.Submit(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
-	t.Cleanup(srv.Close)
-	return c, srv
+	return s, srv, st.ID, stop
 }
 
-// runWorkers runs k in-process workers against the coordinator and waits
-// for all of them; the first non-nil worker error is returned.
+// results collects batch id's ordered output and its verdict.
+func results(ctx context.Context, s *Service, id string) (string, error) {
+	var buf bytes.Buffer
+	err := s.Results(ctx, id, func(_ int, line []byte) error {
+		buf.Write(line)
+		buf.WriteByte('\n')
+		return nil
+	})
+	return buf.String(), err
+}
+
+// runWorkers runs k in-process workers against the server and waits for
+// all of them; the first non-nil worker error is returned. Against a live
+// service workers poll for more work, so they return once the service
+// stops (or ctx ends).
 func runWorkers(ctx context.Context, srv *httptest.Server, k int, exec Executor) error {
 	var (
 		wg   sync.WaitGroup
@@ -106,65 +125,44 @@ func runWorkers(ctx context.Context, srv *httptest.Server, k int, exec Executor)
 	return werr
 }
 
-// drain collects the coordinator's emitted NDJSON lines into one buffer.
-func drain(c *Coordinator) *bytes.Buffer {
-	var buf bytes.Buffer
-	for line := range c.Results() {
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	return &buf
+// drive runs k workers against the service while reading batch id's
+// output, then stops the service and waits for the workers. It returns
+// the output, the batch's verdict, and the first worker error.
+func drive(t *testing.T, s *Service, srv *httptest.Server, id string, stop context.CancelFunc, k int, exec Executor) (string, error, error) {
+	t.Helper()
+	werr := make(chan error, 1)
+	go func() { werr <- runWorkers(t.Context(), srv, k, exec) }()
+	out, verdict := results(t.Context(), s, id)
+	stop()
+	return out, verdict, <-werr
 }
 
 // TestToyDistributedOrder checks the basic contract on a synthetic batch:
 // several workers, more units than workers, output in input order.
 func TestToyDistributedOrder(t *testing.T) {
-	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(10), Config{Units: 4, LeaseTTL: time.Minute})
-
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	if err := runWorkers(ctx, srv, 3, toyExec(-1)); err != nil {
-		t.Fatal(err)
+	s, srv, id, stop := batchService(t, toyBatch{10}, ServiceConfig{Units: 4})
+	got, verdict, werr := drive(t, s, srv, id, stop, 3, toyExec(-1))
+	if verdict != nil || werr != nil {
+		t.Fatalf("verdict %v, workers %v", verdict, werr)
 	}
-	buf := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.String(), toyWant(10); got != want {
+	if want := toyWant(10); got != want {
 		t.Errorf("distributed output out of order:\n got: %q\nwant: %q", got, want)
 	}
 }
 
 // TestScenarioDistributedMatchesSequential is the acceptance test: a
-// coordinator with two in-process workers produces byte-identical NDJSON
-// to the buffered sequential run of the same scenario batch.
+// service with two in-process workers produces byte-identical NDJSON to
+// the buffered sequential run of the same scenario batch.
 func TestScenarioDistributedMatchesSequential(t *testing.T) {
 	b := testBatch(t, 4)
-
-	// Sequential reference: one worker, the plain streaming pipeline.
-	var want bytes.Buffer
-	if err := scenario.StreamNDJSON(t.Context(), b, scenario.StreamOptions{Workers: 1}, &want); err != nil {
-		t.Fatal(err)
+	want := sequentialNDJSON(t, b)
+	s, srv, id, stop := batchService(t, b, ServiceConfig{Units: 3})
+	got, verdict, werr := drive(t, s, srv, id, stop, 2, RegistryExecutor(1))
+	if verdict != nil || werr != nil {
+		t.Fatalf("verdict %v, workers %v", verdict, werr)
 	}
-
-	spec, err := SpecOf(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, spec, Config{Units: 3, LeaseTTL: time.Minute})
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	if err := runWorkers(ctx, srv, 2, RegistryExecutor(1)); err != nil {
-		t.Fatal(err)
-	}
-	got := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("distributed output differs from sequential:\n got: %s\nwant: %s", got.Bytes(), want.Bytes())
+	if got != string(want) {
+		t.Errorf("distributed output differs from sequential:\n got: %s\nwant: %s", got, want)
 	}
 }
 
@@ -187,106 +185,103 @@ func testBatch(t *testing.T, n int) scenario.Batch {
 // vanishes without heartbeating) and checks the lease expires, the unit is
 // re-leased, and the batch still completes with ordered, complete output.
 func TestWorkerDeathReLease(t *testing.T) {
-	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(6), Config{Units: 3, LeaseTTL: 50 * time.Millisecond})
+	s, srv, id, stop := batchService(t, toyBatch{6}, ServiceConfig{Units: 3, LeaseTTL: 50 * time.Millisecond})
 
 	// The zombie takes a lease and is never heard from again.
-	zombie := leaseRaw(t, srv, "zombie")
-	if zombie.Unit == nil {
+	if zombie := leaseRaw(t, srv, "zombie"); zombie.Unit == nil {
 		t.Fatal("zombie got no unit")
 	}
-
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	if err := runWorkers(ctx, srv, 1, toyExec(-1)); err != nil {
-		t.Fatal(err)
+	got, verdict, werr := drive(t, s, srv, id, stop, 1, toyExec(-1))
+	if verdict != nil || werr != nil {
+		t.Fatalf("verdict %v, workers %v", verdict, werr)
 	}
-	buf := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.String(), toyWant(6); got != want {
+	if want := toyWant(6); got != want {
 		t.Errorf("output after worker death:\n got: %q\nwant: %q", got, want)
 	}
 }
 
 // TestLateResultIdempotent checks a presumed-dead worker's late result is
-// accepted without duplicating lines: results are idempotent per index.
+// accepted once and never duplicated: results are idempotent per index.
 func TestLateResultIdempotent(t *testing.T) {
-	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(4), Config{Units: 2, LeaseTTL: 50 * time.Millisecond})
+	dir := t.TempDir()
+	s, srv := startService(t, t.Context(), dir, ServiceConfig{Units: 2, LeaseTTL: 50 * time.Millisecond})
+	st, _, err := s.Submit(toyBatch{4})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	zombie := leaseRaw(t, srv, "zombie")
 	if zombie.Unit == nil {
 		t.Fatal("zombie got no unit")
 	}
-
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	if err := runWorkers(ctx, srv, 1, toyExec(-1)); err != nil {
+	wctx, stopWorkers := context.WithCancel(t.Context())
+	werr := make(chan error, 1)
+	go func() { werr <- runWorkers(wctx, srv, 1, toyExec(-1)) }()
+	got, verdict := results(t.Context(), s, st.ID)
+	stopWorkers()
+	if err := <-werr; err != nil && wctx.Err() == nil {
 		t.Fatal(err)
 	}
-	buf := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
+	if verdict != nil {
+		t.Fatal(verdict)
 	}
 
 	// The zombie wakes up and reports the unit everyone moved past.
-	u := *zombie.Unit
-	var lines []string
-	for i := u.Range.Lo; i < u.Range.Hi; i++ {
-		lines = append(lines, fmt.Sprintf(`{"i":%d}`, i))
+	postToyResult(t, srv, "zombie", *zombie.Unit, -1)
+	again, verdict := results(t.Context(), s, st.ID)
+	if verdict != nil {
+		t.Fatal(verdict)
 	}
-	resp, err := srv.Client().Post(
-		fmt.Sprintf("%s/v1/result?worker=zombie&unit=%d", srv.URL, u.ID),
-		"application/x-ndjson", strings.NewReader(strings.Join(lines, "\n")+"\n"))
-	if err != nil {
-		t.Fatal(err)
+	want := toyWant(4)
+	if got != want || again != want {
+		t.Errorf("late result corrupted output:\n got: %q then %q\nwant: %q", got, again, want)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("late result rejected: %s", resp.Status)
+	row := s.Status().Batches[0]
+	if row.ItemsDone != 4 || row.ItemsExecuted != 4 {
+		t.Errorf("late result counted twice: %+v", row)
 	}
-	if got, want := buf.String(), toyWant(4); got != want {
-		t.Errorf("late result corrupted output:\n got: %q\nwant: %q", got, want)
+	// Header plus one entry per item: the late lines were not appended.
+	if data, err := os.ReadFile(filepath.Join(dir, st.ID+".journal")); err != nil || bytes.Count(data, []byte("\n")) != 5 {
+		t.Errorf("journal after late result (err %v):\n%s", err, data)
 	}
 }
 
-// TestFailurePropagates checks a deterministic unit failure aborts the
-// batch: the worker reports it, Wait returns it, and later leases tell
-// workers the run is over.
+// TestFailurePropagates checks a deterministic unit failure fails its
+// batch: the worker reports it and Results returns it; leases then
+// answer retry while the owning process lives and done once it stops.
 func TestFailurePropagates(t *testing.T) {
-	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(6), Config{Units: 3, LeaseTTL: time.Minute})
+	s, srv, id, stop := batchService(t, toyBatch{6}, ServiceConfig{Units: 3})
 
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	werr := runWorkers(ctx, srv, 2, toyExec(4))
-	<-done
-	if werr == nil || !strings.Contains(werr.Error(), "exploded") {
-		t.Fatalf("worker error = %v, want the toy explosion", werr)
+	werr := make(chan error, 1)
+	go func() { werr <- runWorkers(t.Context(), srv, 2, toyExec(4)) }()
+	if _, verdict := results(t.Context(), s, id); verdict == nil || !strings.Contains(verdict.Error(), "exploded") {
+		t.Fatalf("Results verdict = %v, want the unit failure", verdict)
 	}
-	if err := c.Wait(); err == nil || !strings.Contains(err.Error(), "exploded") {
-		t.Fatalf("Wait() = %v, want the unit failure", err)
+	if lease := leaseRaw(t, srv, "latecomer"); lease.Done || lease.Unit != nil {
+		t.Errorf("a failed batch leases nothing, but the live service is not done: %+v", lease)
+	}
+	stop()
+	if err := <-werr; err == nil || !strings.Contains(err.Error(), "exploded") {
+		t.Fatalf("worker error = %v, want the toy explosion", err)
 	}
 	if lease := leaseRaw(t, srv, "latecomer"); !lease.Done {
-		t.Error("post-failure lease should report done so workers exit")
+		t.Error("once the service stops, leases must report done so workers exit")
 	}
 }
 
-// TestResumeSkipsFinishedUnits restarts a coordinator against a journal
-// holding a finished prefix and checks: covered units are never leased,
-// nothing journaled is re-emitted, and journal + new emissions reassemble
-// the full sequential output.
+// TestResumeSkipsFinishedUnits admits a batch over a single-journal store
+// (the one-shot -checkpoint shape) holding a finished prefix and checks:
+// covered units are never leased, the journal's lines are attributed to
+// it, and Results reassembles the full sequential output.
 func TestResumeSkipsFinishedUnits(t *testing.T) {
 	const n = 8
-	spec := toySpec(n)
+	b := toyBatch{n}
+	hash, _ := b.Hash()
 	path := filepath.Join(t.TempDir(), "toy.journal")
-	h := journal.Header{Kind: spec.Kind, BatchSHA256: spec.Hash, N: n}
 
 	// A previous run completed indices 0..4 (units 0 and 1 of 4, plus a
 	// partial unit 2) before dying.
-	j, err := journal.Create(path, h)
+	j, err := journal.Create(path, journal.Header{Kind: b.Kind(), BatchSHA256: hash, N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,22 +292,27 @@ func TestResumeSkipsFinishedUnits(t *testing.T) {
 	}
 	j.Close()
 
-	j, replayed, err := journal.Resume(path, h)
+	ctx, stop := context.WithCancel(t.Context())
+	defer stop()
+	s, err := NewService(ctx, ServiceConfig{Store: store.OpenFile(path), Units: 4, LeaseTTL: time.Minute, RetryAfter: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-
-	var leased []int
-	ctx := t.Context()
-	c, err := New(ctx, spec, Config{Units: 4, LeaseTTL: time.Minute, Journal: j, Done: replayed})
+	defer s.Close()
+	st, _, err := s.Submit(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
-	t.Cleanup(srv.Close)
+	if st.ItemsCachedJournal != 5 {
+		t.Fatalf("admission resumed %d journaled items, want 5", st.ItemsCachedJournal)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
 
-	var mu sync.Mutex
+	var (
+		mu     sync.Mutex
+		leased []int
+	)
 	w := &Worker{
 		Coordinator: srv.URL, ID: "w0", Client: srv.Client(), Poll: 5 * time.Millisecond,
 		Exec: toyExec(-1),
@@ -322,14 +322,15 @@ func TestResumeSkipsFinishedUnits(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	if err := w.Run(ctx); err != nil {
+	werr := make(chan error, 1)
+	go func() { werr <- w.Run(t.Context()) }()
+	got, verdict := results(t.Context(), s, st.ID)
+	stop()
+	if err := <-werr; err != nil {
 		t.Fatal(err)
 	}
-	buf := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
+	if verdict != nil {
+		t.Fatal(verdict)
 	}
 
 	// With 8 items in 4 units of 2, indices 0..4 done means units 0 and 1
@@ -339,12 +340,14 @@ func TestResumeSkipsFinishedUnits(t *testing.T) {
 			t.Errorf("fully journaled unit %d was re-executed", id)
 		}
 	}
-	// The resumed run emits only the remainder.
-	if got, want := buf.String(), `{"i":5}`+"\n"+`{"i":6}`+"\n"+`{"i":7}`+"\n"; got != want {
-		t.Errorf("resumed emission:\n got: %q\nwant: %q", got, want)
+	if got != toyWant(n) {
+		t.Errorf("resumed batch output:\n got: %q\nwant: %q", got, toyWant(n))
 	}
-	// And the journal now reassembles the complete sequential output.
-	_, all, err := journal.Resume(path, h)
+	if row := s.Status().Batches[0]; row.ItemsExecuted != 3 {
+		t.Errorf("resumed batch executed %d items, want 3", row.ItemsExecuted)
+	}
+	// And the journal alone now reassembles the complete output.
+	all, err := journal.Replay(path, journal.Header{Kind: b.Kind(), BatchSHA256: hash, N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,44 +356,32 @@ func TestResumeSkipsFinishedUnits(t *testing.T) {
 		full.Write(all[i])
 		full.WriteByte('\n')
 	}
-	if got, want := full.String(), toyWant(n); got != want {
-		t.Errorf("journal reassembly:\n got: %q\nwant: %q", got, want)
+	if full.String() != toyWant(n) {
+		t.Errorf("journal reassembly:\n got: %q\nwant: %q", full.String(), toyWant(n))
 	}
 }
 
 // TestStatus checks the observability probe after a completed run: the
-// progress counters, the per-worker accounting, and a positive observed
-// rate with no ETA (nothing remains).
+// batch's progress counters, the per-worker accounting, and a positive
+// observed rate with no ETA (nothing remains).
 func TestStatus(t *testing.T) {
-	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(5), Config{Units: 2, LeaseTTL: time.Minute})
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-	if err := runWorkers(ctx, srv, 1, toyExec(-1)); err != nil {
-		t.Fatal(err)
+	s, srv, id, stop := batchService(t, toyBatch{5}, ServiceConfig{Units: 2})
+	if _, verdict, werr := drive(t, s, srv, id, stop, 1, toyExec(-1)); verdict != nil || werr != nil {
+		t.Fatalf("verdict %v, workers %v", verdict, werr)
 	}
-	<-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
+	st := getStatus(t, srv)
+	if len(st.Batches) != 1 {
+		t.Fatalf("status = %+v", st)
 	}
-	resp, err := srv.Client().Get(srv.URL + "/v1/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Kind != "toy" || st.N != 5 || st.ItemsDone != 5 || st.ItemsResumed != 0 ||
-		st.UnitsTotal != 2 || st.UnitsDone != 2 || st.UnitsLeased != 0 || st.Failed {
-		t.Errorf("status = %+v", st)
+	if b := st.Batches[0]; b.Kind != "toy" || b.N != 5 || b.ItemsDone != 5 || b.ItemsCachedJournal != 0 ||
+		b.UnitsTotal != 2 || b.UnitsDone != 2 || b.UnitsLeased != 0 || b.State != BatchDone {
+		t.Errorf("batch row = %+v", b)
 	}
 	if st.ItemsPerSec <= 0 {
 		t.Errorf("completed run must report a positive rate, got %v", st.ItemsPerSec)
 	}
-	if st.ETAMS != 0 {
-		t.Errorf("completed run must omit the ETA, got %d", st.ETAMS)
+	if st.ETAMS != 0 || st.QueueDepth != 0 {
+		t.Errorf("completed run must omit the ETA and queue nothing: %+v", st)
 	}
 	if len(st.InFlight) != 0 {
 		t.Errorf("completed run has in-flight units: %+v", st.InFlight)
@@ -401,7 +392,7 @@ func TestStatus(t *testing.T) {
 	}
 }
 
-// fakeClock is a mutable obs.Clock for pinning the coordinator's derived
+// fakeClock is a mutable obs.Clock for pinning the service's derived
 // status arithmetic.
 type fakeClock struct {
 	mu  sync.Mutex
@@ -421,14 +412,14 @@ func (f *fakeClock) advance(d time.Duration) {
 }
 
 // getStatus scrapes GET /v1/status.
-func getStatus(t *testing.T, srv *httptest.Server) Status {
+func getStatus(t *testing.T, srv *httptest.Server) ServiceStatus {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st Status
+	var st ServiceStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +434,7 @@ func postToyResult(t *testing.T, srv *httptest.Server, worker string, u Unit, ex
 	for i := u.Range.Lo; i < u.Range.Hi; i++ {
 		lines = append(lines, fmt.Sprintf(`{"i":%d}`, i))
 	}
-	target := fmt.Sprintf("%s/v1/result?worker=%s&unit=%d", srv.URL, worker, u.ID)
+	target := fmt.Sprintf("%s/v1/result?worker=%s&batch=%s&unit=%d", srv.URL, worker, u.Batch, u.ID)
 	if execMS >= 0 {
 		target += fmt.Sprintf("&exec_ms=%d", execMS)
 	}
@@ -458,28 +449,24 @@ func postToyResult(t *testing.T, srv *httptest.Server, worker string, u Unit, ex
 }
 
 // TestStatusMidRun is the acceptance test for the operator probe: it
-// drives a distributed run over raw HTTP under a fake clock, scraping
-// /v1/status and /metrics mid-run, and pins the derived fields —
-// throughput, ETA, per-worker liveness, lease ages, and the straggler
-// flag — plus their monotone progression as units complete.
+// drives a run over raw HTTP under a fake clock, scraping /v1/status and
+// /metrics mid-run, and pins the derived fields — throughput, ETA,
+// per-worker liveness and current unit, in-flight lease ages, and the
+// straggler flag — plus their monotone progression as units complete.
 func TestStatusMidRun(t *testing.T) {
 	fc := &fakeClock{now: time.Unix(1000, 0)}
-	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(8),
-		Config{Units: 4, LeaseTTL: time.Minute, Clock: fc.clock})
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
+	s, srv, id, _ := batchService(t, toyBatch{8}, ServiceConfig{Units: 4, Clock: fc.clock})
 
 	// w0 executes unit 0 in one simulated second.
 	lease := leaseRaw(t, srv, "w0")
-	if lease.Unit == nil || lease.Unit.ID != 0 {
+	if lease.Unit == nil || lease.Unit.ID != 0 || lease.Unit.Batch != id {
 		t.Fatalf("lease = %+v", lease)
 	}
 	fc.advance(time.Second)
 	postToyResult(t, srv, "w0", *lease.Unit, 1000)
 
 	st := getStatus(t, srv)
-	if st.ItemsDone != 2 || st.ElapsedMS != 1000 {
+	if st.Batches[0].ItemsDone != 2 || st.ElapsedMS != 1000 {
 		t.Fatalf("after unit 0: %+v", st)
 	}
 	if st.ItemsPerSec != 2 {
@@ -494,7 +481,7 @@ func TestStatusMidRun(t *testing.T) {
 	if len(st.Workers) != 1 || st.Workers[0].LastSeenMS != 0 || !st.Workers[0].Live || st.Workers[0].CurrentUnit != nil {
 		t.Errorf("workers after unit 0 = %+v", st.Workers)
 	}
-	firstDone := st.ItemsDone
+	firstDone := st.Batches[0].ItemsDone
 
 	// w0 finishes units 1 and 2 at the same pace; the exec-time baseline
 	// now has stragglerMinSamples observations of ~1000ms each.
@@ -517,17 +504,18 @@ func TestStatusMidRun(t *testing.T) {
 	fc.advance(5 * time.Second)
 
 	st = getStatus(t, srv)
-	if st.ItemsDone < firstDone {
-		t.Errorf("items_done went backwards: %d -> %d", firstDone, st.ItemsDone)
+	row := st.Batches[0]
+	if row.ItemsDone < firstDone {
+		t.Errorf("items_done went backwards: %d -> %d", firstDone, row.ItemsDone)
 	}
-	if st.ItemsDone != 6 || st.UnitsLeased != 1 {
+	if row.ItemsDone != 6 || row.UnitsLeased != 1 {
 		t.Fatalf("mid-run status = %+v", st)
 	}
 	if len(st.InFlight) != 1 {
 		t.Fatalf("in-flight = %+v", st.InFlight)
 	}
 	fl := st.InFlight[0]
-	if fl.ID != slow.ID || fl.Worker != "w1" || fl.Items != 2 || fl.LeaseAgeMS != 5000 {
+	if fl.Batch != id || fl.Unit != slow.ID || fl.Worker != "w1" || fl.Items != 2 || fl.LeaseAgeMS != 5000 {
 		t.Errorf("in-flight unit = %+v", fl)
 	}
 	if !fl.Straggler {
@@ -545,7 +533,7 @@ func TestStatusMidRun(t *testing.T) {
 	if w0 == nil || w1 == nil {
 		t.Fatalf("workers = %+v", st.Workers)
 	}
-	if w0.UnitsDone != 3 || w0.ItemsDone != 6 || w0.LastSeenMS != 5000 || !w0.Live {
+	if w0.UnitsDone != 3 || w0.ItemsDone != 6 || w0.LastSeenMS != 5000 || !w0.Live || w0.CurrentUnit != nil {
 		t.Errorf("w0 = %+v", *w0)
 	}
 	if w1.LastSeenMS != 5000 || !w1.Live || w1.CurrentUnit == nil || *w1.CurrentUnit != slow.ID {
@@ -566,11 +554,11 @@ func TestStatusMidRun(t *testing.T) {
 		t.Errorf("metrics content type = %q", ct)
 	}
 	for _, want := range []string{
-		`dist_items{kind="toy"} 8`,
-		`dist_items_done{kind="toy"} 6`,
-		`dist_units_leased{kind="toy"} 1`,
-		`dist_workers_live{kind="toy"} 2`,
-		`dist_items_per_second{kind="toy"} 0.75`,
+		"dist_queue_depth 1",
+		`dist_batches{state="running"} 1`,
+		`dist_store_items{source="executed"} 6`,
+		"dist_service_workers_live 2",
+		"dist_service_items_per_second 0.75",
 		`dist_unit_exec_seconds_count{kind="toy"} 3`,
 		`dist_unit_exec_seconds_sum{kind="toy"} 3`,
 	} {
@@ -583,16 +571,13 @@ func TestStatusMidRun(t *testing.T) {
 	// settles monotone at done.
 	postToyResult(t, srv, "w1", slow, 800)
 	st = getStatus(t, srv)
-	if st.ItemsDone != 8 || st.UnitsDone != 4 || st.UnitsLeased != 0 || st.ETAMS != 0 || len(st.InFlight) != 0 {
+	row = st.Batches[0]
+	if row.ItemsDone != 8 || row.UnitsDone != 4 || row.UnitsLeased != 0 || row.State != BatchDone ||
+		st.ETAMS != 0 || len(st.InFlight) != 0 {
 		t.Errorf("final status = %+v", st)
 	}
-
-	buf := <-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := buf.String(), toyWant(8); got != want {
-		t.Errorf("instrumented run output:\n got: %q\nwant: %q", got, want)
+	if got, verdict := results(t.Context(), s, id); verdict != nil || got != toyWant(8) {
+		t.Errorf("instrumented run output (verdict %v):\n got: %q\nwant: %q", verdict, got, toyWant(8))
 	}
 }
 
@@ -601,12 +586,7 @@ func TestStatusMidRun(t *testing.T) {
 // populates against an old fleet.
 func TestStatusExecFallback(t *testing.T) {
 	fc := &fakeClock{now: time.Unix(1000, 0)}
-	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, toySpec(4),
-		Config{Units: 2, LeaseTTL: time.Minute, Clock: fc.clock})
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
-
+	_, srv, _, _ := batchService(t, toyBatch{4}, ServiceConfig{Units: 2, Clock: fc.clock})
 	for i := 0; i < 2; i++ {
 		lease := leaseRaw(t, srv, "w0")
 		if lease.Unit == nil {
@@ -619,9 +599,8 @@ func TestStatusExecFallback(t *testing.T) {
 	if st.UnitMeanMS != 2000 {
 		t.Errorf("lease-age fallback mean = %vms, want 2000", st.UnitMeanMS)
 	}
-	<-done
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
+	if st.Batches[0].State != BatchDone {
+		t.Errorf("batch state %s, want done", st.Batches[0].State)
 	}
 }
 
@@ -642,36 +621,33 @@ func leaseRaw(t *testing.T, srv *httptest.Server, worker string) LeaseResponse {
 }
 
 // TestExperimentsSpec checks the experiment-grid glue without paying for a
-// real evaluation: unknown IDs fail on the coordinator, payloads carry the
-// right registry slice.
+// real evaluation: unknown IDs fail batch construction, and the units the
+// service leases carry the right registry slice.
 func TestExperimentsSpec(t *testing.T) {
 	if _, err := exp.NewBatch([]string{"fig1", "no-such-artifact"}, nil); err == nil ||
 		!strings.Contains(err.Error(), "no-such-artifact") {
 		t.Fatalf("unknown id must fail batch construction, got %v", err)
 	}
-	b, err := exp.NewBatch([]string{"fig1", "fig2", "tab-l1"}, nil)
+	ids := []string{"fig1", "fig2", "tab-l1"}
+	b, err := exp.NewBatch(ids, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := SpecOf(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.N != 3 || spec.Kind != exp.WorkKind {
-		t.Fatalf("spec = %+v", spec)
-	}
-	payload, err := spec.Payload(sweep.Range{Lo: 1, Hi: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p struct {
-		IDs []string `json:"ids"`
-	}
-	if err := json.Unmarshal(payload, &p); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.IDs) != 2 || p.IDs[0] != "fig2" || p.IDs[1] != "tab-l1" {
-		t.Fatalf("payload ids = %v", p.IDs)
+	_, srv, _, _ := batchService(t, b, ServiceConfig{Units: 3})
+	for k, want := range ids {
+		lease := leaseRaw(t, srv, "w0")
+		if lease.Unit == nil || lease.Unit.Kind != exp.WorkKind || lease.Unit.Range != (sweep.Range{Lo: k, Hi: k + 1}) {
+			t.Fatalf("lease %d = %+v", k, lease)
+		}
+		var p struct {
+			IDs []string `json:"ids"`
+		}
+		if err := json.Unmarshal(lease.Unit.Payload, &p); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.IDs) != 1 || p.IDs[0] != want {
+			t.Fatalf("unit %d payload ids = %v, want [%s]", k, p.IDs, want)
+		}
 	}
 }
 
@@ -699,4 +675,56 @@ func TestRegistryExecutorRangeMismatch(t *testing.T) {
 		!strings.Contains(err.Error(), "range wants 3") {
 		t.Fatalf("range mismatch must be refused, got %v", err)
 	}
+}
+
+// TestRequestBodyCaps sends an over-cap body to every endpoint that reads
+// one and expects 413 with the usual error body; the service then
+// completes a normal batch. Control bodies are sent for real (1 MiB + 1,
+// read through the cap); submission and result bodies declare their
+// over-cap length and are refused before a byte is read.
+func TestRequestBodyCaps(t *testing.T) {
+	s, srv, id, stop := batchService(t, toyBatch{4}, ServiceConfig{Units: 2})
+	for _, tc := range []struct {
+		path    string
+		limit   int64
+		declare bool
+	}{
+		{"/v1/lease", maxControlBody, false},
+		{"/v1/heartbeat", maxControlBody, false},
+		{"/v1/fail", maxControlBody, false},
+		{"/v1/batches", maxResultBody, true},
+		{"/v1/result?worker=w&batch=" + id + "&unit=0", maxResultBody, true},
+	} {
+		// A JSON string one byte too long to fit: the body is a single
+		// well-formed value, so only the cap can refuse it.
+		body := io.MultiReader(strings.NewReader(`"`),
+			io.LimitReader(repeatReader('x'), tc.limit-1), strings.NewReader(`"`))
+		req := httptest.NewRequest(http.MethodPost, tc.path, body)
+		req.ContentLength = -1
+		if tc.declare {
+			req.ContentLength = tc.limit + 1
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
+			t.Errorf("POST %s over the cap: %d %q, want 413 with an error body", tc.path, rec.Code, rec.Body.String())
+		}
+	}
+	got, verdict, werr := drive(t, s, srv, id, stop, 1, toyExec(-1))
+	if verdict != nil || werr != nil || got != toyWant(4) {
+		t.Errorf("batch after over-cap requests: verdict %v, workers %v, output %q", verdict, werr, got)
+	}
+}
+
+// repeatReader is an endless stream of one byte.
+type repeatReader byte
+
+func (r repeatReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
 }

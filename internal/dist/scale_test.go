@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,59 +9,55 @@ import (
 	"time"
 
 	"repro/internal/exp"
-	"repro/internal/sweep"
 )
 
-// TestSpecOfDescribesEnv checks SpecOf forwards an EnvDescriber batch's
-// environment — and leaves Env empty for self-contained kinds.
-func TestSpecOfDescribesEnv(t *testing.T) {
+// TestLeaseCarriesBatchEnv checks the environment rides on the lease: a
+// unit of an EnvDescriber batch carries the batch's declared environment,
+// and a unit of a self-contained kind carries none.
+func TestLeaseCarriesBatchEnv(t *testing.T) {
 	env := exp.NewQuickEnv()
 	eb, err := exp.NewBatch([]string{"fig1", "fig2"}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := SpecOf(eb)
-	if err != nil {
+	s, srv, _, _ := batchService(t, eb, ServiceConfig{Units: 1})
+	if _, _, err := s.Submit(toyBatch{1}); err != nil {
 		t.Fatal(err)
 	}
+
+	// Batches lease in submission order: the experiments unit first.
+	lease := leaseRaw(t, srv, "w0")
+	if lease.Unit == nil || lease.Unit.Kind != exp.WorkKind {
+		t.Fatalf("first lease = %+v", lease)
+	}
 	var scale exp.Scale
-	if err := json.Unmarshal(spec.Env, &scale); err != nil {
-		t.Fatalf("spec env %s: %v", spec.Env, err)
+	if err := json.Unmarshal(lease.Env, &scale); err != nil {
+		t.Fatalf("lease env %s: %v", lease.Env, err)
 	}
 	if want := exp.ScaleOf(env); scale != want {
-		t.Errorf("spec declares %v, want %v", scale, want)
+		t.Errorf("lease declares %v, want %v", scale, want)
 	}
 
-	if spec, err := SpecOf(toyWorkBatch{}); err != nil || spec.Env != nil {
-		t.Errorf("self-contained kind got env %s (err %v)", spec.Env, err)
+	if lease := leaseRaw(t, srv, "w0"); lease.Unit == nil || lease.Unit.Kind != "toy" || lease.Env != nil {
+		t.Errorf("self-contained kind's lease = %+v (env %s), want a toy unit without env", lease, lease.Env)
 	}
 }
 
-// toyWorkBatch is a minimal work.Batch with no EnvDescriber.
-type toyWorkBatch struct{}
+// toyEnvBatch is a toy batch that declares a process environment.
+type toyEnvBatch struct {
+	toyBatch
+	env json.RawMessage
+}
 
-func (toyWorkBatch) Kind() string          { return "toy" }
-func (toyWorkBatch) Len() int              { return 1 }
-func (toyWorkBatch) Hash() (string, error) { return "toyhash", nil }
-func (toyWorkBatch) RunItem(context.Context, int) (json.RawMessage, error) {
-	return json.RawMessage(`{}`), nil
-}
-func (toyWorkBatch) MarshalRange(r sweep.Range) (json.RawMessage, error) {
-	return json.Marshal(r)
-}
+func (b toyEnvBatch) DescribeEnv() (json.RawMessage, error) { return b.env, nil }
 
 // TestWorkerVerifyEnvHardFails pins the fleet-scale agreement: a worker
-// whose VerifyEnv rejects the coordinator's declared environment exits
-// with that error before executing anything — and without aborting the
-// batch, so a correctly configured peer can still finish the sweep.
+// whose VerifyEnv rejects the batch's declared environment exits with
+// that error before executing anything — and without aborting the batch,
+// so a correctly configured peer can still finish the sweep.
 func TestWorkerVerifyEnvHardFails(t *testing.T) {
-	spec := toySpec(4)
-	spec.Env = json.RawMessage(`{"accesses":1000000,"seed":1,"min_r2":0.97}`)
-	ctx := t.Context()
-	c, srv := startCoordinator(t, ctx, spec, Config{Units: 2, LeaseTTL: 200 * time.Millisecond})
-
-	done := make(chan *bytes.Buffer, 1)
-	go func() { done <- drain(c) }()
+	b := toyEnvBatch{toyBatch{4}, json.RawMessage(`{"accesses":1000000,"seed":1,"min_r2":0.97}`)}
+	s, srv, id, stop := batchService(t, b, ServiceConfig{Units: 2, LeaseTTL: 200 * time.Millisecond})
 
 	executed := false
 	bad := &Worker{
@@ -84,7 +79,7 @@ func TestWorkerVerifyEnvHardFails(t *testing.T) {
 			return toyExec(-1)(ctx, u)
 		},
 	}
-	err := bad.Run(ctx)
+	err := bad.Run(t.Context())
 	if err == nil || !strings.Contains(err.Error(), "scale mismatch") {
 		t.Fatalf("misconfigured worker returned %v, want the mismatch error", err)
 	}
@@ -102,13 +97,14 @@ func TestWorkerVerifyEnvHardFails(t *testing.T) {
 		VerifyEnv:   func(string, json.RawMessage) error { return nil },
 		Exec:        toyExec(-1),
 	}
-	if err := good.Run(ctx); err != nil {
+	werr := make(chan error, 1)
+	go func() { werr <- good.Run(t.Context()) }()
+	got, verdict := results(t.Context(), s, id)
+	stop()
+	if err := <-werr; err != nil {
 		t.Fatal(err)
 	}
-	if got := (<-done).String(); got != toyWant(4) {
-		t.Errorf("reassembled output = %q, want %q", got, toyWant(4))
-	}
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
+	if verdict != nil || got != toyWant(4) {
+		t.Errorf("reassembled output = %q (verdict %v), want %q", got, verdict, toyWant(4))
 	}
 }

@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -35,10 +38,15 @@ const (
 	BatchCancelled BatchState = "cancelled"
 )
 
-// Service metric names — the families a multi-batch service registers
-// beside the shared per-kind unit-execution histogram
-// (MetricUnitExecSeconds).
+// Service metric names — the dist_* families Handler exposes at GET
+// /metrics. The gauges are read-time views of the service's own state
+// (evaluated at scrape, no hot-path cost); the histogram observes one
+// value per completed unit.
 const (
+	// MetricUnitExecSeconds is the per-unit execution-time histogram,
+	// labeled (kind) — the worker-reported exec_ms when present, lease
+	// age otherwise.
+	MetricUnitExecSeconds = "dist_unit_exec_seconds"
 	// MetricQueueDepth gauges batches currently queued or running — with
 	// MetricServiceETA, the autoscaling signal: scale workers up while
 	// either stays high.
@@ -62,26 +70,72 @@ const (
 	MetricServiceETA = "dist_service_eta_seconds"
 )
 
+// stragglerMinSamples is how many units must have completed before the
+// straggler heuristic has a baseline worth flagging against.
+const stragglerMinSamples = 3
+
+// Request body caps. Control bodies (lease, heartbeat, fail) are a few
+// dozen bytes — the cap matches the one Worker.do applies to responses.
+// Submissions and result uploads scale with the batch but are bounded by
+// it; the cap only stops a runaway client from exhausting memory. An
+// over-cap body answers 413.
+const (
+	maxControlBody = 1 << 20
+	maxResultBody  = 256 << 20
+)
+
 // ServiceConfig tunes a Service.
 type ServiceConfig struct {
 	// Store is the content-addressed result store backing every batch
 	// (required): per-batch journals, the per-item index, and the spec
 	// records a restarted service re-queues from.
 	Store *store.Store
-	// Units is the shard count per batch (0 = GOMAXPROCS, capped at the
-	// batch's item count) — Config.Units per admitted batch.
+	// Units is the number of work units each admitted batch splits into
+	// (0 = GOMAXPROCS, capped at the batch's item count). More units than
+	// workers gives finer re-lease granularity when a worker dies; fewer
+	// amortizes per-unit HTTP overhead.
 	Units int
-	// LeaseTTL and RetryAfter mirror Config.
-	LeaseTTL   time.Duration
+	// LeaseTTL is how long a worker may hold a unit without heartbeating
+	// before it is handed to someone else (0 = 30s).
+	LeaseTTL time.Duration
+	// RetryAfter is the backoff hint returned when every pending unit is
+	// leased (0 = 200ms).
 	RetryAfter time.Duration
 	// Metrics is the registry the service's families register into (nil =
 	// private registry); Handler serves it at GET /metrics.
 	Metrics *obs.Registry
-	// Clock is the service's time source (nil = time.Now).
+	// Clock is the service's time source (nil = time.Now): leases,
+	// liveness, throughput, and straggler detection all read it. Tests
+	// inject a fake to pin the derived-status arithmetic.
 	Clock obs.Clock
 	// Logf, when non-nil, receives operational log lines (restores,
 	// admissions, batch completions).
 	Logf func(format string, args ...any)
+}
+
+// Unit lease lifecycle. A unit never leaves done — results are
+// idempotent — and returns from leased to pending when its lease expires.
+const (
+	unitPending = iota
+	unitLeased
+	unitDone
+)
+
+// workerState is the service's per-worker bookkeeping, keyed by the
+// worker's self-assigned ID.
+type workerState struct {
+	lastSeen  time.Time
+	unitsDone int
+	itemsDone int
+}
+
+// unitState is the lease bookkeeping for one unit.
+type unitState struct {
+	unit     Unit
+	state    int
+	worker   string
+	deadline time.Time
+	leasedAt time.Time // current lease grant; zero while pending/done
 }
 
 // batchRun is the in-memory state of one admitted batch.
@@ -130,11 +184,19 @@ func (b *batchRun) markDone(i int) bool {
 // isDone reads index i's completed bit.
 func (b *batchRun) isDone(i int) bool { return b.done[i/64]&(1<<(i%64)) != 0 }
 
-// Service is the multi-batch coordinator: a queue of concurrent batches
-// multiplexed over one worker fleet, backed by a content-addressed result
-// store. Workers run the exact single-batch protocol — units carry a
-// batch ID and workers echo it — so one fleet drains heterogeneous
-// batches with no per-kind (or per-batch) worker code. Batches are
+// leased reports whether u is out on a live lease: leased, not expired,
+// and in a batch that still wants work — a terminal batch's leases are
+// forfeit (their heartbeats bounce).
+func (b *batchRun) leased(u *unitState, now time.Time) bool {
+	return b.active() && u.state == unitLeased && !now.After(u.deadline)
+}
+
+// Service is the coordinator: a queue of concurrent batches multiplexed
+// over one worker fleet, backed by a content-addressed result store. A
+// one-shot `sweepd serve` is a Service holding its single batch over a
+// single-journal store (store.OpenFile). Units carry a batch ID and
+// workers echo it, so one fleet drains heterogeneous batches with no
+// per-kind (or per-batch) worker code. Batches are
 // leased in submission order: the oldest batch with pending units wins,
 // and later batches start as soon as every earlier unit is at least
 // leased, so the fleet never idles while work exists.
@@ -154,7 +216,7 @@ type Service struct {
 	logf  func(format string, args ...any)
 	reg   *obs.Registry
 	start time.Time
-	done  <-chan struct{} // the service context
+	ctx   context.Context // the service's lifetime
 
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast: line completed or state changed
@@ -202,7 +264,7 @@ func NewService(ctx context.Context, cfg ServiceConfig) (*Service, error) {
 		clock:   cfg.Clock,
 		logf:    logf,
 		reg:     reg,
-		done:    ctx.Done(),
+		ctx:     ctx,
 		byID:    make(map[string]*batchRun),
 		workers: make(map[string]*workerState),
 	}
@@ -214,9 +276,6 @@ func NewService(ctx context.Context, cfg ServiceConfig) (*Service, error) {
 	s.registerMetrics()
 	return s, nil
 }
-
-// Metrics returns the registry the service's families live in.
-func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // registerMetrics binds the service families: read-time gauges over
 // service state plus the store-attribution counters.
@@ -474,10 +533,9 @@ func (s *Service) Close() error {
 	return s.store.Close()
 }
 
-// Handler returns the service's HTTP API: the worker protocol (shared
-// with the one-shot coordinator, batch-scoped), the batch lifecycle
-// endpoints, the status probe, and the metrics exposition. One handler,
-// one RequireToken gate.
+// Handler returns the service's HTTP API: the batch-scoped worker
+// protocol, the batch lifecycle endpoints, the status probe, and the
+// metrics exposition. One handler, one RequireToken gate.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/lease", s.handleLease)
@@ -494,16 +552,6 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// shuttingDown reports whether the service context ended.
-func (s *Service) shuttingDown() bool {
-	select {
-	case <-s.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // noteWorkerLocked updates a worker's liveness bookkeeping. Callers hold
 // mu.
 func (s *Service) noteWorkerLocked(id string, now time.Time) *workerState {
@@ -518,11 +566,15 @@ func (s *Service) noteWorkerLocked(id string, now time.Time) *workerState {
 
 func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "lease request needs a worker id"})
+	const bad = "lease request needs a worker id"
+	if !decodeBody(w, r, maxControlBody, &req, bad) {
 		return
 	}
-	if s.shuttingDown() {
+	if req.Worker == "" {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": bad})
+		return
+	}
+	if s.ctx.Err() != nil {
 		writeJSON(w, http.StatusOK, LeaseResponse{Done: true})
 		return
 	}
@@ -562,8 +614,7 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed heartbeat"})
+	if !decodeBody(w, r, maxControlBody, &req, "malformed heartbeat") {
 		return
 	}
 	now := s.clock.Now()
@@ -587,10 +638,14 @@ func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResult ingests one unit's NDJSON lines, batch-scoped. Results
-// are idempotent per index (first arrival wins) and accepted even from
-// expired leases, like the one-shot coordinator — and even for failed or
+// are idempotent per index (first arrival wins) and accepted even from a
+// worker whose lease has expired — the work is deterministic, so a late
+// line is as good as the re-leased copy — and even for failed or
 // cancelled batches, where the lines no longer change the batch's fate
 // but are journaled as store cache for the next overlapping submission.
+// The optional exec_ms query parameter carries the worker's measured
+// unit execution time; without it the lease age stands in, so the timing
+// stats degrade rather than vanish against old workers.
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	worker := q.Get("worker")
@@ -602,9 +657,8 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	execMS, execErr := strconv.ParseFloat(q.Get("exec_ms"), 64)
 	haveExec := execErr == nil && execMS >= 0
-	body, err := readAll(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+	body, ok := readBody(w, r, maxResultBody)
+	if !ok {
 		return
 	}
 	lines := splitNDJSON(body)
@@ -653,6 +707,9 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		u.state = unitDone
 		br.unitsDone++
 		ws.unitsDone++
+		// One timing observation per completed unit: the worker's own
+		// measurement when reported, its lease age otherwise (a late
+		// result from an expired lease has neither — skip it).
 		switch {
 		case haveExec:
 			s.recordUnitExecLocked(br.kind, execMS)
@@ -701,8 +758,7 @@ func (s *Service) recordUnitExecLocked(kind string, ms float64) {
 
 func (s *Service) handleFail(w http.ResponseWriter, r *http.Request) {
 	var req failRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "malformed failure report"})
+	if !decodeBody(w, r, maxControlBody, &req, "malformed failure report") {
 		return
 	}
 	now := s.clock.Now()
@@ -727,8 +783,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Kind    string          `json:"kind"`
 		Payload json.RawMessage `json:"payload"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Kind == "" || len(req.Payload) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": `submission needs {"kind":..., "payload":...}`})
+	const bad = `submission needs {"kind":..., "payload":...}`
+	if !decodeBody(w, r, maxResultBody, &req, bad) {
+		return
+	}
+	if req.Kind == "" || len(req.Payload) == 0 {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": bad})
 		return
 	}
 	b, err := work.Unmarshal(req.Kind, req.Payload)
@@ -761,6 +821,14 @@ func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// lookup returns the admitted batch with the given ID.
+func (s *Service) lookup(id string) (*batchRun, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	br, ok := s.byID[id]
+	return br, ok
+}
+
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	now := s.clock.Now()
 	s.mu.Lock()
@@ -786,26 +854,24 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleResults streams a batch's result lines as input-ordered NDJSON:
-// each line is written as soon as the ordered prefix through it is
-// complete, flushed per line, so a client following a running batch sees
-// results live. For batches whose in-memory lines are gone (terminal),
-// the stream replays the store journal — cached or fresh, the bytes are
-// identical to a sequential run. A failed or cancelled batch's stream
-// ends at its first gap: those indices will never complete.
-func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	br, ok := s.byID[r.PathValue("id")]
-	s.mu.Unlock()
+// Results calls yield with batch id's result lines in input order, each
+// as soon as the ordered prefix through it is complete: from memory while
+// the batch runs, from one replay of its store journal once it is
+// terminal — cached or fresh, the bytes are identical to a sequential
+// run. A failed or cancelled batch's lines end at its first gap: those
+// indices will never complete. The return is the batch's verdict once
+// its lines run out — nil for a done batch, the failure of a failed one,
+// an error wrapping context.Canceled for a cancelled one — or the error
+// of ctx (or of the service's own context, should it end first). A yield
+// error stops the walk and is returned as is.
+func (s *Service) Results(ctx context.Context, id string, yield func(i int, line []byte) error) error {
+	br, ok := s.lookup(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown batch"})
-		return
+		return fmt.Errorf("dist: unknown batch %s", id)
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	// Streams park on cond while waiting for the next ordered line; wake
-	// them if the client goes away so they notice and return.
-	stop := context.AfterFunc(r.Context(), s.cond.Broadcast)
+	// Readers park on cond while waiting for the next ordered line; wake
+	// them if ctx ends so they notice and return.
+	stop := context.AfterFunc(ctx, s.cond.Broadcast)
 	defer stop()
 
 	var stored map[int]json.RawMessage // store replay, once terminal
@@ -813,9 +879,13 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 		var line []byte
 		s.mu.Lock()
 		for {
-			if r.Context().Err() != nil || s.shuttingDown() {
+			if err := ctx.Err(); err != nil {
 				s.mu.Unlock()
-				return
+				return err
+			}
+			if err := s.ctx.Err(); err != nil {
+				s.mu.Unlock()
+				return err
 			}
 			if br.lines == nil { // terminal: switch to the store journal
 				break
@@ -831,29 +901,67 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 			if stored == nil {
 				_, lines, err := s.store.Replay(br.id)
 				if err != nil {
-					return // mid-stream; nothing safe left to say
+					return err
 				}
 				stored = lines
 			}
-			l, ok := stored[i]
-			if !ok {
-				return // terminal gap: this index will never complete
+			if line = stored[i]; line == nil {
+				return s.verdict(br, i)
 			}
-			line = l
 		}
+		if err := yield(i, line); err != nil {
+			return err
+		}
+	}
+	return s.verdict(br, br.n)
+}
+
+// verdict is the outcome Results reports for a batch whose lines ran out
+// at index gap (br.n when every line was there): its failure, its
+// cancellation, or — for a done batch — nil, unless its journal lost a
+// line.
+func (s *Service) verdict(br *batchRun, gap int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case br.state == BatchFailed:
+		return fmt.Errorf("dist: batch %s failed: %s", br.id, br.errMsg)
+	case br.state == BatchCancelled:
+		return fmt.Errorf("dist: batch %s cancelled: %w", br.id, context.Canceled)
+	case gap < br.n:
+		return fmt.Errorf("dist: batch %s: journal lacks line %d", br.id, gap)
+	}
+	return nil
+}
+
+// handleResults streams a batch's result lines (Results) as input-ordered
+// NDJSON, flushed per line, so a client following a running batch sees
+// results live.
+func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	if _, ok := s.lookup(id); !ok {
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown batch"})
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	flusher, _ := w.(http.Flusher)
+	// The verdict has no place in a stream already under way: the stream
+	// simply ends, and the batch status says why.
+	_ = s.Results(r.Context(), id, func(_ int, line []byte) error {
 		// Two writes, not append(line, '\n'): the line may share backing
 		// storage with other lines (result-body subslices), and appending
 		// in place would be a write into shared memory.
 		if _, err := w.Write(line); err != nil {
-			return
+			return err
 		}
 		if _, err := w.Write([]byte{'\n'}); err != nil {
-			return
+			return err
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
+		return nil
+	})
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -898,16 +1006,13 @@ type StoreStatus struct {
 	ItemsExecuted uint64 `json:"items_executed"`
 }
 
-// ServiceStatus is the GET /v1/status snapshot of a multi-batch service:
-// the queue, every batch's progress, fleet liveness, and store
-// attribution. QueueDepth and ETAMS together are the autoscaling signal
-// — scale the fleet up while either stays high, down when both sit at
-// zero.
+// ServiceStatus is the GET /v1/status snapshot of a service: the queue,
+// every batch's progress, fleet liveness, the units out on lease, and
+// store attribution. QueueDepth and ETAMS together are the autoscaling
+// signal — scale the fleet up while either stays high, down when both
+// sit at zero.
 type ServiceStatus struct {
-	// Service discriminates the multi-batch snapshot from the one-shot
-	// coordinator's Status (always true).
-	Service    bool `json:"service"`
-	QueueDepth int  `json:"queue_depth"`
+	QueueDepth int `json:"queue_depth"`
 	// ElapsedMS is the wall time since the service started; ItemsPerSec
 	// the fleet-wide executed-item completion rate; ETAMS extrapolates
 	// that rate over every active batch's remaining items.
@@ -916,10 +1021,15 @@ type ServiceStatus struct {
 	ETAMS       int64   `json:"eta_ms,omitempty"`
 	// UnitMeanMS is the mean execution time of completed units across
 	// batches — the straggler baseline.
-	UnitMeanMS float64        `json:"unit_mean_ms,omitempty"`
-	Batches    []BatchStatus  `json:"batches"`
-	Workers    []WorkerStatus `json:"workers,omitempty"`
-	Store      StoreStatus    `json:"store"`
+	UnitMeanMS float64       `json:"unit_mean_ms,omitempty"`
+	Batches    []BatchStatus `json:"batches"`
+	// Workers lists every worker that ever contacted this service, sorted
+	// by ID.
+	Workers []WorkerStatus `json:"workers,omitempty"`
+	// InFlight lists the units out on a live lease, by batch submission
+	// order then unit ID.
+	InFlight []UnitStatus `json:"in_flight,omitempty"`
+	Store    StoreStatus  `json:"store"`
 }
 
 // Status assembles the service snapshot — exported so the serving
@@ -929,7 +1039,6 @@ func (s *Service) Status() ServiceStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := ServiceStatus{
-		Service:   true,
 		ElapsedMS: now.Sub(s.start).Milliseconds(),
 		Batches:   make([]BatchStatus, 0, len(s.order)),
 		Store: StoreStatus{
@@ -955,6 +1064,25 @@ func (s *Service) Status() ServiceStatus {
 	if s.execCount > 0 {
 		st.UnitMeanMS = s.execSumMS / float64(s.execCount)
 	}
+	currentUnit := make(map[string]int)
+	for _, br := range s.order {
+		for _, u := range br.units {
+			if !br.leased(u, now) {
+				continue
+			}
+			currentUnit[u.worker] = u.unit.ID
+			age := now.Sub(u.leasedAt).Milliseconds()
+			st.InFlight = append(st.InFlight, UnitStatus{
+				Batch:      br.id,
+				Unit:       u.unit.ID,
+				Worker:     u.worker,
+				Items:      u.unit.Range.Len(),
+				LeaseAgeMS: age,
+				Straggler: s.execCount >= stragglerMinSamples &&
+					float64(age) > 2*st.UnitMeanMS,
+			})
+		}
+	}
 	ids := make([]string, 0, len(s.workers))
 	for id := range s.workers {
 		ids = append(ids, id)
@@ -962,13 +1090,17 @@ func (s *Service) Status() ServiceStatus {
 	sort.Strings(ids)
 	for _, id := range ids {
 		ws := s.workers[id]
-		st.Workers = append(st.Workers, WorkerStatus{
+		row := WorkerStatus{
 			ID:         id,
 			UnitsDone:  ws.unitsDone,
 			ItemsDone:  ws.itemsDone,
 			LastSeenMS: now.Sub(ws.lastSeen).Milliseconds(),
 			Live:       now.Sub(ws.lastSeen) <= s.ttl,
-		})
+		}
+		if unit, ok := currentUnit[id]; ok {
+			row.CurrentUnit = &unit
+		}
+		st.Workers = append(st.Workers, row)
 	}
 	return st
 }
@@ -990,9 +1122,67 @@ func (s *Service) batchStatusLocked(br *batchRun, now time.Time) BatchStatus {
 		Error:              br.errMsg,
 	}
 	for _, u := range br.units {
-		if u.state == unitLeased && !now.After(u.deadline) {
+		if br.leased(u, now) {
 			st.UnitsLeased++
 		}
 	}
 	return st
+}
+
+// writeJSON renders one protocol response.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// readBody drains a request body of at most limit bytes. It answers the
+// request itself and reports false when the body is over the cap (413 —
+// without reading it when the declared length already is) or cannot be
+// read (400).
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	if r.ContentLength > limit {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+			"error": fmt.Sprintf("request body of %d bytes is over the %d-byte cap", r.ContentLength, limit),
+		})
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": fmt.Sprintf("reading request body: %v", err)})
+		return nil, false
+	}
+	return body, true
+}
+
+// decodeBody reads a JSON request body of at most limit bytes into v. It
+// answers the request itself and reports false when the body is over the
+// cap (413) or does not decode (400 with msg).
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, msg string) bool {
+	body, ok := readBody(w, r, limit)
+	if !ok {
+		return false
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": msg})
+		return false
+	}
+	return true
+}
+
+// splitNDJSON splits a result body into its non-empty lines.
+func splitNDJSON(body []byte) [][]byte {
+	var lines [][]byte
+	for _, line := range bytes.Split(body, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		lines = append(lines, line)
+	}
+	return lines
 }

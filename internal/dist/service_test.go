@@ -32,6 +32,9 @@ func startService(t *testing.T, ctx context.Context, dir string, cfg ServiceConf
 	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = time.Minute
 	}
+	if cfg.RetryAfter == 0 {
+		cfg.RetryAfter = 5 * time.Millisecond
+	}
 	s, err := NewService(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -405,9 +408,9 @@ func TestServiceFailureIsolatesBatch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServiceStatusAndMetrics pins the observable surface: the service
-// status discriminator, queue depth, store attribution, and the metric
-// families the operations doc catalogues.
+// TestServiceStatusAndMetrics pins the observable surface: queue depth,
+// store attribution, and the metric families the operations doc
+// catalogues.
 func TestServiceStatusAndMetrics(t *testing.T) {
 	b := testBatch(t, 3)
 	ctx, cancel := context.WithCancel(t.Context())
@@ -425,8 +428,8 @@ func TestServiceStatusAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !status.Service || status.QueueDepth != 1 || len(status.Batches) != 1 {
-		t.Fatalf("status = %+v, want service=true queue_depth=1 with 1 batch", status)
+	if status.QueueDepth != 1 || len(status.Batches) != 1 {
+		t.Fatalf("status = %+v, want queue_depth=1 with 1 batch", status)
 	}
 	if status.Batches[0].State != BatchQueued {
 		t.Fatalf("batch state %s, want queued", status.Batches[0].State)

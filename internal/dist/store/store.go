@@ -1,9 +1,8 @@
-// Package store is the content-addressed result store behind the
-// multi-batch sweep service: an append-only directory of per-batch
-// checkpoint journals (the exact internal/dist/journal format, one file
-// per batch, named by the batch's content identity) plus a per-item key
-// index, so results survive coordinator restarts and are shared across
-// batches.
+// Package store is the content-addressed result store behind the sweep
+// service: an append-only directory of per-batch checkpoint journals (the
+// exact internal/dist/journal format, one file per batch, named by the
+// batch's content identity) plus a per-item key index, so results survive
+// service restarts and are shared across batches.
 //
 // Layout of a store directory:
 //
@@ -23,8 +22,10 @@
 // single-process `-checkpoint` file copied into the store under its
 // batch's name is adopted wholesale (hash-verified on admission), and a
 // store journal can be read back by `sweepd journal` like any other
-// checkpoint — the store is the PR-3 journal generalized across batches,
-// not a second format.
+// checkpoint — the store is the checkpoint journal generalized across
+// batches, not a second format. OpenFile is the degenerate case: a store
+// over one journal file and nothing else, which is what a one-shot
+// `sweepd serve -checkpoint FILE` runs on.
 //
 // Crash tolerance follows the journal's rules: appends are single writes,
 // a torn final line (journal or index) is discarded on open, and any
@@ -88,7 +89,8 @@ type itemRef struct {
 // concurrent use; per-batch handles must not be duplicated (one live
 // Handle per batch ID — the service's submit path guarantees it).
 type Store struct {
-	dir string
+	dir  string
+	file string // OpenFile's journal path; empty for a store directory
 
 	mu    sync.Mutex
 	idx   *os.File           // items.idx, positioned for appending
@@ -115,7 +117,16 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir is the store's directory path.
+// OpenFile opens a store over the single journal at path: Admit resumes
+// that journal (hash-verified) or creates it, so admit exactly one batch.
+// The store keeps no item index and no spec records — nothing is shared
+// across batches, nothing is written next to path, and Batches (so a
+// service's Restore) finds nothing.
+func OpenFile(path string) *Store {
+	return &Store{file: path, items: make(map[string]itemRef), recs: make(map[string]Record)}
+}
+
+// Dir is the store's directory path (empty for OpenFile).
 func (s *Store) Dir() string { return s.dir }
 
 // Close closes the item index. Open handles keep their journals; close
@@ -200,7 +211,9 @@ func (s *Store) Admit(b work.Batch) (*Handle, error) {
 		Header: journal.Header{Kind: b.Kind(), BatchSHA256: hash, N: b.Len()},
 		s:      s,
 	}
-	h.keyer, _ = b.(work.ItemKeyer)
+	if s.file == "" {
+		h.keyer, _ = b.(work.ItemKeyer)
+	}
 
 	jr, done, err := journal.Open(s.journalPath(h.ID), h.Header, true)
 	if err != nil {
@@ -218,7 +231,7 @@ func (s *Store) Admit(b work.Batch) (*Handle, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, known := s.recs[h.ID]; !known {
+	if _, known := s.recs[h.ID]; !known && s.file == "" {
 		// First admission: persist the spec record and index whatever the
 		// journal already held (an adopted checkpoint's lines are not in
 		// items.idx yet — this pass is what makes them shareable).
@@ -356,6 +369,9 @@ func (s *Store) indexItemLocked(h *Handle, i int) error {
 
 // journalPath is the journal file of batch id.
 func (s *Store) journalPath(id string) string {
+	if s.file != "" {
+		return s.file
+	}
 	return filepath.Join(s.dir, id+".journal")
 }
 
@@ -407,6 +423,9 @@ func (s *Store) writeRecord(rec Record) error {
 
 // loadIndex replays items.idx (first occurrence of a key wins, torn
 // final line truncated away) and leaves the file open for appending.
+// Entries whose batch has no spec record are skipped: that batch was
+// reset (its files deleted), so its keys are free for whichever batch
+// next records them. Callers load the records first.
 func (s *Store) loadIndex() error {
 	path := filepath.Join(s.dir, "items.idx")
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -432,7 +451,8 @@ func (s *Store) loadIndex() error {
 			f.Close()
 			return fmt.Errorf("store: items.idx: corrupt entry at byte %d: %w", offset, err)
 		}
-		if _, dup := s.items[e.Key]; !dup {
+		_, dup := s.items[e.Key]
+		if _, live := s.recs[e.Batch]; live && !dup {
 			s.items[e.Key] = itemRef{batch: e.Batch, i: e.I}
 		}
 		offset += int64(len(line))

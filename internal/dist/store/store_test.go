@@ -350,3 +350,99 @@ func TestWrongHashJournalRefused(t *testing.T) {
 		t.Fatalf("admission of mismatched journal: err = %v, want hash mismatch", err)
 	}
 }
+
+// TestResetBatchFreesItsIndexKeys pins the documented batch reset: after
+// a batch's journal and spec record are deleted, reopening the store
+// ignores the index entries that pointed at it, so the batch that next
+// executes those items indexes them and a later overlapping batch adopts
+// them from there.
+func TestResetBatchFreesItsIndexKeys(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := tinyBatch(t, "x", "y")
+	h, err := s.Admit(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runAll(t, h, a)
+	h.Close()
+	s.Close()
+
+	// Reset A: delete its two files, as docs/operations.md describes.
+	for _, suffix := range []string{".journal", ".batch.json"} {
+		if err := os.Remove(filepath.Join(dir, h.ID+suffix)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Items() != 0 {
+		t.Fatalf("index still maps %d items of the reset batch", s.Items())
+	}
+
+	// B re-runs x and y; C overlaps B on both and adopts them.
+	b := tinyBatch(t, "x", "y", "z")
+	hb, err := s.Admit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hb.HitsIndex != 0 {
+		t.Fatalf("B adopted %d items from the reset batch", hb.HitsIndex)
+	}
+	runAll(t, hb, b)
+	hb.Close()
+	c := tinyBatch(t, "y", "x", "w-big")
+	hc, err := s.Admit(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hc.Close()
+	if hc.HitsIndex != 2 {
+		t.Fatalf("C adopted %d of the 2 items it shares with B, want 2", hc.HitsIndex)
+	}
+}
+
+// TestOpenFileKeepsOneJournal pins the single-journal store a one-shot
+// serve runs on: admission creates (then resumes) exactly the given
+// journal, nothing else is written next to it, and no spec record or
+// index entry exists for a restart to find.
+func TestOpenFileKeepsOneJournal(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.journal")
+	b := tinyBatch(t, "a", "b")
+	s := OpenFile(path)
+	h, err := s.Admit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runAll(t, h, b)
+	h.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != "run.journal" {
+		t.Fatalf("directory holds %v (err %v), want only run.journal", entries, err)
+	}
+	if len(s.Batches()) != 0 || s.Items() != 0 {
+		t.Fatalf("single-journal store kept %d records and %d index keys", len(s.Batches()), s.Items())
+	}
+	hdr, lines, err := journal.ReadFile(path)
+	if err != nil || hdr.Kind != b.Kind() || len(lines) != b.Len() {
+		t.Fatalf("journal header %+v with %d lines (err %v)", hdr, len(lines), err)
+	}
+
+	h, err = OpenFile(path).Admit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if h.HitsJournal != b.Len() {
+		t.Fatalf("re-admission resumed %d lines, want %d", h.HitsJournal, b.Len())
+	}
+}

@@ -1,11 +1,11 @@
 // Package docs renders docs/wire-protocol.md from live protocol
 // fixtures: every example request and response in that file is captured
-// from a real coordinator and a real multi-batch service — the same
-// handlers cmd/sweepd serves — executed in-process against the
-// repository's reference scenario fixtures under a fixed clock. The
-// golden test (TestWireProtocolDoc) fails whenever the captured
-// exchanges stop matching the committed file, so the documentation
-// cannot drift from the implementation; `make docs` regenerates it.
+// from a real dist.Service — the same handler cmd/sweepd serves in both
+// of its modes — executed in-process against the repository's reference
+// scenario fixtures under a fixed clock. The golden test
+// (TestWireProtocolDoc) fails whenever the captured exchanges stop
+// matching the committed file, so the documentation cannot drift from
+// the implementation; `make docs` regenerates it.
 package docs
 
 import (
@@ -43,11 +43,16 @@ const fixtureBatch = `{"scenarios":[
 	{"name":"large","l1_kb":32,"l2_kb":512,"workload":"tpcc","accesses":20000}
 ]}`
 
-// fixtureExtra is a second, distinct batch used to demonstrate
-// cancellation.
-const fixtureExtra = `{"scenarios":[
+// fixtureDoomed and fixtureUnwanted are two more distinct batches: one
+// whose unit fails, one that is cancelled while its unit is out on lease.
+const (
+	fixtureDoomed = `{"scenarios":[
 	{"name":"doomed","l1_kb":16,"l2_kb":512,"workload":"tpcc","accesses":20000}
 ]}`
+	fixtureUnwanted = `{"scenarios":[
+	{"name":"unwanted","l1_kb":32,"l2_kb":256,"workload":"tpcc","accesses":20000}
+]}`
+)
 
 // exchange is one captured request/response pair plus the prose that
 // introduces it in the rendered document.
@@ -59,128 +64,31 @@ type exchange struct {
 	reqBody []byte // nil = no body; rendered as JSON or NDJSON by sniffing
 	status  int
 	resp    []byte
+	text    bool // resp is plain text, not JSON
 }
 
 // WireProtocol renders the complete wire-protocol document. storeDir is
-// a scratch directory for the service fixtures' result store (the
+// a scratch directory for the fixture service's result store (the
 // caller's t.TempDir()); nothing under it appears in the output.
 func WireProtocol(ctx context.Context, storeDir string) ([]byte, error) {
+	exchanges, err := capture(ctx, storeDir)
+	if err != nil {
+		return nil, fmt.Errorf("docs: protocol fixtures: %w", err)
+	}
 	var doc bytes.Buffer
 	doc.WriteString(header)
-
-	oneShot, err := captureOneShot(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("docs: one-shot fixtures: %w", err)
-	}
-	doc.WriteString(oneShotIntro)
-	for _, e := range oneShot {
+	for _, e := range exchanges {
 		if err := renderExchange(&doc, e); err != nil {
 			return nil, err
 		}
 	}
-
-	service, err := captureService(ctx, storeDir)
-	if err != nil {
-		return nil, fmt.Errorf("docs: service fixtures: %w", err)
-	}
-	doc.WriteString(serviceIntro)
-	for _, e := range service {
-		if err := renderExchange(&doc, e); err != nil {
-			return nil, err
-		}
-	}
-
-	doc.WriteString(footer)
 	return doc.Bytes(), nil
 }
 
-// captureOneShot drives the single-batch coordinator protocol end to
-// end and records the documented exchanges.
-func captureOneShot(ctx context.Context) ([]exchange, error) {
-	b, err := scenario.LoadBatch(strings.NewReader(fixtureBatch))
-	if err != nil {
-		return nil, err
-	}
-	spec, err := dist.SpecOf(b)
-	if err != nil {
-		return nil, err
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	c, err := dist.New(cctx, spec, dist.Config{Units: 2, LeaseTTL: time.Minute, Clock: obs.Clock(docClock)})
-	if err != nil {
-		return nil, err
-	}
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	var out []exchange
-	cap := func(heading, prose, method, path, contentType string, body []byte) ([]byte, error) {
-		status, resp, err := roundTrip(ctx, srv, method, path, contentType, "", body)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, exchange{heading: heading, prose: prose, method: method,
-			path: path, reqBody: body, status: status, resp: resp})
-		return resp, nil
-	}
-
-	if _, err := cap("Lease a unit", leaseProse,
-		http.MethodPost, "/v1/lease", "application/json",
-		[]byte(`{"worker":"w1"}`)); err != nil {
-		return nil, err
-	}
-	if _, err := cap("Heartbeat", heartbeatProse,
-		http.MethodPost, "/v1/heartbeat", "application/json",
-		[]byte(`{"worker":"w1","unit":0}`)); err != nil {
-		return nil, err
-	}
-	line0, err := b.RunItem(ctx, 0)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := cap("Report a unit's results", resultProse,
-		http.MethodPost, "/v1/result?worker=w1&unit=0&exec_ms=12", "application/x-ndjson",
-		append(append([]byte{}, line0...), '\n')); err != nil {
-		return nil, err
-	}
-	if _, err := cap("Report a deterministic failure", failProse,
-		http.MethodPost, "/v1/fail", "application/json",
-		[]byte(`{"worker":"w1","unit":1,"error":"example: trace generator refused the workload"}`)); err != nil {
-		return nil, err
-	}
-	if _, err := cap("Operator status probe", statusProse,
-		http.MethodGet, "/v1/status", "", nil); err != nil {
-		return nil, err
-	}
-
-	// A token-gated front: the same handler behind RequireToken answers
-	// 401 to anything without the bearer secret.
-	gated := httptest.NewServer(dist.RequireToken("s3cret", c.Handler()))
-	defer gated.Close()
-	status, resp, err := roundTrip(ctx, gated, http.MethodGet, "/v1/status", "", "", nil)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, exchange{heading: "Authentication", prose: tokenProse,
-		method: http.MethodGet, path: "/v1/status", status: status, resp: resp})
-
-	// The batch failed above (unit 1), so the coordinator emits what it
-	// has and Wait reports the failure; the doc only needed the captures.
-	cancel()
-	for range c.Results() {
-	}
-	_ = c.Wait()
-	return out, nil
-}
-
-// captureService drives the multi-batch service API end to end and
-// records the documented exchanges.
-func captureService(ctx context.Context, storeDir string) ([]exchange, error) {
-	b, err := scenario.LoadBatch(strings.NewReader(fixtureBatch))
-	if err != nil {
-		return nil, err
-	}
+// capture drives the service protocol end to end — a batch through its
+// whole lifecycle, a failed batch, a cancelled one — and records the
+// documented exchanges in document order.
+func capture(ctx context.Context, storeDir string) ([]exchange, error) {
 	st, err := store.Open(storeDir)
 	if err != nil {
 		return nil, err
@@ -198,8 +106,12 @@ func captureService(ctx context.Context, storeDir string) ([]exchange, error) {
 	defer srv.Close()
 
 	var out []exchange
+	// call performs one exchange; cap additionally records it.
+	call := func(method, path, contentType string, body []byte) (int, []byte, error) {
+		return roundTrip(ctx, srv, method, path, contentType, "", body)
+	}
 	cap := func(heading, prose, method, path, contentType string, body []byte) ([]byte, error) {
-		status, resp, err := roundTrip(ctx, srv, method, path, contentType, "", body)
+		status, resp, err := call(method, path, contentType, body)
 		if err != nil {
 			return nil, err
 		}
@@ -207,32 +119,52 @@ func captureService(ctx context.Context, storeDir string) ([]exchange, error) {
 			path: path, reqBody: body, status: status, resp: resp})
 		return resp, nil
 	}
+	// submit posts a fixture batch, recording the exchange when heading is
+	// set, and returns the batch and its ID.
+	submit := func(fixture, heading, prose string) (work.Batch, string, []byte, error) {
+		b, err := scenario.LoadBatch(strings.NewReader(fixture))
+		if err != nil {
+			return nil, "", nil, err
+		}
+		payload, err := b.MarshalRange(sweep.Range{Lo: 0, Hi: b.Len()})
+		if err != nil {
+			return nil, "", nil, err
+		}
+		body, err := json.Marshal(map[string]json.RawMessage{
+			"kind":    json.RawMessage(fmt.Sprintf("%q", b.Kind())),
+			"payload": payload,
+		})
+		if err != nil {
+			return nil, "", nil, err
+		}
+		var resp []byte
+		if heading != "" {
+			resp, err = cap(heading, prose, http.MethodPost, "/v1/batches", "application/json", body)
+		} else {
+			_, resp, err = call(http.MethodPost, "/v1/batches", "application/json", body)
+		}
+		if err != nil {
+			return nil, "", nil, err
+		}
+		var stat dist.BatchStatus
+		if err := json.Unmarshal(resp, &stat); err != nil {
+			return nil, "", nil, err
+		}
+		return b, stat.ID, body, nil
+	}
 
-	payload, err := b.MarshalRange(sweep.Range{Lo: 0, Hi: b.Len()})
+	b, id, submitBody, err := submit(fixtureBatch, "Submit a batch", submitProse)
 	if err != nil {
 		return nil, err
 	}
-	submitBody, err := json.Marshal(map[string]json.RawMessage{
-		"kind":    json.RawMessage(fmt.Sprintf("%q", b.Kind())),
-		"payload": payload,
-	})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := cap("Submit a batch", submitProse,
-		http.MethodPost, "/v1/batches", "application/json", submitBody)
-	if err != nil {
-		return nil, err
-	}
-	var stat dist.BatchStatus
-	if err := json.Unmarshal(resp, &stat); err != nil {
-		return nil, err
-	}
-	id := stat.ID
-
-	if _, err := cap("Lease against the service", serviceLeaseProse,
+	if _, err := cap("Lease a unit", leaseProse,
 		http.MethodPost, "/v1/lease", "application/json",
 		[]byte(`{"worker":"w1"}`)); err != nil {
+		return nil, err
+	}
+	if _, err := cap("Heartbeat", heartbeatProse,
+		http.MethodPost, "/v1/heartbeat", "application/json",
+		[]byte(`{"worker":"w1","unit":0,"batch":"`+id+`"}`)); err != nil {
 		return nil, err
 	}
 	var lines []byte
@@ -243,7 +175,7 @@ func captureService(ctx context.Context, storeDir string) ([]exchange, error) {
 		}
 		lines = append(append(lines, line...), '\n')
 	}
-	if _, err := cap("Report against the service", serviceResultProse,
+	if _, err := cap("Report a unit's results", resultProse,
 		http.MethodPost, "/v1/result?worker=w1&unit=0&exec_ms=9&batch="+id, "application/x-ndjson",
 		lines); err != nil {
 		return nil, err
@@ -261,42 +193,57 @@ func captureService(ctx context.Context, storeDir string) ([]exchange, error) {
 		return nil, err
 	}
 
-	// A second batch, submitted and immediately cancelled.
-	b2, err := scenario.LoadBatch(strings.NewReader(fixtureExtra))
+	// A second batch whose only unit fails on its worker.
+	_, doomed, _, err := submit(fixtureDoomed, "", "")
 	if err != nil {
 		return nil, err
 	}
-	payload2, err := b2.MarshalRange(sweep.Range{Lo: 0, Hi: b2.Len()})
+	if _, _, err := call(http.MethodPost, "/v1/lease", "application/json", []byte(`{"worker":"w1"}`)); err != nil {
+		return nil, err
+	}
+	if _, err := cap("Report a deterministic failure", failProse,
+		http.MethodPost, "/v1/fail", "application/json",
+		[]byte(`{"worker":"w1","unit":0,"batch":"`+doomed+`","error":"example: trace generator refused the workload"}`)); err != nil {
+		return nil, err
+	}
+
+	// A third batch, leased by a second worker and probed mid-flight, then
+	// cancelled.
+	_, unwanted, _, err := submit(fixtureUnwanted, "", "")
 	if err != nil {
 		return nil, err
 	}
-	submitBody2, err := json.Marshal(map[string]json.RawMessage{
-		"kind":    json.RawMessage(fmt.Sprintf("%q", b2.Kind())),
-		"payload": payload2,
-	})
-	if err != nil {
+	if _, _, err := call(http.MethodPost, "/v1/lease", "application/json", []byte(`{"worker":"w2"}`)); err != nil {
 		return nil, err
 	}
-	_, body2, err := roundTrip(ctx, srv, http.MethodPost, "/v1/batches", "application/json", "", submitBody2)
-	if err != nil {
-		return nil, err
-	}
-	var stat2 dist.BatchStatus
-	if err := json.Unmarshal(body2, &stat2); err != nil {
+	if _, err := cap("Operator status probe", statusProse,
+		http.MethodGet, "/v1/status", "", nil); err != nil {
 		return nil, err
 	}
 	if _, err := cap("Cancel a batch", cancelProse,
-		http.MethodDelete, "/v1/batches/"+stat2.ID, "", nil); err != nil {
+		http.MethodDelete, "/v1/batches/"+unwanted, "", nil); err != nil {
 		return nil, err
 	}
 	if _, err := cap("List the queue", listProse,
 		http.MethodGet, "/v1/batches", "", nil); err != nil {
 		return nil, err
 	}
-	if _, err := cap("Service status probe", serviceStatusProse,
-		http.MethodGet, "/v1/status", "", nil); err != nil {
+	if _, err := cap("Metrics", metricsProse,
+		http.MethodGet, "/metrics", "", nil); err != nil {
 		return nil, err
 	}
+	out[len(out)-1].text = true
+
+	// A token-gated front: the same handler behind RequireToken answers
+	// 401 to anything without the bearer secret.
+	gated := httptest.NewServer(dist.RequireToken("s3cret", svc.Handler()))
+	defer gated.Close()
+	status, resp, err := roundTrip(ctx, gated, http.MethodGet, "/v1/status", "", "", nil)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, exchange{heading: "Authentication", prose: tokenProse,
+		method: http.MethodGet, path: "/v1/status", status: status, resp: resp})
 	return out, nil
 }
 
@@ -349,6 +296,10 @@ func renderExchange(w *bytes.Buffer, e exchange) error {
 		}
 	}
 	fmt.Fprintf(w, "Response — %d:\n\n", e.status)
+	if e.text {
+		fmt.Fprintf(w, "```text\n%s```\n\n", e.resp)
+		return nil
+	}
 	return writeBody(w, e.resp)
 }
 

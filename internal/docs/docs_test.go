@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/dist"
+	"repro/internal/dist/store"
 )
 
 var update = flag.Bool("update", false, "rewrite docs/wire-protocol.md from the live fixtures")
@@ -53,6 +59,63 @@ func TestWireProtocolDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("generator is nondeterministic:\n%s", firstDiff(a, b))
+	}
+}
+
+// serviceRoutes is every route dist.Service.Handler serves.
+var serviceRoutes = []string{
+	"POST /v1/lease",
+	"POST /v1/heartbeat",
+	"POST /v1/result",
+	"POST /v1/fail",
+	"GET /v1/status",
+	"GET /metrics",
+	"POST /v1/batches",
+	"GET /v1/batches",
+	"GET /v1/batches/{id}",
+	"DELETE /v1/batches/{id}",
+	"GET /v1/batches/{id}/results",
+}
+
+// TestWireProtocolCoversEveryRoute pins that the committed document shows
+// an exchange for every route the service handler serves: each request
+// line in the document is routed through the live handler's mux, and the
+// patterns it lands on must cover serviceRoutes — which in turn must all
+// be patterns the mux really serves.
+func TestWireProtocolCoversEveryRoute(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := dist.NewService(t.Context(), dist.ServiceConfig{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	mux, ok := svc.Handler().(*http.ServeMux)
+	if !ok {
+		t.Fatalf("service handler is a %T, want *http.ServeMux", svc.Handler())
+	}
+	for _, route := range serviceRoutes {
+		method, path, _ := strings.Cut(route, " ")
+		if _, pattern := mux.Handler(httptest.NewRequest(method, strings.ReplaceAll(path, "{id}", "x"), nil)); pattern != route {
+			t.Errorf("route %q is not served (mux matched %q)", route, pattern)
+		}
+	}
+
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "wire-protocol.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := make(map[string]bool)
+	for _, m := range regexp.MustCompile("(?m)^```\n(GET|POST|DELETE) (\\S+)\n```$").FindAllStringSubmatch(string(doc), -1) {
+		_, pattern := mux.Handler(httptest.NewRequest(m[1], m[2], nil))
+		covered[pattern] = true
+	}
+	for _, route := range serviceRoutes {
+		if !covered[route] {
+			t.Errorf("docs/wire-protocol.md has no exchange for %s", route)
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func tabExp(id string, f func(*Env, context.Context) (Table, error)) Experiment 
 }
 
 // Experiments is the registry of the paper's evaluation in the paper's
-// order. All() runs the whole list; cmd/figures uses it to list artifact
+// order. AllCtx runs the whole list; cmd/figures uses it to list artifact
 // IDs and to run a single artifact without paying for the rest.
 func Experiments() []Experiment {
 	return []Experiment{
@@ -88,12 +88,6 @@ func Experiments() []Experiment {
 	}
 }
 
-// All runs every experiment in the paper's order and returns the artifacts;
-// it is AllCtx without cancellation.
-func (e *Env) All() ([]Artifact, error) {
-	return e.AllCtx(context.Background())
-}
-
 // AllCtx runs every experiment in the paper's order and returns the
 // artifacts. Experiments fan out across e.Workers workers (the shared
 // substrates are singleflight-memoized, so each model and miss matrix is
@@ -104,12 +98,6 @@ func (e *Env) All() ([]Artifact, error) {
 // sweeps inside running ones.
 func (e *Env) AllCtx(ctx context.Context) ([]Artifact, error) {
 	return e.RunExperimentsCtx(ctx, Experiments())
-}
-
-// RunExperiments runs a subset of the registry, preserving input order; it
-// is RunExperimentsCtx without cancellation.
-func (e *Env) RunExperiments(exps []Experiment) ([]Artifact, error) {
-	return e.RunExperimentsCtx(context.Background(), exps)
 }
 
 // RunExperimentsCtx runs a subset of the registry, preserving input order

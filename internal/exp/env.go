@@ -114,15 +114,10 @@ func (e *Env) Model(cfg cachecfg.Config) (*model.CacheModel, error) {
 	})
 }
 
-// SuiteMatrices returns the per-workload miss matrices over the canonical
-// L1/L2 design spaces, simulating on first use.
-func (e *Env) SuiteMatrices() ([]*sim.MissMatrix, error) {
-	return e.SuiteMatricesCtx(context.Background())
-}
-
-// SuiteMatricesCtx is SuiteMatrices with cancellation: a cancelled build
-// aborts mid-simulation and is not cached, so a later uncancelled caller
-// rebuilds.
+// SuiteMatricesCtx returns the per-workload miss matrices over the
+// canonical L1/L2 design spaces, simulating on first use. A cancelled
+// build aborts mid-simulation and is not cached, so a later uncancelled
+// caller rebuilds.
 func (e *Env) SuiteMatricesCtx(ctx context.Context) ([]*sim.MissMatrix, error) {
 	return e.matrices.Do(struct{}{}, func() ([]*sim.MissMatrix, error) {
 		build := sim.BuildSuiteMatricesCtx
@@ -133,13 +128,8 @@ func (e *Env) SuiteMatricesCtx(ctx context.Context) ([]*sim.MissMatrix, error) {
 	})
 }
 
-// MissMatrix returns the equal-weight average of the suite matrices — the
-// aggregate statistics the paper's Section 5 experiments consume.
-func (e *Env) MissMatrix() (*sim.MissMatrix, error) {
-	return e.MissMatrixCtx(context.Background())
-}
-
-// MissMatrixCtx is MissMatrix with cancellation.
+// MissMatrixCtx returns the equal-weight average of the suite matrices —
+// the aggregate statistics the paper's Section 5 experiments consume.
 func (e *Env) MissMatrixCtx(ctx context.Context) (*sim.MissMatrix, error) {
 	return e.average.Do(struct{}{}, func() (*sim.MissMatrix, error) {
 		ms, err := e.SuiteMatricesCtx(ctx)

@@ -480,7 +480,7 @@ func TestFitQualityGate(t *testing.T) {
 }
 
 func TestAllArtifacts(t *testing.T) {
-	arts, err := env(t).All()
+	arts, err := env(t).AllCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // stream for whole-run comparison.
 func renderAll(t *testing.T, e *Env) string {
 	t.Helper()
-	arts, err := e.All()
+	arts, err := e.AllCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestRunExperimentsSubset(t *testing.T) {
 			fit = append(fit, x)
 		}
 	}
-	arts, err := e.RunExperiments(fit)
+	arts, err := e.RunExperimentsCtx(t.Context(), fit)
 	if err != nil {
 		t.Fatal(err)
 	}

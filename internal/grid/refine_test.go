@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/dist/store"
 	"repro/internal/profile"
 	"repro/internal/work"
 )
@@ -331,7 +333,7 @@ func TestRefineEquivalentAcrossExecutionShapes(t *testing.T) {
 }
 
 // refineDistributed reconstructs the refined-frontier flow with each
-// phase running through an in-process coordinator and two
+// phase running through an in-process dist.Service and two
 // registry-executor workers — the same library calls Refine composes,
 // with dist in place of work.Run.
 func refineDistributed(t *testing.T, doc string) []byte {
@@ -372,30 +374,30 @@ func refineDistributed(t *testing.T, doc string) []byte {
 	return out.Bytes()
 }
 
-// distributeBatch runs one batch through an in-process coordinator with
-// two registry-executor workers and returns its lines in input order.
+// distributeBatch runs one batch through an in-process dist.Service over
+// a temp store with two registry-executor workers and returns its lines
+// in input order.
 func distributeBatch(t *testing.T, b work.Batch) []json.RawMessage {
 	t.Helper()
-	spec, err := dist.SpecOf(b)
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := t.Context()
-	c, err := dist.New(ctx, spec, dist.Config{Units: 3, LeaseTTL: time.Minute})
+	ctx, stop := context.WithCancel(t.Context())
+	defer stop()
+	svc, err := dist.NewService(ctx, dist.ServiceConfig{
+		Store: st, Units: 3, LeaseTTL: time.Minute, RetryAfter: 5 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
+	defer svc.Close()
+	bs, _, err := svc.Submit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
-
-	collected := make(chan []json.RawMessage, 1)
-	go func() {
-		var lines []json.RawMessage
-		for line := range c.Results() {
-			lines = append(lines, line)
-		}
-		collected <- lines
-	}()
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -410,18 +412,23 @@ func distributeBatch(t *testing.T, b work.Batch) []json.RawMessage {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = w.Run(ctx)
+			errs[i] = w.Run(t.Context())
 		}(i)
 	}
+	var lines []json.RawMessage
+	err = svc.Results(t.Context(), bs.ID, func(_ int, line []byte) error {
+		lines = append(lines, line)
+		return nil
+	})
+	stop() // leases answer done from here: the workers exit
 	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
-	}
-	lines := <-collected
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
 	}
 	return lines
 }

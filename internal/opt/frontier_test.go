@@ -32,7 +32,10 @@ func TestOptimizeL2FrontierMatchesPointwise(t *testing.T) {
 	slow := tl.AMAT(a1, components.Uniform(device.OP(0.50, 14)))
 	budgets := units.Linspace(fast*0.5, slow*1.1, 7) // includes infeasible low end
 
-	got := tl.OptimizeL2Frontier(SchemeII, a1, ops, budgets)
+	got, err := tl.OptimizeL2FrontierCtx(t.Context(), SchemeII, a1, ops, budgets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(budgets) {
 		t.Fatalf("frontier has %d results for %d budgets", len(got), len(budgets))
 	}

@@ -8,9 +8,9 @@ import (
 	"repro/internal/device"
 )
 
-// OptimizeJoint minimizes combined L1+L2 leakage under an AMAT budget with
-// BOTH levels' assignments free — an extension of the paper's Section 5
-// experiments, which pin one level while optimizing the other.
+// OptimizeJointCtx minimizes combined L1+L2 leakage under an AMAT budget
+// with BOTH levels' assignments free — an extension of the paper's
+// Section 5 experiments, which pin one level while optimizing the other.
 //
 // The search alternates coordinate descent between the levels: holding one
 // level fixed, the other level's problem reduces to a single-cache
@@ -20,13 +20,7 @@ import (
 //
 // The initial point matters for a non-convex alternation: the search starts
 // from the fastest corner (always feasible if anything is) and lets the
-// levels take turns relaxing toward conservative knobs.
-func OptimizeJoint(t *TwoLevel, scheme Scheme, ops []device.OperatingPoint, amatBudget float64, maxRounds int) TwoLevelResult {
-	r, _ := OptimizeJointCtx(context.Background(), t, scheme, ops, amatBudget, maxRounds)
-	return r
-}
-
-// OptimizeJointCtx is OptimizeJoint with cancellation: the context is
+// levels take turns relaxing toward conservative knobs. The context is
 // checked once per descent round and inside each level's grid search.
 func OptimizeJointCtx(ctx context.Context, t *TwoLevel, scheme Scheme, ops []device.OperatingPoint, amatBudget float64, maxRounds int) (TwoLevelResult, error) {
 	if maxRounds <= 0 {

@@ -24,7 +24,10 @@ func TestJointRespectsAMAT(t *testing.T) {
 	ops := midOps()
 	for _, frac := range []float64{0.3, 0.6, 0.9} {
 		target := jointTarget(tl, frac)
-		r := OptimizeJoint(tl, SchemeII, ops, target, 0)
+		r, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, target, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !r.Feasible {
 			t.Fatalf("joint optimization infeasible at frac %v", frac)
 		}
@@ -40,7 +43,10 @@ func TestJointBeatsSingleSidedOptimization(t *testing.T) {
 	tl := jointSystem(t)
 	ops := midOps()
 	target := jointTarget(tl, 0.6)
-	joint := OptimizeJoint(tl, SchemeII, ops, target, 0)
+	joint, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, target, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l2only := tl.OptimizeL2(SchemeII, components.Uniform(DefaultOP()), ops, target)
 	if !joint.Feasible {
 		t.Fatal("joint infeasible")
@@ -55,7 +61,10 @@ func TestJointMonotoneInBudget(t *testing.T) {
 	ops := midOps()
 	prev := 1e99
 	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8} {
-		r := OptimizeJoint(tl, SchemeII, ops, jointTarget(tl, frac), 0)
+		r, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, jointTarget(tl, frac), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !r.Feasible {
 			continue
 		}
@@ -69,7 +78,10 @@ func TestJointMonotoneInBudget(t *testing.T) {
 func TestJointInfeasibleBudget(t *testing.T) {
 	tl := jointSystem(t)
 	ops := midOps()
-	r := OptimizeJoint(tl, SchemeII, ops, jointTarget(tl, 0)/2, 0)
+	r, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, jointTarget(tl, 0)/2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Feasible {
 		t.Error("impossible AMAT accepted")
 	}
@@ -79,7 +91,10 @@ func TestJointConservativeAtLooseBudget(t *testing.T) {
 	// With an unconstrained budget both levels should saturate their knobs.
 	tl := jointSystem(t)
 	ops := midOps()
-	r := OptimizeJoint(tl, SchemeII, ops, jointTarget(tl, 1.0)*2, 0)
+	r, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, jointTarget(tl, 1.0)*2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Feasible {
 		t.Fatal("infeasible at loose budget")
 	}

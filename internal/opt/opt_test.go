@@ -108,9 +108,18 @@ func TestSchemeOrdering(t *testing.T) {
 	lo, hi := FeasibleDelayRange(l1m, ops)
 	budget := lo + 0.5*(hi-lo)
 
-	r3 := OptimizeSchemeIII(l1m, ops, budget)
-	r2 := OptimizeSchemeII(l1m, ops, budget)
-	r1 := OptimizeSchemeI(l1m, ops, budget, 0)
+	r3, err := OptimizeSchemeIIICtx(t.Context(), l1m, ops, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := OptimizeSchemeIICtx(t.Context(), l1m, ops, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, err := OptimizeSchemeICtx(t.Context(), l1m, ops, budget, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r3.Feasible || !r2.Feasible || !r1.Feasible {
 		t.Fatalf("all schemes should be feasible at mid budget: %v / %v / %v", r1, r2, r3)
 	}
@@ -153,7 +162,10 @@ func TestOptimalAssignmentStructure(t *testing.T) {
 	lo, hi := FeasibleDelayRange(l1m, ops)
 	for _, frac := range []float64{0.35, 0.5, 0.7} {
 		budget := lo + frac*(hi-lo)
-		r := OptimizeSchemeII(l1m, ops, budget)
+		r, err := OptimizeSchemeIICtx(t.Context(), l1m, ops, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !r.Feasible {
 			continue
 		}
@@ -176,7 +188,10 @@ func TestSchemeIMatchesExhaustiveOnCoarseGrid(t *testing.T) {
 	lo, hi := FeasibleDelayRange(l1m, ops)
 	for _, frac := range []float64{0.4, 0.6, 0.9} {
 		budget := lo + frac*(hi-lo)
-		dp := OptimizeSchemeI(l1m, ops, budget, 8000)
+		dp, err := OptimizeSchemeICtx(t.Context(), l1m, ops, budget, 8000)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ex := ExhaustiveSchemeI(l1m, ops, budget)
 		if dp.Feasible != ex.Feasible {
 			t.Fatalf("budget %v: DP feasible=%v, exhaustive=%v", budget, dp.Feasible, ex.Feasible)
@@ -200,7 +215,10 @@ func TestOptimumMonotoneInBudget(t *testing.T) {
 	lo, hi := FeasibleDelayRange(l1m, ops)
 	var prev float64 = math.Inf(1)
 	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
-		r := OptimizeSchemeIII(l1m, ops, lo+frac*(hi-lo))
+		r, err := OptimizeSchemeIIICtx(t.Context(), l1m, ops, lo+frac*(hi-lo))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !r.Feasible {
 			continue
 		}
@@ -228,7 +246,10 @@ func TestFrontier(t *testing.T) {
 	ops := midOps()
 	lo, hi := FeasibleDelayRange(l1m, ops)
 	budgets := units.Linspace(lo, hi, 8)
-	rs := Frontier(SchemeIII, l1m, ops, budgets)
+	rs, err := FrontierCtx(t.Context(), SchemeIII, l1m, ops, budgets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rs) != len(budgets) {
 		t.Fatalf("frontier size %d", len(rs))
 	}
@@ -250,8 +271,14 @@ func TestDirectAgreesWithModelOrdering(t *testing.T) {
 	ops := coarseOps()
 	lo, hi := FeasibleDelayRange(l1m, ops)
 	budget := lo + 0.6*(hi-lo)
-	rm := OptimizeSchemeII(l1m, ops, budget)
-	rd := OptimizeSchemeII(dir, ops, budget)
+	rm, err := OptimizeSchemeIICtx(t.Context(), l1m, ops, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := OptimizeSchemeIICtx(t.Context(), dir, ops, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !rm.Feasible || !rd.Feasible {
 		t.Fatalf("feasibility mismatch: model=%v direct=%v", rm.Feasible, rd.Feasible)
 	}
@@ -291,8 +318,14 @@ func TestVthKnobBeatsToxKnob(t *testing.T) {
 	lo, hi := FeasibleDelayRange(l1m, full)
 	budget := lo + 0.6*(hi-lo)
 
-	vOnly := OptimizeSchemeIII(l1m, VthOnlyGrid(units.GridSteps(0.20, 0.50, 0.005), 12), budget)
-	tOnly := OptimizeSchemeIII(l1m, ToxOnlyGrid(units.GridSteps(10, 14, 0.1), 0.3), budget)
+	vOnly, err := OptimizeSchemeIIICtx(t.Context(), l1m, VthOnlyGrid(units.GridSteps(0.20, 0.50, 0.005), 12), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tOnly, err := OptimizeSchemeIIICtx(t.Context(), l1m, ToxOnlyGrid(units.GridSteps(10, 14, 0.1), 0.3), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !vOnly.Feasible || !tOnly.Feasible {
 		t.Fatalf("baseline optimizations infeasible: v=%v t=%v", vOnly.Feasible, tOnly.Feasible)
 	}
@@ -538,7 +571,10 @@ func TestTupleCurveMonotone(t *testing.T) {
 	fast := ms.AMATS(uniformSystem(device.OP(0.20, 10)))
 	slow := ms.AMATS(uniformSystem(device.OP(0.50, 14)))
 	budgets := units.Linspace(fast*1.02, slow, 6)
-	curve := ms.TupleCurve(TupleBudget{2, 2}, vths, toxs, budgets)
+	curve, err := ms.TupleCurveCtx(t.Context(), TupleBudget{2, 2}, vths, toxs, budgets)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(curve) != len(budgets) {
 		t.Fatal("curve length")
 	}

@@ -23,13 +23,6 @@ func scanWorkers(n int) int {
 	return sweep.Workers(0)
 }
 
-// OptimizeSchemeIII finds the least-leaky uniform assignment meeting the
-// delay budget; it is OptimizeSchemeIIICtx without cancellation.
-func OptimizeSchemeIII(ev Evaluator, ops []device.OperatingPoint, delayBudget float64) Result {
-	r, _ := OptimizeSchemeIIICtx(context.Background(), ev, ops, delayBudget)
-	return r
-}
-
 // OptimizeSchemeIIICtx finds the least-leaky uniform assignment meeting
 // the delay budget by scanning the candidate operating points. The scan is
 // sharded across workers; shard-local bests are reduced in input order with
@@ -74,14 +67,6 @@ func reduceResults(s Scheme, partials []Result) Result {
 		}
 	}
 	return best
-}
-
-// OptimizeSchemeII finds the least-leaky (cell pair, periphery pair)
-// assignment meeting the delay budget; it is OptimizeSchemeIICtx without
-// cancellation.
-func OptimizeSchemeII(ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) Result {
-	r, _ := OptimizeSchemeIICtx(context.Background(), ev, ops, delayBudget)
-	return r
 }
 
 // OptimizeSchemeIICtx finds the least-leaky (cell pair, periphery pair)
@@ -137,14 +122,6 @@ func OptimizeSchemeIICtx(ctx context.Context, ev ComponentEvaluator, ops []devic
 // SchemeIBins is the default delay quantization for the Scheme I dynamic
 // program. Finer bins tighten the (conservative) quantization error.
 const SchemeIBins = 4000
-
-// OptimizeSchemeI finds independent per-component pairs minimizing total
-// leakage under the delay budget; it is OptimizeSchemeICtx without
-// cancellation.
-func OptimizeSchemeI(ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64, bins int) Result {
-	r, _ := OptimizeSchemeICtx(context.Background(), ev, ops, delayBudget, bins)
-	return r
-}
 
 // OptimizeSchemeICtx finds independent per-component pairs minimizing total
 // leakage under the delay budget. Components are reduced to Pareto fronts
@@ -319,13 +296,6 @@ func FeasibleDelayRange(ev Evaluator, ops []device.OperatingPoint) (lo, hi float
 		hi = math.Max(hi, d)
 	}
 	return lo, hi
-}
-
-// Frontier sweeps delay budgets and returns one optimization result per
-// budget; it is FrontierCtx without cancellation.
-func Frontier(s Scheme, ev ComponentEvaluator, ops []device.OperatingPoint, budgets []float64) []Result {
-	out, _ := FrontierCtx(context.Background(), s, ev, ops, budgets)
-	return out
 }
 
 // FrontierCtx sweeps delay budgets and returns one optimization result per

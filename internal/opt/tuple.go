@@ -277,13 +277,6 @@ func (ms *MemorySystem) tupleCombo(ctx context.Context, budget TupleBudget, vthC
 	return res, nil
 }
 
-// TupleCurve sweeps AMAT budgets for one tuple budget; it is TupleCurveCtx
-// without cancellation.
-func (ms *MemorySystem) TupleCurve(budget TupleBudget, vthCands, toxCands []float64, amatBudgets []float64) []TupleResult {
-	out, _ := ms.TupleCurveCtx(context.Background(), budget, vthCands, toxCands, amatBudgets)
-	return out
-}
-
 // TupleCurveCtx sweeps AMAT budgets for one tuple budget — one Figure 2
 // series. Budgets are independent and run in parallel, collected in budget
 // order.

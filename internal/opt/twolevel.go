@@ -152,16 +152,9 @@ func (t *TwoLevel) OptimizeL2Ctx(ctx context.Context, scheme Scheme, a1 componen
 	}, nil
 }
 
-// OptimizeL2Frontier evaluates OptimizeL2 at each AMAT budget; it is
-// OptimizeL2FrontierCtx without cancellation.
-func (t *TwoLevel) OptimizeL2Frontier(scheme Scheme, a1 components.Assignment, ops []device.OperatingPoint, amatBudgets []float64) []TwoLevelResult {
-	out, _ := t.OptimizeL2FrontierCtx(context.Background(), scheme, a1, ops, amatBudgets)
-	return out
-}
-
 // OptimizeL2FrontierCtx evaluates OptimizeL2Ctx at each AMAT budget, one
 // budget per worker, returning results in budget order — the two-level
-// analogue of Frontier for trade-off curves over the system constraint.
+// analogue of FrontierCtx for trade-off curves over the system constraint.
 func (t *TwoLevel) OptimizeL2FrontierCtx(ctx context.Context, scheme Scheme, a1 components.Assignment, ops []device.OperatingPoint, amatBudgets []float64) ([]TwoLevelResult, error) {
 	return sweep.MapCtx(ctx, len(amatBudgets), 0, func(ctx context.Context, i int) (TwoLevelResult, error) {
 		return t.OptimizeL2Ctx(ctx, scheme, a1, ops, amatBudgets[i])

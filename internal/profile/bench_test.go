@@ -32,7 +32,7 @@ func BenchmarkAnalyticalVsTraceDriven(b *testing.B) {
 			for _, p := range suites {
 				for _, l1 := range l1s {
 					for _, l2 := range l2s {
-						if _, err := sim.BuildMissMatrix(p, []int{l1}, []int{l2}, benchAccesses); err != nil {
+						if _, err := sim.BuildMissMatrixCtx(b.Context(), p, []int{l1}, []int{l2}, benchAccesses); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -46,7 +46,7 @@ func BenchmarkAnalyticalVsTraceDriven(b *testing.B) {
 			for _, p := range suites {
 				for _, l1 := range l1s {
 					for _, l2 := range l2s {
-						if _, err := memo.BuildMissMatrix(p, []int{l1}, []int{l2}, benchAccesses); err != nil {
+						if _, err := memo.BuildMissMatrixCtx(b.Context(), p, []int{l1}, []int{l2}, benchAccesses); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -66,7 +66,7 @@ func BenchmarkAnalyticalVsTraceDriven(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			memo := profile.NewMemo()
 			for _, p := range suites {
-				if _, err := memo.BuildMissMatrix(p, l1s, l2s, benchAccesses); err != nil {
+				if _, err := memo.BuildMissMatrixCtx(b.Context(), p, l1s, l2s, benchAccesses); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -80,7 +80,7 @@ func BenchmarkAnalyticalVsTraceDriven(b *testing.B) {
 func BenchmarkProfileBuild(b *testing.B) {
 	p := trace.SPEC2000(1)
 	for i := 0; i < b.N; i++ {
-		if _, err := profile.Build(p, benchAccesses); err != nil {
+		if _, err := profile.BuildCtx(b.Context(), p, benchAccesses); err != nil {
 			b.Fatal(err)
 		}
 	}

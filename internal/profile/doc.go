@@ -37,7 +37,7 @@
 // Trace-driven simulation stays the golden reference. The approximation
 // error is gated by TestAnalyticalWithinTolerance: across every
 // registered workload suite and the full cachecfg size lists, analytical
-// local miss rates and write-back rates agree with sim.BuildMissMatrix
+// local miss rates and write-back rates agree with sim.BuildMissMatrixCtx
 // within Tolerance (absolute). Callers that need exact set-associative
 // numbers use the simulator; callers sweeping thousands of design points
 // use this package and accept the stated epsilon.

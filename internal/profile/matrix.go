@@ -75,11 +75,6 @@ func (m *Memo) ProfileCtx(ctx context.Context, p trace.Params, n int) (*Profile,
 	})
 }
 
-// BuildMissMatrix is BuildMissMatrixCtx without cancellation.
-func (m *Memo) BuildMissMatrix(p trace.Params, l1Sizes, l2Sizes []int, n int) (*sim.MissMatrix, error) {
-	return m.BuildMissMatrixCtx(context.Background(), p, l1Sizes, l2Sizes, n)
-}
-
 // BuildMissMatrixCtx profiles through the memo and evaluates the grid.
 // After the first call for a workload, every further (L1, L2) design
 // point of that workload — any size lists, any subset — costs O(grid
@@ -98,24 +93,11 @@ func (m *Memo) BuildMissMatrixCtx(ctx context.Context, p trace.Params, l1Sizes, 
 // point, and experiment in the process shares one pass per workload.
 var shared = NewMemo()
 
-// BuildMissMatrix is the analytical counterpart of sim.BuildMissMatrix;
-// it is BuildMissMatrixCtx without cancellation.
-func BuildMissMatrix(p trace.Params, l1Sizes, l2Sizes []int, n int) (*sim.MissMatrix, error) {
-	return BuildMissMatrixCtx(context.Background(), p, l1Sizes, l2Sizes, n)
-}
-
 // BuildMissMatrixCtx builds the workload's miss matrix analytically: one
 // memoized profiling pass (shared process-wide per workload and stream
 // length), then O(1) lookups per grid cell.
 func BuildMissMatrixCtx(ctx context.Context, p trace.Params, l1Sizes, l2Sizes []int, n int) (*sim.MissMatrix, error) {
 	return shared.BuildMissMatrixCtx(ctx, p, l1Sizes, l2Sizes, n)
-}
-
-// BuildSuiteMatrices is the analytical counterpart of
-// sim.BuildSuiteMatrices; it is BuildSuiteMatricesCtx without
-// cancellation.
-func BuildSuiteMatrices(suites []trace.Params, l1Sizes, l2Sizes []int, n int) ([]*sim.MissMatrix, error) {
-	return BuildSuiteMatricesCtx(context.Background(), suites, l1Sizes, l2Sizes, n)
 }
 
 // BuildSuiteMatricesCtx builds matrices for several workloads, one

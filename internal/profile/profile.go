@@ -12,7 +12,7 @@ import (
 // FidelityTrace everywhere a fidelity is consumed.
 const (
 	// FidelityTrace is the golden reference: trace-driven set-associative
-	// simulation (sim.BuildMissMatrix).
+	// simulation (sim.BuildMissMatrixCtx).
 	FidelityTrace = "trace"
 	// FidelityAnalytical is this package's stack-distance fast path.
 	FidelityAnalytical = "analytical"
@@ -92,11 +92,6 @@ type Profile struct {
 
 	l1 levelCDF // 32 B granularity (cachecfg.L1 geometry)
 	l2 levelCDF // 64 B granularity (cachecfg.L2 geometry)
-}
-
-// Build profiles the workload; it is BuildCtx without cancellation.
-func Build(p trace.Params, n int) (*Profile, error) {
-	return BuildCtx(context.Background(), p, n)
 }
 
 // BuildCtx runs the single profiling pass: n accesses from a fresh

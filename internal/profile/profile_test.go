@@ -166,13 +166,13 @@ func TestSplitHistogramsAccount(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(trace.SPEC2000(1), 0); err == nil {
+	if _, err := BuildCtx(t.Context(), trace.SPEC2000(1), 0); err == nil {
 		t.Error("Build accepted a zero access count")
 	}
-	if _, err := Build(trace.Params{}, 1000); err == nil {
+	if _, err := BuildCtx(t.Context(), trace.Params{}, 1000); err == nil {
 		t.Error("Build accepted invalid trace params")
 	}
-	pr, err := Build(trace.SPEC2000(1), 2000)
+	pr, err := BuildCtx(t.Context(), trace.SPEC2000(1), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,12 +41,12 @@ func buildPairs(t *testing.T) []fidelityPair {
 		suites := append(trace.Suites(1), trace.ExtraSuites(1)...)
 		l1s, l2s := cachecfg.L1Sizes(), cachecfg.L2Sizes()
 		for _, p := range suites {
-			ref, err := sim.BuildMissMatrix(p, l1s, l2s, toleranceAccesses)
+			ref, err := sim.BuildMissMatrixCtx(t.Context(), p, l1s, l2s, toleranceAccesses)
 			if err != nil {
 				pairsErr = fmt.Errorf("sim %s: %w", p.Name, err)
 				return
 			}
-			got, err := profile.BuildMissMatrix(p, l1s, l2s, toleranceAccesses)
+			got, err := profile.BuildMissMatrixCtx(t.Context(), p, l1s, l2s, toleranceAccesses)
 			if err != nil {
 				pairsErr = fmt.Errorf("profile %s: %w", p.Name, err)
 				return
@@ -140,11 +140,11 @@ func TestMatricesMonotoneInCapacity(t *testing.T) {
 func TestAnalyticalDeterministic(t *testing.T) {
 	p := trace.TPCC(3)
 	l1s, l2s := cachecfg.L1Sizes(), cachecfg.L2Sizes()
-	a, err := profile.NewMemo().BuildMissMatrix(p, l1s, l2s, 50000)
+	a, err := profile.NewMemo().BuildMissMatrixCtx(t.Context(), p, l1s, l2s, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := profile.NewMemo().BuildMissMatrix(p, l1s, l2s, 50000)
+	b, err := profile.NewMemo().BuildMissMatrixCtx(t.Context(), p, l1s, l2s, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestBuildCtxCancellation(t *testing.T) {
 	if _, err := memo.BuildMissMatrixCtx(ctx, p, cachecfg.L1Sizes(), cachecfg.L2Sizes(), 300000); err == nil {
 		t.Fatal("cancelled build succeeded")
 	}
-	if _, err := memo.BuildMissMatrix(p, cachecfg.L1Sizes(), cachecfg.L2Sizes(), 300000); err != nil {
+	if _, err := memo.BuildMissMatrixCtx(t.Context(), p, cachecfg.L1Sizes(), cachecfg.L2Sizes(), 300000); err != nil {
 		t.Fatalf("memo poisoned by cancelled build: %v", err)
 	}
 }

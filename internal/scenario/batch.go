@@ -92,12 +92,6 @@ func (b BatchResult) Render() (string, error) {
 	return string(out), nil
 }
 
-// RunBatch executes every scenario of the batch; it is RunBatchCtx without
-// cancellation.
-func RunBatch(b Batch, workers int) (BatchResult, error) {
-	return RunBatchCtx(context.Background(), b, workers)
-}
-
 // RunBatchCtx executes every scenario of the batch across at most workers
 // goroutines (0 = GOMAXPROCS). Each scenario builds its own technology,
 // caches, models and workload simulations — nothing is shared — so

@@ -33,7 +33,7 @@ func loadFixture(t *testing.T) Batch {
 //	go test ./internal/scenario -run TestBatchGolden -update
 func TestBatchGolden(t *testing.T) {
 	b := loadFixture(t)
-	res, err := RunBatch(b, 0)
+	res, err := RunBatchCtx(t.Context(), b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestBatchParallelDeterministic(t *testing.T) {
 	}
 	var first string
 	for _, workers := range []int{1, 2, 4} {
-		res, err := RunBatch(b, workers)
+		res, err := RunBatchCtx(t.Context(), b, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -156,11 +156,6 @@ type TupleOutcome struct {
 	ToxSetA  []float64 `json:"tox_set_a,omitempty"`
 }
 
-// Run executes the scenario; it is RunCtx without cancellation.
-func Run(cfg Config) (Result, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
 // RunCtx executes the scenario: simulate the workload, build the models,
 // optimize the L2 under the AMAT budget, and run any requested tuple
 // optimizations. Cancelling ctx aborts mid-simulation or mid-search with

@@ -51,7 +51,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c)
+	res, err := RunCtx(t.Context(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRunAverageWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c)
+	res, err := RunCtx(t.Context(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRunExplicitBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c)
+	res, err := RunCtx(t.Context(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

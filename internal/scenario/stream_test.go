@@ -54,7 +54,7 @@ func TestStreamGolden(t *testing.T) {
 // content.
 func TestStreamMatchesBatch(t *testing.T) {
 	b := loadFixture(t)
-	buffered, err := RunBatch(b, 0)
+	buffered, err := RunBatchCtx(t.Context(), b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,11 +105,11 @@ func TestHierarchyWritebackPropagation(t *testing.T) {
 func TestMatrixDeterminism(t *testing.T) {
 	p := trace.SPEC2000(9)
 	p.FootprintBytes = 2 << 20
-	a, err := BuildMissMatrix(p, []int{8 * cachecfg.KB}, []int{256 * cachecfg.KB}, 30000)
+	a, err := BuildMissMatrixCtx(t.Context(), p, []int{8 * cachecfg.KB}, []int{256 * cachecfg.KB}, 30000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildMissMatrix(p, []int{8 * cachecfg.KB}, []int{256 * cachecfg.KB}, 30000)
+	b, err := BuildMissMatrixCtx(t.Context(), p, []int{8 * cachecfg.KB}, []int{256 * cachecfg.KB}, 30000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,12 +46,6 @@ type l1PassResult struct {
 	l2Local map[int]float64
 }
 
-// BuildMissMatrix simulates the workload over every L1/L2 size combination.
-// It is BuildMissMatrixCtx without cancellation.
-func BuildMissMatrix(p trace.Params, l1Sizes, l2Sizes []int, n int) (*MissMatrix, error) {
-	return BuildMissMatrixCtx(context.Background(), p, l1Sizes, l2Sizes, n)
-}
-
 // BuildMissMatrixCtx simulates the workload over every L1/L2 size
 // combination. The L1 miss stream for a given L1 size does not depend on
 // the L2, so each L1 pass is run once and its miss stream replayed into

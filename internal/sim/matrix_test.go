@@ -17,7 +17,7 @@ func quickSuite(seed int64) trace.Params {
 func TestBuildMissMatrixShape(t *testing.T) {
 	l1s := []int{4 * cachecfg.KB, 16 * cachecfg.KB}
 	l2s := []int{256 * cachecfg.KB, 1 * cachecfg.MB}
-	m, err := BuildMissMatrix(quickSuite(1), l1s, l2s, 60000)
+	m, err := BuildMissMatrixCtx(t.Context(), quickSuite(1), l1s, l2s, 60000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,13 +34,13 @@ func TestBuildMissMatrixShape(t *testing.T) {
 }
 
 func TestBuildMissMatrixErrors(t *testing.T) {
-	if _, err := BuildMissMatrix(quickSuite(1), nil, []int{1 << 20}, 100); err == nil {
+	if _, err := BuildMissMatrixCtx(t.Context(), quickSuite(1), nil, []int{1 << 20}, 100); err == nil {
 		t.Error("empty L1 list accepted")
 	}
-	if _, err := BuildMissMatrix(quickSuite(1), []int{4096}, []int{1 << 20}, 0); err == nil {
+	if _, err := BuildMissMatrixCtx(t.Context(), quickSuite(1), []int{4096}, []int{1 << 20}, 0); err == nil {
 		t.Error("zero access count accepted")
 	}
-	if _, err := BuildMissMatrix(trace.Params{}, []int{4096}, []int{1 << 20}, 100); err == nil {
+	if _, err := BuildMissMatrixCtx(t.Context(), trace.Params{}, []int{4096}, []int{1 << 20}, 100); err == nil {
 		t.Error("invalid workload accepted")
 	}
 }
@@ -48,7 +48,7 @@ func TestBuildMissMatrixErrors(t *testing.T) {
 func TestMissRatesDecreaseWithSize(t *testing.T) {
 	l1s := cachecfg.L1Sizes()
 	l2s := []int{256 * cachecfg.KB, 512 * cachecfg.KB, 1 * cachecfg.MB, 2 * cachecfg.MB}
-	m, err := BuildMissMatrix(quickSuite(2), l1s, l2s, 120000)
+	m, err := BuildMissMatrixCtx(t.Context(), quickSuite(2), l1s, l2s, 120000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestMissRatesDecreaseWithSize(t *testing.T) {
 func TestPaperCalibrationProperties(t *testing.T) {
 	// Section 5: "Local L1 cache miss rates are already very low and they do
 	// not vary much amongst the L1 caches ranging from 4K to 64K".
-	m, err := BuildMissMatrix(quickSuite(3), cachecfg.L1Sizes(),
+	m, err := BuildMissMatrixCtx(t.Context(), quickSuite(3), cachecfg.L1Sizes(),
 		[]int{512 * cachecfg.KB}, 150000)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestPaperCalibrationProperties(t *testing.T) {
 }
 
 func TestWritebackRatePositive(t *testing.T) {
-	m, err := BuildMissMatrix(quickSuite(4), []int{16 * cachecfg.KB},
+	m, err := BuildMissMatrixCtx(t.Context(), quickSuite(4), []int{16 * cachecfg.KB},
 		[]int{512 * cachecfg.KB}, 60000)
 	if err != nil {
 		t.Fatal(err)
@@ -112,11 +112,11 @@ func TestWritebackRatePositive(t *testing.T) {
 func TestAverageMatrices(t *testing.T) {
 	l1s := []int{16 * cachecfg.KB}
 	l2s := []int{512 * cachecfg.KB}
-	a, err := BuildMissMatrix(quickSuite(5), l1s, l2s, 40000)
+	a, err := BuildMissMatrixCtx(t.Context(), quickSuite(5), l1s, l2s, 40000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildMissMatrix(quickSuite(6), l1s, l2s, 40000)
+	b, err := BuildMissMatrixCtx(t.Context(), quickSuite(6), l1s, l2s, 40000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,9 @@
 // The engine is context-first: MapCtx/EachCtx stop scheduling when the
 // context is cancelled and report ctx.Err() joined after any per-item
 // errors, and Stream delivers results in input order over a channel with
-// bounded buffering for result sets too large to hold in memory. Map and
-// Each are thin wrappers over context.Background() for callers that do not
-// need cancellation.
+// bounded buffering for result sets too large to hold in memory. Map is a
+// thin wrapper over context.Background() for callers that do not need
+// cancellation.
 package sweep
 
 import (
@@ -167,14 +167,6 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 		return nil, joinErrs(errs, ctx.Err())
 	}
 	return out, nil
-}
-
-// Each is Map for side-effect-only work.
-func Each(n, workers int, fn func(i int) error) error {
-	_, err := Map(n, workers, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
 }
 
 // EachCtx is MapCtx for side-effect-only work.

@@ -258,19 +258,6 @@ func TestMapPanicPropagates(t *testing.T) {
 	})
 }
 
-func TestEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := Each(100, 8, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-}
-
 func TestShards(t *testing.T) {
 	for _, tc := range []struct{ n, k int }{
 		{0, 4}, {1, 4}, {5, 2}, {10, 3}, {10, 10}, {10, 99}, {1037, 8},

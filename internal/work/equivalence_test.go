@@ -9,6 +9,7 @@ package work_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/dist/store"
 	"repro/internal/exp"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -256,31 +258,30 @@ func checkpointResumed(t *testing.T, b work.Batch) []byte {
 	return append(prefix, resumed.Bytes()...)
 }
 
-// distributed runs the batch through an in-process coordinator with two
-// registry-executor workers and returns the reassembled emission.
+// distributed runs the batch through an in-process dist.Service over a
+// temp store with two registry-executor workers and returns its ordered
+// output.
 func distributed(t *testing.T, b work.Batch) []byte {
 	t.Helper()
-	spec, err := dist.SpecOf(b)
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := t.Context()
-	c, err := dist.New(ctx, spec, dist.Config{Units: 3, LeaseTTL: time.Minute})
+	ctx, stop := context.WithCancel(t.Context())
+	defer stop()
+	svc, err := dist.NewService(ctx, dist.ServiceConfig{
+		Store: st, Units: 3, LeaseTTL: time.Minute, RetryAfter: 5 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
+	defer svc.Close()
+	bs, _, err := svc.Submit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
-
-	out := make(chan []byte, 1)
-	go func() {
-		var buf bytes.Buffer
-		for line := range c.Results() {
-			buf.Write(line)
-			buf.WriteByte('\n')
-		}
-		out <- buf.Bytes()
-	}()
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -295,18 +296,24 @@ func distributed(t *testing.T, b work.Batch) []byte {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = w.Run(ctx)
+			errs[i] = w.Run(t.Context())
 		}(i)
 	}
+	var out bytes.Buffer
+	err = svc.Results(t.Context(), bs.ID, func(_ int, line []byte) error {
+		out.Write(line)
+		out.WriteByte('\n')
+		return nil
+	})
+	stop() // leases answer done from here: the workers exit
 	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	got := <-out
-	if err := c.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	return got
+	return out.Bytes()
 }
