@@ -44,7 +44,7 @@ staticcheck: ## lint with staticcheck when installed (CI always runs it)
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
-		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2024.1.1)"; \
+		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2025.1.1)"; \
 	fi
 
 # perfbench/ is a separate module (replace repro => ../) that root ./...

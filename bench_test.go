@@ -27,7 +27,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/trace"
-	"repro/internal/units"
 )
 
 // Shared fixtures, built once outside the timed regions.
@@ -264,7 +263,7 @@ func BenchmarkAllParallel(b *testing.B) {
 // BenchmarkSweepThroughput measures the raw engine on a CPU-bound kernel
 // (no shared state), isolating pool overhead and scaling from the physics.
 func BenchmarkSweepThroughput(b *testing.B) {
-	work := func(i int) (float64, error) {
+	work := func(_ context.Context, i int) (float64, error) {
 		s := 0.0
 		for j := 0; j < 20_000; j++ {
 			s += float64(i*j) * 1e-9
@@ -276,7 +275,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 			prev := runtime.GOMAXPROCS(w)
 			defer runtime.GOMAXPROCS(prev)
 			for i := 0; i < b.N; i++ {
-				if _, err := sweep.Map(1024, 0, work); err != nil {
+				if _, err := sweep.MapCtx(b.Context(), 1024, 0, work); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -293,7 +292,7 @@ func BenchmarkMissMatrixParallel(b *testing.B) {
 			prev := runtime.GOMAXPROCS(w)
 			defer runtime.GOMAXPROCS(prev)
 			for i := 0; i < b.N; i++ {
-				ms, err := sim.BuildSuiteMatrices(trace.Suites(1), cachecfg.L1Sizes(), cachecfg.L2Sizes(), 50_000)
+				ms, err := sim.BuildSuiteMatricesCtx(b.Context(), trace.Suites(1), cachecfg.L1Sizes(), cachecfg.L2Sizes(), 50_000)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -385,8 +384,7 @@ func BenchmarkSchemeIIScan(b *testing.B) {
 // BenchmarkTupleOptimize measures one (2 Tox, 2 Vth) tuple optimization.
 func BenchmarkTupleOptimize(b *testing.B) {
 	fixtures(b)
-	vths := units.GridSteps(0.20, 0.50, 0.05)
-	toxs := units.GridSteps(10, 14, 1)
+	vths, toxs := opt.CoarseMenu()
 	var mid opt.SystemAssignment
 	for i := range mid {
 		mid[i] = device.OP(0.35, 12)
@@ -394,7 +392,10 @@ func BenchmarkTupleOptimize(b *testing.B) {
 	target := fixSys.AMATS(mid)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := fixSys.OptimizeTuples(opt.TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
+		r, err := fixSys.OptimizeTuplesCtx(b.Context(), opt.TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !r.Feasible {
 			b.Fatal("infeasible")
 		}
@@ -439,7 +440,7 @@ func BenchmarkExtensions(b *testing.B) {
 	warmMissMatrix(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fixEnv.Extensions(); err != nil {
+		if _, err := fixEnv.ExtensionsCtx(b.Context()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -110,7 +110,7 @@ func TestServeWorkMatchesSequentialStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := scenario.StreamNDJSON(t.Context(), b, scenario.StreamOptions{Workers: 1}, &want); err != nil {
+	if err := work.Run(t.Context(), b, work.Options{Workers: 1}, &want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -513,7 +513,7 @@ func TestServeStoreServiceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := scenario.StreamNDJSON(t.Context(), b, scenario.StreamOptions{Workers: 1}, &want); err != nil {
+	if err := work.Run(t.Context(), b, work.Options{Workers: 1}, &want); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()

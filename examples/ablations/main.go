@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,7 +16,7 @@ import (
 
 func main() {
 	env := exp.NewQuickEnv()
-	arts, err := env.Extensions()
+	arts, err := env.ExtensionsCtx(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

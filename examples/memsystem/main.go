@@ -32,15 +32,16 @@ func fmtSet(vals []float64, f string) string {
 }
 
 func main() {
+	ctx := context.Background()
 	env := exp.NewQuickEnv()
 
-	fig2, err := env.Fig2(context.Background())
+	fig2, err := env.Fig2(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(fig2.Plot(72, 24))
 
-	summary, err := env.Fig2Summary(context.Background())
+	summary, err := env.Fig2Summary(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func main() {
 
 	// The same study through the library API: one tuple optimization with
 	// explicit budgets.
-	h, err := core.DesignHierarchy(core.NewTechnology(), 16*cachecfg.KB, 512*cachecfg.KB,
+	h, err := core.DesignHierarchy(ctx, core.NewTechnology(), 16*cachecfg.KB, 512*cachecfg.KB,
 		core.HierarchyOptions{Accesses: 300_000})
 	if err != nil {
 		log.Fatal(err)
@@ -57,7 +58,10 @@ func main() {
 	target := h.AMAT(mid, mid)
 	fmt.Printf("library API: AMAT budget %.0f ps\n", units.ToPS(target))
 	for _, b := range opt.Figure2Budgets() {
-		r := h.OptimizeTuples(b, nil, nil, target)
+		r, err := h.OptimizeTuples(ctx, b, nil, nil, target)
+		if err != nil {
+			log.Fatal(err)
+		}
 		if !r.Feasible {
 			fmt.Printf("  %-14v infeasible\n", b)
 			continue

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,10 @@ func main() {
 	// 3. Optimize: minimum leakage subject to a mid-range delay budget.
 	lo, hi := design.DelayRange()
 	budget := lo + 0.5*(hi-lo)
-	r := design.OptimizeLeakage(opt.SchemeII, budget)
+	r, err := design.OptimizeLeakageCtx(context.Background(), opt.SchemeII, budget)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if !r.Feasible {
 		log.Fatal("no feasible assignment")
 	}

@@ -1,8 +1,9 @@
 // Streambatch demonstrates the streaming batch pipeline: it loads the
-// example scenario batch and emits one NDJSON result line per scenario as
-// it completes, in input order, with per-scenario progress on stderr —
-// the pattern for result sets too large to buffer in memory. Ctrl-C
-// cancels the run cleanly mid-simulation.
+// example scenario batch and hands it to the unified driver (work.Run),
+// which emits one NDJSON result line per scenario as it completes, in
+// input order, with per-scenario progress on stderr — the pattern for
+// result sets too large to buffer in memory. Ctrl-C cancels the run
+// cleanly mid-simulation.
 //
 //	go run ./examples/streambatch
 //	go run ./examples/streambatch | jq .name
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/scenario"
+	"repro/internal/work"
 )
 
 func main() {
@@ -36,12 +38,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opts := scenario.StreamOptions{
+	opts := work.Options{
 		Progress: func(done, total int) {
 			fmt.Fprintf(os.Stderr, "completed %d/%d scenarios\n", done, total)
 		},
 	}
-	if err := scenario.StreamNDJSON(ctx, b, opts, os.Stdout); err != nil {
+	if err := work.Run(ctx, b, opts, os.Stdout); err != nil {
 		if cli.Cancelled(err) {
 			log.Fatal("cancelled; NDJSON lines already written remain valid")
 		}

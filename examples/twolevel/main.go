@@ -19,27 +19,28 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	env := exp.NewQuickEnv()
 
-	missRates, err := env.MissRateTable(context.Background())
+	missRates, err := env.MissRateTable(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(missRates.ASCII())
 
-	single, err := env.L2SizeSweep(context.Background(), false)
+	single, err := env.L2SizeSweep(ctx, false)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(single.ASCII())
 
-	split, err := env.L2SizeSweep(context.Background(), true)
+	split, err := env.L2SizeSweep(ctx, true)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(split.ASCII())
 
-	l1, err := env.L1Sweep(context.Background())
+	l1, err := env.L1Sweep(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,14 +49,17 @@ func main() {
 	// The same study through the library API, for one (L1, L2) pair:
 	// optimize the L2 knobs of a 16KB/512KB system under an explicit AMAT
 	// budget.
-	h, err := core.DesignHierarchy(core.NewTechnology(), 16*cachecfg.KB, 512*cachecfg.KB,
+	h, err := core.DesignHierarchy(ctx, core.NewTechnology(), 16*cachecfg.KB, 512*cachecfg.KB,
 		core.HierarchyOptions{Accesses: 300_000})
 	if err != nil {
 		log.Fatal(err)
 	}
 	a1 := components.Uniform(opt.DefaultOP())
 	target := h.AMAT(a1, components.Uniform(core.OP(0.40, 13)))
-	r := h.OptimizeL2(opt.SchemeII, a1, target)
+	r, err := h.OptimizeL2(ctx, opt.SchemeII, a1, target)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("library API: 16KB+512KB, AMAT <= %.0f ps -> %v\n",
 		units.ToPS(target), r)
 	fmt.Printf("  L2 cells:  %v\n", r.L2Assignment[components.PartCellArray])

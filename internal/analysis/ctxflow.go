@@ -11,19 +11,17 @@ import (
 //
 // Rule 1 (everywhere outside cmd, examples, and internal/cli, which owns
 // the process root via signal.NotifyContext): no context.Background() or
-// context.TODO(). The one sanctioned shape is the documented compat
-// wrapper — a function F whose body calls FCtx, the pattern every
-// non-context entry point in the repository follows (sweep.Map ->
-// sweep.MapCtx, opt.Optimize -> opt.OptimizeCtx, ...), kept so examples
-// and simple callers stay simple.
+// context.TODO(). A function without a caller context takes one as a
+// parameter; delegating to a context-aware twin does not excuse a
+// conjured root.
 //
 // Rule 2 (the execution-stack packages): an exported function that loops
 // and calls context-aware code must itself take a context.Context —
 // otherwise it is swallowing cancellation for everything beneath it.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc: "no context.Background()/TODO() outside cmd and F->FCtx compat " +
-		"wrappers; exported looping functions in the execution stack take ctx",
+	Doc: "no context.Background()/TODO() outside cmd, examples, and internal/cli; " +
+		"exported looping functions in the execution stack take ctx",
 	Exempt: []string{"cmd", "examples", "internal/cli"},
 	Run:    runCtxFlow,
 }
@@ -45,20 +43,9 @@ func runCtxFlow(pass *Pass) {
 	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
+			reportRootContexts(pass, decl)
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				// Background() in package-level var initializers has no
-				// wrapper excuse; scan the declaration as a whole.
-				if decl != nil {
-					reportRootContexts(pass, decl)
-				}
-				continue
-			}
-			compat := callsNamed(fd.Body, fd.Name.Name+"Ctx")
-			if !compat {
-				reportRootContexts(pass, fd.Body)
-			}
-			if inStack && fd.Name.IsExported() && !compat && !hasContextParam(pass.Info, fd) {
+			if ok && fd.Body != nil && inStack && fd.Name.IsExported() && !hasContextParam(pass.Info, fd) {
 				checkLoopingExport(pass, fd)
 			}
 		}
@@ -78,7 +65,7 @@ func reportRootContexts(pass *Pass, n ast.Node) {
 			return true
 		}
 		if name, ok := isPkgSel(pass.Info, sel, "context"); ok && (name == "Background" || name == "TODO") {
-			pass.Reportf(call.Pos(), "context.%s() in library code; thread the caller's ctx (or make this a documented F->FCtx compat wrapper)", name)
+			pass.Reportf(call.Pos(), "context.%s() in library code; thread the caller's ctx", name)
 		}
 		return true
 	})

@@ -73,31 +73,6 @@ func hasContextParam(info *types.Info, fd *ast.FuncDecl) bool {
 	return false
 }
 
-// callsNamed reports whether anywhere in body there is a call whose
-// callee is literally named name (either a plain identifier or the
-// selected method of any receiver) — the F -> FCtx compat-wrapper shape.
-func callsNamed(body *ast.BlockStmt, name string) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			if fun.Name == name {
-				found = true
-			}
-		case *ast.SelectorExpr:
-			if fun.Sel.Name == name {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
 // inspectOutsideFuncLits walks n, calling fn for every node that is not
 // inside a nested function literal: the enclosing function's own
 // statements, not work it packages up for someone else to run.

@@ -9,7 +9,7 @@ import (
 // internal/sweep (the engine), internal/dist (the fleet protocol), and
 // internal/obs (the debug listener), no package starts raw goroutines,
 // holds a sync.WaitGroup, or imports an errgroup. Every other fan-out in
-// the repository goes through sweep.Map/Stream or the unified work
+// the repository goes through sweep.MapCtx/Stream or the unified work
 // driver, because those are the layers that guarantee input-ordered,
 // byte-identical-to-sequential output; a stray `go` statement is a
 // determinism bug waiting for a scheduler to expose it. The examples
@@ -29,7 +29,7 @@ func runNoFanout(pass *Pass) {
 		for _, spec := range f.Imports {
 			path := strings.Trim(spec.Path.Value, `"`)
 			if path == "golang.org/x/sync/errgroup" || strings.HasSuffix(path, "/errgroup") {
-				pass.Reportf(spec.Pos(), "errgroup fan-out outside the sweep engine; use sweep.Map or work.Run")
+				pass.Reportf(spec.Pos(), "errgroup fan-out outside the sweep engine; use sweep.MapCtx or work.Run")
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -22,10 +22,10 @@ func RunCtx(ctx context.Context, n int) int {
 	return total
 }
 
-// Run is the documented compat wrapper: Background() is sanctioned here
-// because the body delegates to RunCtx.
+// Run has the F -> FCtx wrapper shape: delegating to RunCtx does not
+// excuse the conjured root.
 func Run(n int) int {
-	return RunCtx(context.Background(), n)
+	return RunCtx(context.Background(), n) // want `context\.Background\(\) in library code`
 }
 
 // Seed conjures a root context without being a wrapper.

@@ -124,14 +124,9 @@ func SharedDesign(cfg cachecfg.Config) (*CacheDesign, error) {
 // need a private copy should use KnobGrid.
 func SharedKnobGrid() []device.OperatingPoint { return sharedKnobGrid() }
 
-// OptimizeLeakage minimizes the cache's total leakage under a delay budget
-// (seconds) with the chosen assignment scheme, searching the paper's fine
-// knob grid against the fitted model.
-func (d *CacheDesign) OptimizeLeakage(scheme opt.Scheme, delayBudget float64) opt.Result {
-	return opt.Optimize(scheme, d.Model, KnobGrid(), delayBudget)
-}
-
-// OptimizeLeakageCtx is OptimizeLeakage with cancellation.
+// OptimizeLeakageCtx minimizes the cache's total leakage under a delay
+// budget (seconds) with the chosen assignment scheme, searching the
+// paper's fine knob grid against the fitted model.
 func (d *CacheDesign) OptimizeLeakageCtx(ctx context.Context, scheme opt.Scheme, delayBudget float64) (opt.Result, error) {
 	return opt.OptimizeCtx(ctx, scheme, d.Model, KnobGrid(), delayBudget)
 }
@@ -175,7 +170,8 @@ type HierarchyOptions struct {
 
 // DesignHierarchy builds L1 and L2 designs of the given capacities and
 // simulates the three workload suites to obtain their miss rates.
-func DesignHierarchy(tech *device.Technology, l1Size, l2Size int, o HierarchyOptions) (*HierarchyDesign, error) {
+// Cancelling ctx aborts the simulation with ctx's error.
+func DesignHierarchy(ctx context.Context, tech *device.Technology, l1Size, l2Size int, o HierarchyOptions) (*HierarchyDesign, error) {
 	if o.Accesses == 0 {
 		o.Accesses = 1_000_000
 	}
@@ -196,7 +192,7 @@ func DesignHierarchy(tech *device.Technology, l1Size, l2Size int, o HierarchyOpt
 		return nil, fmt.Errorf("core: L2: %w", err)
 	}
 
-	ms, err := sim.BuildSuiteMatrices(trace.Suites(o.Seed), []int{l1Size}, []int{l2Size}, o.Accesses)
+	ms, err := sim.BuildSuiteMatricesCtx(ctx, trace.Suites(o.Seed), []int{l1Size}, []int{l2Size}, o.Accesses)
 	if err != nil {
 		return nil, fmt.Errorf("core: miss rates: %w", err)
 	}
@@ -232,14 +228,14 @@ func (h *HierarchyDesign) TotalEnergy(a1, a2 components.Assignment) float64 {
 
 // OptimizeL2 minimizes combined leakage over L2 assignments under an AMAT
 // budget with L1 pinned (the paper's first two-level experiment).
-func (h *HierarchyDesign) OptimizeL2(scheme opt.Scheme, a1 components.Assignment, amatBudget float64) opt.TwoLevelResult {
-	return h.twoLevel().OptimizeL2(scheme, a1, KnobGrid(), amatBudget)
+func (h *HierarchyDesign) OptimizeL2(ctx context.Context, scheme opt.Scheme, a1 components.Assignment, amatBudget float64) (opt.TwoLevelResult, error) {
+	return h.twoLevel().OptimizeL2Ctx(ctx, scheme, a1, KnobGrid(), amatBudget)
 }
 
 // OptimizeL1 minimizes combined leakage over L1 assignments under an AMAT
 // budget with L2 pinned.
-func (h *HierarchyDesign) OptimizeL1(scheme opt.Scheme, a2 components.Assignment, amatBudget float64) opt.TwoLevelResult {
-	return h.twoLevel().OptimizeL1(scheme, a2, KnobGrid(), amatBudget)
+func (h *HierarchyDesign) OptimizeL1(ctx context.Context, scheme opt.Scheme, a2 components.Assignment, amatBudget float64) (opt.TwoLevelResult, error) {
+	return h.twoLevel().OptimizeL1Ctx(ctx, scheme, a2, KnobGrid(), amatBudget)
 }
 
 // MemorySystem returns the whole-system view used by the tuple-budget
@@ -250,15 +246,16 @@ func (h *HierarchyDesign) MemorySystem() *opt.MemorySystem {
 
 // OptimizeTuples finds the best (#Tox, #Vth) value sets and assignment under
 // an AMAT budget, minimizing total energy. Candidates default to the paper's
-// coarse menus when nil.
-func (h *HierarchyDesign) OptimizeTuples(budget opt.TupleBudget, vthCands, toxCands []float64, amatBudget float64) opt.TupleResult {
+// coarse menus (opt.CoarseMenu) when nil.
+func (h *HierarchyDesign) OptimizeTuples(ctx context.Context, budget opt.TupleBudget, vthCands, toxCands []float64, amatBudget float64) (opt.TupleResult, error) {
+	vths, toxs := opt.CoarseMenu()
 	if vthCands == nil {
-		vthCands = units.GridSteps(0.20, 0.50, 0.05)
+		vthCands = vths
 	}
 	if toxCands == nil {
-		toxCands = units.GridSteps(10, 14, 1)
+		toxCands = toxs
 	}
-	return h.MemorySystem().OptimizeTuples(budget, vthCands, toxCands, amatBudget)
+	return h.MemorySystem().OptimizeTuplesCtx(ctx, budget, vthCands, toxCands, amatBudget)
 }
 
 // Experiments returns a fully configured experiment harness for

@@ -25,7 +25,7 @@ func setup(t *testing.T) (*CacheDesign, *HierarchyDesign) {
 			t.Fatal(err)
 		}
 		design = d
-		h, err := DesignHierarchy(tech, 16*cachecfg.KB, 512*cachecfg.KB,
+		h, err := DesignHierarchy(t.Context(), tech, 16*cachecfg.KB, 512*cachecfg.KB,
 			HierarchyOptions{Accesses: 200_000})
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +61,10 @@ func TestOptimizeLeakageAllSchemes(t *testing.T) {
 	budget := lo + 0.5*(hi-lo)
 	var prev float64
 	for _, s := range []opt.Scheme{opt.SchemeIII, opt.SchemeII, opt.SchemeI} {
-		r := d.OptimizeLeakage(s, budget)
+		r, err := d.OptimizeLeakageCtx(t.Context(), s, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !r.Feasible {
 			t.Fatalf("%v infeasible at mid budget", s)
 		}
@@ -113,7 +116,10 @@ func TestHierarchyOptimizeL2(t *testing.T) {
 	_, h := setup(t)
 	a1 := components.Uniform(opt.DefaultOP())
 	target := h.AMAT(a1, components.Uniform(OP(0.40, 13)))
-	r := h.OptimizeL2(opt.SchemeII, a1, target)
+	r, err := h.OptimizeL2(t.Context(), opt.SchemeII, a1, target)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Feasible {
 		t.Fatal("L2 optimization infeasible")
 	}
@@ -126,7 +132,10 @@ func TestHierarchyOptimizeTuples(t *testing.T) {
 	_, h := setup(t)
 	a := components.Uniform(OP(0.35, 12))
 	target := h.AMAT(a, a)
-	r := h.OptimizeTuples(opt.TupleBudget{NTox: 2, NVth: 2}, nil, nil, target)
+	r, err := h.OptimizeTuples(t.Context(), opt.TupleBudget{NTox: 2, NVth: 2}, nil, nil, target)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Feasible {
 		t.Fatal("tuple optimization infeasible")
 	}

@@ -131,7 +131,7 @@ func waitBatchState(t *testing.T, s *Service, id string, want BatchState) BatchS
 func sequentialNDJSON(t *testing.T, b scenario.Batch) []byte {
 	t.Helper()
 	var want bytes.Buffer
-	if err := scenario.StreamNDJSON(t.Context(), b, scenario.StreamOptions{Workers: 1}, &want); err != nil {
+	if err := work.Run(t.Context(), b, work.Options{Workers: 1}, &want); err != nil {
 		t.Fatal(err)
 	}
 	return want.Bytes()

@@ -115,22 +115,3 @@ func (e *Env) RunExperimentsCtx(ctx context.Context, exps []Experiment) ([]Artif
 		return a, nil
 	})
 }
-
-// StreamExperiments runs a subset of the registry and delivers artifacts
-// over the returned channel in registry order as they complete, with
-// bounded buffering — the streaming complement to RunExperimentsCtx for
-// emitting results before the whole evaluation finishes. Drain the channel,
-// then call wait for the verdict. Progress (e.Progress) is reported once
-// per emitted artifact, serialized.
-func (e *Env) StreamExperiments(ctx context.Context, exps []Experiment) (<-chan Artifact, func() error) {
-	return sweep.Stream(ctx, len(exps), sweep.StreamConfig{
-		Workers:  e.workers(),
-		Progress: e.Progress,
-	}, func(ctx context.Context, i int) (Artifact, error) {
-		a, err := exps[i].Run(ctx, e)
-		if err != nil {
-			return Artifact{}, fmt.Errorf("exp: %s: %w", exps[i].ID, err)
-		}
-		return a, nil
-	})
-}

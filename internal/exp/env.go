@@ -50,16 +50,18 @@ type Env struct {
 	// before the first matrix is built; the memoized matrices do not
 	// rebuild on later changes.
 	Fidelity string
-	// Workers bounds the top-level experiment fan-out of All: 0 uses
-	// GOMAXPROCS, 1 runs the experiments one at a time. Sweeps inside an
-	// experiment (simulation, grid scans) still size themselves from
-	// GOMAXPROCS — cap that instead to bound total parallelism. Output is
-	// identical at any setting.
+	// Workers bounds the experiment fan-out of AllCtx/RunExperimentsCtx
+	// and the size and budget-fraction sweeps inside an experiment: 0
+	// uses GOMAXPROCS, 1 runs them one at a time. A single knob search
+	// always runs on one goroutine; the opt budget sweeps (FrontierCtx,
+	// OptimizeL2FrontierCtx, TupleCurveCtx) and the miss-matrix suite
+	// builders size themselves from GOMAXPROCS — cap that instead to
+	// bound total parallelism. Output is identical at any setting.
 	Workers int
 	// Progress, when non-nil, observes top-level experiment completion:
 	// it is called once per finished experiment with (done, total). Calls
 	// may arrive concurrently from worker goroutines during
-	// RunExperimentsCtx; StreamExperiments serializes them.
+	// RunExperimentsCtx.
 	Progress sweep.Progress
 
 	caches   sweep.Memo[string, *components.Cache]

@@ -356,12 +356,6 @@ func (e *Env) SystemEnergyPerInstruction(ctx context.Context) (Table, error) {
 	return t, nil
 }
 
-// Extensions runs every extension/ablation experiment; it is
-// ExtensionsCtx without cancellation.
-func (e *Env) Extensions() ([]Artifact, error) {
-	return e.ExtensionsCtx(context.Background())
-}
-
 // ExtensionsCtx runs every extension/ablation experiment in order,
 // checking the context between entries.
 func (e *Env) ExtensionsCtx(ctx context.Context) ([]Artifact, error) {
@@ -457,7 +451,7 @@ func (e *Env) MemorySensitivity(ctx context.Context) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	vths, toxs := fig2Candidates()
+	vths, toxs := opt.CoarseMenu()
 	for _, m := range []mem.Spec{mem.DefaultDDR(), mem.FastDDR()} {
 		ms := &opt.MemorySystem{TwoLevel: base.TwoLevel}
 		ms.Mem = m

@@ -22,12 +22,6 @@ func (e *Env) fig2System(ctx context.Context) (*opt.MemorySystem, error) {
 	return &opt.MemorySystem{TwoLevel: *tl}, nil
 }
 
-// fig2Candidates returns the coarse value menus from which the tuple
-// optimizer picks its Vth and Tox sets (a fab offers a handful of options).
-func fig2Candidates() (vths, toxs []float64) {
-	return units.GridSteps(0.20, 0.50, 0.05), units.GridSteps(10, 14, 1)
-}
-
 // Fig2 reproduces Figure 2: total energy per access (pJ) vs AMAT (ps) for
 // the five (#Tox, #Vth) tuple budgets the paper plots.
 func (e *Env) Fig2(ctx context.Context) (Figure, error) {
@@ -35,7 +29,7 @@ func (e *Env) Fig2(ctx context.Context) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	vths, toxs := fig2Candidates()
+	vths, toxs := opt.CoarseMenu()
 
 	var fastSA, slowSA opt.SystemAssignment
 	for i := range fastSA {
@@ -77,7 +71,7 @@ func (e *Env) Fig2Summary(ctx context.Context) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	vths, toxs := fig2Candidates()
+	vths, toxs := opt.CoarseMenu()
 
 	var fastSA, slowSA opt.SystemAssignment
 	for i := range fastSA {

@@ -1,11 +1,14 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/work"
 )
 
 // renderAll flattens a full artifact list (ASCII + CSV forms) into one byte
@@ -55,38 +58,41 @@ func TestAllParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// renderArts flattens an artifact slice the same way renderAll does.
-func renderArts(arts []Artifact) string {
-	var b strings.Builder
-	for _, a := range arts {
-		b.WriteString(a.ID)
-		b.WriteString("\n")
-		b.WriteString(a.Render())
-		b.WriteString(a.CSV())
-	}
-	return b.String()
-}
-
 // TestStreamExperimentsByteIdentical extends the engine contract to the
-// streaming path: artifacts streamed at several worker counts must arrive
-// in registry order and render byte-identically to a buffered sequential
-// run — streaming changes delivery, never content.
+// streaming path: the full registry streamed through the unified driver at
+// several worker counts must emit, in registry order, exactly the NDJSON
+// lines of a buffered sequential run — streaming changes delivery, never
+// content.
 func TestStreamExperimentsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rebuilds cold environments")
 	}
-	seq := renderAll(t, tinyEnv(1))
-	for _, workers := range []int{1, 4} {
-		e := tinyEnv(workers)
-		ch, wait := e.StreamExperiments(context.Background(), Experiments())
-		var arts []Artifact
-		for a := range ch {
-			arts = append(arts, a)
+	arts, err := tinyEnv(1).AllCtx(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, a := range arts {
+		line, err := a.NDJSONLine()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := wait(); err != nil {
+		want.Write(append(line, '\n'))
+	}
+	var ids []string
+	for _, x := range Experiments() {
+		ids = append(ids, x.ID)
+	}
+	for _, workers := range []int{1, 4} {
+		b, err := NewBatch(ids, tinyEnv(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := work.Run(t.Context(), b, work.Options{Workers: workers}, &got); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := renderArts(arts); got != seq {
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("workers=%d: streamed output differs from buffered sequential run", workers)
 		}
 	}

@@ -41,7 +41,10 @@ func TestOptimizeL2FrontierMatchesPointwise(t *testing.T) {
 	}
 	feasible := 0
 	for i, b := range budgets {
-		want := tl.OptimizeL2(SchemeII, a1, ops, b)
+		want, err := tl.OptimizeL2Ctx(t.Context(), SchemeII, a1, ops, b)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got[i] != want {
 			t.Errorf("budget %d: frontier %+v != pointwise %+v", i, got[i], want)
 		}

@@ -47,7 +47,10 @@ func TestJointBeatsSingleSidedOptimization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2only := tl.OptimizeL2(SchemeII, components.Uniform(DefaultOP()), ops, target)
+	l2only, err := tl.OptimizeL2Ctx(t.Context(), SchemeII, components.Uniform(DefaultOP()), ops, target)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !joint.Feasible {
 		t.Fatal("joint infeasible")
 	}

@@ -15,6 +15,14 @@
 // Section 5's two-level and whole-memory-system optimizations, and the
 // Figure 2 (#Tox, #Vth) tuple-budget search, build on the same machinery in
 // twolevel.go and tuple.go.
+//
+// Every single search is a sequential scan on the caller's goroutine, so
+// its result, tie-breaking included, follows the scan order alone (the
+// Scheme III and tuple scans keep the earliest feasible candidate), and
+// Result.Evaluated counts each candidate scored. Parallelism belongs to
+// callers that sweep independent work — FrontierCtx,
+// OptimizeL2FrontierCtx and TupleCurveCtx over budgets, and the drivers
+// above them over design points.
 package opt
 
 import (

@@ -234,7 +234,10 @@ func TestInfeasibleBudget(t *testing.T) {
 	ops := midOps()
 	lo, _ := FeasibleDelayRange(l1m, ops)
 	for _, s := range []Scheme{SchemeI, SchemeII, SchemeIII} {
-		r := Optimize(s, l1m, ops, lo/10)
+		r, err := OptimizeCtx(t.Context(), s, l1m, ops, lo/10)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if r.Feasible {
 			t.Errorf("%v: impossible budget reported feasible", s)
 		}
@@ -386,8 +389,14 @@ func TestTwoLevelOptimizeL2(t *testing.T) {
 	slow := tl.AMAT(a1, components.Uniform(device.OP(0.50, 14)))
 	target := fast + 0.5*(slow-fast)
 
-	single := tl.OptimizeL2(SchemeIII, a1, ops, target)
-	split := tl.OptimizeL2(SchemeII, a1, ops, target)
+	single, err := tl.OptimizeL2Ctx(t.Context(), SchemeIII, a1, ops, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := tl.OptimizeL2Ctx(t.Context(), SchemeII, a1, ops, target)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !single.Feasible || !split.Feasible {
 		t.Fatalf("L2 optimizations infeasible: single=%v split=%v", single.Feasible, split.Feasible)
 	}
@@ -415,7 +424,10 @@ func TestTwoLevelOptimizeL1(t *testing.T) {
 	fast := tl.AMAT(components.Uniform(device.OP(0.20, 10)), a2)
 	slow := tl.AMAT(components.Uniform(device.OP(0.50, 14)), a2)
 	target := fast + 0.6*(slow-fast)
-	r := tl.OptimizeL1(SchemeII, a2, midOps(), target)
+	r, err := tl.OptimizeL1Ctx(t.Context(), SchemeII, a2, midOps(), target)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Feasible {
 		t.Fatal("L1 optimization infeasible")
 	}
@@ -464,10 +476,6 @@ func systemForTest(t *testing.T) *MemorySystem {
 	}}
 }
 
-func tupleCands() (vths, toxs []float64) {
-	return units.GridSteps(0.20, 0.50, 0.05), units.GridSteps(10, 14, 1)
-}
-
 func TestTupleBudgetValidate(t *testing.T) {
 	if err := (TupleBudget{NTox: 0, NVth: 2}).Validate(7, 5); err == nil {
 		t.Error("zero Tox budget accepted")
@@ -482,10 +490,13 @@ func TestTupleBudgetValidate(t *testing.T) {
 
 func TestTupleOptimizerRespectsBudget(t *testing.T) {
 	ms := systemForTest(t)
-	vths, toxs := tupleCands()
+	vths, toxs := CoarseMenu()
 	amatMid := amatMidTarget(ms)
 	for _, b := range Figure2Budgets() {
-		r := ms.OptimizeTuples(b, vths, toxs, amatMid)
+		r, err := ms.OptimizeTuplesCtx(t.Context(), b, vths, toxs, amatMid)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !r.Feasible {
 			t.Errorf("%v infeasible at mid AMAT", b)
 			continue
@@ -522,10 +533,13 @@ func TestTupleBudgetOrdering(t *testing.T) {
 	// the constrained (tight-AMAT) region where Figure 2 lives — at very
 	// loose AMAT budgets every configuration converges to max knobs.
 	ms := systemForTest(t)
-	vths, toxs := tupleCands()
+	vths, toxs := CoarseMenu()
 	target := amatMidTarget(ms)
 	get := func(b TupleBudget, tgt float64) float64 {
-		r := ms.OptimizeTuples(b, vths, toxs, tgt)
+		r, err := ms.OptimizeTuplesCtx(t.Context(), b, vths, toxs, tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !r.Feasible {
 			t.Fatalf("%v infeasible at %v", b, tgt)
 		}
@@ -567,7 +581,7 @@ func TestTupleCurveMonotone(t *testing.T) {
 	// leakage-window effect kicks in; at minimum the curve must be finite
 	// and feasible across the sweep.
 	ms := systemForTest(t)
-	vths, toxs := tupleCands()
+	vths, toxs := CoarseMenu()
 	fast := ms.AMATS(uniformSystem(device.OP(0.20, 10)))
 	slow := ms.AMATS(uniformSystem(device.OP(0.50, 14)))
 	budgets := units.Linspace(fast*1.02, slow, 6)
@@ -638,11 +652,14 @@ func TestMemorySystemEvalConsistency(t *testing.T) {
 }
 
 func TestTupleOptimizerAgreesWithDirectObjective(t *testing.T) {
-	// The inlined objective inside OptimizeTuples must match the amat.System
+	// The inlined objective inside OptimizeTuplesCtx must match the amat.System
 	// computation for the winning assignment.
 	ms := systemForTest(t)
-	vths, toxs := tupleCands()
-	r := ms.OptimizeTuples(TupleBudget{2, 2}, vths, toxs, amatMidTarget(ms))
+	vths, toxs := CoarseMenu()
+	r, err := ms.OptimizeTuplesCtx(t.Context(), TupleBudget{2, 2}, vths, toxs, amatMidTarget(ms))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Feasible {
 		t.Fatal("infeasible")
 	}

@@ -3,8 +3,8 @@ package opt
 import (
 	"sort"
 
+	"repro/internal/components"
 	"repro/internal/device"
-	"repro/internal/sweep"
 )
 
 // ParetoPoint is one (delay, leakage) trade-off point with the operating
@@ -42,17 +42,21 @@ func ParetoFront(points []ParetoPoint) []ParetoPoint {
 	return append([]ParetoPoint(nil), out...)
 }
 
-// componentPareto builds the per-component Pareto set over the candidate
-// operating points, sharding the evaluation scan across workers (the front
-// reduction sorts, so input-ordered collection keeps it deterministic).
-func componentPareto(ev ComponentEvaluator, part int, ops []device.OperatingPoint) []ParetoPoint {
-	pts, _ := sweep.Map(len(ops), scanWorkers(len(ops)), func(i int) (ParetoPoint, error) {
-		return ParetoPoint{
-			DelayS:   ev.PartDelayS(partID(part), ops[i]),
-			LeakageW: ev.PartLeakageW(partID(part), ops[i]),
-			OP:       ops[i],
-		}, nil
-	})
+// periphParts is the Scheme II periphery group: the three components that
+// share one pair.
+var periphParts = []components.PartID{components.PartDecoder, components.PartAddrDrivers, components.PartDataDrivers}
+
+// componentPareto builds the Pareto set of a component group driven by one
+// shared pair, scanning the candidate operating points in order.
+func componentPareto(ev ComponentEvaluator, parts []components.PartID, ops []device.OperatingPoint) []ParetoPoint {
+	pts := make([]ParetoPoint, len(ops))
+	for i, op := range ops {
+		pts[i].OP = op
+		for _, p := range parts {
+			pts[i].DelayS += ev.PartDelayS(p, op)
+			pts[i].LeakageW += ev.PartLeakageW(p, op)
+		}
+	}
 	return ParetoFront(pts)
 }
 

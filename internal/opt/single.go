@@ -11,92 +11,41 @@ import (
 
 func partID(i int) components.PartID { return components.PartID(i) }
 
-// minParallelOps is the grid size below which the scheme optimizers skip
-// goroutine fan-out: tiny scans are cheaper than the scheduling they'd buy.
-const minParallelOps = 256
-
-// scanWorkers picks the shard fan-out for an n-candidate scan.
-func scanWorkers(n int) int {
-	if n < minParallelOps {
-		return 1
-	}
-	return sweep.Workers(0)
-}
-
 // OptimizeSchemeIIICtx finds the least-leaky uniform assignment meeting
-// the delay budget by scanning the candidate operating points. The scan is
-// sharded across workers; shard-local bests are reduced in input order with
-// the same strict inequality as the sequential scan, so the earliest
-// feasible candidate still wins ties and the result is identical. On
+// the delay budget with one ordered scan of the candidate operating points;
+// the strict inequality keeps the earliest feasible candidate on ties. On
 // cancellation it returns ctx's error and an infeasible result.
 func OptimizeSchemeIIICtx(ctx context.Context, ev Evaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
-	shards := sweep.Shards(len(ops), scanWorkers(len(ops)))
-	partials, err := sweep.MapCtx(ctx, len(shards), len(shards), func(ctx context.Context, si int) (Result, error) {
-		best := infeasible(SchemeIII)
-		for _, op := range ops[shards[si].Lo:shards[si].Hi] {
-			a := components.Uniform(op)
-			best.Evaluated++
-			if d := ev.AccessTimeS(a); d <= delayBudget {
-				if l := ev.LeakageW(a); l < best.LeakageW {
-					best.Assignment = a
-					best.LeakageW = l
-					best.DelayS = d
-					best.Feasible = true
-				}
+	best := infeasible(SchemeIII)
+	if err := ctx.Err(); err != nil {
+		return best, err
+	}
+	for _, op := range ops {
+		a := components.Uniform(op)
+		best.Evaluated++
+		if d := ev.AccessTimeS(a); d <= delayBudget {
+			if l := ev.LeakageW(a); l < best.LeakageW {
+				best.Assignment = a
+				best.LeakageW = l
+				best.DelayS = d
+				best.Feasible = true
 			}
 		}
-		return best, nil
-	})
-	if err != nil {
-		return infeasible(SchemeIII), err
 	}
-	return reduceResults(SchemeIII, partials), nil
-}
-
-// reduceResults folds shard-local optimization results in shard order,
-// keeping the first strict improvement (sequential tie-breaking) and summing
-// evaluation counts.
-func reduceResults(s Scheme, partials []Result) Result {
-	best := infeasible(s)
-	for _, p := range partials {
-		best.Evaluated += p.Evaluated
-		if p.Feasible && p.LeakageW < best.LeakageW {
-			ev := best.Evaluated
-			best = p
-			best.Evaluated = ev
-		}
-	}
-	return best
+	return best, nil
 }
 
 // OptimizeSchemeIICtx finds the least-leaky (cell pair, periphery pair)
 // assignment meeting the delay budget. The two groups decompose additively,
-// so each group is reduced to its Pareto front first (the two front builds
-// run concurrently, each sharding its candidate scan) and the fronts are
-// combined in O(|cell front| * log |periph front|).
+// so each group is reduced to its Pareto front first (the cell front, then
+// the periphery front) and the fronts are combined in
+// O(|cell front| * log |periph front|).
 func OptimizeSchemeIICtx(ctx context.Context, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
-	fronts, err := sweep.MapCtx(ctx, 2, 2, func(ctx context.Context, which int) ([]ParetoPoint, error) {
-		if which == 0 {
-			return componentPareto(ev, int(components.PartCellArray), ops), nil
-		}
-		// Periphery group: three components sharing one pair.
-		periphPts, perr := sweep.MapCtx(ctx, len(ops), scanWorkers(len(ops)), func(_ context.Context, i int) (ParetoPoint, error) {
-			var d, l float64
-			for _, p := range []components.PartID{components.PartDecoder, components.PartAddrDrivers, components.PartDataDrivers} {
-				d += ev.PartDelayS(p, ops[i])
-				l += ev.PartLeakageW(p, ops[i])
-			}
-			return ParetoPoint{DelayS: d, LeakageW: l, OP: ops[i]}, nil
-		})
-		if perr != nil {
-			return nil, perr
-		}
-		return ParetoFront(periphPts), nil
-	})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return infeasible(SchemeII), err
 	}
-	cellFront, periphFront := fronts[0], fronts[1]
+	cellFront := componentPareto(ev, []components.PartID{components.PartCellArray}, ops)
+	periphFront := componentPareto(ev, periphParts, ops)
 
 	best := infeasible(SchemeII)
 	best.Evaluated = len(ops) * 2
@@ -134,10 +83,12 @@ func OptimizeSchemeICtx(ctx context.Context, ev ComponentEvaluator, ops []device
 	if bins <= 0 {
 		bins = SchemeIBins
 	}
-	fronts, err := sweep.MapCtx(ctx, int(components.PartCount), int(components.PartCount),
-		func(_ context.Context, i int) ([]ParetoPoint, error) { return componentPareto(ev, i, ops), nil })
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return infeasible(SchemeI), err
+	}
+	var fronts [components.PartCount][]ParetoPoint
+	for k, p := range components.Parts() {
+		fronts[k] = componentPareto(ev, []components.PartID{p}, ops)
 	}
 	evaluated := int(components.PartCount) * len(ops)
 	binW := delayBudget / float64(bins)
@@ -265,13 +216,6 @@ func ExhaustiveSchemeI(ev ComponentEvaluator, ops []device.OperatingPoint, delay
 	}
 	recurse(0, 0, 0)
 	return best
-}
-
-// Optimize dispatches to the scheme-specific optimizer; it is OptimizeCtx
-// without cancellation.
-func Optimize(s Scheme, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) Result {
-	r, _ := OptimizeCtx(context.Background(), s, ev, ops, delayBudget)
-	return r
 }
 
 // OptimizeCtx dispatches to the scheme-specific optimizer.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/components"
 	"repro/internal/device"
 	"repro/internal/sweep"
+	"repro/internal/units"
 )
 
 // GroupID identifies one knob group of the whole memory system: each cache
@@ -132,22 +133,19 @@ func (r TupleResult) String() string {
 	return fmt.Sprintf("%v: E=%.4gJ AMAT=%.4gs Vth=%v Tox=%v", r.Budget, r.EnergyJ, r.AMATS, r.VthSet, r.ToxSet)
 }
 
-// groupMetrics caches per-group leakage/delay/energy for every candidate
+// groupMetrics caches per-group leakage and delay for every candidate
 // operating point, so assignment enumeration is pure arithmetic.
 type groupMetrics struct {
-	leak   []float64
-	delay  []float64
-	energy []float64
+	leak  []float64
+	delay []float64
 }
 
 func (ms *MemorySystem) groupTables(ops []device.OperatingPoint) [GroupCount]groupMetrics {
 	var out [GroupCount]groupMetrics
-	periph := []components.PartID{components.PartDecoder, components.PartAddrDrivers, components.PartDataDrivers}
 	for g := GroupID(0); g < GroupCount; g++ {
 		out[g] = groupMetrics{
-			leak:   make([]float64, len(ops)),
-			delay:  make([]float64, len(ops)),
-			energy: make([]float64, len(ops)),
+			leak:  make([]float64, len(ops)),
+			delay: make([]float64, len(ops)),
 		}
 	}
 	for i, op := range ops {
@@ -161,70 +159,45 @@ func (ms *MemorySystem) groupTables(ops []device.OperatingPoint) [GroupCount]gro
 		} {
 			out[gc.cell].leak[i] = gc.ev.PartLeakageW(components.PartCellArray, op)
 			out[gc.cell].delay[i] = gc.ev.PartDelayS(components.PartCellArray, op)
-			for _, p := range periph {
+			for _, p := range periphParts {
 				out[gc.peri].leak[i] += gc.ev.PartLeakageW(p, op)
 				out[gc.peri].delay[i] += gc.ev.PartDelayS(p, op)
 			}
-			// Energy is charged per assignment via DynamicEnergyJ below; the
-			// group tables carry it only for diagnostics.
-			out[gc.cell].energy[i] = 0
-			out[gc.peri].energy[i] = 0
 		}
 	}
 	return out
 }
 
-// OptimizeTuples finds the best tuple-budget assignment; it is
-// OptimizeTuplesCtx without cancellation.
-func (ms *MemorySystem) OptimizeTuples(budget TupleBudget, vthCands, toxCands []float64, amatBudget float64) TupleResult {
-	r, _ := ms.OptimizeTuplesCtx(context.Background(), budget, vthCands, toxCands, amatBudget)
-	return r
-}
-
 // OptimizeTuplesCtx finds, for the given tuple budget, the choice of
 // Vth/Tox value sets and the per-group assignment minimizing total energy
 // under the AMAT budget. Candidates are coarse grids (the fab offers a
-// handful of options); all subsets of the candidate lists of the budgeted
-// sizes are enumerated, and within each subset all group assignments are
-// scanned.
+// handful of options, see CoarseMenu); all subsets of the candidate lists
+// of the budgeted sizes are enumerated, and within each subset all group
+// assignments are scanned.
 //
-// Each (Vth set, Tox set) choice is an independent shard: shards run in
-// parallel and their local optima are reduced in enumeration order with the
-// sequential scan's strict inequality, so the winner (and every output
-// byte) matches the sequential search. Cancellation stops scheduling
-// shards and aborts the in-shard enumeration.
+// The (Vth set, Tox set) choices are walked in enumeration order with one
+// running best and a strict inequality, so the earliest minimum wins ties.
+// A budget the candidate lists cannot fill is an error. Cancellation
+// aborts the enumeration with ctx's error.
 func (ms *MemorySystem) OptimizeTuplesCtx(ctx context.Context, budget TupleBudget, vthCands, toxCands []float64, amatBudget float64) (TupleResult, error) {
 	res := TupleResult{Budget: budget, EnergyJ: math.Inf(1)}
 	if err := budget.Validate(len(vthCands), len(toxCands)); err != nil {
-		return res, nil
+		return res, err
 	}
-
-	vthSets := combinations(len(vthCands), budget.NVth)
 	toxSets := combinations(len(toxCands), budget.NTox)
-
-	nCombos := len(vthSets) * len(toxSets)
-	partials, err := sweep.MapCtx(ctx, nCombos, 0, func(ctx context.Context, ci int) (TupleResult, error) {
-		vs := vthSets[ci/len(toxSets)]
-		ts := toxSets[ci%len(toxSets)]
-		return ms.tupleCombo(ctx, budget, vthCands, toxCands, vs, ts, amatBudget)
-	})
-	if err != nil {
-		return TupleResult{Budget: budget, EnergyJ: math.Inf(1)}, err
-	}
-	for _, p := range partials {
-		res.Evaluated += p.Evaluated
-		if p.Feasible && p.EnergyJ < res.EnergyJ {
-			ev := res.Evaluated
-			res = p
-			res.Evaluated = ev
+	for _, vs := range combinations(len(vthCands), budget.NVth) {
+		for _, ts := range toxSets {
+			if err := ms.tupleCombo(ctx, &res, vthCands, toxCands, vs, ts, amatBudget); err != nil {
+				return TupleResult{Budget: budget, EnergyJ: math.Inf(1)}, err
+			}
 		}
 	}
 	return res, nil
 }
 
-// tupleCombo scans all group assignments of one (Vth set, Tox set) choice.
-func (ms *MemorySystem) tupleCombo(ctx context.Context, budget TupleBudget, vthCands, toxCands []float64, vs, ts []int, amatBudget float64) (TupleResult, error) {
-	res := TupleResult{Budget: budget, EnergyJ: math.Inf(1)}
+// tupleCombo scans all group assignments of one (Vth set, Tox set) choice,
+// folding them into the running best res.
+func (ms *MemorySystem) tupleCombo(ctx context.Context, res *TupleResult, vthCands, toxCands []float64, vs, ts []int, amatBudget float64) error {
 	// Build the pair menu for this value-set choice.
 	ops := make([]device.OperatingPoint, 0, len(vs)*len(ts))
 	for _, vi := range vs {
@@ -240,7 +213,7 @@ func (ms *MemorySystem) tupleCombo(ctx context.Context, budget TupleBudget, vthC
 	var idx [GroupCount]int
 	for idx[0] = 0; idx[0] < n; idx[0]++ {
 		if err := ctx.Err(); err != nil {
-			return TupleResult{Budget: budget, EnergyJ: math.Inf(1)}, err
+			return err
 		}
 		for idx[1] = 0; idx[1] < n; idx[1]++ {
 			t1 := tables[0].delay[idx[0]] + tables[1].delay[idx[1]]
@@ -274,7 +247,7 @@ func (ms *MemorySystem) tupleCombo(ctx context.Context, budget TupleBudget, vthC
 			}
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // TupleCurveCtx sweeps AMAT budgets for one tuple budget — one Figure 2
@@ -295,6 +268,13 @@ func Figure2Budgets() []TupleBudget {
 		{NTox: 2, NVth: 1},
 		{NTox: 1, NVth: 2},
 	}
+}
+
+// CoarseMenu returns the coarse Vth (V) and Tox (angstrom) value lists
+// the fab flow offers — the candidates the Figure 2 tuple search picks its
+// value sets from (7 Vth and 5 Tox values).
+func CoarseMenu() (vths, toxs []float64) {
+	return units.GridSteps(0.20, 0.50, 0.05), units.GridSteps(10, 14, 1)
 }
 
 // combinations returns all k-subsets of {0..n-1} in lexicographic order.

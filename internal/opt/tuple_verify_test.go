@@ -57,7 +57,10 @@ func TestTupleOptimizerMatchesBruteForce(t *testing.T) {
 	toxs := []float64{10, 14}
 	for _, frac := range []float64{0.3, 0.6} {
 		target := amatFracTarget(ms, frac)
-		fast := ms.OptimizeTuples(TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
+		fast, err := ms.OptimizeTuplesCtx(t.Context(), TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
+		if err != nil {
+			t.Fatal(err)
+		}
 		slow := bruteForceTuples(ms, TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
 		if fast.Feasible != slow.Feasible {
 			t.Fatalf("frac %v: feasibility mismatch (fast %v, brute %v)", frac, fast.Feasible, slow.Feasible)
@@ -81,8 +84,11 @@ func TestTupleSingleValueBudgets(t *testing.T) {
 	// (1,1) budgets degenerate to Scheme-III-style uniform choices over the
 	// candidate menu; the result must use exactly one value of each knob.
 	ms := systemForTest(t)
-	vths, toxs := tupleCands()
-	r := ms.OptimizeTuples(TupleBudget{NTox: 1, NVth: 1}, vths, toxs, amatFracTarget(ms, 0.7))
+	vths, toxs := CoarseMenu()
+	r, err := ms.OptimizeTuplesCtx(t.Context(), TupleBudget{NTox: 1, NVth: 1}, vths, toxs, amatFracTarget(ms, 0.7))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Feasible {
 		t.Fatal("(1,1) infeasible at a loose budget")
 	}
@@ -90,7 +96,10 @@ func TestTupleSingleValueBudgets(t *testing.T) {
 		t.Errorf("(1,1) used %d Vths / %d Toxs", r.Assignment.DistinctVths(), r.Assignment.DistinctToxs())
 	}
 	// More budget can only help.
-	r22 := ms.OptimizeTuples(TupleBudget{NTox: 2, NVth: 2}, vths, toxs, amatFracTarget(ms, 0.7))
+	r22, err := ms.OptimizeTuplesCtx(t.Context(), TupleBudget{NTox: 2, NVth: 2}, vths, toxs, amatFracTarget(ms, 0.7))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r22.Feasible && r22.EnergyJ > r.EnergyJ*(1+1e-9) {
 		t.Errorf("(2,2) worse than (1,1): %v vs %v", r22.EnergyJ, r.EnergyJ)
 	}

@@ -116,14 +116,6 @@ func (r TwoLevelResult) String() string {
 	return fmt.Sprintf("two-level: leak=%.4gW amat=%.4gs energy=%.4gJ", r.LeakageW, r.AMATS, r.TotalEnergyJ)
 }
 
-// OptimizeL2 finds the L2 assignment minimizing combined leakage under an
-// AMAT budget with the L1 pinned to a1; it is OptimizeL2Ctx without
-// cancellation.
-func (t *TwoLevel) OptimizeL2(scheme Scheme, a1 components.Assignment, ops []device.OperatingPoint, amatBudget float64) TwoLevelResult {
-	r, _ := t.OptimizeL2Ctx(context.Background(), scheme, a1, ops, amatBudget)
-	return r
-}
-
 // OptimizeL2Ctx finds the L2 assignment minimizing combined leakage under
 // an AMAT budget with the L1 pinned to a1 (the paper's first two-level
 // experiment uses the default pair for L1). scheme selects the granularity
@@ -159,14 +151,6 @@ func (t *TwoLevel) OptimizeL2FrontierCtx(ctx context.Context, scheme Scheme, a1 
 	return sweep.MapCtx(ctx, len(amatBudgets), 0, func(ctx context.Context, i int) (TwoLevelResult, error) {
 		return t.OptimizeL2Ctx(ctx, scheme, a1, ops, amatBudgets[i])
 	})
-}
-
-// OptimizeL1 finds the L1 assignment minimizing combined leakage under an
-// AMAT budget with the L2 pinned to a2; it is OptimizeL1Ctx without
-// cancellation.
-func (t *TwoLevel) OptimizeL1(scheme Scheme, a2 components.Assignment, ops []device.OperatingPoint, amatBudget float64) TwoLevelResult {
-	r, _ := t.OptimizeL1Ctx(context.Background(), scheme, a2, ops, amatBudget)
-	return r
 }
 
 // OptimizeL1Ctx finds the L1 assignment minimizing combined leakage under

@@ -57,7 +57,7 @@ func BenchmarkAnalyticalVsTraceDriven(b *testing.B) {
 
 	b.Run("one-shot/trace-driven", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.BuildSuiteMatrices(suites, l1s, l2s, benchAccesses); err != nil {
+			if _, err := sim.BuildSuiteMatricesCtx(b.Context(), suites, l1s, l2s, benchAccesses); err != nil {
 				b.Fatal(err)
 			}
 		}

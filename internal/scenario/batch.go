@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/sweep"
-	"repro/internal/work"
 )
 
 // Batch is the multi-scenario JSON schema: a top-level "scenarios" array of
@@ -116,58 +115,10 @@ func RunBatchCtx(ctx context.Context, b Batch, workers int) (BatchResult, error)
 	return BatchResult{Scenarios: results}, nil
 }
 
-// StreamOptions tunes StreamBatch.
-type StreamOptions struct {
-	// Workers bounds concurrent scenarios (0 = GOMAXPROCS).
-	Workers int
-	// Progress, when non-nil, is called once per emitted result with
-	// (scenarios done, total), serialized on the emitter.
-	Progress sweep.Progress
-}
-
-// StreamBatch runs the batch and delivers results over the returned
-// channel in input order as each scenario completes, holding at most a
-// worker-pool's worth of results in memory — the streaming complement to
-// RunBatchCtx for batches too large to buffer. Drain the channel, then
-// call wait for the verdict; on success the streamed results are exactly
-// RunBatchCtx's result array. A failing scenario stops the stream with its
-// name in the error; cancellation stops it with ctx's error.
-func StreamBatch(ctx context.Context, b Batch, opts StreamOptions) (results <-chan Result, wait func() error) {
-	if err := b.Validate(); err != nil {
-		ch := make(chan Result)
-		close(ch)
-		return ch, func() error { return err }
-	}
-	return sweep.Stream(ctx, len(b.Scenarios), sweep.StreamConfig{
-		Workers:  opts.Workers,
-		Progress: opts.Progress,
-	}, func(ctx context.Context, i int) (Result, error) {
-		res, err := RunCtx(ctx, b.Scenarios[i])
-		if err != nil {
-			return Result{}, fmt.Errorf("scenario %q: %w", b.Scenarios[i].Name, err)
-		}
-		return res, nil
-	})
-}
-
 // NDJSONLine renders one result as a single compact JSON line (no trailing
 // newline) — the unit of the batch streaming format. The field content is
 // identical to the result's entry in a buffered BatchResult; only the
 // framing (one object per line instead of a "scenarios" array) differs.
 func (r Result) NDJSONLine() ([]byte, error) {
 	return json.Marshal(r)
-}
-
-// StreamNDJSON streams the batch to w as NDJSON: one result line per
-// scenario, in input order, each written (and flushable by the caller's
-// writer) as soon as the scenario completes. It is the unified driver
-// (work.Run) applied to the batch: on error the stream ends early, lines
-// already written remain valid JSON, and a write error (e.g. a broken
-// pipe) cancels the remaining scenarios instead of computing output nobody
-// reads.
-func StreamNDJSON(ctx context.Context, b Batch, opts StreamOptions, w io.Writer) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	return work.Run(ctx, b, work.Options{Workers: opts.Workers, Progress: opts.Progress}, w)
 }

@@ -32,7 +32,7 @@ func checkpointBatch(t *testing.T) Batch {
 func TestCheckpointedMatchesPlainStream(t *testing.T) {
 	b := checkpointBatch(t)
 	var want bytes.Buffer
-	if err := StreamNDJSON(t.Context(), b, StreamOptions{Workers: 1}, &want); err != nil {
+	if err := work.Run(t.Context(), b, work.Options{Workers: 1}, &want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -67,7 +67,7 @@ func TestCheckpointedMatchesPlainStream(t *testing.T) {
 func TestResumeEmitsOnlyRemainder(t *testing.T) {
 	b := checkpointBatch(t)
 	var full bytes.Buffer
-	if err := StreamNDJSON(t.Context(), b, StreamOptions{Workers: 1}, &full); err != nil {
+	if err := work.Run(t.Context(), b, work.Options{Workers: 1}, &full); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(full.String(), "\n")

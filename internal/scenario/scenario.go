@@ -76,9 +76,10 @@ func (c Config) Validate() error {
 	if c.Scheme < 0 || c.Scheme > 3 {
 		return fmt.Errorf("scenario: scheme must be 1, 2 or 3, got %d", c.Scheme)
 	}
+	vths, toxs := opt.CoarseMenu()
 	for _, b := range c.TupleBudgets {
-		if b[0] < 1 || b[1] < 1 {
-			return fmt.Errorf("scenario: tuple budget %v must be at least 1+1", b)
+		if err := (opt.TupleBudget{NTox: b[0], NVth: b[1]}).Validate(len(vths), len(toxs)); err != nil {
+			return fmt.Errorf("scenario: %w", err)
 		}
 	}
 	if !profile.ValidFidelity(c.Fidelity) {
@@ -221,10 +222,10 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	}
 
 	ms := &opt.MemorySystem{TwoLevel: *tl}
+	vths, toxs := opt.CoarseMenu()
 	for _, b := range cfg.TupleBudgets {
 		tb := opt.TupleBudget{NTox: b[0], NVth: b[1]}
-		tr, err := ms.OptimizeTuplesCtx(ctx, tb,
-			units.GridSteps(0.20, 0.50, 0.05), units.GridSteps(10, 14, 1), budget)
+		tr, err := ms.OptimizeTuplesCtx(ctx, tb, vths, toxs, budget)
 		if err != nil {
 			return Result{}, err
 		}

@@ -37,6 +37,8 @@ func TestLoadRejects(t *testing.T) {
 		"zero size":      `{"name":"x","l1_kb":0,"l2_kb":512,"workload":"tpcc"}`,
 		"bad scheme":     `{"name":"x","l1_kb":16,"l2_kb":512,"workload":"tpcc","scheme":7}`,
 		"bad tuple":      `{"name":"x","l1_kb":16,"l2_kb":512,"workload":"tpcc","tuple_budgets":[[0,2]]}`,
+		"tox over menu":  `{"name":"x","l1_kb":16,"l2_kb":512,"workload":"tpcc","tuple_budgets":[[6,2]]}`,
+		"vth over menu":  `{"name":"x","l1_kb":16,"l2_kb":512,"workload":"tpcc","tuple_budgets":[[2,9]]}`,
 		"malformed json": `{"name":`,
 	}
 	for label, js := range cases {

@@ -8,17 +8,19 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/work"
 )
 
 const streamGoldenPath = "testdata/stream.golden.ndjson"
 
-// streamFixture runs the example batch through StreamNDJSON and returns
-// the raw output.
+// streamFixture streams the example batch through the unified driver and
+// returns the raw output.
 func streamFixture(t *testing.T, workers int) string {
 	t.Helper()
 	b := loadFixture(t)
 	var buf bytes.Buffer
-	if err := StreamNDJSON(context.Background(), b, StreamOptions{Workers: workers}, &buf); err != nil {
+	if err := work.Run(t.Context(), b, work.Options{Workers: workers}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -86,25 +88,22 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamBatchCancelled checks a cancelled stream ends promptly with
-// context.Canceled and without emitting all results.
+// TestStreamBatchCancelled checks a batch streamed through the unified
+// driver under a cancelled context ends promptly with context.Canceled and
+// without emitting every line.
 func TestStreamBatchCancelled(t *testing.T) {
 	b := loadFixture(t)
 	// Enough accesses that cancellation strikes mid-simulation.
 	for i := range b.Scenarios {
 		b.Scenarios[i].Accesses = 5_000_000
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
-	ch, wait := StreamBatch(ctx, b, StreamOptions{Workers: 2})
-	n := 0
-	for range ch {
-		n++
-	}
-	if err := wait(); !errors.Is(err, context.Canceled) {
+	var buf bytes.Buffer
+	if err := work.Run(ctx, b, work.Options{Workers: 2}, &buf); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if n == len(b.Scenarios) {
+	if n := strings.Count(buf.String(), "\n"); n == len(b.Scenarios) {
 		t.Fatal("cancelled stream still delivered every scenario")
 	}
 }
@@ -116,16 +115,5 @@ func TestRunBatchCtxCancelled(t *testing.T) {
 	cancel()
 	if _, err := RunBatchCtx(ctx, b, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
-// TestStreamBatchInvalid checks validation errors surface through wait.
-func TestStreamBatchInvalid(t *testing.T) {
-	ch, wait := StreamBatch(context.Background(), Batch{}, StreamOptions{})
-	for range ch {
-		t.Fatal("invalid batch emitted a result")
-	}
-	if err := wait(); err == nil || !strings.Contains(err.Error(), "no scenarios") {
-		t.Fatalf("want validation error, got %v", err)
 	}
 }

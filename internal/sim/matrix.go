@@ -143,12 +143,6 @@ func l1Pass(ctx context.Context, p trace.Params, l1Size int, l2Sizes []int, n in
 	return out, nil
 }
 
-// BuildSuiteMatrices builds matrices for several workloads; it is
-// BuildSuiteMatricesCtx without cancellation.
-func BuildSuiteMatrices(suites []trace.Params, l1Sizes, l2Sizes []int, n int) ([]*MissMatrix, error) {
-	return BuildSuiteMatricesCtx(context.Background(), suites, l1Sizes, l2Sizes, n)
-}
-
 // BuildSuiteMatricesCtx builds matrices for several workloads, one worker
 // per workload (each workload's generator is seeded independently).
 func BuildSuiteMatricesCtx(ctx context.Context, suites []trace.Params, l1Sizes, l2Sizes []int, n int) ([]*MissMatrix, error) {

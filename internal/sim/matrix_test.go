@@ -142,7 +142,7 @@ func TestAverageErrors(t *testing.T) {
 
 func TestBuildSuiteMatrices(t *testing.T) {
 	suites := []trace.Params{quickSuite(7)}
-	ms, err := BuildSuiteMatrices(suites, []int{16 * cachecfg.KB}, []int{512 * cachecfg.KB}, 30000)
+	ms, err := BuildSuiteMatricesCtx(t.Context(), suites, []int{16 * cachecfg.KB}, []int{512 * cachecfg.KB}, 30000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,7 @@
 // The engine is context-first: MapCtx/EachCtx stop scheduling when the
 // context is cancelled and report ctx.Err() joined after any per-item
 // errors, and Stream delivers results in input order over a channel with
-// bounded buffering for result sets too large to hold in memory. Map is a
-// thin wrapper over context.Background() for callers that do not need
-// cancellation.
+// bounded buffering for result sets too large to hold in memory.
 package sweep
 
 import (
@@ -73,26 +71,20 @@ func joinErrs(errs []error, ctxErr error) error {
 	return errors.Join(all...)
 }
 
-// Map runs fn(0..n-1) across at most workers goroutines and returns the
+// MapCtx runs fn(0..n-1) across at most workers goroutines and returns the
 // results in input order. With workers <= 1 (or n <= 1) it degenerates to a
 // plain loop, so single-threaded runs pay no synchronization cost.
 //
-// On error the sweep stops scheduling new items and Map returns every error
-// observed, each wrapped as "sweep: item %d: ..." and joined in input
+// On error the sweep stops scheduling new items and MapCtx returns every
+// error observed, each wrapped as "sweep: item %d: ..." and joined in input
 // order; already-running items finish first. Which items got to run (and
 // therefore the error text) can depend on the worker count — the
 // identical-output guarantee covers success results only. A panic in fn is
 // re-raised on the calling goroutine.
-func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, workers, func(_ context.Context, i int) (T, error) {
-		return fn(i)
-	})
-}
-
-// MapCtx is Map with cancellation: it stops scheduling new items once ctx
-// is done (already-running items finish first) and returns ctx's error
-// joined after any per-item errors. fn receives ctx so long-running items
-// can return early too. With a background context it is exactly Map.
+//
+// Cancellation stops scheduling new items once ctx is done (already-running
+// items finish first) and returns ctx's error joined after any per-item
+// errors. fn receives ctx so long-running items can return early too.
 func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, ctx.Err()

@@ -15,7 +15,7 @@ import (
 
 // atBaseline reports whether the goroutine count has returned to within
 // slack of base, retrying briefly: worker goroutines are reaped
-// asynchronously after Map/Stream return.
+// asynchronously after MapCtx/Stream return.
 func atBaseline(base, slack int) bool {
 	for i := 0; i < 100; i++ {
 		if runtime.NumGoroutine() <= base+slack {
@@ -28,7 +28,7 @@ func atBaseline(base, slack int) bool {
 
 func TestMapOrdered(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 7, 64} {
-		out, err := Map(50, workers, func(i int) (int, error) { return i * i, nil })
+		out, err := MapCtx(t.Context(), 50, workers, func(_ context.Context, i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -44,7 +44,7 @@ func TestMapOrdered(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(0, 4, func(i int) (int, error) { return 0, nil })
+	out, err := MapCtx(t.Context(), 0, 4, func(_ context.Context, i int) (int, error) { return 0, nil })
 	if err != nil || out != nil {
 		t.Fatalf("empty sweep: out=%v err=%v", out, err)
 	}
@@ -53,7 +53,7 @@ func TestMapEmpty(t *testing.T) {
 func TestMapBoundedConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
-	_, err := Map(30, workers, func(i int) (struct{}, error) {
+	_, err := MapCtx(t.Context(), 30, workers, func(_ context.Context, i int) (struct{}, error) {
 		c := cur.Add(1)
 		defer cur.Add(-1)
 		for {
@@ -75,7 +75,7 @@ func TestMapBoundedConcurrency(t *testing.T) {
 
 func TestMapErrorAggregation(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Map(20, 4, func(i int) (int, error) {
+	_, err := MapCtx(t.Context(), 20, 4, func(_ context.Context, i int) (int, error) {
 		if i == 5 || i == 11 {
 			return 0, fmt.Errorf("item-%d: %w", i, boom)
 		}
@@ -95,7 +95,7 @@ func TestMapErrorAggregation(t *testing.T) {
 
 func TestMapSequentialFailFast(t *testing.T) {
 	calls := 0
-	_, err := Map(10, 1, func(i int) (int, error) {
+	_, err := MapCtx(t.Context(), 10, 1, func(_ context.Context, i int) (int, error) {
 		calls++
 		if i == 3 {
 			return 0, errors.New("stop")
@@ -115,7 +115,7 @@ func TestMapSequentialFailFast(t *testing.T) {
 // "sweep: item %d: ..." text, and multiple failures join in input order.
 func TestMapErrorFormatConsistent(t *testing.T) {
 	boom := errors.New("boom")
-	_, seqErr := Map(10, 1, func(i int) (int, error) {
+	_, seqErr := MapCtx(t.Context(), 10, 1, func(_ context.Context, i int) (int, error) {
 		if i == 3 {
 			return 0, boom
 		}
@@ -132,7 +132,7 @@ func TestMapErrorFormatConsistent(t *testing.T) {
 	// it), so both errors are observed and must join in input order.
 	var barrier sync.WaitGroup
 	barrier.Add(2)
-	_, parErr := Map(2, 2, func(i int) (int, error) {
+	_, parErr := MapCtx(t.Context(), 2, 2, func(_ context.Context, i int) (int, error) {
 		barrier.Done()
 		barrier.Wait()
 		return 0, fmt.Errorf("fail-%d", i)
@@ -213,19 +213,6 @@ func TestMapCtxJoinsItemAndCtxErrors(t *testing.T) {
 	}
 }
 
-func TestMapCtxBackgroundMatchesMap(t *testing.T) {
-	want, _ := Map(20, 4, func(i int) (int, error) { return i * 3, nil })
-	got, err := MapCtx(context.Background(), 20, 4, func(_ context.Context, i int) (int, error) { return i * 3, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("MapCtx diverged from Map at %d", i)
-		}
-	}
-}
-
 func TestEachCtx(t *testing.T) {
 	var sum atomic.Int64
 	if err := EachCtx(context.Background(), 100, 8, func(_ context.Context, i int) error {
@@ -250,7 +237,7 @@ func TestMapPanicPropagates(t *testing.T) {
 			t.Fatal("panic in fn was swallowed")
 		}
 	}()
-	_, _ = Map(8, 4, func(i int) (int, error) {
+	_, _ = MapCtx(t.Context(), 8, 4, func(_ context.Context, i int) (int, error) {
 		if i == 2 {
 			panic("kaboom")
 		}
@@ -367,13 +354,13 @@ func TestMemoCancelledBuildRetried(t *testing.T) {
 
 func BenchmarkMapOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, _ = Map(64, 0, func(i int) (int, error) { return i, nil })
+		_, _ = MapCtx(b.Context(), 64, 0, func(_ context.Context, i int) (int, error) { return i, nil })
 	}
 }
 
 // BenchmarkStreamOverhead measures the input-ordered streaming channel on
 // a free kernel — the per-item cost every streamed sweep and the unified
-// work driver pay on top of Map.
+// work driver pay on top of MapCtx.
 func BenchmarkStreamOverhead(b *testing.B) {
 	b.ReportAllocs()
 	ctx := context.Background()
