@@ -4,7 +4,7 @@ GO ?= go
 # top of the file.
 .DEFAULT_GOAL := ci
 
-.PHONY: help ci fmt tidy vet staticcheck lint build test race bench bench-compile bench-snapshot cover golden docs
+.PHONY: help ci fmt tidy vet staticcheck lint build test race fuzz bench bench-compile bench-snapshot cover golden docs
 
 # The perf-snapshot file for the current PR and the packages it records.
 # Bump SNAPSHOT per PR (BENCH_7.json, ...) so the repo keeps the
@@ -18,13 +18,14 @@ help: ## list the Makefile verbs and what they do
 	@grep -E '^[a-zA-Z_-]+:.*?## ' $(MAKEFILE_LIST) | awk 'BEGIN {FS = ":.*?## "}; {printf "  %-14s %s\n", $$1, $$2}'
 
 # ci is the gate: formatting, module tidiness, vet, staticcheck, the
-# repository's own analyzer suite, build, race-enabled tests, and a
-# one-iteration pass over every benchmark as a compile-and-run check —
+# repository's own analyzer suite, build, race-enabled tests, a bounded
+# fuzzing run, and a one-iteration pass over every benchmark as a
+# compile-and-run check —
 # the same chain .github/workflows/ci.yml runs, so a green `make ci`
 # means a green CI run. (CI's benchmark-regression gate needs a
 # merge-base to diff against and only runs on pull requests; see
 # .github/workflows/ci.yml.)
-ci: fmt tidy vet staticcheck lint build race bench-compile ## the full CI gate (fmt + tidy + vet + staticcheck + repolint + build + race tests + bench compile)
+ci: fmt tidy vet staticcheck lint build race fuzz bench-compile ## the full CI gate (fmt + tidy + vet + staticcheck + repolint + build + race tests + fuzz + bench compile)
 
 # fmt fails listing the files gofmt would rewrite, same as the CI step.
 fmt: ## fail when gofmt would change any file
@@ -71,6 +72,12 @@ test: ## run the tier-1 test suite
 
 race: ## run the test suite under the race detector
 	$(GO) test -race ./...
+
+# fuzz runs the journal reader's fuzz target for a bounded time. Its seed
+# corpus (and any committed crasher under testdata/fuzz) already runs in
+# every plain `go test`; this explores beyond it.
+fuzz: ## fuzz the checkpoint-journal reader for 20s
+	$(GO) test ./internal/dist/journal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 20s
 
 # bench-compile runs every benchmark exactly once — cheap enough for CI,
 # and it catches benchmarks that bit-rot against API changes.

@@ -43,7 +43,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -304,13 +303,8 @@ func runStream(ctx context.Context, env *exp.Env, exps []exp.Experiment, so stre
 				// indices — the journal line is the only place the CSV
 				// still exists.
 				if so.outdir != "" {
-					idx := make([]int, 0, len(done))
-					for i := range done {
-						idx = append(idx, i)
-					}
-					sort.Ints(idx)
-					for _, i := range idx {
-						if err := writeSidecar(so.outdir, done[i]); err != nil {
+					for _, e := range done {
+						if err := writeSidecar(so.outdir, e.Line); err != nil {
 							fmt.Fprintln(stderr, "figures:", err)
 							return 1, err
 						}

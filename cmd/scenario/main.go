@@ -75,7 +75,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -320,9 +319,9 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 // expanded grid) through the unified driver: -stream is work.Run,
 // -checkpoint adds its journal, and the buffered document is work.Collect
 // reassembled. A non-nil frontier accumulates every result line — the
-// journal-replayed ones and this run's — keyed by input index, so the
-// appended summary always covers the whole grid even on a resume that
-// re-emits nothing.
+// Observe hook of work.Run sees the journal-replayed ones and this run's —
+// keyed by input index, so the appended summary always covers the whole
+// grid even on a resume that re-emits nothing.
 func runWorkBatch(ctx context.Context, b work.Batch, o options, fr *grid.Frontier, prog *cli.Progress, stdout, stderr io.Writer) int {
 	start := time.Now()
 	man := cli.Manifest{Tool: "scenario", Kind: b.Kind(), Fidelity: work.FidelityOf(b), Items: b.Len(), ItemsRun: b.Len()}
@@ -353,18 +352,6 @@ func runWorkBatch(ctx context.Context, b work.Batch, o options, fr *grid.Frontie
 	if o.stream {
 		var frErr error
 		if fr != nil {
-			idx := make([]int, 0, len(opts.Done))
-			for i := range opts.Done {
-				idx = append(idx, i)
-			}
-			sort.Ints(idx)
-			for _, i := range idx {
-				if err := fr.Add(i, opts.Done[i]); err != nil {
-					runErr = err
-					fmt.Fprintln(stderr, "scenario:", err)
-					return 1
-				}
-			}
 			opts.Observe = func(i int, line json.RawMessage) {
 				if err := fr.Add(i, line); err != nil && frErr == nil {
 					frErr = err

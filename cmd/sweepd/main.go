@@ -331,9 +331,9 @@ func runServe(ctx context.Context, args []string, stdin io.Reader, stdout, stder
 		defer os.RemoveAll(dir)
 		path = filepath.Join(dir, "batch.journal")
 	}
-	// resumed holds the indices the journal held before admission; they are
+	// resumed holds the entries the journal held before admission; they are
 	// not written again, so a resumed run's output is exactly the remainder.
-	var resumed map[int]json.RawMessage
+	var resumed []journal.Entry
 	if o.resume {
 		resumed, err = journal.Replay(path, hdr)
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -388,7 +388,9 @@ func runServe(ctx context.Context, args []string, stdin io.Reader, stdout, stder
 
 	hook, emitted, total := prog.Hook(), 0, b.Len()-len(resumed)
 	err = svc.Results(ctx, st.ID, func(i int, line []byte) error {
-		if _, ok := resumed[i]; ok {
+		// Results yields indices in order, as resumed is sorted.
+		if len(resumed) > 0 && resumed[0].I == i {
+			resumed = resumed[1:]
 			return nil
 		}
 		// The full slice expression makes append copy: line may share
@@ -749,7 +751,7 @@ func runWork(ctx context.Context, args []string, _ io.Reader, _, stderr io.Write
 	w := &dist.Worker{
 		Coordinator: o.coordinator,
 		ID:          o.id,
-		Exec:        dist.InstrumentedExecutor(o.workers, reg),
+		Exec:        dist.RegistryExecutor(o.workers, reg),
 		Poll:        o.poll,
 		Token:       o.token,
 		// Hard-fail when the coordinator's declared experiment scale does
@@ -839,17 +841,18 @@ func runJournal(_ context.Context, args []string, stdin io.Reader, stdout, stder
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
 	}
-	done, err := work.ReplayJournal(*checkpoint, b)
+	hdr, err := work.Header(b)
 	if err != nil {
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
 	}
-	for i := 0; i < b.Len(); i++ {
-		line, ok := done[i]
-		if !ok {
-			continue
-		}
-		if _, err := stdout.Write(append(line, '\n')); err != nil {
+	done, err := journal.Replay(*checkpoint, hdr)
+	if err != nil {
+		fmt.Fprintln(stderr, "sweepd:", err)
+		return 1
+	}
+	for _, e := range done {
+		if _, err := stdout.Write(append(e.Line, '\n')); err != nil {
 			fmt.Fprintln(stderr, "sweepd:", err)
 			return 1
 		}

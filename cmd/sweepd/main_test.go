@@ -369,6 +369,27 @@ func TestJournalStat(t *testing.T) {
 	}
 }
 
+// TestJournalStatHostileHeader checks `sweepd journal -stat` on a header
+// whose item count no batch can have: one error line and exit 1, never a
+// panic or an allocation sized by the count.
+func TestJournalStatHostileHeader(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "hostile.journal")
+	head := `{"v":1,"kind":"scenario-batch","batch_sha256":"x","n":4611686018427387904}` + "\n"
+	if err := os.WriteFile(jpath, []byte(head), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(t.Context(), []string{"journal", "-stat", "-checkpoint", jpath}, strings.NewReader(""), &stdout, &stderr); code != 1 {
+		t.Fatalf("hostile header: exit %d, want 1", code)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("hostile header printed a summary: %q", stdout.String())
+	}
+	if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "sweepd: journal: header item count") {
+		t.Errorf("want one error line about the item count, got %q", msg)
+	}
+}
+
 // TestJournalExperimentsScale checks `sweepd journal -experiments` can
 // replay an experiments checkpoint written at a non-default environment
 // scale (e.g. by `figures -quick -accesses N -checkpoint`) when the scale

@@ -93,7 +93,7 @@ func main() {
 		w := &dist.Worker{
 			Coordinator: srv.URL,
 			ID:          id,
-			Exec:        dist.RegistryExecutor(0),
+			Exec:        dist.RegistryExecutor(0, nil),
 			OnUnit: func(u dist.Unit) {
 				fmt.Fprintf(os.Stderr, "%s finished unit %d (scenarios %d-%d)\n", id, u.ID, u.Range.Lo, u.Range.Hi-1)
 			},
@@ -110,7 +110,9 @@ func main() {
 	// Results yields the lines in input order as the ordered prefix
 	// completes, then the batch's verdict.
 	err = svc.Results(ctx, st.ID, func(i int, line []byte) error {
-		if _, ok := resumed[i]; ok {
+		// Indices arrive in order, as resumed is sorted.
+		if len(resumed) > 0 && resumed[0].I == i {
+			resumed = resumed[1:]
 			return nil
 		}
 		_, err := fmt.Printf("%s\n", line)

@@ -157,7 +157,7 @@ func TestScenarioDistributedMatchesSequential(t *testing.T) {
 	b := testBatch(t, 4)
 	want := sequentialNDJSON(t, b)
 	s, srv, id, stop := batchService(t, b, ServiceConfig{Units: 3})
-	got, verdict, werr := drive(t, s, srv, id, stop, 2, RegistryExecutor(1))
+	got, verdict, werr := drive(t, s, srv, id, stop, 2, RegistryExecutor(1, nil))
 	if verdict != nil || werr != nil {
 		t.Fatalf("verdict %v, workers %v", verdict, werr)
 	}
@@ -352,8 +352,8 @@ func TestResumeSkipsFinishedUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	var full bytes.Buffer
-	for i := 0; i < n; i++ {
-		full.Write(all[i])
+	for _, e := range all {
+		full.Write(e.Line)
 		full.WriteByte('\n')
 	}
 	if full.String() != toyWant(n) {
@@ -654,7 +654,7 @@ func TestExperimentsSpec(t *testing.T) {
 // TestRegistryExecutorRejectsUnknownKind pins the registry check: a unit
 // of an unregistered kind is refused with the registered kind list.
 func TestRegistryExecutorRejectsUnknownKind(t *testing.T) {
-	_, err := RegistryExecutor(1)(t.Context(), Unit{Kind: "toy", Payload: []byte(`{}`)})
+	_, err := RegistryExecutor(1, nil)(t.Context(), Unit{Kind: "toy", Payload: []byte(`{}`)})
 	if err == nil || !strings.Contains(err.Error(), `"toy"`) ||
 		!strings.Contains(err.Error(), scenario.JournalKind) {
 		t.Fatalf("unknown kind must be refused with the registered list, got %v", err)
@@ -671,7 +671,7 @@ func TestRegistryExecutorRangeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := Unit{Kind: scenario.JournalKind, Payload: payload, Range: sweep.Range{Lo: 0, Hi: 3}}
-	if _, err := RegistryExecutor(1)(t.Context(), u); err == nil ||
+	if _, err := RegistryExecutor(1, nil)(t.Context(), u); err == nil ||
 		!strings.Contains(err.Error(), "range wants 3") {
 		t.Fatalf("range mismatch must be refused, got %v", err)
 	}

@@ -64,7 +64,8 @@
 // Payload kinds are not this package's business: Submit takes any
 // work.Batch (units carry its own range marshalling), and
 // RegistryExecutor resolves units back into runnable batches through the
-// work registry — adding a workload kind requires no change here.
+// work registry — adding a workload kind requires no change here (given
+// an obs.Registry it also records work.Run's per-item metrics).
 // RequireToken optionally gates the protocol behind a shared secret for
 // coordinators listening beyond one trusted host.
 package dist

@@ -14,16 +14,20 @@
 // hash does not match the input batch is refused outright: the journal's
 // completed lines would belong to a different design space.
 //
-// Entries carry input indices, not names, so replay order does not matter
-// and a distributed coordinator can append unit results out of input order.
-// Duplicate entries for one index are legal (a unit re-leased after a slow
-// worker finally reported, or a crash between append and lease bookkeeping)
-// and replay keeps the first occurrence.
+// Entries carry input indices, not names, so a distributed coordinator can
+// append unit results out of input order. Duplicate entries for one index
+// are legal (a unit re-leased after a slow worker finally reported, or a
+// crash between append and lease bookkeeping) and replay keeps the first
+// occurrence.
+//
+// One reader serves Open (resume), Replay (read-only) and Stat (counts
+// only); Open and Replay return the entries sorted by input index.
 package journal
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -31,9 +35,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 )
 
-// Version is the journal format version written into headers; Resume
+// Version is the journal format version written into headers; the reader
 // refuses files written by a different version.
 const Version = 1
 
@@ -52,9 +57,9 @@ type Header struct {
 	N int `json:"n"`
 }
 
-// entry is one completed item: its input index and the exact NDJSON result
+// Entry is one completed item: its input index and the exact NDJSON result
 // line (compact JSON, no trailing newline).
-type entry struct {
+type Entry struct {
 	I    int             `json:"i"`
 	Line json.RawMessage `json:"line"`
 }
@@ -99,155 +104,140 @@ func Create(path string, h Header) (*Journal, error) {
 	return &Journal{f: f}, nil
 }
 
-// Resume opens an existing journal, verifies its header against want
-// (version, kind, batch hash, item count), and replays the completed
-// entries. It returns the journal positioned for appending and the replayed
-// lines keyed by input index. A truncated final line is discarded and the
-// file truncated back to the last complete entry; duplicate indices keep
-// the first occurrence.
-func Resume(path string, want Header) (*Journal, map[int]json.RawMessage, error) {
-	want.V = Version
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+// Open is the front door for checkpointed runs: with resume false it always
+// starts fresh (Create); with resume true it resumes an existing journal,
+// or starts fresh when none exists yet — so one command line serves both
+// the first run and every restart. Resuming verifies the header against h
+// (version, kind, batch hash, item count), returns the completed entries
+// sorted by input index, and truncates a torn final line away so appends
+// continue valid NDJSON.
+func Open(path string, h Header, resume bool) (*Journal, []Entry, error) {
+	if !resume {
+		j, err := Create(path, h)
+		return j, nil, err
+	}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
+	if errors.Is(err, os.ErrNotExist) {
+		return Open(path, h, false)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	done, keep, err := replay(f, want)
+	s, err := scan(f, &h)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	// Drop the torn tail (if any) so appends continue valid NDJSON.
-	if err := f.Truncate(keep); err != nil {
+	if err := f.Truncate(s.end); err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	if _, err := f.Seek(keep, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	return &Journal{f: f}, done, nil
+	return &Journal{f: f}, s.entries, nil
 }
 
 // Replay reads a journal without modifying it: it verifies the header
-// against want and returns the completed lines keyed by input index — the
-// read side of the format, for reassembling a result set from a finished
-// (or partial) checkpoint. Unlike Resume it opens the file read-only and
-// leaves a torn final line in place (still discarding it from the result),
-// so it is safe to run against a journal another process is appending to.
-func Replay(path string, want Header) (map[int]json.RawMessage, error) {
-	want.V = Version
+// against want and returns the completed entries sorted by input index —
+// the read side of the format, for reassembling a result set from a
+// finished (or partial) checkpoint. Unlike Open it opens the file
+// read-only and leaves a torn final line in place (still discarding it
+// from the result), so it is safe to run against a journal another
+// process is appending to.
+func Replay(path string, want Header) ([]Entry, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
-	done, _, err := replay(f, want)
-	return done, err
+	s, err := scan(f, &want)
+	return s.entries, err
 }
 
-// ReadFile replays a journal against its own header — the read side for
-// callers that trust the file's identity instead of asserting one, like
-// the dist store reading a sibling batch's journal that its item index
-// references. It returns the parsed header alongside the completed lines;
-// format-version, torn-final-line, and duplicate-entry rules match Replay.
-func ReadFile(path string) (Header, map[int]json.RawMessage, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Header{}, nil, fmt.Errorf("journal: %w", err)
-	}
-	headLine, err := bufio.NewReader(f).ReadBytes('\n')
-	f.Close()
-	if err != nil {
-		return Header{}, nil, fmt.Errorf("journal: unreadable header: %w", err)
-	}
-	var h Header
-	if err := json.Unmarshal(headLine, &h); err != nil {
-		return Header{}, nil, fmt.Errorf("journal: malformed header: %w", err)
-	}
-	// Replay re-reads the file verifying against the header it declares
-	// itself — a tautology for kind/hash/N, but the version check and the
-	// body validation still apply.
-	done, err := Replay(path, h)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	return h, done, nil
+// maxItems bounds the item count of a header read without an expected
+// header (Stat): the largest batch the repository documents, so a hostile
+// count is refused before its bitset is allocated.
+const maxItems = 1 << 24
+
+// scanned is what one pass of the reader found: the header, the first
+// occurrence of each completed index sorted by index (only with an
+// expected header), their count, the offset just past the last complete
+// line, and whether a torn final line follows it.
+type scanned struct {
+	h       Header
+	entries []Entry
+	done    int
+	end     int64
+	torn    bool
 }
 
-// Open is the front door for checkpointed runs: with resume false it always
-// starts fresh (Create); with resume true it resumes an existing journal,
-// or starts fresh when none exists yet — so one command line serves both
-// the first run and every restart.
-func Open(path string, h Header, resume bool) (*Journal, map[int]json.RawMessage, error) {
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			return Resume(path, h)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, nil, fmt.Errorf("journal: %w", err)
-		}
-	}
-	j, err := Create(path, h)
-	if err != nil {
-		return nil, nil, err
-	}
-	return j, nil, nil
-}
-
-// replay scans the journal body, returning the completed lines and the file
-// offset just past the last complete line (where appending must continue).
-func replay(f *os.File, want Header) (map[int]json.RawMessage, int64, error) {
+// scan is the one reader of the format. It checks the header — against
+// want when non-nil, else against maxItems — and then every complete
+// entry, keeping the first occurrence of each index through a seen-index
+// bitset. With want it also retains the entries' lines; without, it only
+// counts, in O(N/8) memory however large the results are.
+func scan(f *os.File, want *Header) (scanned, error) {
 	r := bufio.NewReader(f)
-	var offset int64
-
 	headLine, err := r.ReadBytes('\n')
 	if err != nil {
-		return nil, 0, fmt.Errorf("journal: unreadable header: %w", err)
+		return scanned{}, fmt.Errorf("journal: unreadable header: %w", err)
 	}
-	var h Header
-	if err := json.Unmarshal(headLine, &h); err != nil {
-		return nil, 0, fmt.Errorf("journal: malformed header: %w", err)
+	var s scanned
+	h := &s.h
+	if err := json.Unmarshal(headLine, h); err != nil {
+		return scanned{}, fmt.Errorf("journal: malformed header: %w", err)
 	}
 	switch {
-	case h.V != want.V:
-		return nil, 0, fmt.Errorf("journal: format version %d, want %d", h.V, want.V)
+	case h.V != Version:
+		return scanned{}, fmt.Errorf("journal: format version %d, want %d", h.V, Version)
+	case want == nil && (h.N <= 0 || h.N > maxItems):
+		return scanned{}, fmt.Errorf("journal: header item count %d outside (0, %d]", h.N, maxItems)
+	case want == nil:
+		// Stat: the file's own header is the identity it reports.
 	case h.Kind != want.Kind:
-		return nil, 0, fmt.Errorf("journal: kind %q, want %q", h.Kind, want.Kind)
+		return scanned{}, fmt.Errorf("journal: kind %q, want %q", h.Kind, want.Kind)
 	case h.BatchSHA256 != want.BatchSHA256:
-		return nil, 0, fmt.Errorf("journal: batch hash mismatch: journal has %s, input batch is %s (refusing to resume against a different batch)", h.BatchSHA256, want.BatchSHA256)
+		return scanned{}, fmt.Errorf("journal: batch hash mismatch: journal has %s, input batch is %s (refusing to resume against a different batch)", h.BatchSHA256, want.BatchSHA256)
 	case h.N != want.N:
-		return nil, 0, fmt.Errorf("journal: batch has %d items, journal expects %d", want.N, h.N)
+		return scanned{}, fmt.Errorf("journal: batch has %d items, journal expects %d", want.N, h.N)
 	}
-	offset += int64(len(headLine))
+	s.end = int64(len(headLine))
 
-	done := make(map[int]json.RawMessage)
+	seen := make([]uint64, (h.N+63)/64)
 	for {
 		line, err := r.ReadBytes('\n')
-		atEOF := errors.Is(err, io.EOF)
-		if err != nil && !atEOF {
-			return nil, 0, fmt.Errorf("journal: %w", err)
-		}
-		if atEOF {
+		if errors.Is(err, io.EOF) {
 			// No trailing newline: either a clean EOF (empty tail) or the
 			// torn final line of a crashed append. Both are discarded —
-			// Resume truncates the file back to offset.
-			return done, offset, nil
+			// Open truncates the file back to end.
+			s.torn = len(line) > 0
+			break
 		}
-		var e entry
+		if err != nil {
+			return scanned{}, fmt.Errorf("journal: %w", err)
+		}
+		at := s.end
+		s.end += int64(len(line))
+		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, 0, fmt.Errorf("journal: corrupt entry at byte %d: %w", offset, err)
+			return scanned{}, fmt.Errorf("journal: corrupt entry at byte %d: %w", at, err)
 		}
 		if e.I < 0 || e.I >= h.N {
-			return nil, 0, fmt.Errorf("journal: entry index %d out of range [0, %d)", e.I, h.N)
+			return scanned{}, fmt.Errorf("journal: entry index %d out of range [0, %d)", e.I, h.N)
 		}
-		if _, dup := done[e.I]; !dup {
-			compact := &bytes.Buffer{}
-			if err := json.Compact(compact, e.Line); err != nil {
-				return nil, 0, fmt.Errorf("journal: corrupt entry line at byte %d: %w", offset, err)
-			}
-			done[e.I] = json.RawMessage(compact.Bytes())
+		if seen[e.I/64]&(1<<(e.I%64)) != 0 {
+			continue // a later duplicate: the first occurrence wins
 		}
-		offset += int64(len(line))
+		seen[e.I/64] |= 1 << (e.I % 64)
+		s.done++
+		compact := &bytes.Buffer{}
+		if err := json.Compact(compact, e.Line); err != nil {
+			return scanned{}, fmt.Errorf("journal: corrupt entry line at byte %d: %w", at, err)
+		}
+		if want != nil {
+			s.entries = append(s.entries, Entry{I: e.I, Line: compact.Bytes()})
+		}
 	}
+	slices.SortFunc(s.entries, func(a, b Entry) int { return cmp.Compare(a.I, b.I) })
+	return s, nil
 }
 
 // Stats summarizes a checkpoint journal: what it pins (kind, batch hash,
@@ -272,7 +262,8 @@ type Stats struct {
 // single result line — O(N/8) memory (a seen-index bitset) however large
 // the results are, so it is safe to point at a multi-gigabyte checkpoint.
 // Unlike Replay it needs no expected header: the summary describes
-// whatever batch the file itself pins. Corruption rules match Replay —
+// whatever batch the file itself pins, and a header counting more items
+// than any documented batch is refused. Corruption rules match Replay —
 // a torn final line is tolerated (and reported), anything else errors.
 func Stat(path string) (Stats, error) {
 	f, err := os.Open(path)
@@ -280,58 +271,20 @@ func Stat(path string) (Stats, error) {
 		return Stats{}, fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
-
-	headLine, err := r.ReadBytes('\n')
+	s, err := scan(f, nil)
 	if err != nil {
-		return Stats{}, fmt.Errorf("journal: unreadable header: %w", err)
+		return Stats{}, err
 	}
-	var h Header
-	if err := json.Unmarshal(headLine, &h); err != nil {
-		return Stats{}, fmt.Errorf("journal: malformed header: %w", err)
-	}
-	if h.V != Version {
-		return Stats{}, fmt.Errorf("journal: format version %d, want %d", h.V, Version)
-	}
-	if h.N <= 0 {
-		return Stats{}, fmt.Errorf("journal: header item count %d", h.N)
-	}
-
-	st := Stats{Kind: h.Kind, BatchSHA256: h.BatchSHA256, N: h.N}
-	seen := make([]uint64, (h.N+63)/64)
-	offset := int64(len(headLine))
-	for {
-		line, err := r.ReadBytes('\n')
-		atEOF := errors.Is(err, io.EOF)
-		if err != nil && !atEOF {
-			return Stats{}, fmt.Errorf("journal: %w", err)
-		}
-		if atEOF {
-			st.TornTail = len(line) > 0
-			st.Complete = st.Done == st.N
-			return st, nil
-		}
-		var e entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return Stats{}, fmt.Errorf("journal: corrupt entry at byte %d: %w", offset, err)
-		}
-		if e.I < 0 || e.I >= h.N {
-			return Stats{}, fmt.Errorf("journal: entry index %d out of range [0, %d)", e.I, h.N)
-		}
-		if seen[e.I/64]&(1<<(e.I%64)) == 0 {
-			seen[e.I/64] |= 1 << (e.I % 64)
-			st.Done++
-		}
-		offset += int64(len(line))
-	}
+	return Stats{Kind: s.h.Kind, BatchSHA256: s.h.BatchSHA256, N: s.h.N, Done: s.done,
+		Complete: s.done == s.h.N, TornTail: s.torn}, nil
 }
 
 // Record appends one completed item: its input index and its exact result
 // line (compact JSON, no trailing newline). The append is a single write
-// syscall, so a crash leaves at worst one torn final line — which Resume
+// syscall, so a crash leaves at worst one torn final line — which Open
 // tolerates.
 func (j *Journal) Record(i int, line []byte) error {
-	e := entry{I: i, Line: json.RawMessage(line)}
+	e := Entry{I: i, Line: json.RawMessage(line)}
 	data, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,21 +33,28 @@ func write(t *testing.T, path string, h Header, lines map[int]string) {
 	}
 }
 
+// render prints entries as space-separated "i=line" pairs, so a test
+// compares a replay against one string.
+func render(es []Entry) string {
+	parts := make([]string, len(es))
+	for k, e := range es {
+		parts[k] = fmt.Sprintf("%d=%s", e.I, e.Line)
+	}
+	return strings.Join(parts, " ")
+}
+
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "batch.journal")
 	h := testHeader(3)
 	write(t, path, h, map[int]string{0: `{"name":"a"}`, 2: `{"name":"c"}`})
 
-	j, done, err := Resume(path, h)
+	j, done, err := Open(path, h, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if len(done) != 2 || string(done[0]) != `{"name":"a"}` || string(done[2]) != `{"name":"c"}` {
-		t.Fatalf("replayed %v", done)
-	}
-	if _, ok := done[1]; ok {
-		t.Fatal("index 1 was never recorded but replayed")
+	if got := render(done); got != `0={"name":"a"} 2={"name":"c"}` {
+		t.Fatalf("replayed %s", got)
 	}
 
 	// Appending after resume continues the journal.
@@ -54,12 +62,12 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	_, done, err = Resume(path, h)
+	_, done, err = Open(path, h, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(done) != 3 || string(done[1]) != `{"name":"b"}` {
-		t.Fatalf("after append, replayed %v", done)
+	if got := render(done); got != `0={"name":"a"} 1={"name":"b"} 2={"name":"c"}` {
+		t.Fatalf("after append, replayed %s (want input order)", got)
 	}
 }
 
@@ -81,30 +89,30 @@ func TestTruncatedFinalLine(t *testing.T) {
 	}
 	f.Close()
 
-	j, done, err := Resume(path, h)
+	j, done, err := Open(path, h, true)
 	if err != nil {
 		t.Fatalf("torn final line must be tolerated: %v", err)
 	}
-	if len(done) != 1 || string(done[0]) != `{"name":"a"}` {
-		t.Fatalf("replayed %v", done)
+	if got := render(done); got != `0={"name":"a"}` {
+		t.Fatalf("replayed %s", got)
 	}
 	// The torn tail must be gone: appending and re-replaying works.
 	if err := j.Record(1, []byte(`{"name":"b"}`)); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	_, done, err = Resume(path, h)
+	_, done, err = Open(path, h, true)
 	if err != nil {
 		t.Fatalf("resume after torn-tail truncation: %v", err)
 	}
-	if len(done) != 2 || string(done[1]) != `{"name":"b"}` {
-		t.Fatalf("after truncation + append, replayed %v", done)
+	if got := render(done); got != `0={"name":"a"} 1={"name":"b"}` {
+		t.Fatalf("after truncation + append, replayed %s", got)
 	}
 }
 
 // TestReplayReadOnly checks the read side: Replay verifies the header and
 // returns the completed lines, tolerates a torn final line, and — unlike
-// Resume — leaves the file byte-for-byte untouched, so it is safe against
+// Open — leaves the file byte-for-byte untouched, so it is safe against
 // a journal another process is still appending to.
 func TestReplayReadOnly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "batch.journal")
@@ -127,8 +135,8 @@ func TestReplayReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(done) != 2 || string(done[0]) != `{"name":"a"}` || string(done[1]) != `{"name":"b"}` {
-		t.Fatalf("replayed %v", done)
+	if got := render(done); got != `0={"name":"a"} 1={"name":"b"}` {
+		t.Fatalf("replayed %s", got)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {
@@ -138,7 +146,7 @@ func TestReplayReadOnly(t *testing.T) {
 		t.Error("Replay modified the journal file")
 	}
 
-	// The same header checks as Resume apply.
+	// The same header checks as Open apply.
 	if _, err := Replay(path, Header{Kind: "test-batch", BatchSHA256: "different", N: 3}); err == nil ||
 		!strings.Contains(err.Error(), "batch hash mismatch") {
 		t.Fatalf("hash mismatch must be refused, got %v", err)
@@ -160,7 +168,7 @@ func TestCorruptMiddleLine(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Resume(path, h); err == nil || !strings.Contains(err.Error(), "corrupt entry") {
+	if _, _, err := Open(path, h, true); err == nil || !strings.Contains(err.Error(), "corrupt entry") {
 		t.Fatalf("corrupt middle line must fail replay, got %v", err)
 	}
 }
@@ -183,15 +191,12 @@ func TestDuplicateEntries(t *testing.T) {
 	}
 	j.Close()
 
-	_, done, err := Resume(path, h)
+	_, done, err := Open(path, h, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(done) != 1 {
-		t.Fatalf("want 1 replayed index, got %d", len(done))
-	}
-	if string(done[0]) != `{"name":"dup","v":1}` {
-		t.Fatalf("duplicate replay must keep the first occurrence, got %s", done[0])
+	if got := render(done); got != `0={"name":"dup","v":1}` {
+		t.Fatalf("duplicate replay must keep the first occurrence, once; got %s", got)
 	}
 }
 
@@ -203,7 +208,7 @@ func TestHashMismatchRefused(t *testing.T) {
 
 	other := testHeader(2)
 	other.BatchSHA256 = "def456"
-	_, _, err := Resume(path, other)
+	_, _, err := Open(path, other, true)
 	if err == nil || !strings.Contains(err.Error(), "batch hash mismatch") {
 		t.Fatalf("hash mismatch must refuse resume, got %v", err)
 	}
@@ -218,11 +223,11 @@ func TestHeaderMismatches(t *testing.T) {
 
 	wrongKind := testHeader(2)
 	wrongKind.Kind = "experiments"
-	if _, _, err := Resume(path, wrongKind); err == nil || !strings.Contains(err.Error(), "kind") {
+	if _, _, err := Open(path, wrongKind, true); err == nil || !strings.Contains(err.Error(), "kind") {
 		t.Fatalf("kind mismatch: %v", err)
 	}
 	wrongN := testHeader(5)
-	if _, _, err := Resume(path, wrongN); err == nil || !strings.Contains(err.Error(), "items") {
+	if _, _, err := Open(path, wrongN, true); err == nil || !strings.Contains(err.Error(), "items") {
 		t.Fatalf("count mismatch: %v", err)
 	}
 }
@@ -239,7 +244,7 @@ func TestEntryIndexOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, _, err := Resume(path, h); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if _, _, err := Open(path, h, true); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("out-of-range index must fail replay, got %v", err)
 	}
 }
@@ -300,7 +305,7 @@ func TestStat(t *testing.T) {
 
 	// A duplicate entry must not inflate the count; completing the last
 	// index flips Complete.
-	j, _, err := Resume(path, h)
+	j, _, err := Open(path, h, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,8 +343,8 @@ func TestStat(t *testing.T) {
 }
 
 // TestStatErrors checks Stat shares Replay's corruption rules even though
-// it verifies no expected header: bad version, corrupt middle entries, and
-// out-of-range indices are loud errors.
+// it verifies no expected header: bad version, corrupt middle entries,
+// out-of-range indices and item counts no batch can have are loud errors.
 func TestStatErrors(t *testing.T) {
 	dir := t.TempDir()
 
@@ -377,6 +382,29 @@ func TestStatErrors(t *testing.T) {
 	f.Close()
 	if _, err := Stat(outOfRange); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("out-of-range index: %v", err)
+	}
+
+	// The header's item count sizes the seen-index bitset, so a count
+	// outside (0, maxItems] is refused before anything is allocated: 2^62
+	// would overflow makeslice, and 2^36 would allocate 8 GiB.
+	for _, n := range []string{"0", "-1", fmt.Sprint(maxItems + 1), "68719476736", "4611686018427387904"} {
+		hostile := filepath.Join(dir, "count"+n+".journal")
+		head := `{"v":1,"kind":"scenario-batch","batch_sha256":"x","n":` + n + "}\n"
+		if err := os.WriteFile(hostile, []byte(head), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Stat(hostile); err == nil || !strings.Contains(err.Error(), "item count") {
+			t.Errorf("n=%s: %v", n, err)
+		}
+	}
+	largest := filepath.Join(dir, "largest.journal")
+	j, err := Create(largest, testHeader(maxItems))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if st, err := Stat(largest); err != nil || st.N != maxItems {
+		t.Fatalf("a header of the largest batch must be accepted: %+v, %v", st, err)
 	}
 }
 

@@ -15,16 +15,9 @@ import (
 // concurrency (0 = GOMAXPROCS). A worker process executes every kind its
 // binary links (cmd/sweepd links scenario and exp, so both register);
 // units of a kind it does not know fail loudly with the registered list.
-func RegistryExecutor(workers int) Executor {
-	return InstrumentedExecutor(workers, nil)
-}
-
-// InstrumentedExecutor is RegistryExecutor with driver metrics: every
-// unit's rebuilt batch runs with work.Options.Metrics set to reg, so a
-// worker process serving reg on a debug listener exposes the same
-// per-item latency histograms and throughput gauges a local run would.
-// A nil reg disables instrumentation (identical to RegistryExecutor).
-func InstrumentedExecutor(workers int, reg *obs.Registry) Executor {
+// A non-nil reg receives every unit's per-item work metrics
+// (work.Options.Metrics), as a local run's would; nil means no metrics.
+func RegistryExecutor(workers int, reg *obs.Registry) Executor {
 	return func(ctx context.Context, u Unit) ([][]byte, error) {
 		b, err := work.Unmarshal(u.Kind, u.Payload)
 		if err != nil {

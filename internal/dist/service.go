@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dist/journal"
 	"repro/internal/dist/store"
 	"repro/internal/obs"
 	"repro/internal/sweep"
@@ -437,14 +438,9 @@ func (s *Service) Submit(b work.Batch) (BatchStatus, bool, error) {
 		}
 		br.env = env
 	}
-	cached := make([]int, 0, len(h.Done))
-	for i := range h.Done {
-		cached = append(cached, i)
-	}
-	sort.Ints(cached)
-	for _, i := range cached {
-		br.lines[i] = h.Done[i]
-		br.markDone(i)
+	for _, e := range h.Done {
+		br.lines[e.I] = e.Line
+		br.markDone(e.I)
 		br.remaining--
 	}
 	for _, r := range sweep.Shards(b.Len(), s.units) {
@@ -874,7 +870,9 @@ func (s *Service) Results(ctx context.Context, id string, yield func(i int, line
 	stop := context.AfterFunc(ctx, s.cond.Broadcast)
 	defer stop()
 
-	var stored map[int]json.RawMessage // store replay, once terminal
+	// Once terminal, lines come from one store replay walked forward
+	// alongside i; an empty replay ends the walk, so nil means unread.
+	var stored []journal.Entry
 	for i := 0; i < br.n; i++ {
 		var line []byte
 		s.mu.Lock()
@@ -899,15 +897,19 @@ func (s *Service) Results(ctx context.Context, id string, yield func(i int, line
 		s.mu.Unlock()
 		if line == nil {
 			if stored == nil {
-				_, lines, err := s.store.Replay(br.id)
+				var err error
+				stored, err = s.store.Replay(journal.Header{Kind: br.kind, BatchSHA256: br.hash, N: br.n})
 				if err != nil {
 					return err
 				}
-				stored = lines
 			}
-			if line = stored[i]; line == nil {
+			for len(stored) > 0 && stored[0].I < i {
+				stored = stored[1:]
+			}
+			if len(stored) == 0 || stored[0].I != i {
 				return s.verdict(br, i)
 			}
+			line = stored[0].Line
 		}
 		if err := yield(i, line); err != nil {
 			return err

@@ -153,7 +153,7 @@ func TestServiceStreamsByteIdenticalResults(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			serviceWorker(ctx, srv, fmt.Sprintf("w%d", i), RegistryExecutor(1))
+			serviceWorker(ctx, srv, fmt.Sprintf("w%d", i), RegistryExecutor(1, nil))
 		}(i)
 	}
 
@@ -199,7 +199,7 @@ func TestServiceResubmitServesFromStoreZeroWork(t *testing.T) {
 	s1, srv1 := startService(t, ctx1, dir, ServiceConfig{Units: 3})
 	var wg1 sync.WaitGroup
 	wg1.Add(1)
-	go func() { defer wg1.Done(); serviceWorker(ctx1, srv1, "w0", RegistryExecutor(1)) }()
+	go func() { defer wg1.Done(); serviceWorker(ctx1, srv1, "w0", RegistryExecutor(1, nil)) }()
 	st1, _ := submitHTTP(t, srv1, b)
 	waitBatchState(t, s1, st1.ID, BatchDone)
 	cancel1()
@@ -216,7 +216,7 @@ func TestServiceResubmitServesFromStoreZeroWork(t *testing.T) {
 	wg2.Add(1)
 	go func() {
 		defer wg2.Done()
-		serviceWorker(ctx2, srv2, "w0", countingExecutor(&executed, RegistryExecutor(1)))
+		serviceWorker(ctx2, srv2, "w0", countingExecutor(&executed, RegistryExecutor(1, nil)))
 	}()
 
 	// Restore re-queues the stored batch — complete, so it is born done.
@@ -275,7 +275,7 @@ func TestServiceRestartResumesQueue(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); serviceWorker(ctx2, srv2, "w0", RegistryExecutor(1)) }()
+	go func() { defer wg.Done(); serviceWorker(ctx2, srv2, "w0", RegistryExecutor(1, nil)) }()
 	if got, want := resultsHTTP(t, srv2, st1.ID), sequentialNDJSON(t, b1); !bytes.Equal(got, want) {
 		t.Errorf("batch 1 after restart differs from sequential")
 	}
@@ -298,7 +298,7 @@ func TestServiceOverlapServedFromIndex(t *testing.T) {
 	s, srv := startService(t, ctx, t.TempDir(), ServiceConfig{Units: 2})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); serviceWorker(ctx, srv, "w0", RegistryExecutor(1)) }()
+	go func() { defer wg.Done(); serviceWorker(ctx, srv, "w0", RegistryExecutor(1, nil)) }()
 
 	stSmall, _ := submitHTTP(t, srv, small)
 	waitBatchState(t, s, stSmall.ID, BatchDone)
@@ -357,7 +357,7 @@ func TestServiceCancelIsolatesBatch(t *testing.T) {
 	// The fleet drains only the surviving batch.
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); serviceWorker(ctx, srv, "w0", RegistryExecutor(1)) }()
+	go func() { defer wg.Done(); serviceWorker(ctx, srv, "w0", RegistryExecutor(1, nil)) }()
 	waitBatchState(t, s, st2.ID, BatchDone)
 	if st, code := del(st1.ID); code != http.StatusOK || st.State != BatchCancelled {
 		t.Fatalf("re-cancel: HTTP %d state %s, want 200 cancelled (idempotent)", code, st.State)
@@ -391,7 +391,7 @@ func TestServiceFailureIsolatesBatch(t *testing.T) {
 		if u.Batch == badID {
 			return nil, fmt.Errorf("synthetic deterministic failure")
 		}
-		return RegistryExecutor(1)(ctx, u)
+		return RegistryExecutor(1, nil)(ctx, u)
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -437,7 +437,7 @@ func TestServiceStatusAndMetrics(t *testing.T) {
 
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); serviceWorker(ctx, srv, "w0", RegistryExecutor(1)) }()
+	go func() { defer wg.Done(); serviceWorker(ctx, srv, "w0", RegistryExecutor(1, nil)) }()
 	waitBatchState(t, s, st.ID, BatchDone)
 
 	// Resubmitting to the same service is idempotent: the existing done

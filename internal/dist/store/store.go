@@ -37,12 +37,14 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -126,9 +128,6 @@ func OpenFile(path string) *Store {
 	return &Store{file: path, items: make(map[string]itemRef), recs: make(map[string]Record)}
 }
 
-// Dir is the store's directory path (empty for OpenFile).
-func (s *Store) Dir() string { return s.dir }
-
 // Close closes the item index. Open handles keep their journals; close
 // them separately.
 func (s *Store) Close() error {
@@ -165,11 +164,11 @@ func (s *Store) Items() int {
 	return len(s.items)
 }
 
-// Replay reads the journal of a stored batch by ID, returning its header
-// and completed lines — how the service streams results of a batch it no
-// longer holds in memory.
-func (s *Store) Replay(id string) (journal.Header, map[int]json.RawMessage, error) {
-	return journal.ReadFile(s.journalPath(id))
+// Replay reads the journal of the stored batch h pins, verified against
+// h, and returns its completed entries sorted by input index — how the
+// service streams results of a batch it no longer holds in memory.
+func (s *Store) Replay(h journal.Header) ([]journal.Entry, error) {
+	return journal.Replay(s.journalPath(BatchID(h.Kind, h.BatchSHA256)), h)
 }
 
 // Handle is one admitted batch: its open journal, the lines already
@@ -180,9 +179,10 @@ type Handle struct {
 	ID string
 	// Header pins kind, batch hash, and item count.
 	Header journal.Header
-	// Done holds the lines already present at admission, keyed by input
-	// index. A complete Done (len == Header.N) means zero items remain.
-	Done map[int]json.RawMessage
+	// Done holds the entries already present at admission, sorted by
+	// input index. A complete Done (len == Header.N) means zero items
+	// remain.
+	Done []journal.Entry
 	// HitsJournal counts lines found in the batch's own journal;
 	// HitsIndex counts lines adopted from other batches' journals through
 	// the per-item index. HitsJournal + HitsIndex == len(Done).
@@ -219,9 +219,6 @@ func (s *Store) Admit(b work.Batch) (*Handle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: admitting %s: %w", h.ID, err)
 	}
-	if done == nil {
-		done = make(map[int]json.RawMessage)
-	}
 	h.jr, h.Done, h.HitsJournal = jr, done, len(done)
 
 	if err := s.fillFromIndex(h); err != nil {
@@ -248,13 +245,8 @@ func (s *Store) Admit(b work.Batch) (*Handle, error) {
 		s.seq = rec.Seq
 		s.recs[h.ID] = rec
 		if h.keyer != nil {
-			idxs := make([]int, 0, len(h.Done))
-			for i := range h.Done {
-				idxs = append(idxs, i)
-			}
-			sort.Ints(idxs)
-			for _, i := range idxs {
-				if err := s.indexItemLocked(h, i); err != nil {
+			for _, e := range h.Done {
+				if err := s.indexItemLocked(h, e.I); err != nil {
 					jr.Close()
 					return nil, err
 				}
@@ -266,9 +258,10 @@ func (s *Store) Admit(b work.Batch) (*Handle, error) {
 
 // fillFromIndex adopts lines for h's missing indices from other batches'
 // journals: it resolves each missing item key through the index, groups
-// the references by source journal, replays each source once, and records
-// the adopted lines into h's own journal — so per-batch journals stay
-// self-contained and a future resubmit needs no cross-reads at all.
+// the references by source journal, replays each source once against its
+// recorded header, and records the adopted lines into h's own journal —
+// so per-batch journals stay self-contained and a future resubmit needs
+// no cross-reads at all. h.Done stays sorted by input index.
 func (s *Store) fillFromIndex(h *Handle) error {
 	if h.keyer == nil || len(h.Done) == h.Header.N || len(s.items) == 0 {
 		return nil
@@ -279,8 +272,10 @@ func (s *Store) fillFromIndex(h *Handle) error {
 	}
 	wanted := make(map[string][]adoption) // source batch ID -> items to adopt
 	var order []string                    // source IDs in first-reference order
+	own := h.Done
 	for i := 0; i < h.Header.N; i++ {
-		if _, ok := h.Done[i]; ok {
+		if len(own) > 0 && own[0].I == i {
+			own = own[1:]
 			continue
 		}
 		k, err := h.keyer.ItemKey(i)
@@ -299,24 +294,28 @@ func (s *Store) fillFromIndex(h *Handle) error {
 		wanted[ref.batch] = append(wanted[ref.batch], adoption{i: i, src: ref.i})
 	}
 	for _, src := range order {
-		_, lines, err := journal.ReadFile(s.journalPath(src))
+		s.mu.Lock()
+		rec := s.recs[src]
+		s.mu.Unlock()
+		entries, err := s.Replay(journal.Header{Kind: rec.Kind, BatchSHA256: rec.BatchSHA256, N: rec.N})
 		if err != nil {
 			// A referenced journal that is gone or unreadable is a cache
 			// miss, not a failure: the item re-executes and re-indexes.
 			continue
 		}
 		for _, a := range wanted[src] {
-			line, ok := lines[a.src]
+			k, ok := slices.BinarySearchFunc(entries, a.src, func(e journal.Entry, i int) int { return cmp.Compare(e.I, i) })
 			if !ok {
 				continue
 			}
-			if err := h.jr.Record(a.i, line); err != nil {
+			if err := h.jr.Record(a.i, entries[k].Line); err != nil {
 				return err
 			}
-			h.Done[a.i] = line
+			h.Done = append(h.Done, journal.Entry{I: a.i, Line: entries[k].Line})
 			h.HitsIndex++
 		}
 	}
+	slices.SortFunc(h.Done, func(a, b journal.Entry) int { return cmp.Compare(a.I, b.I) })
 	return nil
 }
 

@@ -39,8 +39,10 @@ func tinyBatch(t *testing.T, names ...string) scenario.Batch {
 // handle, as the service would.
 func runAll(t *testing.T, h *Handle, b work.Batch) {
 	t.Helper()
+	done := h.Done
 	for i := 0; i < b.Len(); i++ {
-		if _, ok := h.Done[i]; ok {
+		if len(done) > 0 && done[0].I == i {
+			done = done[1:]
 			continue
 		}
 		line, err := b.RunItem(context.Background(), i)
@@ -50,7 +52,6 @@ func runAll(t *testing.T, h *Handle, b work.Batch) {
 		if err := h.Record(i, line); err != nil {
 			t.Fatal(err)
 		}
-		h.Done[i] = line
 	}
 }
 
@@ -93,8 +94,8 @@ func TestAdmitFreshThenResubmit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(h2.Done[i]) != string(want) {
-			t.Fatalf("item %d cached line differs:\n got %s\nwant %s", i, h2.Done[i], want)
+		if e := h2.Done[i]; e.I != i || string(e.Line) != string(want) {
+			t.Fatalf("entry %d is item %d, cached line:\n got %s\nwant %s", i, e.I, e.Line, want)
 		}
 	}
 }
@@ -133,8 +134,8 @@ func TestOverlapAdoptsFromIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(h2.Done[0]) != string(want) {
-		t.Fatalf("adopted line differs:\n got %s\nwant %s", h2.Done[0], want)
+	if e := h2.Done[0]; e.I != 0 || string(e.Line) != string(want) {
+		t.Fatalf("adopted entry for item %d differs:\n got %s\nwant %s", e.I, e.Line, want)
 	}
 	runAll(t, h2, second)
 	h2.Close()
@@ -295,8 +296,8 @@ func TestTornIndexTailDiscarded(t *testing.T) {
 	}
 }
 
-// TestReplayReadsStoredJournal pins Store.Replay: header and lines of a
-// stored batch come back without the caller asserting an identity.
+// TestReplayReadsStoredJournal pins Store.Replay: the lines of a stored
+// batch come back in input order, verified against the batch's header.
 func TestReplayReadsStoredJournal(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -312,18 +313,23 @@ func TestReplayReadsStoredJournal(t *testing.T) {
 	runAll(t, h, b)
 	h.Close()
 
-	hdr, lines, err := s.Replay(h.ID)
+	lines, err := s.Replay(h.Header)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Kind != b.Kind() || hdr.N != b.Len() || len(lines) != b.Len() {
-		t.Fatalf("replay header %+v with %d lines, want kind %s n %d", hdr, len(lines), b.Kind(), b.Len())
+	if len(lines) != b.Len() || lines[0].I != 0 || lines[1].I != 1 {
+		t.Fatalf("replayed %v, want items 0 and 1 in order", lines)
 	}
 	var decoded struct {
 		Name string `json:"name"`
 	}
-	if err := json.Unmarshal(lines[0], &decoded); err != nil || decoded.Name != "a" {
-		t.Fatalf("line 0 = %s (err %v), want scenario \"a\"", lines[0], err)
+	if err := json.Unmarshal(lines[0].Line, &decoded); err != nil || decoded.Name != "a" {
+		t.Fatalf("line 0 = %s (err %v), want scenario \"a\"", lines[0].Line, err)
+	}
+	wrongN := h.Header
+	wrongN.N++
+	if _, err := s.Replay(wrongN); err == nil || !strings.Contains(err.Error(), "items") {
+		t.Fatalf("a header the journal does not pin must be refused, got %v", err)
 	}
 }
 
@@ -432,9 +438,9 @@ func TestOpenFileKeepsOneJournal(t *testing.T) {
 	if len(s.Batches()) != 0 || s.Items() != 0 {
 		t.Fatalf("single-journal store kept %d records and %d index keys", len(s.Batches()), s.Items())
 	}
-	hdr, lines, err := journal.ReadFile(path)
-	if err != nil || hdr.Kind != b.Kind() || len(lines) != b.Len() {
-		t.Fatalf("journal header %+v with %d lines (err %v)", hdr, len(lines), err)
+	lines, err := journal.Replay(path, h.Header)
+	if err != nil || len(lines) != b.Len() {
+		t.Fatalf("journal holds %d lines (err %v), want %d", len(lines), err, b.Len())
 	}
 
 	h, err = OpenFile(path).Admit(b)

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/dist/journal"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/work"
@@ -187,5 +189,25 @@ func TestFullMillionPointRun(t *testing.T) {
 	}
 	if n != b.Len() {
 		t.Fatalf("ran %d points, want %d", n, b.Len())
+	}
+}
+
+// TestJournalStatBoundIsHardMaxPoints ties the item count the journal
+// reader accepts from a header it has no batch for (journal.Stat) to the
+// largest grid: a checkpoint of a HardMaxPoints grid stats, and a header
+// one item larger is refused before its bitset is allocated.
+func TestJournalStatBoundIsHardMaxPoints(t *testing.T) {
+	dir := t.TempDir()
+	for _, n := range []int{HardMaxPoints, HardMaxPoints + 1} {
+		path := filepath.Join(dir, fmt.Sprintf("%d.journal", n))
+		j, err := journal.Create(path, journal.Header{Kind: WorkKind, BatchSHA256: "x", N: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		_, err = journal.Stat(path)
+		if ok := n <= HardMaxPoints; (err == nil) != ok {
+			t.Errorf("Stat of a %d-item header: err %v, want accepted=%v", n, err, ok)
+		}
 	}
 }

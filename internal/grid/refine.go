@@ -103,8 +103,6 @@ func (b *Batch) Derived(indices []int, fidelity string) (scenario.Batch, error) 
 type RefineOptions struct {
 	// Workers bounds concurrent points per phase (0 = GOMAXPROCS).
 	Workers int
-	// Slack is the shortlist dominance margin (≤ 0 = DefaultSlack).
-	Slack float64
 	// Checkpoint, when non-empty, journals the analytical pass to this
 	// path and the trace shortlist to path+RefineCheckpointSuffix, so a
 	// killed refinement resumes either phase.
@@ -147,7 +145,7 @@ func Refine(ctx context.Context, spec Spec, o RefineOptions, w io.Writer) error 
 
 	var fr Frontier
 	shortlist, err := runPhase(ctx, b, o, "analytical", o.Checkpoint, &fr, w, func() []int {
-		return fr.Shortlist(o.Slack)
+		return fr.Shortlist(DefaultSlack)
 	})
 	if err != nil {
 		return err
@@ -172,9 +170,9 @@ func Refine(ctx context.Context, spec Spec, o RefineOptions, w io.Writer) error 
 }
 
 // runPhase drives one batch through work.Run, accumulating every line —
-// journal-replayed and fresh — into fr, and returns after()'s value (nil
-// after = nil result). The journal (if any) is closed before returning so
-// the next phase's file operations see it complete.
+// journal-replayed and fresh, both through Observe — into fr, and returns
+// after()'s value (nil after = nil result). The journal (if any) is closed
+// before returning so the next phase's file operations see it complete.
 func runPhase(ctx context.Context, b work.Batch, o RefineOptions, phase, checkpoint string, fr *Frontier, w io.Writer, after func() []int) ([]int, error) {
 	opts := work.Options{Workers: o.Workers}
 	if o.Progress != nil {
@@ -186,11 +184,6 @@ func runPhase(ctx context.Context, b work.Batch, o RefineOptions, phase, checkpo
 			return nil, err
 		}
 		defer jr.Close()
-		for i, line := range done {
-			if err := fr.Add(i, line); err != nil {
-				return nil, err
-			}
-		}
 		opts.Journal, opts.Done = jr, done
 	}
 	var frErr error

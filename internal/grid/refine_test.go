@@ -405,7 +405,7 @@ func distributeBatch(t *testing.T, b work.Batch) []json.RawMessage {
 		w := &dist.Worker{
 			Coordinator: srv.URL,
 			ID:          fmt.Sprintf("refine-w%d", i),
-			Exec:        dist.RegistryExecutor(1),
+			Exec:        dist.RegistryExecutor(1, nil),
 			Client:      srv.Client(),
 			Poll:        5 * time.Millisecond,
 		}

@@ -51,7 +51,11 @@ func TestCheckpointedMatchesPlainStream(t *testing.T) {
 	}
 
 	// The journal holds every line.
-	replayed, err := work.ReplayJournal(path, b)
+	h, err := work.Header(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := journal.Replay(path, h)
 	if err != nil {
 		t.Fatal(err)
 	}

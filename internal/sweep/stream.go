@@ -8,15 +8,14 @@ import (
 )
 
 // StreamConfig tunes a Stream run. The zero value is usable: GOMAXPROCS
-// workers, a lookahead bound equal to the worker count, no progress hook.
+// workers, no progress hook.
 type StreamConfig struct {
-	// Workers bounds concurrent fn invocations (0 = GOMAXPROCS).
+	// Workers bounds concurrent fn invocations (0 = GOMAXPROCS). It also
+	// bounds how many items may be in flight or completed but not yet
+	// consumed, which is the stream's backpressure: a slow consumer
+	// throttles the workers instead of the whole result set accumulating
+	// in memory.
 	Workers int
-	// Buffer bounds how many items may be in flight or completed but not
-	// yet consumed (0 = the resolved worker count). Small buffers give
-	// backpressure: a slow consumer throttles the workers instead of the
-	// whole result set accumulating in memory.
-	Buffer int
 	// Progress, when non-nil, is called after each item is emitted with
 	// (items emitted, total). Calls come from the single emitter goroutine,
 	// so they are serialized.
@@ -39,8 +38,8 @@ type streamItem[T any] struct {
 
 // Stream runs fn(0..n-1) across a bounded worker pool and delivers results
 // over the returned channel in input order as they complete, without ever
-// buffering more than cfg.Buffer results — the streaming complement to
-// MapCtx for result sets too large to hold in memory.
+// buffering more results than it has workers — the streaming complement
+// to MapCtx for result sets too large to hold in memory.
 //
 // The consumer must drain the channel (it closes when the stream ends) and
 // then call wait, which blocks until all workers have exited and returns
@@ -62,11 +61,6 @@ func Stream[T any](ctx context.Context, n int, cfg StreamConfig, fn func(ctx con
 	if w > n {
 		w = n
 	}
-	buf := cfg.Buffer
-	if buf <= 0 {
-		buf = w
-	}
-
 	var (
 		failed   atomic.Bool
 		panicMu  sync.Mutex
@@ -75,11 +69,11 @@ func Stream[T any](ctx context.Context, n int, cfg StreamConfig, fn func(ctx con
 		finalErr error
 		finished = make(chan struct{})
 	)
-	pending := make(chan *streamItem[T], buf) // input-ordered; caps lookahead
+	pending := make(chan *streamItem[T], w) // input-ordered; caps lookahead
 	work := make(chan *streamItem[T])
 
 	// Dispatcher: creates items in input order. The send into pending
-	// blocks once buf items are in flight or unconsumed, which is what
+	// blocks once w items are in flight or unconsumed, which is what
 	// bounds the stream's memory footprint.
 	go func() {
 		defer close(pending)

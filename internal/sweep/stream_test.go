@@ -47,12 +47,13 @@ func TestStreamEmpty(t *testing.T) {
 	}
 }
 
-// TestStreamBoundedLookahead pins the backpressure contract: with Buffer=b
-// and a consumer that has taken k items, no item beyond k+b may start.
+// TestStreamBoundedLookahead pins the backpressure contract: with w
+// workers and a consumer that has taken k items, no item beyond k+w may
+// start.
 func TestStreamBoundedLookahead(t *testing.T) {
-	const n, buffer = 40, 3
+	const n, workers = 40, 3
 	var maxStarted atomic.Int64
-	ch, wait := Stream(context.Background(), n, StreamConfig{Workers: 2, Buffer: buffer},
+	ch, wait := Stream(context.Background(), n, StreamConfig{Workers: workers},
 		func(_ context.Context, i int) (int, error) {
 			for {
 				cur := maxStarted.Load()
@@ -69,10 +70,10 @@ func TestStreamBoundedLookahead(t *testing.T) {
 		}
 		taken++
 		// Everything in flight or buffered sits within the lookahead
-		// window: buffer queued items, plus one held by the emitter and
-		// one mid-handoff in the dispatcher.
-		if started := int(maxStarted.Load()); started > taken+buffer+2 {
-			t.Fatalf("item %d started with only %d consumed (buffer %d)", started, taken, buffer)
+		// window: one queued item per worker, plus one held by the emitter
+		// and one mid-handoff in the dispatcher.
+		if started := int(maxStarted.Load()); started > taken+workers+2 {
+			t.Fatalf("item %d started with only %d consumed (%d workers)", started, taken, workers)
 		}
 		time.Sleep(time.Millisecond) // let workers run ahead if they could
 	}

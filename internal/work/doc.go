@@ -24,6 +24,10 @@
 // Keys must be namespaced by line schema: two kinds that would ever
 // render the same logical item differently must not collide.
 //
+// A resume passes OpenJournal's entries, sorted by input index, as
+// Options.Done: Run skips them and shows them to Options.Observe before
+// any fresh line, so a reduction sees a resumed run as a fresh one.
+//
 // Adding a workload kind is therefore one file in its own package:
 // implement Batch, call Register in init, and the kind immediately works
 // with `scenario`-style streaming, `-checkpoint/-resume`, and `sweepd`

@@ -253,7 +253,7 @@ func checkpointResumed(t *testing.T, b work.Batch) []byte {
 	if err := work.Run(t.Context(), b, work.Options{Workers: 2, Journal: jr, Done: done}, &resumed); err != nil {
 		t.Fatal(err)
 	}
-	prefix := append([]byte{}, done[0]...)
+	prefix := append([]byte{}, done[0].Line...)
 	prefix = append(prefix, '\n')
 	return append(prefix, resumed.Bytes()...)
 }
@@ -289,7 +289,7 @@ func distributed(t *testing.T, b work.Batch) []byte {
 		w := &dist.Worker{
 			Coordinator: srv.URL,
 			ID:          fmt.Sprintf("equiv-w%d", i),
-			Exec:        dist.RegistryExecutor(1),
+			Exec:        dist.RegistryExecutor(1, nil),
 			Client:      srv.Client(),
 			Poll:        5 * time.Millisecond,
 		}

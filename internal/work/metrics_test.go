@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/dist/journal"
 	"repro/internal/obs"
 )
 
@@ -71,9 +72,9 @@ func TestCollectMetricsPopulated(t *testing.T) {
 // the instruments — a resumed run's counters cover exactly the remainder.
 func TestResumeMetricsCountOnlyExecuted(t *testing.T) {
 	reg := obs.NewRegistry()
-	done := map[int]json.RawMessage{
-		0: json.RawMessage(`{"i":0}`),
-		2: json.RawMessage(`{"i":2}`),
+	done := []journal.Entry{
+		{I: 0, Line: json.RawMessage(`{"i":0}`)},
+		{I: 2, Line: json.RawMessage(`{"i":2}`)},
 	}
 	var buf bytes.Buffer
 	if err := Run(t.Context(), toy(5), Options{Workers: 2, Metrics: reg, Done: done}, &buf); err != nil {

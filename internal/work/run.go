@@ -28,17 +28,17 @@ type Options struct {
 	// written to the sink, so a killed run can resume (Run only; Collect
 	// does not checkpoint).
 	Journal *journal.Journal
-	// Done carries the lines a previous run already completed, keyed by
-	// input index (journal replay via OpenJournal). Covered indices are
+	// Done carries the entries a previous run already completed, sorted
+	// by input index (journal replay via OpenJournal). Covered indices are
 	// neither re-executed nor re-emitted: a resumed run's output is
 	// exactly the remainder, in input order.
-	Done map[int]json.RawMessage
-	// Observe, when non-nil, sees every line this run emits — after it is
-	// journaled, before it is written to the sink — keyed by input index.
-	// CLI-level reductions (the grid frontier) hook in here instead of
-	// re-parsing the sink's stream; lines replayed via Done are not
-	// observed (the caller already holds them). Run only; Collect returns
-	// its lines and ignores Observe.
+	Done []journal.Entry
+	// Observe, when non-nil, sees every line of the batch keyed by input
+	// index: first each entry of Done, in input order, then every line
+	// this run emits — after it is journaled, before it is written to the
+	// sink. CLI-level reductions (the grid frontier) hook in here instead
+	// of re-parsing the sink's stream, and see a resumed run exactly as a
+	// fresh one. Run only; Collect returns its lines and ignores Observe.
 	Observe func(i int, line json.RawMessage)
 	// Metrics, when non-nil, receives driver instrumentation: a sampled
 	// per-item latency histogram keyed (kind, fidelity), exact
@@ -61,8 +61,8 @@ type Options struct {
 // (journal-before-emit: the journal, not the consumer's copy of the
 // stream, is the authoritative record — a crash between the two leaves the
 // line recoverable rather than emitted-but-unjournaled). Indices in o.Done
-// are skipped entirely; when everything is already journaled, Run returns
-// immediately having emitted nothing.
+// are observed but never re-run or re-emitted; when everything is already
+// journaled, Run returns having emitted nothing.
 //
 // On success the concatenation of the skipped journal lines and the bytes
 // written to w is byte-identical to a sequential, uncheckpointed run at
@@ -78,15 +78,21 @@ func Run(ctx context.Context, b Batch, o Options, w io.Writer) error {
 	// identity mapping — the fresh-run case keeps memory independent of
 	// the item count (lazily-expanded grid batches run millions of items
 	// in one process); only a resume, whose journal is already O(done),
-	// materializes the remainder.
+	// materializes the remainder, in one merge walk over the sorted Done.
 	var pending []int
 	npending := n
 	if len(o.Done) > 0 {
 		pending = make([]int, 0, n)
+		done := o.Done
 		for i := 0; i < n; i++ {
-			if _, ok := o.Done[i]; !ok {
+			if len(done) == 0 || done[0].I != i {
 				pending = append(pending, i)
+				continue
 			}
+			if o.Observe != nil {
+				o.Observe(i, done[0].Line)
+			}
+			done = done[1:]
 		}
 		if len(pending) == 0 {
 			return nil
@@ -193,26 +199,14 @@ func Header(b Batch) (journal.Header, error) {
 }
 
 // OpenJournal opens the checkpoint journal for a batch: a fresh journal
-// when resume is false, otherwise an existing one replayed (its lines
-// return as the map for Options.Done) after verifying it belongs to
-// exactly this batch — kind, content hash, and item count all match, or
-// the resume is refused.
-func OpenJournal(path string, b Batch, resume bool) (*journal.Journal, map[int]json.RawMessage, error) {
+// when resume is false, otherwise an existing one replayed (its entries
+// return sorted by input index, ready for Options.Done) after verifying it
+// belongs to exactly this batch — kind, content hash, and item count all
+// match, or the resume is refused.
+func OpenJournal(path string, b Batch, resume bool) (*journal.Journal, []journal.Entry, error) {
 	h, err := Header(b)
 	if err != nil {
 		return nil, nil, err
 	}
 	return journal.Open(path, h, resume)
-}
-
-// ReplayJournal reads a batch's checkpoint journal without modifying it
-// and returns the completed lines keyed by input index — the read side
-// `sweepd journal` uses to reassemble a result set from the authoritative
-// record. The header is verified exactly as on resume.
-func ReplayJournal(path string, b Batch) (map[int]json.RawMessage, error) {
-	h, err := Header(b)
-	if err != nil {
-		return nil, err
-	}
-	return journal.Replay(path, h)
 }

@@ -131,15 +131,21 @@ func TestRunCheckpointResume(t *testing.T) {
 		t.Fatalf("fully journaled batch re-emitted %q", again.String())
 	}
 
-	// Partial replay (indices 0 and 3): the run emits exactly the others.
-	partial := map[int]json.RawMessage{0: done[0], 3: done[3]}
-	var rest bytes.Buffer
-	if err := Run(t.Context(), b, Options{Workers: 2, Done: partial}, &rest); err != nil {
+	// Partial replay (indices 0 and 3): the run emits exactly the others,
+	// and Observe sees the replayed entries first, then the fresh lines.
+	partial := []journal.Entry{done[0], done[3]}
+	var rest, observed bytes.Buffer
+	observe := func(i int, line json.RawMessage) { fmt.Fprintf(&observed, "%d=%s ", i, line) }
+	if err := Run(t.Context(), b, Options{Workers: 2, Done: partial, Observe: observe}, &rest); err != nil {
 		t.Fatal(err)
 	}
 	want := `{"i":1}` + "\n" + `{"i":2}` + "\n" + `{"i":4}` + "\n" + `{"i":5}` + "\n"
 	if rest.String() != want {
 		t.Errorf("resumed run:\n got: %q\nwant: %q", rest.String(), want)
+	}
+	wantObserved := `0={"i":0} 3={"i":3} 1={"i":1} 2={"i":2} 4={"i":4} 5={"i":5} `
+	if observed.String() != wantObserved {
+		t.Errorf("observed:\n got: %q\nwant: %q", observed.String(), wantObserved)
 	}
 }
 
@@ -161,15 +167,19 @@ func TestReplayJournalReadsWithoutTruncating(t *testing.T) {
 	}
 	jr.Close()
 
-	done, err := ReplayJournal(path, b)
+	h, err := Header(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(done) != 1 || string(done[0]) != `{"i":0}` {
+	done, err := journal.Replay(path, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != 1 || done[0].I != 0 || string(done[0].Line) != `{"i":0}` {
 		t.Fatalf("replayed %v", done)
 	}
 	// A second replay still sees the same file (nothing was truncated).
-	if _, err := ReplayJournal(path, b); err != nil {
+	if _, err := journal.Replay(path, h); err != nil {
 		t.Fatal(err)
 	}
 }
