@@ -18,8 +18,8 @@ help: ## list the Makefile verbs and what they do
 	@grep -E '^[a-zA-Z_-]+:.*?## ' $(MAKEFILE_LIST) | awk 'BEGIN {FS = ":.*?## "}; {printf "  %-14s %s\n", $$1, $$2}'
 
 # ci is the gate: formatting, module tidiness, vet, staticcheck, the
-# repository's own analyzer suite, build, race-enabled tests, a bounded
-# fuzzing run, and a one-iteration pass over every benchmark as a
+# repository's own analyzer suite, build, race-enabled tests, bounded
+# fuzzing runs, and a one-iteration pass over every benchmark as a
 # compile-and-run check —
 # the same chain .github/workflows/ci.yml runs, so a green `make ci`
 # means a green CI run. (CI's benchmark-regression gate needs a
@@ -73,11 +73,14 @@ test: ## run the tier-1 test suite
 race: ## run the test suite under the race detector
 	$(GO) test -race ./...
 
-# fuzz runs the journal reader's fuzz target for a bounded time. Its seed
-# corpus (and any committed crasher under testdata/fuzz) already runs in
-# every plain `go test`; this explores beyond it.
-fuzz: ## fuzz the checkpoint-journal reader for 20s
+# fuzz runs each fuzz target for a bounded time, one after the other
+# (`go test -fuzz` takes one target per run): the journal reader's, then
+# the wire decoders'. Their seed corpora (and any committed crasher under
+# testdata/fuzz) already run in every plain `go test`; this explores
+# beyond them.
+fuzz: ## fuzz the checkpoint-journal reader and the wire decoders for 20s each
 	$(GO) test ./internal/dist/journal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 20s
+	$(GO) test ./internal/work -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 20s
 
 # bench-compile runs every benchmark exactly once — cheap enough for CI,
 # and it catches benchmarks that bit-rot against API changes.

@@ -27,6 +27,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/trace"
+	"repro/internal/work"
 )
 
 // Shared fixtures, built once outside the timed regions.
@@ -305,7 +306,8 @@ func BenchmarkMissMatrixParallel(b *testing.B) {
 }
 
 // BenchmarkBatchScenarios measures the multi-scenario batch runner end to
-// end on the checked-in example batch.
+// end on the checked-in example batch: work.Collect over the batch, the
+// path `scenario`'s buffered mode runs.
 func BenchmarkBatchScenarios(b *testing.B) {
 	f, err := os.Open("examples/scenarios.json")
 	if err != nil {
@@ -318,7 +320,7 @@ func BenchmarkBatchScenarios(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := scenario.RunBatchCtx(b.Context(), batch, 0); err != nil {
+		if _, err := work.Collect(b.Context(), batch, work.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -433,10 +433,10 @@ func refineProgress(w io.Writer) func(phase string, done, total int) {
 
 // renderBatchDoc reassembles the driver's NDJSON lines into the buffered
 // {"scenarios": [...]} document, with an optional "frontier" field when a
-// grid run computed one. The result is byte-identical to marshalling a
-// scenario.BatchResult with two-space indentation: MarshalIndent is
-// Marshal followed by Indent, and each driver line is already the compact
-// marshal of its result.
+// grid run computed one. The result is byte-identical to marshalling the
+// results array with two-space indentation: MarshalIndent is Marshal
+// followed by Indent, and each driver line is already the compact marshal
+// of its result.
 func renderBatchDoc(lines [][]byte, frontier []byte) (string, error) {
 	var compact bytes.Buffer
 	compact.WriteString(`{"scenarios":[`)

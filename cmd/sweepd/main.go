@@ -15,13 +15,10 @@
 // or, with -experiments, units of the experiment registry emitting the
 // same {"id","ascii","csv"} frames as `figures -stream`.
 //
-// For experiment units the lease response declares the coordinator's
-// environment scale (accesses/seed/MinR2/fidelity — the scale the batch
-// hash pins); `sweepd work` verifies it against its own
-// -quick/-accesses/-fidelity configuration and hard-fails on mismatch,
-// so a misconfigured worker exits with a diagnostic instead of silently
-// blending two simulation scales (or miss-matrix fidelities) into one
-// result set.
+// Every unit is self-contained: an experiments unit names its artifact
+// IDs and the environment scale (accesses/seed/MinR2/fidelity — the scale
+// the batch hash pins) it runs at, so `sweepd work` takes no scale flags
+// and one fleet runs batches of any scale.
 //
 // The coordinator is crash-tolerant on both sides: a worker that dies
 // mid-unit loses only its lease (the unit is re-leased when the lease
@@ -141,14 +138,14 @@ func registerInputFlags(fs *flag.FlagSet, o *inputOptions) {
 	fs.StringVar(&o.grid, "grid", "", "grid spec JSON file; expands into the full design-space point product")
 	fs.BoolVar(&o.experiments, "experiments", false, "work on experiment-registry units instead of a scenario batch")
 	fs.StringVar(&o.ids, "ids", "", "comma-separated experiment IDs with -experiments (default: the whole registry)")
-	fs.BoolVar(&o.quick, "quick", false, "pin the experiments batch to the quick environment scale (match the fleet and any figures checkpoint)")
+	fs.BoolVar(&o.quick, "quick", false, "pin the experiments batch to the quick environment scale (match any figures checkpoint)")
 	fs.IntVar(&o.accesses, "accesses", 0, "pin the experiments batch to this trace length (0 = profile default)")
 	fs.StringVar(&o.fidelity, "fidelity", "", `pin the experiments batch to this miss-matrix fidelity: "trace" (default) or "analytical"`)
 }
 
 // experimentsEnv resolves the environment scale the input flags declare —
-// the scale the batch hash pins, which must match the fleet's execution
-// scale and any `figures -checkpoint` journal being resumed or replayed.
+// the scale the batch hash pins and its units carry, which must match any
+// `figures -checkpoint` journal being resumed or replayed.
 func experimentsEnv(o inputOptions) *exp.Env {
 	env := exp.NewEnv()
 	if o.quick {
@@ -426,24 +423,13 @@ func runServe(ctx context.Context, args []string, stdin io.Reader, stdout, stder
 // has ever admitted is re-queued on start, so a crashed or restarted
 // service resumes exactly where the store left off.
 func runServeStore(ctx context.Context, o serveOptions, stderr io.Writer) int {
-	in := o.input
 	switch {
-	case in.file != "" || in.grid != "" || in.experiments || in.ids != "":
-		fmt.Fprintln(stderr, "sweepd: -store mode takes no workload flags (-f/-grid/-experiments/-ids); submit batches with `sweepd submit`")
+	case o.input != inputOptions{}:
+		fmt.Fprintln(stderr, "sweepd: -store mode takes no workload flags (-f/-grid/-experiments/-ids/-quick/-accesses/-fidelity); submit batches with `sweepd submit`")
 		return 2
 	case o.checkpoint != "" || o.resume:
 		fmt.Fprintln(stderr, "sweepd: -store replaces -checkpoint/-resume (the store journals every batch; restart resumes automatically)")
 		return 2
-	case !profile.ValidFidelity(in.fidelity):
-		fmt.Fprintf(stderr, "sweepd: unknown -fidelity %q (want %q or %q)\n",
-			in.fidelity, profile.FidelityTrace, profile.FidelityAnalytical)
-		return 2
-	}
-	if in.quick || in.accesses > 0 || in.fidelity != "" {
-		// The scale flags pin the process environment that experiment
-		// batches decoded from submissions hash against — the whole fleet
-		// (and every submitter) must declare the same scale.
-		exp.SetProcessEnv(func() *exp.Env { return experimentsEnv(in) })
 	}
 	ctx, cancel := cli.WithTimeout(ctx, o.timeout)
 	defer cancel()
@@ -682,9 +668,6 @@ type workOptions struct {
 	workers     int
 	poll        time.Duration
 	token       string
-	quick       bool
-	accesses    int
-	fidelity    string
 	progress    bool
 	timeout     time.Duration
 	metricsAddr string
@@ -699,9 +682,6 @@ func runWork(ctx context.Context, args []string, _ io.Reader, _, stderr io.Write
 	fs.IntVar(&o.workers, "workers", 0, "concurrent items within a unit (0 = GOMAXPROCS)")
 	fs.DurationVar(&o.poll, "poll", 200*time.Millisecond, "delay between lease attempts when the coordinator has nothing free")
 	fs.StringVar(&o.token, "token", "", "shared secret sent as Authorization: Bearer (match the coordinator's -token)")
-	fs.BoolVar(&o.quick, "quick", false, "execute experiment units against the quick environment (the whole fleet must agree)")
-	fs.IntVar(&o.accesses, "accesses", 0, "execute experiment units at this trace length (0 = profile default; the whole fleet must agree)")
-	fs.StringVar(&o.fidelity, "fidelity", "", `execute experiment units at this miss-matrix fidelity: "trace" (default) or "analytical" (the whole fleet must agree)`)
 	fs.BoolVar(&o.progress, "progress", false, "report per-unit completion on stderr")
 	fs.DurationVar(&o.timeout, "timeout", 0, "stop working after this duration (0 = unbounded)")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve this worker's /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9091; empty = off)")
@@ -712,21 +692,12 @@ func runWork(ctx context.Context, args []string, _ io.Reader, _, stderr io.Write
 		fmt.Fprintln(stderr, "sweepd: work requires -coordinator")
 		return 2
 	}
-	if !profile.ValidFidelity(o.fidelity) {
-		fmt.Fprintf(stderr, "sweepd: unknown -fidelity %q (want %q or %q)\n",
-			o.fidelity, profile.FidelityTrace, profile.FidelityAnalytical)
-		return 2
-	}
 	if o.id == "" {
 		host, err := os.Hostname()
 		if err != nil {
 			host = "worker"
 		}
 		o.id = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	if o.quick || o.accesses > 0 || o.fidelity != "" {
-		scale := inputOptions{quick: o.quick, accesses: o.accesses, fidelity: o.fidelity}
-		exp.SetProcessEnv(func() *exp.Env { return experimentsEnv(scale) })
 	}
 	ctx, cancel := cli.WithTimeout(ctx, o.timeout)
 	defer cancel()
@@ -754,10 +725,6 @@ func runWork(ctx context.Context, args []string, _ io.Reader, _, stderr io.Write
 		Exec:        dist.RegistryExecutor(o.workers, reg),
 		Poll:        o.poll,
 		Token:       o.token,
-		// Hard-fail when the coordinator's declared experiment scale does
-		// not match this process's -quick/-accesses configuration — a
-		// mixed-scale fleet must be a loud error, not blended results.
-		VerifyEnv: exp.VerifyScale,
 	}
 	w.OnUnit = func(u dist.Unit) {
 		man.Kind = u.Kind

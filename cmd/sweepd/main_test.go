@@ -182,9 +182,9 @@ func TestServeCheckpointResume(t *testing.T) {
 }
 
 // TestServeExperimentsMatchesDriver checks the experiments serve mode at
-// the binary level: serve -experiments plus a -quick worker emit the same
-// NDJSON frames the unified driver produces for the same selection with a
-// quick environment.
+// the binary level: serve -experiments -quick plus a worker with no scale
+// flags emit the same NDJSON frames the unified driver produces for the
+// same selection with a quick environment.
 func TestServeExperimentsMatchesDriver(t *testing.T) {
 	wb, err := exp.NewBatch([]string{"tab-fit"}, exp.NewQuickEnv())
 	if err != nil {
@@ -197,7 +197,7 @@ func TestServeExperimentsMatchesDriver(t *testing.T) {
 
 	ctx := t.Context()
 	url, wait := startServe(t, ctx, []string{"-experiments", "-ids", "tab-fit", "-quick"}, "")
-	if code := runWorkCmd(t, ctx, url, "w0", "-quick"); code != 0 {
+	if code := runWorkCmd(t, ctx, url, "w0"); code != 0 {
 		t.Fatalf("worker: exit %d", code)
 	}
 	code, stdout := wait()
@@ -624,6 +624,54 @@ func TestServeStoreServiceLifecycle(t *testing.T) {
 	}
 }
 
+// TestSubmitExperimentsRunsAtItsScale submits an experiments batch at a
+// non-default scale to a default `serve -store` drained by a worker with
+// no flags: the units carry the scale, so the service admits exactly the
+// batch the submitter built and the worker runs it at that scale.
+func TestSubmitExperimentsRunsAtItsScale(t *testing.T) {
+	env := exp.NewQuickEnv()
+	env.Accesses = 30000
+	wb, err := exp.NewBatch([]string{"tab-missrates"}, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := wb.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := work.Run(t.Context(), wb, work.Options{Workers: 1}, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	sctx, stopServe := context.WithCancel(t.Context())
+	url, wait := startServeStore(t, sctx, t.TempDir())
+	wctx, stopWorker := context.WithCancel(t.Context())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		runWorkCmd(t, wctx, url, "w0")
+	}()
+	code, stdout, stderr := runSubmitCmd(t, t.Context(), url, "",
+		"-experiments", "-ids", "tab-missrates", "-quick", "-accesses", "30000", "-results")
+	stopWorker()
+	wg.Wait()
+	stopServe()
+	if c, _ := wait(); c != 0 {
+		t.Errorf("serve -store: exit %d", c)
+	}
+	if code != 0 {
+		t.Fatalf("submit: exit %d, stderr: %s", code, stderr)
+	}
+	if id := store.BatchID(exp.WorkKind, hash); !strings.Contains(stderr, "batch "+id+":") {
+		t.Errorf("submit ack must name batch %s: %q", id, stderr)
+	}
+	if stdout != want.String() {
+		t.Errorf("submitted experiments differ from the driver run:\n got: %q\nwant: %q", stdout, want.String())
+	}
+}
+
 // TestJournalReadsSingleProcessCheckpointInStore pins the other direction
 // of the format bridge at the binary level: a checkpoint journal written
 // by the single-process driver, dropped into a store directory under the
@@ -733,6 +781,12 @@ func TestFlagAndDispatchErrors(t *testing.T) {
 	}
 	if code := run(t.Context(), []string{"serve", "-store", "d", "-fidelity", "bogus"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
 		t.Errorf("serve -store with bad -fidelity: exit %d, want 2", code)
+	}
+	if code := run(t.Context(), []string{"serve", "-store", "d", "-quick"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
+		t.Errorf("serve -store with -quick: exit %d, want 2", code)
+	}
+	if code := run(t.Context(), []string{"work", "-coordinator", "http://x", "-quick"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
+		t.Errorf("work -quick: exit %d, want 2", code)
 	}
 	if code := run(t.Context(), []string{"submit", "-f", "b.json"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
 		t.Errorf("submit without -coordinator: exit %d, want 2", code)

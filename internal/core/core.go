@@ -31,7 +31,6 @@ import (
 	"repro/internal/charlib"
 	"repro/internal/components"
 	"repro/internal/device"
-	"repro/internal/exp"
 	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/opt"
@@ -257,11 +256,3 @@ func (h *HierarchyDesign) OptimizeTuples(ctx context.Context, budget opt.TupleBu
 	}
 	return h.MemorySystem().OptimizeTuplesCtx(ctx, budget, vthCands, toxCands, amatBudget)
 }
-
-// Experiments returns a fully configured experiment harness for
-// regenerating the paper's figures and tables at production scale.
-func Experiments() *exp.Env { return exp.NewEnv() }
-
-// QuickExperiments returns the harness with shorter simulations (tests,
-// demos).
-func QuickExperiments() *exp.Env { return exp.NewQuickEnv() }

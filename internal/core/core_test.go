@@ -146,12 +146,3 @@ func TestHierarchyOptimizeTuples(t *testing.T) {
 		t.Errorf("used %d Tox values", got)
 	}
 }
-
-func TestExperimentHandlesExist(t *testing.T) {
-	if Experiments() == nil || QuickExperiments() == nil {
-		t.Fatal("experiment constructors returned nil")
-	}
-	if Experiments().Accesses <= QuickExperiments().Accesses {
-		t.Error("production env should simulate more accesses than quick env")
-	}
-}

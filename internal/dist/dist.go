@@ -42,12 +42,6 @@ type LeaseResponse struct {
 	// Unit is the leased work unit, nil when Done or when all remaining
 	// units are leased to other workers.
 	Unit *Unit `json:"unit,omitempty"`
-	// Env, present only alongside Unit, is the batch's declared
-	// environment (work.EnvDescriber) — for the experiments kind, the
-	// simulation scale the batch hash pins. Workers with a VerifyEnv
-	// hook check it against their local environment and hard-fail on
-	// mismatch instead of silently blending scales into one result set.
-	Env json.RawMessage `json:"env,omitempty"`
 	// LeaseTTLMS is the lease duration; workers heartbeat a few times per
 	// TTL to keep the lease alive.
 	LeaseTTLMS int64 `json:"lease_ttl_ms,omitempty"`

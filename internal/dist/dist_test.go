@@ -624,12 +624,12 @@ func leaseRaw(t *testing.T, srv *httptest.Server, worker string) LeaseResponse {
 // real evaluation: unknown IDs fail batch construction, and the units the
 // service leases carry the right registry slice.
 func TestExperimentsSpec(t *testing.T) {
-	if _, err := exp.NewBatch([]string{"fig1", "no-such-artifact"}, nil); err == nil ||
+	if _, err := exp.NewBatch([]string{"fig1", "no-such-artifact"}, exp.NewEnv()); err == nil ||
 		!strings.Contains(err.Error(), "no-such-artifact") {
 		t.Fatalf("unknown id must fail batch construction, got %v", err)
 	}
 	ids := []string{"fig1", "fig2", "tab-l1"}
-	b, err := exp.NewBatch(ids, nil)
+	b, err := exp.NewBatch(ids, exp.NewEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,6 +716,33 @@ func TestRequestBodyCaps(t *testing.T) {
 	got, verdict, werr := drive(t, s, srv, id, stop, 1, toyExec(-1))
 	if verdict != nil || werr != nil || got != toyWant(4) {
 		t.Errorf("batch after over-cap requests: verdict %v, workers %v, output %q", verdict, werr, got)
+	}
+}
+
+// TestOverCapResultFailsBatch checks a unit whose result body is over the
+// cap fails its batch: the lines are deterministic, so every worker the
+// unit is re-leased to would hit the same 413 and the batch would never
+// end.
+func TestOverCapResultFailsBatch(t *testing.T) {
+	s, srv, id, _ := batchService(t, toyBatch{4}, ServiceConfig{Units: 2})
+	lease := leaseRaw(t, srv, "w0")
+	if lease.Unit == nil {
+		t.Fatalf("lease = %+v", lease)
+	}
+	path := fmt.Sprintf("/v1/result?worker=w0&batch=%s&unit=%d", id, lease.Unit.ID)
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"i":0}`))
+	req.ContentLength = maxResultBody + 1
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap result: %d %q, want 413", rec.Code, rec.Body.String())
+	}
+	if st := s.Status().Batches[0]; st.State != BatchFailed {
+		t.Fatalf("batch after an over-cap result: %+v, want failed", st)
+	}
+	limit := fmt.Sprintf("%d-byte cap", maxResultBody)
+	if _, err := results(t.Context(), s, id); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Errorf("Results = %v, want an error naming the %s", err, limit)
 	}
 }
 

@@ -1,21 +1,21 @@
 package dist
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
-	"fmt"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/exp"
+	"repro/internal/sweep"
 )
 
-// TestLeaseCarriesBatchEnv checks the environment rides on the lease: a
-// unit of an EnvDescriber batch carries the batch's declared environment,
-// and a unit of a self-contained kind carries none.
+// TestLeaseCarriesBatchEnv checks an experiments unit is self-contained:
+// its payload decodes to the batch's environment scale, so a worker runs
+// it at that scale with no configuration of its own, while a unit of
+// another kind carries its payload unchanged.
 func TestLeaseCarriesBatchEnv(t *testing.T) {
 	env := exp.NewQuickEnv()
+	env.Fidelity = "analytical"
 	eb, err := exp.NewBatch([]string{"fig1", "fig2"}, env)
 	if err != nil {
 		t.Fatal(err)
@@ -31,80 +31,19 @@ func TestLeaseCarriesBatchEnv(t *testing.T) {
 		t.Fatalf("first lease = %+v", lease)
 	}
 	var scale exp.Scale
-	if err := json.Unmarshal(lease.Env, &scale); err != nil {
-		t.Fatalf("lease env %s: %v", lease.Env, err)
+	if err := json.Unmarshal(lease.Unit.Payload, &scale); err != nil {
+		t.Fatalf("unit payload %s: %v", lease.Unit.Payload, err)
 	}
 	if want := exp.ScaleOf(env); scale != want {
-		t.Errorf("lease declares %v, want %v", scale, want)
+		t.Errorf("unit payload carries scale %+v, want %+v", scale, want)
 	}
 
-	if lease := leaseRaw(t, srv, "w0"); lease.Unit == nil || lease.Unit.Kind != "toy" || lease.Env != nil {
-		t.Errorf("self-contained kind's lease = %+v (env %s), want a toy unit without env", lease, lease.Env)
-	}
-}
-
-// toyEnvBatch is a toy batch that declares a process environment.
-type toyEnvBatch struct {
-	toyBatch
-	env json.RawMessage
-}
-
-func (b toyEnvBatch) DescribeEnv() (json.RawMessage, error) { return b.env, nil }
-
-// TestWorkerVerifyEnvHardFails pins the fleet-scale agreement: a worker
-// whose VerifyEnv rejects the batch's declared environment exits with
-// that error before executing anything — and without aborting the batch,
-// so a correctly configured peer can still finish the sweep.
-func TestWorkerVerifyEnvHardFails(t *testing.T) {
-	b := toyEnvBatch{toyBatch{4}, json.RawMessage(`{"accesses":1000000,"seed":1,"min_r2":0.97}`)}
-	s, srv, id, stop := batchService(t, b, ServiceConfig{Units: 2, LeaseTTL: 200 * time.Millisecond})
-
-	executed := false
-	bad := &Worker{
-		Coordinator: srv.URL,
-		ID:          "misconfigured",
-		Client:      srv.Client(),
-		Poll:        5 * time.Millisecond,
-		VerifyEnv: func(kind string, env json.RawMessage) error {
-			if kind != "toy" {
-				t.Errorf("VerifyEnv saw kind %q", kind)
-			}
-			if !strings.Contains(string(env), "1000000") {
-				t.Errorf("VerifyEnv saw env %s", env)
-			}
-			return fmt.Errorf("scale mismatch: fleet wants full, this worker runs -quick")
-		},
-		Exec: func(ctx context.Context, u Unit) ([][]byte, error) {
-			executed = true
-			return toyExec(-1)(ctx, u)
-		},
-	}
-	err := bad.Run(t.Context())
-	if err == nil || !strings.Contains(err.Error(), "scale mismatch") {
-		t.Fatalf("misconfigured worker returned %v, want the mismatch error", err)
-	}
-	if executed {
-		t.Error("misconfigured worker executed a unit before failing")
-	}
-
-	// The batch is not poisoned: a good worker drains it completely once
-	// the misconfigured worker's abandoned lease expires.
-	good := &Worker{
-		Coordinator: srv.URL,
-		ID:          "aligned",
-		Client:      srv.Client(),
-		Poll:        5 * time.Millisecond,
-		VerifyEnv:   func(string, json.RawMessage) error { return nil },
-		Exec:        toyExec(-1),
-	}
-	werr := make(chan error, 1)
-	go func() { werr <- good.Run(t.Context()) }()
-	got, verdict := results(t.Context(), s, id)
-	stop()
-	if err := <-werr; err != nil {
+	lease = leaseRaw(t, srv, "w0")
+	want, err := toyBatch{1}.MarshalRange(sweep.Range{Lo: 0, Hi: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if verdict != nil || got != toyWant(4) {
-		t.Errorf("reassembled output = %q (verdict %v), want %q", got, verdict, toyWant(4))
+	if lease.Unit == nil || lease.Unit.Kind != "toy" || !bytes.Equal(lease.Unit.Payload, want) {
+		t.Errorf("toy lease = %+v, want a toy unit with payload %s", lease, want)
 	}
 }

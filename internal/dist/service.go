@@ -145,7 +145,6 @@ type batchRun struct {
 	kind string
 	hash string
 	n    int
-	env  json.RawMessage
 
 	units     []*unitState
 	lines     [][]byte // per input index; nil once terminal (store has them)
@@ -366,8 +365,8 @@ func (s *Service) rateLocked(now time.Time) float64 {
 // up exactly the queue it died with, with all completed items already
 // cached. It returns how many batches came back still needing work and
 // how many were already complete; records that no longer rebuild (an
-// unregistered kind, an environment mismatch for experiment batches) are
-// logged and skipped, never fatal.
+// unregistered kind, or an experiments record written before units
+// carried their scale) are logged and skipped, never fatal.
 func (s *Service) Restore() (active, complete int) {
 	for _, rec := range s.store.Batches() {
 		b, err := work.Unmarshal(rec.Kind, rec.Payload)
@@ -429,14 +428,6 @@ func (s *Service) Submit(b work.Batch) (BatchStatus, bool, error) {
 		state:         BatchQueued,
 		handle:        h,
 		submitted:     now,
-	}
-	if ed, ok := b.(work.EnvDescriber); ok {
-		env, err := ed.DescribeEnv()
-		if err != nil {
-			h.Close()
-			return BatchStatus{}, false, err
-		}
-		br.env = env
 	}
 	for _, e := range h.Done {
 		br.lines[e.I] = e.Line
@@ -599,7 +590,7 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 				br.state = BatchRunning
 				br.started = now
 			}
-			writeJSON(w, http.StatusOK, LeaseResponse{Unit: &u.unit, Env: br.env, LeaseTTLMS: s.ttl.Milliseconds()})
+			writeJSON(w, http.StatusOK, LeaseResponse{Unit: &u.unit, LeaseTTLMS: s.ttl.Milliseconds()})
 			return
 		}
 	}
@@ -641,7 +632,9 @@ func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // but are journaled as store cache for the next overlapping submission.
 // The optional exec_ms query parameter carries the worker's measured
 // unit execution time; without it the lease age stands in, so the timing
-// stats degrade rather than vanish against old workers.
+// stats degrade rather than vanish against old workers. A body over the
+// cap from the unit's lease holder fails the batch before the 413: a
+// unit's lines are deterministic, so no worker could ever upload them.
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	worker := q.Get("worker")
@@ -653,22 +646,35 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	execMS, execErr := strconv.ParseFloat(q.Get("exec_ms"), 64)
 	haveExec := execErr == nil && execMS >= 0
-	body, ok := readBody(w, r, maxResultBody)
-	if !ok {
+	body, code, readErr := readBody(w, r, maxResultBody)
+	if readErr != nil && code != http.StatusRequestEntityTooLarge {
+		writeJSON(w, code, map[string]string{"error": readErr.Error()})
 		return
 	}
-	lines := splitNDJSON(body)
 
 	now := s.clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ws := s.noteWorkerLocked(worker, now)
 	br, ok := s.byID[batch]
-	if !ok || unitID < 0 || unitID >= len(br.units) {
+	var u *unitState
+	if ok && unitID >= 0 && unitID < len(br.units) {
+		u = br.units[unitID]
+	}
+	if readErr != nil {
+		if u != nil && br.active() && u.state == unitLeased && u.worker == worker {
+			msg := fmt.Sprintf("unit %d result body is over the %d-byte cap", unitID, maxResultBody)
+			s.finishLocked(br, BatchFailed, msg, now)
+			s.logf("batch %s: failed: %s", br.id, msg)
+		}
+		writeJSON(w, code, map[string]string{"error": readErr.Error()})
+		return
+	}
+	if u == nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "unknown unit"})
 		return
 	}
-	u := br.units[unitID]
+	lines := splitNDJSON(body)
 	if got, want := len(lines), u.unit.Range.Len(); got != want {
 		writeJSON(w, http.StatusBadRequest, map[string]string{
 			"error": fmt.Sprintf("unit %d wants %d result lines, got %d", unitID, want, got),
@@ -1138,16 +1144,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// readBody drains a request body of at most limit bytes. It answers the
-// request itself and reports false when the body is over the cap (413 —
-// without reading it when the declared length already is) or cannot be
-// read (400).
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+// readBody drains a request body of at most limit bytes. On failure it
+// returns the status to answer with: 413 when the body is over the cap
+// (without reading it when the declared length already is), 400 when it
+// cannot be read.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
 	if r.ContentLength > limit {
-		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
-			"error": fmt.Sprintf("request body of %d bytes is over the %d-byte cap", r.ContentLength, limit),
-		})
-		return nil, false
+		return nil, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body of %d bytes is over the %d-byte cap", r.ContentLength, limit)
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
@@ -1156,18 +1160,18 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 		if errors.As(err, &tooBig) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, code, map[string]string{"error": fmt.Sprintf("reading request body: %v", err)})
-		return nil, false
+		return nil, code, fmt.Errorf("reading request body: %v", err)
 	}
-	return body, true
+	return body, http.StatusOK, nil
 }
 
 // decodeBody reads a JSON request body of at most limit bytes into v. It
 // answers the request itself and reports false when the body is over the
 // cap (413) or does not decode (400 with msg).
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, msg string) bool {
-	body, ok := readBody(w, r, limit)
-	if !ok {
+	body, code, err := readBody(w, r, limit)
+	if err != nil {
+		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {

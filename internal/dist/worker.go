@@ -58,16 +58,6 @@ type Worker struct {
 	// Poll is the fallback delay between lease attempts when the
 	// coordinator is busy and did not hint one (0 = 200ms).
 	Poll time.Duration
-	// VerifyEnv, when non-nil, checks the coordinator's declared batch
-	// environment (LeaseResponse.Env, forwarded with every granted lease)
-	// against this worker's local state before a unit executes — e.g.
-	// exp.VerifyScale compares the fleet's experiment scale to the local
-	// -quick/-accesses configuration. A verification error is local
-	// misconfiguration, not bad work: the worker exits with the error
-	// without aborting the batch, and the abandoned lease expires (up to
-	// one lease TTL) before a correctly configured peer picks the unit
-	// up. Leases that carry no environment skip the check.
-	VerifyEnv func(kind string, env json.RawMessage) error
 	// OnUnit, when non-nil, observes each successfully reported unit —
 	// sweepd uses it for the work-loop ticker.
 	OnUnit func(u Unit)
@@ -121,11 +111,6 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 		default:
-			if w.VerifyEnv != nil && len(lease.Env) > 0 {
-				if err := w.VerifyEnv(lease.Unit.Kind, lease.Env); err != nil {
-					return fmt.Errorf("dist: worker %s: %w", w.ID, err)
-				}
-			}
 			err := w.runUnit(ctx, *lease.Unit, time.Duration(lease.LeaseTTLMS)*time.Millisecond)
 			switch {
 			case errors.Is(err, errLeaseLost):

@@ -45,10 +45,10 @@ type Env struct {
 	// reference); profile.FidelityAnalytical uses the stack-distance
 	// fast path, trading profile.Tolerance of miss-rate accuracy for an
 	// order-of-magnitude cheaper build. Like Accesses and Seed it is
-	// part of the environment's identity: distributed runs carry it in
-	// the Scale descriptor and refuse mixed-fidelity fleets. Set it
-	// before the first matrix is built; the memoized matrices do not
-	// rebuild on later changes.
+	// part of the environment's identity: the batch hash covers it and
+	// every distributed unit carries it in its Scale. Set it before the
+	// first matrix is built; the memoized matrices do not rebuild on
+	// later changes.
 	Fidelity string
 	// Workers bounds the experiment fan-out of AllCtx/RunExperimentsCtx
 	// and the size and budget-fraction sweeps inside an experiment: 0

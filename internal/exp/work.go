@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"sync"
 
 	"repro/internal/dist/journal"
 	"repro/internal/profile"
@@ -21,9 +19,15 @@ import (
 const WorkKind = "experiments"
 
 // workPayload is the wire form of an experiment batch: registry IDs in
-// run order.
+// run order plus the environment scale they run at. It is also exactly
+// what the content hash covers. The scenario kind gets this for free (its
+// configs embed accesses); here it makes a unit self-contained — a worker
+// runs it at the scale it names, with no configuration of its own — and
+// keeps a resume at a different scale from silently splicing two
+// simulation scales into one result set.
 type workPayload struct {
 	IDs []string `json:"ids"`
+	Scale
 }
 
 // Line is the NDJSON frame of one streamed artifact — the object `figures
@@ -41,13 +45,12 @@ func (a Artifact) NDJSONLine() ([]byte, error) {
 }
 
 // Batch is a subset of the experiment registry as a work.Batch: each item
-// is one experiment, rendering to its Line. An explicit Env pins the
-// environment (cmd/figures passes its quick/full Env); a nil Env selects
-// the shared process environment, which is what batches decoded from the
-// wire use — substrates (caches, fitted models, miss matrices) are then
-// memoized per process, so a worker fleet rebuilds them once per machine
-// instead of once total, which is exactly the point of distributing the
-// grid.
+// is one experiment, rendering to its Line, run against the batch's Env.
+// The Env's scale travels with every unit, and a batch decoded from the
+// wire takes its Env from a per-process memo keyed by that scale —
+// substrates (caches, fitted models, miss matrices) are then memoized per
+// machine and scale, so a worker fleet rebuilds them once per machine
+// instead of once per unit.
 type Batch struct {
 	ids  []string
 	exps []Experiment
@@ -64,15 +67,35 @@ func init() {
 		if err := dec.Decode(&p); err != nil {
 			return nil, fmt.Errorf("exp: work payload: %w", err)
 		}
-		return NewBatch(p.IDs, nil)
+		switch {
+		case p.Accesses <= 0:
+			return nil, fmt.Errorf("exp: work payload: accesses must be positive, got %d", p.Accesses)
+		case !profile.ValidFidelity(p.Fidelity):
+			return nil, fmt.Errorf("exp: work payload: unknown fidelity %q (want %q or %q)",
+				p.Fidelity, profile.FidelityTrace, profile.FidelityAnalytical)
+		}
+		// The build cannot fail, so Do returns no error.
+		env, _ := wireEnvs.Do(p.Scale, func() (*Env, error) {
+			e := NewEnv()
+			e.Accesses, e.Seed, e.MinR2, e.Fidelity = p.Accesses, p.Seed, p.MinR2, p.Fidelity
+			return e, nil
+		})
+		return NewBatch(p.IDs, env)
 	})
 }
 
+// wireEnvs holds the environment of every scale this process has decoded
+// a batch at, so the units of one batch — and of every batch at the same
+// scale — share memoized substrates.
+var wireEnvs sweep.Memo[Scale, *Env]
+
 // NewBatch resolves registry IDs (preserving input order) into an
-// experiment work batch. Unknown IDs fail here — on the coordinator, not
-// on some worker three machines away. env nil selects the shared process
-// environment on first RunItem.
+// experiment work batch run against env. Unknown IDs fail here — on the
+// coordinator, not on some worker three machines away.
 func NewBatch(ids []string, env *Env) (*Batch, error) {
+	if env == nil {
+		return nil, fmt.Errorf("exp: batch needs an environment")
+	}
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("exp: batch has no experiment ids")
 	}
@@ -93,9 +116,8 @@ func (b *Batch) Kind() string { return WorkKind }
 func (b *Batch) Len() int { return len(b.ids) }
 
 // Scale is the environment scale an experiments batch pins: the Env
-// knobs that change result bytes. It is what the content hash covers
-// (alongside the artifact selection) and what the dist coordinator
-// declares to the fleet with every lease.
+// knobs that change result bytes. Every unit's payload carries it, and
+// the content hash covers it alongside the artifact selection.
 type Scale struct {
 	Accesses int     `json:"accesses"`
 	Seed     int64   `json:"seed"`
@@ -111,78 +133,19 @@ func ScaleOf(e *Env) Scale {
 	return Scale{Accesses: e.Accesses, Seed: e.Seed, MinR2: e.MinR2, Fidelity: e.Fidelity}
 }
 
-// String renders the scale for diagnostics.
-func (s Scale) String() string {
-	out := fmt.Sprintf("accesses=%d seed=%d min_r2=%s",
-		s.Accesses, s.Seed, strconv.FormatFloat(s.MinR2, 'f', -1, 64))
-	if s.Fidelity != "" {
-		out += " fidelity=" + s.Fidelity
-	}
-	return out
-}
-
-// hashPayload is what the content hash covers: the artifact selection
-// plus the environment scale. The scenario kind gets this for free (its
-// configs embed accesses); here it prevents a resume at a different
-// -quick/-accesses scale from silently splicing two simulation scales
-// into one result set.
-type hashPayload struct {
-	IDs []string `json:"ids"`
-	Scale
-}
-
-// scale resolves the batch's environment scale (explicit Env or the
-// shared process environment).
-func (b *Batch) scale() Scale {
-	env := b.env
-	if env == nil {
-		env = processEnv()
-	}
-	return ScaleOf(env)
-}
-
 // Hash is the canonical content hash pinning checkpoint journals and
 // distributed runs to exactly this artifact set at exactly this
 // environment scale — resuming the same IDs with different simulation
 // parameters is refused as a batch-hash mismatch.
 func (b *Batch) Hash() (string, error) {
-	return journal.Hash(hashPayload{IDs: b.ids, Scale: b.scale()})
-}
-
-// DescribeEnv implements work.EnvDescriber: the batch's scale as JSON.
-// The dist coordinator forwards it with every lease, so a fleet worker
-// can verify its local configuration before executing a single unit.
-func (b *Batch) DescribeEnv() (json.RawMessage, error) {
-	return json.Marshal(b.scale())
-}
-
-// VerifyScale is the worker-side half of fleet environment-scale
-// agreement (dist.Worker.VerifyEnv): for experiment units it decodes the
-// coordinator's declared Scale and compares it to this process's shared
-// environment — the one `sweepd work -quick`/`-accesses` configured. A
-// mismatch is a hard error naming both scales; any other kind passes
-// (their payloads are self-contained).
-func VerifyScale(kind string, env json.RawMessage) error {
-	if kind != WorkKind {
-		return nil
-	}
-	dec := json.NewDecoder(bytes.NewReader(env))
-	dec.DisallowUnknownFields()
-	var want Scale
-	if err := dec.Decode(&want); err != nil {
-		return fmt.Errorf("exp: lease environment: %w", err)
-	}
-	if got := ScaleOf(processEnv()); got != want {
-		return fmt.Errorf("exp: environment scale mismatch: coordinator declares %v, this worker runs %v (align -quick/-accesses/-fidelity across the fleet)", want, got)
-	}
-	return nil
+	return journal.Hash(workPayload{IDs: b.ids, Scale: ScaleOf(b.env)})
 }
 
 // DescribeFidelity implements work.FidelityDescriber: the environment
 // scale's miss-matrix fidelity ("" renders as its effective meaning,
 // trace) — a metrics label only.
 func (b *Batch) DescribeFidelity() string {
-	if f := b.scale().Fidelity; f != "" {
+	if f := b.env.Fidelity; f != "" {
 		return f
 	}
 	return profile.FidelityTrace
@@ -196,7 +159,7 @@ func (b *Batch) DescribeFidelity() string {
 // each batch contains — the dist store then serves the overlap from
 // cache.
 func (b *Batch) ItemKey(i int) (string, error) {
-	h, err := journal.Hash(b.scale())
+	h, err := journal.Hash(ScaleOf(b.env))
 	if err != nil {
 		return "", err
 	}
@@ -206,21 +169,18 @@ func (b *Batch) ItemKey(i int) (string, error) {
 // RunItem executes experiment i against the batch's environment and
 // returns its compact Line.
 func (b *Batch) RunItem(ctx context.Context, i int) (json.RawMessage, error) {
-	env := b.env
-	if env == nil {
-		env = processEnv()
-	}
-	a, err := b.exps[i].Run(ctx, env)
+	a, err := b.exps[i].Run(ctx, b.env)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", b.exps[i].ID, err)
 	}
 	return a.NDJSONLine()
 }
 
-// MarshalRange renders the {"ids": [...]} payload for [r.Lo, r.Hi) — the
-// self-contained description of a distributed experiment unit.
+// MarshalRange renders the payload for [r.Lo, r.Hi) — the IDs plus the
+// batch's scale, the self-contained description of a distributed
+// experiment unit.
 func (b *Batch) MarshalRange(r sweep.Range) (json.RawMessage, error) {
-	return json.Marshal(workPayload{IDs: b.ids[r.Lo:r.Hi]})
+	return json.Marshal(workPayload{IDs: b.ids[r.Lo:r.Hi], Scale: ScaleOf(b.env)})
 }
 
 // findExperiments resolves registry IDs, preserving input order.
@@ -238,40 +198,4 @@ func findExperiments(ids []string) ([]Experiment, error) {
 		out[i] = e
 	}
 	return out, nil
-}
-
-// procEnv is the shared environment of wire-decoded experiment batches:
-// one Env per process, built lazily on first use so decoding stays cheap,
-// shared across units so memoized substrates amortize.
-var procEnv = struct {
-	mu      sync.Mutex
-	factory func() *Env
-	env     *Env
-}{factory: NewEnv}
-
-// SetProcessEnv replaces the factory for the shared process environment
-// used by experiment batches decoded from the wire, dropping any
-// environment already built. Processes executing quick sweeps (`sweepd
-// work -quick`, tests) call it before running units; the default is
-// NewEnv. Every worker of a fleet must use the same environment scale, or
-// distributed output stops being byte-identical to sequential.
-func SetProcessEnv(factory func() *Env) {
-	procEnv.mu.Lock()
-	defer procEnv.mu.Unlock()
-	if factory == nil {
-		factory = NewEnv
-	}
-	procEnv.factory = factory
-	procEnv.env = nil
-}
-
-// processEnv returns the shared process environment, building it on first
-// use.
-func processEnv() *Env {
-	procEnv.mu.Lock()
-	defer procEnv.mu.Unlock()
-	if procEnv.env == nil {
-		procEnv.env = procEnv.factory()
-	}
-	return procEnv.env
 }

@@ -12,14 +12,17 @@ import (
 // TestNewBatchResolvesRegistry pins construction: unknown IDs fail, known
 // ones resolve in input order.
 func TestNewBatchResolvesRegistry(t *testing.T) {
-	if _, err := NewBatch([]string{"fig1", "no-such-artifact"}, nil); err == nil ||
+	if _, err := NewBatch([]string{"fig1", "no-such-artifact"}, NewEnv()); err == nil ||
 		!strings.Contains(err.Error(), "no-such-artifact") {
 		t.Fatalf("unknown id must fail, got %v", err)
 	}
-	if _, err := NewBatch(nil, nil); err == nil {
+	if _, err := NewBatch(nil, NewEnv()); err == nil {
 		t.Fatal("empty id list must fail")
 	}
-	b, err := NewBatch([]string{"fig2", "fig1"}, nil)
+	if _, err := NewBatch([]string{"fig1"}, nil); err == nil {
+		t.Fatal("a batch without an environment must fail")
+	}
+	b, err := NewBatch([]string{"fig2", "fig1"}, NewEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +39,7 @@ func TestNewBatchResolvesRegistry(t *testing.T) {
 func TestWorkBatchHashPinsIDs(t *testing.T) {
 	hash := func(ids ...string) string {
 		t.Helper()
-		b, err := NewBatch(ids, nil)
+		b, err := NewBatch(ids, NewEnv())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,9 +91,11 @@ func TestWorkBatchHashPinsEnvScale(t *testing.T) {
 }
 
 // TestWorkBatchWireRoundTrip checks MarshalRange → registry Unmarshal
-// rebuilds the sub-batch the unit's range describes.
+// rebuilds the sub-batch the unit's range describes, at the batch's scale.
 func TestWorkBatchWireRoundTrip(t *testing.T) {
-	b, err := NewBatch([]string{"fig1", "fig2", "tab-l1"}, nil)
+	env := NewQuickEnv()
+	env.Fidelity = "analytical"
+	b, err := NewBatch([]string{"fig1", "fig2", "tab-l1"}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,89 +114,72 @@ func TestWorkBatchWireRoundTrip(t *testing.T) {
 	if ids := eb.IDs(); len(ids) != 2 || ids[0] != "fig2" || ids[1] != "tab-l1" {
 		t.Fatalf("decoded ids = %v", ids)
 	}
-}
-
-// TestDescribeEnvCarriesScale checks the lease-borne environment
-// description is exactly the batch's scale.
-func TestDescribeEnvCarriesScale(t *testing.T) {
-	env := NewQuickEnv()
-	env.Seed = 7
-	b, err := NewBatch([]string{"fig1"}, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc, err := b.DescribeEnv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `{"accesses":400000,"seed":7,"min_r2":0.97}`
-	if string(desc) != want {
-		t.Errorf("DescribeEnv = %s, want %s", desc, want)
+	if got, want := ScaleOf(eb.env), ScaleOf(env); got != want {
+		t.Errorf("decoded scale = %+v, want %+v", got, want)
 	}
 }
 
-// TestVerifyScale pins the worker-side fleet agreement check: matching
-// scales pass, mismatches hard-fail naming both, non-experiment kinds and
-// malformed descriptions behave sanely.
-func TestVerifyScale(t *testing.T) {
-	defer SetProcessEnv(nil)
-	SetProcessEnv(NewQuickEnv)
-	local, err := NewBatch([]string{"fig1"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc, err := local.DescribeEnv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyScale(WorkKind, desc); err != nil {
-		t.Errorf("matching scale rejected: %v", err)
+// TestWirePayloadScale pins the decoder's scale handling: a payload
+// without a scale (the form written before units carried one), a
+// non-positive trace length and an unknown fidelity are refused, and
+// every unit decoded at one scale shares one environment.
+func TestWirePayloadScale(t *testing.T) {
+	for _, payload := range []string{
+		`{"ids":["fig1"]}`,
+		`{"ids":["fig1"],"accesses":-5,"seed":1,"min_r2":0.97}`,
+		`{"ids":["fig1"],"accesses":400000,"seed":1,"min_r2":0.97,"fidelity":"clairvoyant"}`,
+		`{"ids":["fig1"],"accesses":400000,"seed":1,"min_r2":0.97,"workers":4}`,
+	} {
+		if _, err := work.Unmarshal(WorkKind, json.RawMessage(payload)); err == nil {
+			t.Errorf("payload %s accepted", payload)
+		}
 	}
 
-	fullDesc, err := func() (json.RawMessage, error) {
-		b, err := NewBatch([]string{"fig1"}, NewEnv())
+	envOf := func(payload string) *Env {
+		t.Helper()
+		b, err := work.Unmarshal(WorkKind, json.RawMessage(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b.DescribeEnv()
-	}()
-	if err != nil {
-		t.Fatal(err)
+		return b.(*Batch).env
 	}
-	err = VerifyScale(WorkKind, fullDesc)
-	if err == nil || !strings.Contains(err.Error(), "scale mismatch") ||
-		!strings.Contains(err.Error(), "accesses=1000000") || !strings.Contains(err.Error(), "accesses=400000") {
-		t.Errorf("mismatch err = %v, want both scales named", err)
+	e1 := envOf(`{"ids":["fig1"],"accesses":123456,"seed":3,"min_r2":0.97}`)
+	e2 := envOf(`{"ids":["tab-l1","fig2"],"accesses":123456,"seed":3,"min_r2":0.97}`)
+	e3 := envOf(`{"ids":["fig1"],"accesses":123456,"seed":4,"min_r2":0.97}`)
+	if e1 != e2 {
+		t.Error("units at one scale must share one environment")
 	}
-
-	// Other kinds carry self-contained payloads: nothing to verify.
-	if err := VerifyScale("scenario-batch", fullDesc); err != nil {
-		t.Errorf("non-experiment kind checked: %v", err)
+	if e1 == e3 {
+		t.Error("units at different scales must not share an environment")
 	}
-	if err := VerifyScale(WorkKind, json.RawMessage(`{"bogus":1}`)); err == nil {
-		t.Error("malformed lease environment accepted")
+	if want := (Scale{Accesses: 123456, Seed: 3, MinR2: 0.97}); ScaleOf(e1) != want {
+		t.Errorf("decoded environment scale = %+v, want %+v", ScaleOf(e1), want)
 	}
 }
 
-// TestProcessEnvSharedAndResettable checks the wire-decode environment is
-// built once per process and dropped when the factory changes.
-func TestProcessEnvSharedAndResettable(t *testing.T) {
-	defer SetProcessEnv(nil)
-	calls := 0
-	SetProcessEnv(func() *Env {
-		calls++
-		return NewQuickEnv()
-	})
-	e1 := processEnv()
-	e2 := processEnv()
-	if e1 != e2 || calls != 1 {
-		t.Fatalf("process env not shared: %d factory calls", calls)
+// TestDescribeEnvCarriesScale checks a unit's wire payload is exactly the
+// IDs plus the batch's scale.
+func TestDescribeEnvCarriesScale(t *testing.T) {
+	env := NewQuickEnv()
+	env.Seed = 7
+	b, err := NewBatch([]string{"fig1", "fig2"}, env)
+	if err != nil {
+		t.Fatal(err)
 	}
-	SetProcessEnv(func() *Env {
-		calls++
-		return NewQuickEnv()
-	})
-	if e3 := processEnv(); e3 == e1 || calls != 2 {
-		t.Fatalf("SetProcessEnv must drop the built env (calls=%d)", calls)
+	payload, err := b.MarshalRange(sweep.Range{Lo: 1, Hi: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"ids":["fig2"],"accesses":400000,"seed":7,"min_r2":0.97}`
+	if string(payload) != want {
+		t.Errorf("MarshalRange = %s, want %s", payload, want)
+	}
+}
+
+// TestNewEnvOutscalesQuickEnv pins the two environment presets apart: the
+// production environment simulates more accesses than the quick one.
+func TestNewEnvOutscalesQuickEnv(t *testing.T) {
+	if NewEnv().Accesses <= NewQuickEnv().Accesses {
+		t.Error("production env should simulate more accesses than quick env")
 	}
 }

@@ -182,6 +182,36 @@ func TestOptimalAssignmentStructure(t *testing.T) {
 	}
 }
 
+// ExhaustiveSchemeI enumerates the full cross product of candidate points —
+// exponential, usable only on coarse grids: the reference the Scheme I DP
+// is validated against.
+func ExhaustiveSchemeI(ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) Result {
+	best := infeasible(SchemeI)
+	var asgn components.Assignment
+	var recurse func(k int, delay, leak float64)
+	recurse = func(k int, delay, leak float64) {
+		if delay > delayBudget || leak >= best.LeakageW {
+			return // prune: both metrics only grow
+		}
+		if k == int(components.PartCount) {
+			best.LeakageW = leak
+			best.DelayS = delay
+			best.Assignment = asgn
+			best.Feasible = true
+			return
+		}
+		for _, op := range ops {
+			asgn[k] = op
+			best.Evaluated++
+			recurse(k+1,
+				delay+ev.PartDelayS(partID(k), op),
+				leak+ev.PartLeakageW(partID(k), op))
+		}
+	}
+	recurse(0, 0, 0)
+	return best
+}
+
 func TestSchemeIMatchesExhaustiveOnCoarseGrid(t *testing.T) {
 	l1m, _, _ := testModels(t)
 	ops := coarseOps()

@@ -189,35 +189,6 @@ func approxEq(a, b float64) bool {
 	return d <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// ExhaustiveSchemeI enumerates the full cross product of candidate points —
-// exponential, usable only on coarse grids; it exists to validate the DP.
-func ExhaustiveSchemeI(ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) Result {
-	best := infeasible(SchemeI)
-	var asgn components.Assignment
-	var recurse func(k int, delay, leak float64)
-	recurse = func(k int, delay, leak float64) {
-		if delay > delayBudget || leak >= best.LeakageW {
-			return // prune: both metrics only grow
-		}
-		if k == int(components.PartCount) {
-			best.LeakageW = leak
-			best.DelayS = delay
-			best.Assignment = asgn
-			best.Feasible = true
-			return
-		}
-		for _, op := range ops {
-			asgn[k] = op
-			best.Evaluated++
-			recurse(k+1,
-				delay+ev.PartDelayS(partID(k), op),
-				leak+ev.PartLeakageW(partID(k), op))
-		}
-	}
-	recurse(0, 0, 0)
-	return best
-}
-
 // OptimizeCtx dispatches to the scheme-specific optimizer.
 func OptimizeCtx(ctx context.Context, s Scheme, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
 	switch s {

@@ -1,12 +1,9 @@
 package scenario
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/sweep"
 )
 
 // Batch is the multi-scenario JSON schema: a top-level "scenarios" array of
@@ -76,49 +73,11 @@ func IsBatch(data []byte) bool {
 	return probe.Scenarios != nil
 }
 
-// BatchResult is the JSON-serializable outcome of a batch run, with results
-// in input order.
-type BatchResult struct {
-	Scenarios []Result `json:"scenarios"`
-}
-
-// Render formats the batch result as JSON.
-func (b BatchResult) Render() (string, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out), nil
-}
-
-// RunBatchCtx executes every scenario of the batch across at most workers
-// goroutines (0 = GOMAXPROCS). Each scenario builds its own technology,
-// caches, models and workload simulations — nothing is shared — so
-// scenarios are fully isolated and the result array is deterministic and
-// input-ordered. A failing scenario aborts the batch with its name in the
-// error; cancelling ctx stops scheduling scenarios and aborts the running
-// ones mid-simulation.
-func RunBatchCtx(ctx context.Context, b Batch, workers int) (BatchResult, error) {
-	if err := b.Validate(); err != nil {
-		return BatchResult{}, err
-	}
-	results, err := sweep.MapCtx(ctx, len(b.Scenarios), workers, func(ctx context.Context, i int) (Result, error) {
-		res, err := RunCtx(ctx, b.Scenarios[i])
-		if err != nil {
-			return Result{}, fmt.Errorf("scenario %q: %w", b.Scenarios[i].Name, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return BatchResult{}, err
-	}
-	return BatchResult{Scenarios: results}, nil
-}
-
 // NDJSONLine renders one result as a single compact JSON line (no trailing
 // newline) — the unit of the batch streaming format. The field content is
-// identical to the result's entry in a buffered BatchResult; only the
-// framing (one object per line instead of a "scenarios" array) differs.
+// identical to the result's entry in the buffered {"scenarios": [...]}
+// document; only the framing (one object per line instead of an array)
+// differs.
 func (r Result) NDJSONLine() ([]byte, error) {
 	return json.Marshal(r)
 }

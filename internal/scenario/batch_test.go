@@ -1,17 +1,60 @@
 package scenario
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 var update = flag.Bool("update", false, "regenerate golden files")
 
 const fixturePath = "../../examples/scenarios.json"
 const goldenPath = "testdata/batch.golden.json"
+
+// BatchResult is the buffered outcome of a batch run, with results in
+// input order: the reference the golden and the streaming-equivalence
+// tests compare the driver's output against.
+type BatchResult struct {
+	Scenarios []Result `json:"scenarios"`
+}
+
+// Render formats the batch result as indented JSON.
+func (b BatchResult) Render() (string, error) {
+	out, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return "", err
+	}
+	return string(out), nil
+}
+
+// RunBatchCtx executes every scenario of the batch across at most workers
+// goroutines (0 = GOMAXPROCS), each fully isolated, and collects the
+// results in input order. A failing scenario aborts the batch with its
+// name in the error; cancelling ctx stops scheduling scenarios and aborts
+// the running ones mid-simulation.
+func RunBatchCtx(ctx context.Context, b Batch, workers int) (BatchResult, error) {
+	if err := b.Validate(); err != nil {
+		return BatchResult{}, err
+	}
+	results, err := sweep.MapCtx(ctx, len(b.Scenarios), workers, func(ctx context.Context, i int) (Result, error) {
+		res, err := RunCtx(ctx, b.Scenarios[i])
+		if err != nil {
+			return Result{}, fmt.Errorf("scenario %q: %w", b.Scenarios[i].Name, err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return BatchResult{}, err
+	}
+	return BatchResult{Scenarios: results}, nil
+}
 
 func loadFixture(t *testing.T) Batch {
 	t.Helper()

@@ -39,7 +39,7 @@ func tinyExpEnv() *exp.Env {
 // fixtures returns one representative batch per registered kind. The
 // suite fails when a registered kind has no fixture, so adding a kind
 // without wiring it into the equivalence matrix is impossible.
-func fixtures(t *testing.T) map[string]work.Batch {
+func fixtures(t testing.TB) map[string]work.Batch {
 	t.Helper()
 	b, err := scenario.LoadBatch(strings.NewReader(`{"scenarios":[
 		{"name":"a","l1_kb":16,"l2_kb":256,"workload":"tpcc","accesses":20000},
@@ -81,12 +81,6 @@ func TestAllKindsEquivalentAcrossExecutionShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every registered kind through four execution shapes")
 	}
-	// Wire-decoded experiment batches execute against the shared process
-	// environment; pin it to the fixture's scale so the distributed leg
-	// computes the same numbers.
-	exp.SetProcessEnv(tinyExpEnv)
-	defer exp.SetProcessEnv(nil)
-
 	fx := fixtures(t)
 	for _, kind := range work.Kinds() {
 		if kind == "toy" {

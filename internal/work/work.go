@@ -46,19 +46,6 @@ type Batch interface {
 // MarshalRange of a batch of the same kind.
 type UnmarshalFunc func(payload json.RawMessage) (Batch, error)
 
-// EnvDescriber is an optional Batch extension for kinds whose output
-// depends on process-wide environment state that is not part of the wire
-// payload — the experiments kind's simulation scale (accesses, seed,
-// MinR2). DescribeEnv renders that state as a small JSON document; the
-// dist coordinator forwards it with every lease, and workers verify their
-// local environment against it before executing (dist.Worker.VerifyEnv) —
-// turning a mixed-scale fleet into a hard error instead of silently
-// blended results. Kinds with self-contained payloads (scenario batches,
-// grids) simply do not implement it.
-type EnvDescriber interface {
-	DescribeEnv() (json.RawMessage, error)
-}
-
 // ItemKeyer is an optional Batch extension for kinds whose items carry a
 // content identity of their own, finer than the batch hash. ItemKey
 // returns a stable key for item i with one contract: two items with equal
