@@ -74,13 +74,14 @@ race: ## run the test suite under the race detector
 	$(GO) test -race ./...
 
 # fuzz runs each fuzz target for a bounded time, one after the other
-# (`go test -fuzz` takes one target per run): the journal reader's, then
-# the wire decoders'. Their seed corpora (and any committed crasher under
-# testdata/fuzz) already run in every plain `go test`; this explores
-# beyond them.
-fuzz: ## fuzz the checkpoint-journal reader and the wire decoders for 20s each
+# (`go test -fuzz` takes one target per run): the journal reader's, the
+# wire decoders', then the store's items.idx loader. Their seed corpora
+# (and any committed crasher under testdata/fuzz) already run in every
+# plain `go test`; this explores beyond them.
+fuzz: ## fuzz the journal reader, the wire decoders and the store index loader for 20s each
 	$(GO) test ./internal/dist/journal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 20s
 	$(GO) test ./internal/work -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 20s
+	$(GO) test ./internal/dist/store -run '^$$' -fuzz '^FuzzOpenIndex$$' -fuzztime 20s
 
 # bench-compile runs every benchmark exactly once — cheap enough for CI,
 # and it catches benchmarks that bit-rot against API changes.

@@ -442,7 +442,7 @@ func BenchmarkExtensions(b *testing.B) {
 	warmMissMatrix(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fixEnv.ExtensionsCtx(b.Context()); err != nil {
+		if _, err := fixEnv.RunExperimentsCtx(b.Context(), exp.Extensions()); err != nil {
 			b.Fatal(err)
 		}
 	}

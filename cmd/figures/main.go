@@ -2,8 +2,20 @@
 // evaluation and writes them as ASCII (stdout) and CSV files. Experiments
 // fan out across the sweep engine; output is identical at any worker count.
 //
+// The selection is one rule, exp.Select: with no -only it is the paper's
+// registry, plus the ten extension/ablation studies when -ext is set;
+// -only names registry and extension IDs alike (no -ext needed) and runs
+// them in registry-then-extension order, each once. An unknown ID fails
+// before anything runs. -list prints the selection (all 22 IDs with
+// -ext). Extensions are ordinary experiments: they fan out under
+// -workers, count in the -progress ticker, and stream, checkpoint and
+// resume like the registry, so a -stream -ext manifest's batch hash pins
+// every line the run emitted. A `sweepd work` built before extensions
+// were experiments refuses a distributed unit naming one, failing that
+// batch loudly; registry-only units run anywhere.
+//
 // With -stream, artifacts are emitted as NDJSON (one {"id","ascii","csv"}
-// object per line, in registry order, written as each experiment
+// object per line, in selection order, written as each experiment
 // completes) instead of the buffered ASCII report — the same frames a
 // distributed `sweepd serve -experiments` run emits. With -checkpoint
 // (requires -stream), every completed line is also appended to a journal
@@ -22,10 +34,13 @@
 //	figures -plot           # include coarse terminal plots for figures
 //	figures -only fig2      # compute and print a single artifact
 //	figures -only fig1,fig2 # or several (registry order)
-//	figures -list           # print artifact IDs without running anything
+//	figures -ext            # the registry plus the extension/ablation studies
+//	figures -only tab-ext-area,fig1   # extension IDs select like registry IDs
+//	figures -list -ext      # print the selection's IDs without running anything
 //	figures -workers 1      # run experiments one at a time
 //	figures -quick -stream  # NDJSON artifact stream on stdout
 //	figures -stream -checkpoint run.journal -resume   # crash-tolerant run
+//	figures -quick -ext -stream -checkpoint ext.journal   # extensions checkpoint too
 //	figures -progress       # per-experiment completion ticker on stderr
 //	figures -timeout 30m    # bound the whole run
 //	figures -metrics-addr 127.0.0.1:9090   # /metrics + /debug/pprof while running
@@ -43,7 +58,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/cli"
@@ -70,9 +84,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fidelity    = fs.String("fidelity", "", `miss-matrix fidelity: "trace" (simulate, the default) or "analytical" (stack-distance fast path)`)
 		outdir      = fs.String("outdir", "", "directory for CSV output (created if missing)")
 		plot        = fs.Bool("plot", false, "render coarse ASCII plots for figures")
-		only        = fs.String("only", "", "run only the artifacts with these comma-separated IDs")
-		list        = fs.Bool("list", false, "list artifact IDs and exit")
-		ext         = fs.Bool("ext", false, "also run the extension/ablation experiments")
+		only        = fs.String("only", "", "run only the artifacts with these comma-separated IDs (registry or extension)")
+		list        = fs.Bool("list", false, "list the selected artifact IDs and exit")
+		ext         = fs.Bool("ext", false, "add the extension/ablation studies to the default selection")
 		workers     = fs.Int("workers", 0, "concurrent experiments (0 = GOMAXPROCS, 1 = one at a time)")
 		stream      = fs.Bool("stream", false, "emit artifacts as NDJSON, one line per experiment as it completes")
 		checkpoint  = fs.String("checkpoint", "", "journal completed artifacts to this file (requires -stream)")
@@ -95,9 +109,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case *checkpoint != "" && !*stream:
 		fmt.Fprintln(stderr, "figures: -checkpoint requires -stream (the journal records NDJSON lines)")
 		return 2
-	case *checkpoint != "" && *ext:
-		fmt.Fprintln(stderr, "figures: -checkpoint does not cover -ext artifacts (they are outside the registry batch)")
-		return 2
 	case *stream && *plot:
 		// ASCII plots have no NDJSON field; refuse rather than drop
 		// them silently.
@@ -107,45 +118,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	ctx, cancel := cli.WithTimeout(ctx, *timeout)
 	defer cancel()
 
-	exps := exp.Experiments()
+	exps, err := exp.Select(*only, *ext)
+	if err != nil {
+		fmt.Fprintf(stderr, "figures: %v (try -list -ext)\n", err)
+		return 1
+	}
 	if *list {
 		for _, x := range exps {
 			fmt.Fprintln(stdout, x.ID)
 		}
 		return 0
-	}
-	var onlyIDs []string
-	onlySet := make(map[string]bool)
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			onlyIDs = append(onlyIDs, id)
-			onlySet[id] = true
-		}
-	}
-	if len(onlySet) > 0 {
-		var sel []exp.Experiment
-		matched := make(map[string]bool)
-		for _, x := range exps {
-			if onlySet[x.ID] {
-				sel = append(sel, x)
-				matched[x.ID] = true
-			}
-		}
-		// Extension artifacts are not in the registry; with -ext an ID may
-		// still match one of them, so unmatched IDs are only fatal when
-		// extensions are off. Every ID is checked: silently dropping one
-		// typo'd entry of a multi-ID selection would under-run the request
-		// (and, with -checkpoint, pin the reduced selection into the
-		// journal hash).
-		if !*ext {
-			for _, id := range onlyIDs {
-				if !matched[id] {
-					fmt.Fprintf(stderr, "figures: unknown artifact ID %q (try -list)\n", id)
-					return 1
-				}
-			}
-		}
-		exps = sel
 	}
 
 	env := exp.NewEnv()
@@ -164,12 +146,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	prog := cli.NewProgress("figures", "experiments", tickerW)
 	env.Progress = prog.Hook()
 
-	// Skip the extension bundle when -only already matched a registry
-	// artifact: extensions are built all-or-nothing, and computing them
-	// just to filter their output away defeats -only's purpose.
-	if *ext && len(onlySet) > 0 && len(exps) > 0 {
-		*ext = false
-	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
 			fmt.Fprintln(stderr, "figures:", err)
@@ -196,7 +172,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cli.EmitManifest(stderr, man)
 	}()
 	if *stream {
-		so := streamOpts{outdir: *outdir, ext: *ext, checkpoint: *checkpoint, resume: *resume, workers: *workers, metrics: reg}
+		so := streamOpts{outdir: *outdir, checkpoint: *checkpoint, resume: *resume, workers: *workers, metrics: reg}
 		code, err := runStream(ctx, env, exps, so, prog, stdout, stderr, start, &man)
 		runErr = err
 		return code
@@ -207,23 +183,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		runErr = err
 		return cli.Report("figures", err, prog, stderr)
 	}
-	if *ext {
-		extra, err := env.ExtensionsCtx(ctx)
-		if err != nil {
-			runErr = err
-			return cli.Report("figures", err, prog, stderr)
-		}
-		arts = append(arts, extra...)
-		man.Items += len(extra)
-		man.ItemsRun += len(extra)
-	}
-
-	printed := 0
 	for _, a := range arts {
-		if len(onlySet) > 0 && !onlySet[a.ID] {
-			continue
-		}
-		printed++
 		fmt.Fprintln(stdout, a.Render())
 		if *plot && a.Figure != nil {
 			fmt.Fprintln(stdout, a.Figure.Plot(72, 24))
@@ -237,11 +197,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  [wrote %s]\n\n", path)
 		}
 	}
-	if len(onlySet) > 0 && printed == 0 {
-		fmt.Fprintf(stderr, "figures: unknown artifact ID %q (try -list)\n", *only)
-		return 1
-	}
-	fmt.Fprintf(stdout, "regenerated %d artifacts in %v\n", printed, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "regenerated %d artifacts in %v\n", len(arts), time.Since(start).Round(time.Millisecond))
 	return 0
 }
 
@@ -249,7 +205,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // lines.
 type streamOpts struct {
 	outdir     string // also write one CSV per artifact, as in buffered mode
-	ext        bool   // stream the extension bundle after the registry
 	checkpoint string // journal path ("" = no checkpointing)
 	resume     bool   // replay the journal before running
 	workers    int    // driver fan-out
@@ -265,77 +220,55 @@ type streamOpts struct {
 // which owns ordering, backpressure, and — with so.checkpoint — the
 // journal-before-emit crash recovery shared with `scenario -checkpoint`
 // and `sweepd serve -checkpoint`. A write error (e.g. a broken pipe)
-// cancels the remaining experiments. With so.ext the extension artifacts
-// follow the registry stream, in bundle order; with so.outdir each
-// artifact's CSV is also written as it lands. man is the run's manifest,
-// filled with the batch identity and resume split as they become known
-// (the caller emits it); the returned error is the run's fatal error for
-// the manifest outcome, nil on success.
+// cancels the remaining experiments. With so.outdir each artifact's CSV
+// is also written as it lands. man is the run's manifest, filled with the
+// batch identity and resume split as they become known (the caller emits
+// it); the returned error is the run's fatal error for the manifest
+// outcome, nil on success.
 func runStream(ctx context.Context, env *exp.Env, exps []exp.Experiment, so streamOpts, prog *cli.Progress, stdout, stderr io.Writer, start time.Time, man *cli.Manifest) (int, error) {
 	sink := &artifactSink{w: stdout, outdir: so.outdir}
-	if len(exps) > 0 {
-		ids := make([]string, len(exps))
-		for i, x := range exps {
-			ids[i] = x.ID
-		}
-		wb, err := exp.NewBatch(ids, env)
+	ids := make([]string, len(exps))
+	for i, x := range exps {
+		ids[i] = x.ID
+	}
+	wb, err := exp.NewBatch(ids, env)
+	if err != nil {
+		fmt.Fprintln(stderr, "figures:", err)
+		return 1, err
+	}
+	man.Kind = wb.Kind()
+	if hash, err := wb.Hash(); err == nil {
+		man.BatchSHA256 = hash
+	}
+	opts := work.Options{Workers: so.workers, Progress: prog.Hook(), Metrics: so.metrics}
+	if so.checkpoint != "" {
+		jr, done, err := work.OpenJournal(so.checkpoint, wb, so.resume)
 		if err != nil {
 			fmt.Fprintln(stderr, "figures:", err)
 			return 1, err
 		}
-		man.Kind = wb.Kind()
-		if hash, err := wb.Hash(); err == nil {
-			man.BatchSHA256 = hash
-		}
-		opts := work.Options{Workers: so.workers, Progress: prog.Hook(), Metrics: so.metrics}
-		if so.checkpoint != "" {
-			jr, done, err := work.OpenJournal(so.checkpoint, wb, so.resume)
-			if err != nil {
-				fmt.Fprintln(stderr, "figures:", err)
-				return 1, err
-			}
-			defer jr.Close()
-			if len(done) > 0 {
-				fmt.Fprintf(stderr, "figures: resuming, %d/%d experiments already journaled\n", len(done), wb.Len())
-				// Re-write the replayed artifacts' CSV sidecars: the crash
-				// may have landed between the journal append and the
-				// sidecar write, and a resumed run never re-runs those
-				// indices — the journal line is the only place the CSV
-				// still exists.
-				if so.outdir != "" {
-					for _, e := range done {
-						if err := writeSidecar(so.outdir, e.Line); err != nil {
-							fmt.Fprintln(stderr, "figures:", err)
-							return 1, err
-						}
+		defer jr.Close()
+		if len(done) > 0 {
+			fmt.Fprintf(stderr, "figures: resuming, %d/%d experiments already journaled\n", len(done), wb.Len())
+			// Re-write the replayed artifacts' CSV sidecars: the crash
+			// may have landed between the journal append and the sidecar
+			// write, and a resumed run never re-runs those indices — the
+			// journal line is the only place the CSV still exists.
+			if so.outdir != "" {
+				for _, e := range done {
+					if err := writeSidecar(so.outdir, e.Line); err != nil {
+						fmt.Fprintln(stderr, "figures:", err)
+						return 1, err
 					}
 				}
 			}
-			opts.Journal, opts.Done = jr, done
-			man.ItemsResumed = len(done)
-			man.ItemsRun = wb.Len() - len(done)
 		}
-		if err := work.Run(ctx, wb, opts, sink); err != nil {
-			return cli.Report("figures", err, prog, stderr), err
-		}
+		opts.Journal, opts.Done = jr, done
+		man.ItemsResumed = len(done)
+		man.ItemsRun = wb.Len() - len(done)
 	}
-	if so.ext {
-		extra, err := env.ExtensionsCtx(ctx)
-		if err != nil {
-			return cli.Report("figures", err, prog, stderr), err
-		}
-		man.Items += len(extra)
-		man.ItemsRun += len(extra)
-		for _, a := range extra {
-			line, err := a.NDJSONLine()
-			if err == nil {
-				_, err = sink.Write(append(line, '\n'))
-			}
-			if err != nil {
-				fmt.Fprintln(stderr, "figures:", err)
-				return 1, err
-			}
-		}
+	if err := work.Run(ctx, wb, opts, sink); err != nil {
+		return cli.Report("figures", err, prog, stderr), err
 	}
 	fmt.Fprintf(stderr, "figures: streamed %d artifacts in %v\n", sink.count, time.Since(start).Round(time.Millisecond))
 	return 0, nil

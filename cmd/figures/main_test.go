@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/cli"
+	"repro/internal/dist/journal"
 	"repro/internal/exp"
 )
 
@@ -34,25 +36,49 @@ func TestRunList(t *testing.T) {
 			t.Errorf("artifact %q missing from -list output", want)
 		}
 	}
+
+	// -list prints the selection: with -ext, the registry then the ten
+	// extensions; with -only, the named IDs in that order.
+	stdout.Reset()
+	if code := run(t.Context(), []string{"-list", "-ext"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-list -ext: exit %d, stderr: %s", code, stderr.String())
+	}
+	if ids := strings.Fields(stdout.String()); len(ids) != 22 || ids[11] != "tab-fit" || ids[12] != "tab-ablation-model" {
+		t.Fatalf("-list -ext printed %d IDs: %v", len(ids), ids)
+	}
+	stdout.Reset()
+	if code := run(t.Context(), []string{"-list", "-only", "tab-ext-area,fig1"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-list -only: exit %d, stderr: %s", code, stderr.String())
+	}
+	if got := stdout.String(); got != "fig1\ntab-ext-area\n" {
+		t.Fatalf("-list -only printed %q", got)
+	}
 }
 
 func TestRunOnlyUnknownID(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(t.Context(), []string{"-only", "fig99"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("unknown ID: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "fig99") {
-		t.Errorf("diagnostic does not name the bad ID: %q", stderr.String())
-	}
 	// A typo'd entry of a multi-ID selection must fail too, even though
 	// the other entries match — silently dropping it would under-run the
-	// request.
-	stderr.Reset()
-	if code := run(t.Context(), []string{"-only", "tab-fit,tab-missrate"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("partially unknown selection: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), `"tab-missrate"`) {
-		t.Errorf("diagnostic does not name the bad ID: %q", stderr.String())
+	// request. Every case fails before anything runs: no artifact and no
+	// "ok" manifest.
+	for _, tc := range []struct {
+		args []string
+		bad  string
+	}{
+		{[]string{"-only", "fig99"}, `"fig99"`},
+		{[]string{"-only", "tab-fit,tab-missrate"}, `"tab-missrate"`},
+		{[]string{"-quick", "-accesses", "20000", "-ext", "-only", "tab-ext-typo"}, `"tab-ext-typo"`},
+		{[]string{"-quick", "-accesses", "20000", "-ext", "-only", "tab-ext-typo", "-stream"}, `"tab-ext-typo"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(t.Context(), tc.args, &stdout, &stderr); code != 1 {
+			t.Fatalf("%v: exit %d, want 1 (stderr: %s)", tc.args, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.bad) {
+			t.Errorf("%v: diagnostic does not name the bad ID: %q", tc.args, stderr.String())
+		}
+		if stdout.Len() != 0 || strings.Contains(stderr.String(), `"outcome":"ok"`) {
+			t.Errorf("%v: unknown ID still ran:\nstdout: %q\nstderr: %q", tc.args, stdout.String(), stderr.String())
+		}
 	}
 }
 
@@ -208,6 +234,49 @@ func TestRunResumeRefusesDifferentSelection(t *testing.T) {
 	}
 }
 
+// streamIDs parses an NDJSON artifact stream into its IDs.
+func streamIDs(t *testing.T, stream string) []string {
+	t.Helper()
+	var ids []string
+	for _, line := range strings.SplitAfter(stream, "\n") {
+		if line == "" {
+			continue
+		}
+		var l exp.Line
+		if err := json.Unmarshal([]byte(line), &l); err != nil {
+			t.Fatalf("stream line is not JSON: %v\n%s", err, line)
+		}
+		ids = append(ids, l.ID)
+	}
+	return ids
+}
+
+// TestRunOnlyMixesRegistryAndExtension checks a selection naming both a
+// registry and an extension ID emits both, buffered and streamed, with
+// or without -ext.
+func TestRunOnlyMixesRegistryAndExtension(t *testing.T) {
+	for _, extra := range [][]string{{"-ext"}, nil} {
+		args := append([]string{"-quick", "-accesses", "20000", "-only", "tab-fit,tab-ext-area"}, extra...)
+		var stdout, stderr bytes.Buffer
+		if code := run(t.Context(), args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, stderr.String())
+		}
+		out := stdout.String()
+		if !strings.Contains(out, "tab-fit —") || !strings.Contains(out, "tab-ext-area —") ||
+			!strings.Contains(out, "regenerated 2 artifacts") {
+			t.Errorf("%v: buffered run did not print both artifacts:\n%s", args, out)
+		}
+
+		stdout.Reset()
+		if code := run(t.Context(), append(args, "-stream"), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v -stream: exit %d, stderr: %s", args, code, stderr.String())
+		}
+		if ids := streamIDs(t, stdout.String()); !slices.Equal(ids, []string{"tab-fit", "tab-ext-area"}) {
+			t.Errorf("%v -stream: streamed %v, want tab-fit, tab-ext-area", args, ids)
+		}
+	}
+}
+
 // TestRunCheckpointFlagValidation pins the flag contract.
 func TestRunCheckpointFlagValidation(t *testing.T) {
 	var stderr bytes.Buffer
@@ -218,33 +287,60 @@ func TestRunCheckpointFlagValidation(t *testing.T) {
 	if code := run(t.Context(), []string{"-checkpoint", "x.journal"}, &bytes.Buffer{}, &stderr); code != 2 {
 		t.Errorf("-checkpoint without -stream: exit %d, want 2", code)
 	}
-	stderr.Reset()
-	if code := run(t.Context(), []string{"-stream", "-ext", "-checkpoint", "x.journal"}, &bytes.Buffer{}, &stderr); code != 2 {
-		t.Errorf("-checkpoint with -ext: exit %d, want 2", code)
+
+	// -ext checkpoints like any selection: a run whose journal is cut
+	// back to its first entry resumes with exactly the remainder.
+	jpath := filepath.Join(t.TempDir(), "ext.journal")
+	args := []string{"-quick", "-accesses", "20000", "-ext", "-stream", "-checkpoint", jpath}
+	var full bytes.Buffer
+	if code := run(t.Context(), args, &full, &stderr); code != 0 {
+		t.Fatalf("-stream -ext -checkpoint: exit %d, stderr: %s", code, stderr.String())
+	}
+	lines := strings.SplitAfter(full.String(), "\n")
+	if len(lines) != 23 {
+		t.Fatalf("-ext streamed %d lines, want 22", len(lines)-1)
+	}
+	data, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jlines := strings.SplitAfter(string(data), "\n")
+	if err := os.WriteFile(jpath, []byte(jlines[0]+jlines[1]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var resumed bytes.Buffer
+	if code := run(t.Context(), append(args, "-resume"), &resumed, &stderr); code != 0 {
+		t.Fatalf("-resume: exit %d, stderr: %s", code, stderr.String())
+	}
+	var first journal.Entry
+	if err := json.Unmarshal([]byte(jlines[1]), &first); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join(slices.Delete(lines, first.I, first.I+1), "")
+	if resumed.String() != want {
+		t.Errorf("resumed run must emit exactly the remainder:\n got: %q\nwant: %q", resumed.String(), want)
 	}
 }
 
-// TestRunOnlyMultipleIDs checks a comma-separated -only selects several
-// artifacts in registry order.
+// TestRunOnlyMultipleIDs checks a comma-separated -only selects exactly
+// the named artifacts in registry-then-extension order, whatever the flag
+// order; -ext widens only the default selection, so it filters nothing
+// in.
 func TestRunOnlyMultipleIDs(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(t.Context(), tinyStreamArgs, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 NDJSON lines, got %d", len(lines))
-	}
-	var first, second exp.Line
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &second); err != nil {
-		t.Fatal(err)
-	}
-	// Registry order, not flag order: tab-missrates precedes tab-fit.
-	if first.ID != "tab-missrates" || second.ID != "tab-fit" {
-		t.Errorf("stream order = %s, %s; want tab-missrates, tab-fit", first.ID, second.ID)
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{tinyStreamArgs, []string{"tab-missrates", "tab-fit"}},
+		{[]string{"-quick", "-accesses", "20000", "-stream", "-ext", "-only", "tab-ext-area"}, []string{"tab-ext-area"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(t.Context(), tc.args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", tc.args, code, stderr.String())
+		}
+		if ids := streamIDs(t, stdout.String()); !slices.Equal(ids, tc.want) {
+			t.Errorf("%v: streamed %v, want %v", tc.args, ids, tc.want)
+		}
 	}
 }
 

@@ -12,8 +12,10 @@
 // spec.json — the document expands into its full factorial point product,
 // and each work unit carries only the spec plus a point range, so the
 // fleet re-expands deterministically instead of shipping every config),
-// or, with -experiments, units of the experiment registry emitting the
-// same {"id","ascii","csv"} frames as `figures -stream`.
+// or, with -experiments, units of experiments emitting the same
+// {"id","ascii","csv"} frames as `figures -stream` (-ids names registry
+// and extension IDs alike, resolved by the same exp.Select rule as
+// `figures -only`).
 //
 // Every unit is self-contained: an experiments unit names its artifact
 // IDs and the environment scale (accesses/seed/MinR2/fidelity — the scale
@@ -87,7 +89,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/cli"
@@ -136,8 +137,8 @@ type inputOptions struct {
 func registerInputFlags(fs *flag.FlagSet, o *inputOptions) {
 	fs.StringVar(&o.file, "f", "", "scenario JSON file, single or batch (default stdin)")
 	fs.StringVar(&o.grid, "grid", "", "grid spec JSON file; expands into the full design-space point product")
-	fs.BoolVar(&o.experiments, "experiments", false, "work on experiment-registry units instead of a scenario batch")
-	fs.StringVar(&o.ids, "ids", "", "comma-separated experiment IDs with -experiments (default: the whole registry)")
+	fs.BoolVar(&o.experiments, "experiments", false, "work on experiment units instead of a scenario batch")
+	fs.StringVar(&o.ids, "ids", "", "comma-separated experiment IDs with -experiments, registry or extension (default: the whole registry)")
 	fs.BoolVar(&o.quick, "quick", false, "pin the experiments batch to the quick environment scale (match any figures checkpoint)")
 	fs.IntVar(&o.accesses, "accesses", 0, "pin the experiments batch to this trace length (0 = profile default)")
 	fs.StringVar(&o.fidelity, "fidelity", "", `pin the experiments batch to this miss-matrix fidelity: "trace" (default) or "analytical"`)
@@ -162,35 +163,15 @@ func experimentsEnv(o inputOptions) *exp.Env {
 // item noun for diagnostics.
 func loadWorkBatch(o inputOptions, stdin io.Reader) (work.Batch, string, error) {
 	if o.experiments {
-		// -ids selections are normalized to registry order, exactly as
-		// `figures -only` selects — so the batch (and therefore the
-		// checkpoint hash) is the same no matter how the IDs were typed,
-		// and a `figures -checkpoint` journal replays here verbatim.
-		registry := exp.Experiments()
-		var ids []string
-		if o.ids == "" {
-			for _, x := range registry {
-				ids = append(ids, x.ID)
-			}
-		} else {
-			known := make(map[string]bool, len(registry))
-			for _, x := range registry {
-				known[x.ID] = true
-			}
-			want := make(map[string]bool)
-			for _, id := range strings.Split(o.ids, ",") {
-				if id = strings.TrimSpace(id); id == "" {
-					continue
-				} else if !known[id] {
-					return nil, "", fmt.Errorf("unknown experiment id %q", id)
-				}
-				want[id] = true
-			}
-			for _, x := range registry {
-				if want[x.ID] {
-					ids = append(ids, x.ID)
-				}
-			}
+		// -ids resolves exactly as `figures -only` does, so a `figures
+		// -checkpoint` journal of the same IDs replays here verbatim.
+		exps, err := exp.Select(o.ids, false)
+		if err != nil {
+			return nil, "", err
+		}
+		ids := make([]string, len(exps))
+		for i, x := range exps {
+			ids[i] = x.ID
 		}
 		b, err := exp.NewBatch(ids, experimentsEnv(o))
 		return b, "experiments", err

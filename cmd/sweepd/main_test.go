@@ -392,12 +392,14 @@ func TestJournalStatHostileHeader(t *testing.T) {
 
 // TestJournalExperimentsScale checks `sweepd journal -experiments` can
 // replay an experiments checkpoint written at a non-default environment
-// scale (e.g. by `figures -quick -accesses N -checkpoint`) when the scale
-// flags match, and refuses it as a different batch when they do not.
+// scale (e.g. by `figures -quick -accesses N -only tab-fit,tab-ext-area
+// -stream -checkpoint`) when the scale flags match, and refuses it as a
+// different batch when they do not. -ids names an extension ID like a
+// registry ID, in any order.
 func TestJournalExperimentsScale(t *testing.T) {
 	env := exp.NewQuickEnv()
 	env.Accesses = 20000
-	wb, err := exp.NewBatch([]string{"tab-fit"}, env)
+	wb, err := exp.NewBatch([]string{"tab-fit", "tab-ext-area"}, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +415,7 @@ func TestJournalExperimentsScale(t *testing.T) {
 	jr.Close()
 
 	var stdout, stderr bytes.Buffer
-	args := []string{"journal", "-experiments", "-ids", "tab-fit", "-quick", "-accesses", "20000", "-checkpoint", jpath}
+	args := []string{"journal", "-experiments", "-ids", "tab-ext-area,tab-fit", "-quick", "-accesses", "20000", "-checkpoint", jpath}
 	if code := run(t.Context(), args, strings.NewReader(""), &stdout, &stderr); code != 0 {
 		t.Fatalf("matching scale: exit %d, stderr: %s", code, stderr.String())
 	}
@@ -423,7 +425,7 @@ func TestJournalExperimentsScale(t *testing.T) {
 
 	// Without the scale flags the batch hashes differently: refused.
 	stderr.Reset()
-	bad := []string{"journal", "-experiments", "-ids", "tab-fit", "-checkpoint", jpath}
+	bad := []string{"journal", "-experiments", "-ids", "tab-fit,tab-ext-area", "-checkpoint", jpath}
 	if code := run(t.Context(), bad, strings.NewReader(""), &bytes.Buffer{}, &stderr); code != 1 ||
 		!strings.Contains(stderr.String(), "batch hash mismatch") {
 		t.Fatalf("mismatched scale: exit %d, stderr %q", code, stderr.String())

@@ -16,7 +16,7 @@ import (
 
 func main() {
 	env := exp.NewQuickEnv()
-	arts, err := env.ExtensionsCtx(context.Background())
+	arts, err := env.RunExperimentsCtx(context.Background(), exp.Extensions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -408,6 +408,27 @@ func TestServiceFailureIsolatesBatch(t *testing.T) {
 	wg.Wait()
 }
 
+// TestServiceRefusesHostileAccesses checks admission bounds the trace
+// length: a scenario whose access count would size a multi-terabyte
+// profile is answered 400 and never queued, so no worker leases it.
+func TestServiceRefusesHostileAccesses(t *testing.T) {
+	s, srv := startService(t, t.Context(), t.TempDir(), ServiceConfig{})
+	body := `{"kind":"scenario-batch","payload":{"scenarios":[` +
+		`{"name":"x","l1_kb":16,"l2_kb":256,"workload":"tpcc","accesses":1099511627776,"fidelity":"analytical"}]}}`
+	resp, err := srv.Client().Post(srv.URL+"/v1/batches", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "cap") {
+		t.Fatalf("hostile accesses: HTTP %d %s, want 400 naming the cap", resp.StatusCode, msg)
+	}
+	if st := s.Status(); len(st.Batches) != 0 || st.QueueDepth != 0 {
+		t.Errorf("refused batch was queued: %+v", st)
+	}
+}
+
 // TestServiceStatusAndMetrics pins the observable surface: queue depth,
 // store attribution, and the metric families the operations doc
 // catalogues.

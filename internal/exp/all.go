@@ -3,6 +3,8 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/sweep"
@@ -69,8 +71,8 @@ func tabExp(id string, f func(*Env, context.Context) (Table, error)) Experiment 
 }
 
 // Experiments is the registry of the paper's evaluation in the paper's
-// order. AllCtx runs the whole list; cmd/figures uses it to list artifact
-// IDs and to run a single artifact without paying for the rest.
+// order. AllCtx runs the whole list; Select resolves ID lists against it
+// and Extensions.
 func Experiments() []Experiment {
 	return []Experiment{
 		figExp("fig1", (*Env).Fig1),
@@ -88,6 +90,51 @@ func Experiments() []Experiment {
 	}
 }
 
+// Extensions lists the studies beyond the paper's own evaluation
+// (extensions.go) in their bundle order. They are experiments like any
+// other: each ID resolves wherever a registry ID does, so they stream,
+// checkpoint and distribute through the same driver.
+func Extensions() []Experiment {
+	return []Experiment{
+		tabExp("tab-ablation-model", (*Env).ModelVsDirectAblation),
+		tabExp("tab-ablation-delay", (*Env).DelayCompositionAblation),
+		tabExp("tab-ext-drowsy", (*Env).DrowsyExtension),
+		tabExp("tab-ext-temp", (*Env).TemperatureSensitivity),
+		tabExp("tab-ext-node", (*Env).NodeComparison),
+		tabExp("tab-ablation-repl", (*Env).ReplacementAblation),
+		tabExp("tab-ext-area", (*Env).AreaTable),
+		tabExp("tab-ext-cpi", (*Env).SystemEnergyPerInstruction),
+		tabExp("tab-ext-joint", (*Env).JointOptimization),
+		tabExp("tab-ext-mem", (*Env).MemorySensitivity),
+	}
+}
+
+// Select is the one rule for what a comma-separated experiment ID list
+// means. A list with no IDs selects the registry, plus the extensions
+// when ext is set. Otherwise it selects the named experiments, each once,
+// in registry-then-extension order — so the batch, and the checkpoint
+// hash pinning it, do not depend on how the IDs were typed. Any unknown
+// ID is an error that names it.
+func Select(ids string, ext bool) ([]Experiment, error) {
+	var named []string
+	for _, id := range strings.Split(ids, ",") {
+		if id = strings.TrimSpace(id); id != "" {
+			named = append(named, id)
+		}
+	}
+	all := append(Experiments(), Extensions()...)
+	if len(named) == 0 {
+		if ext {
+			return all, nil
+		}
+		return Experiments(), nil
+	}
+	if _, err := findExperiments(named); err != nil {
+		return nil, err
+	}
+	return slices.DeleteFunc(all, func(x Experiment) bool { return !slices.Contains(named, x.ID) }), nil
+}
+
 // AllCtx runs every experiment in the paper's order and returns the
 // artifacts. Experiments fan out across e.Workers workers (the shared
 // substrates are singleflight-memoized, so each model and miss matrix is
@@ -100,8 +147,9 @@ func (e *Env) AllCtx(ctx context.Context) ([]Artifact, error) {
 	return e.RunExperimentsCtx(ctx, Experiments())
 }
 
-// RunExperimentsCtx runs a subset of the registry, preserving input order
-// and reporting completions to e.Progress.
+// RunExperimentsCtx runs a list of experiments (any Select result),
+// fanning out as AllCtx does, preserving input order and reporting
+// completions to e.Progress.
 func (e *Env) RunExperimentsCtx(ctx context.Context, exps []Experiment) ([]Artifact, error) {
 	var done atomic.Int64
 	return sweep.MapCtx(ctx, len(exps), e.workers(), func(ctx context.Context, i int) (Artifact, error) {

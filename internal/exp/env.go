@@ -2,9 +2,9 @@
 // table of the paper's evaluation from this repository's substrates, and
 // renders them as ASCII tables, CSV, and coarse terminal plots.
 //
-// The per-experiment index is the Experiments registry in all.go;
-// EXPERIMENTS.md records the paper-vs-measured comparison produced from
-// this package's output. Experiments fan out across the sweep engine
+// The per-experiment index is the Experiments registry (the paper's
+// evaluation) and the Extensions list (studies beyond it) in all.go;
+// `figures -list -ext` prints every ID in order. Experiments fan out across the sweep engine
 // (internal/sweep) and share lazily built caches, fitted models and miss
 // matrices through singleflight memos, so a parallel run builds each
 // substrate exactly once and emits output byte-identical to a sequential

@@ -18,7 +18,8 @@ import (
 
 // This file holds the extension and ablation experiments — studies beyond
 // the paper's own evaluation that probe its assumptions and its
-// related-work context. They run after the main registry (see all.go).
+// related-work context. Extensions (all.go) lists them; they run by ID
+// like any registry experiment.
 
 // ModelVsDirectAblation quantifies the cost of optimizing against the
 // fitted analytical models (the paper's approach) instead of the raw
@@ -354,38 +355,6 @@ func (e *Env) SystemEnergyPerInstruction(ctx context.Context) (Table, error) {
 		)
 	}
 	return t, nil
-}
-
-// ExtensionsCtx runs every extension/ablation experiment in order,
-// checking the context between entries.
-func (e *Env) ExtensionsCtx(ctx context.Context) ([]Artifact, error) {
-	var out []Artifact
-	for _, entry := range []struct {
-		id    string // named here because a failed builder returns Table{}
-		build func(context.Context) (Table, error)
-	}{
-		{"tab-ablation-model", e.ModelVsDirectAblation},
-		{"tab-ablation-delay", e.DelayCompositionAblation},
-		{"tab-ext-drowsy", e.DrowsyExtension},
-		{"tab-ext-temp", e.TemperatureSensitivity},
-		{"tab-ext-node", e.NodeComparison},
-		{"tab-ablation-repl", e.ReplacementAblation},
-		{"tab-ext-area", e.AreaTable},
-		{"tab-ext-cpi", e.SystemEnergyPerInstruction},
-		{"tab-ext-joint", e.JointOptimization},
-		{"tab-ext-mem", e.MemorySensitivity},
-	} {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t, err := entry.build(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", entry.id, err)
-		}
-		tc := t
-		out = append(out, Artifact{ID: t.ID, Table: &tc})
-	}
-	return out, nil
 }
 
 // JointOptimization compares the paper's one-level-at-a-time optimization

@@ -184,7 +184,7 @@ func TestSystemEnergyPerInstruction(t *testing.T) {
 }
 
 func TestExtensionsBundle(t *testing.T) {
-	arts, err := env(t).ExtensionsCtx(t.Context())
+	arts, err := env(t).RunExperimentsCtx(t.Context(), Extensions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,19 +12,24 @@ import (
 	"repro/internal/work"
 )
 
-// renderAll flattens a full artifact list (ASCII + CSV forms) into one byte
-// stream for whole-run comparison.
-func renderAll(t *testing.T, e *Env) string {
+// renderAll runs exps and flattens their artifacts (ASCII + CSV forms)
+// into one byte stream for whole-run comparison. Each artifact must carry
+// its experiment's ID: the builders take it from the table or figure they
+// build, and the stream's "id" field and the CSV file names use it.
+func renderAll(t *testing.T, e *Env, exps []Experiment) string {
 	t.Helper()
-	arts, err := e.AllCtx(t.Context())
+	arts, err := e.RunExperimentsCtx(t.Context(), exps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(arts) != len(Experiments()) {
-		t.Fatalf("got %d artifacts, want %d", len(arts), len(Experiments()))
+	if len(arts) != len(exps) {
+		t.Fatalf("got %d artifacts, want %d", len(arts), len(exps))
 	}
 	var b strings.Builder
-	for _, a := range arts {
+	for i, a := range arts {
+		if a.ID != exps[i].ID {
+			t.Fatalf("experiment %s built artifact %s", exps[i].ID, a.ID)
+		}
 		b.WriteString(a.ID)
 		b.WriteString("\n")
 		b.WriteString(a.Render())
@@ -45,15 +51,20 @@ func tinyEnv(workers int) *Env {
 // parallel runs at different worker counts must render (ASCII and CSV)
 // byte-identically to a sequential run, each starting from a cold
 // environment so matrices, models and caches are rebuilt under contention.
+// The registry and the extensions both fan out, so both sign it.
 func TestAllParallelByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("rebuilds four cold environments")
+		t.Skip("rebuilds four cold environments per experiment list")
 	}
-	seq := renderAll(t, tinyEnv(1))
-	for _, workers := range []int{0, 2, 8} {
-		par := renderAll(t, tinyEnv(workers))
-		if par != seq {
-			t.Fatalf("workers=%d output differs from sequential run", workers)
+	for _, set := range []struct {
+		name string
+		exps []Experiment
+	}{{"registry", Experiments()}, {"extensions", Extensions()}} {
+		seq := renderAll(t, tinyEnv(1), set.exps)
+		for _, workers := range []int{0, 2, 8} {
+			if par := renderAll(t, tinyEnv(workers), set.exps); par != seq {
+				t.Fatalf("%s: workers=%d output differs from sequential run", set.name, workers)
+			}
 		}
 	}
 }
@@ -137,21 +148,81 @@ func TestProgressReportsCompletion(t *testing.T) {
 	}
 }
 
-// TestRegistryIDsStable pins the artifact registry: IDs are part of the CLI
-// surface (figures -only/-list) and of the CSV file names.
+// TestRegistryIDsStable pins the artifact registry and the extension
+// list in order: IDs are part of the CLI surface (figures -only/-list
+// -ext, sweepd -ids) and of the CSV file names, and -ext emits the
+// extensions in this order after the registry.
 func TestRegistryIDsStable(t *testing.T) {
-	want := []string{
-		"fig1", "tab-schemes", "tab-assignments", "tab-knob", "tab-missrates",
-		"tab-l2-single", "tab-l2-split", "tab-l1", "fig2", "tab-fig2-summary",
-		"tab-baseline", "tab-fit",
+	for _, tc := range []struct {
+		exps []Experiment
+		want []string
+	}{
+		{Experiments(), []string{
+			"fig1", "tab-schemes", "tab-assignments", "tab-knob", "tab-missrates",
+			"tab-l2-single", "tab-l2-split", "tab-l1", "fig2", "tab-fig2-summary",
+			"tab-baseline", "tab-fit",
+		}},
+		{Extensions(), []string{
+			"tab-ablation-model", "tab-ablation-delay", "tab-ext-drowsy", "tab-ext-temp",
+			"tab-ext-node", "tab-ablation-repl", "tab-ext-area", "tab-ext-cpi",
+			"tab-ext-joint", "tab-ext-mem",
+		}},
+	} {
+		var got []string
+		for _, x := range tc.exps {
+			got = append(got, x.ID)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("IDs = %v, want %v", got, tc.want)
+		}
 	}
-	exps := Experiments()
-	if len(exps) != len(want) {
-		t.Fatalf("registry has %d entries, want %d", len(exps), len(want))
+}
+
+// TestSelect pins the one ID-list rule every entry point shares.
+func TestSelect(t *testing.T) {
+	var registry, all []string
+	for _, x := range Experiments() {
+		registry = append(registry, x.ID)
 	}
-	for i, x := range exps {
-		if x.ID != want[i] {
-			t.Errorf("registry[%d] = %q, want %q", i, x.ID, want[i])
+	all = append(all, registry...)
+	for _, x := range Extensions() {
+		all = append(all, x.ID)
+	}
+	for _, tc := range []struct {
+		ids     string
+		ext     bool
+		want    []string
+		wantErr string
+	}{
+		{ids: "", want: registry},
+		{ids: "", ext: true, want: all},
+		{ids: ",", want: registry},
+		{ids: " , ", ext: true, want: all},
+		{ids: "tab-ext-area,tab-fit", want: []string{"tab-fit", "tab-ext-area"}},
+		{ids: "tab-ext-node,tab-ablation-model,fig2,fig1", want: []string{"fig1", "fig2", "tab-ablation-model", "tab-ext-node"}},
+		{ids: "tab-fit", ext: true, want: []string{"tab-fit"}},
+		{ids: "fig1,tab-ext-area,fig1,tab-ext-area", want: []string{"fig1", "tab-ext-area"}},
+		{ids: " tab-ext-area ,, tab-fit ", want: []string{"tab-fit", "tab-ext-area"}},
+		{ids: "tab-ext-typo", ext: true, wantErr: `"tab-ext-typo"`},
+		{ids: "tab-fit,tab-missrate", wantErr: `"tab-missrate"`},
+	} {
+		exps, err := Select(tc.ids, tc.ext)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("Select(%q, %v): error %v, want one naming %s", tc.ids, tc.ext, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Select(%q, %v): %v", tc.ids, tc.ext, err)
+			continue
+		}
+		var got []string
+		for _, x := range exps {
+			got = append(got, x.ID)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("Select(%q, %v) = %v, want %v", tc.ids, tc.ext, got, tc.want)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // batches all share it.
 const WorkKind = "experiments"
 
-// workPayload is the wire form of an experiment batch: registry IDs in
+// workPayload is the wire form of an experiment batch: experiment IDs in
 // run order plus the environment scale they run at. It is also exactly
 // what the content hash covers. The scenario kind gets this for free (its
 // configs embed accesses); here it makes a unit self-contained — a worker
@@ -44,13 +44,13 @@ func (a Artifact) NDJSONLine() ([]byte, error) {
 	return json.Marshal(Line{ID: a.ID, ASCII: a.Render(), CSV: a.CSV()})
 }
 
-// Batch is a subset of the experiment registry as a work.Batch: each item
-// is one experiment, rendering to its Line, run against the batch's Env.
-// The Env's scale travels with every unit, and a batch decoded from the
-// wire takes its Env from a per-process memo keyed by that scale —
-// substrates (caches, fitted models, miss matrices) are then memoized per
-// machine and scale, so a worker fleet rebuilds them once per machine
-// instead of once per unit.
+// Batch is a list of experiments (registry or extension) as a
+// work.Batch: each item is one experiment, rendering to its Line, run
+// against the batch's Env. The Env's scale travels with every unit, and a
+// batch decoded from the wire takes its Env from a per-process memo keyed
+// by that scale — substrates (caches, fitted models, miss matrices) are
+// then memoized per machine and scale, so a worker fleet rebuilds them
+// once per machine instead of once per unit.
 type Batch struct {
 	ids  []string
 	exps []Experiment
@@ -70,6 +70,8 @@ func init() {
 		switch {
 		case p.Accesses <= 0:
 			return nil, fmt.Errorf("exp: work payload: accesses must be positive, got %d", p.Accesses)
+		case p.Accesses > profile.MaxAccesses:
+			return nil, fmt.Errorf("exp: work payload: accesses %d above the cap of %d", p.Accesses, profile.MaxAccesses)
 		case !profile.ValidFidelity(p.Fidelity):
 			return nil, fmt.Errorf("exp: work payload: unknown fidelity %q (want %q or %q)",
 				p.Fidelity, profile.FidelityTrace, profile.FidelityAnalytical)
@@ -89,9 +91,10 @@ func init() {
 // scale — share memoized substrates.
 var wireEnvs sweep.Memo[Scale, *Env]
 
-// NewBatch resolves registry IDs (preserving input order) into an
-// experiment work batch run against env. Unknown IDs fail here — on the
-// coordinator, not on some worker three machines away.
+// NewBatch resolves experiment IDs, registry or extension (preserving
+// input order), into an experiment work batch run against env. Unknown
+// IDs fail here — on the coordinator, not on some worker three machines
+// away.
 func NewBatch(ids []string, env *Env) (*Batch, error) {
 	if env == nil {
 		return nil, fmt.Errorf("exp: batch needs an environment")
@@ -106,7 +109,7 @@ func NewBatch(ids []string, env *Env) (*Batch, error) {
 	return &Batch{ids: ids, exps: exps, env: env}, nil
 }
 
-// IDs returns the batch's registry IDs in run order.
+// IDs returns the batch's experiment IDs in run order.
 func (b *Batch) IDs() []string { return b.ids }
 
 // Kind names the experiments payload family.
@@ -183,10 +186,11 @@ func (b *Batch) MarshalRange(r sweep.Range) (json.RawMessage, error) {
 	return json.Marshal(workPayload{IDs: b.ids[r.Lo:r.Hi], Scale: ScaleOf(b.env)})
 }
 
-// findExperiments resolves registry IDs, preserving input order.
+// findExperiments resolves registry and extension IDs, preserving input
+// order.
 func findExperiments(ids []string) ([]Experiment, error) {
 	byID := make(map[string]Experiment)
-	for _, e := range Experiments() {
+	for _, e := range append(Experiments(), Extensions()...) {
 		byID[e.ID] = e
 	}
 	out := make([]Experiment, len(ids))

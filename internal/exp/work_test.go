@@ -121,12 +121,14 @@ func TestWorkBatchWireRoundTrip(t *testing.T) {
 
 // TestWirePayloadScale pins the decoder's scale handling: a payload
 // without a scale (the form written before units carried one), a
-// non-positive trace length and an unknown fidelity are refused, and
+// non-positive trace length, one above profile.MaxAccesses and an unknown
+// fidelity are refused, and
 // every unit decoded at one scale shares one environment.
 func TestWirePayloadScale(t *testing.T) {
 	for _, payload := range []string{
 		`{"ids":["fig1"]}`,
 		`{"ids":["fig1"],"accesses":-5,"seed":1,"min_r2":0.97}`,
+		`{"ids":["fig1"],"accesses":1099511627776,"seed":1,"min_r2":0.97,"fidelity":"analytical"}`,
 		`{"ids":["fig1"],"accesses":400000,"seed":1,"min_r2":0.97,"fidelity":"clairvoyant"}`,
 		`{"ids":["fig1"],"accesses":400000,"seed":1,"min_r2":0.97,"workers":4}`,
 	} {

@@ -36,6 +36,13 @@ func ValidFidelity(s string) bool {
 // L2 reference stream are the two modeled-away effects).
 const Tolerance = 0.04
 
+// MaxAccesses caps the trace length of one simulation or profiling
+// pass. A pass sizes its Fenwick tree by the access count, so the cap
+// bounds that tree at 256 MiB; it sits well above every length the repo
+// runs. Every parser that admits an access count from outside — scenario
+// configs and experiment wire payloads — refuses anything larger.
+const MaxAccesses = 1 << 26
+
 // ctxCheckStride matches internal/sim: how many profiled accesses run
 // between context checks.
 const ctxCheckStride = 1 << 16

@@ -34,7 +34,8 @@ type Config struct {
 	L2KB int `json:"l2_kb"`
 	// Workload is one of spec2000, specweb, tpcc, or average.
 	Workload string `json:"workload"`
-	// Accesses per workload simulation (default 400000).
+	// Accesses per workload simulation (default 400000, at most
+	// profile.MaxAccesses).
 	Accesses int `json:"accesses,omitempty"`
 	// Seed for the synthetic workloads (default 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -72,6 +73,9 @@ func (c Config) Validate() error {
 	case "spec2000", "specweb", "tpcc", "average":
 	default:
 		return fmt.Errorf("scenario: unknown workload %q", c.Workload)
+	}
+	if c.Accesses > profile.MaxAccesses {
+		return fmt.Errorf("scenario: accesses %d above the cap of %d", c.Accesses, profile.MaxAccesses)
 	}
 	if c.Scheme < 0 || c.Scheme > 3 {
 		return fmt.Errorf("scenario: scheme must be 1, 2 or 3, got %d", c.Scheme)

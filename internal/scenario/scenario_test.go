@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/profile"
 )
 
 const validJSON = `{
@@ -39,6 +41,7 @@ func TestLoadRejects(t *testing.T) {
 		"bad tuple":      `{"name":"x","l1_kb":16,"l2_kb":512,"workload":"tpcc","tuple_budgets":[[0,2]]}`,
 		"tox over menu":  `{"name":"x","l1_kb":16,"l2_kb":512,"workload":"tpcc","tuple_budgets":[[6,2]]}`,
 		"vth over menu":  `{"name":"x","l1_kb":16,"l2_kb":512,"workload":"tpcc","tuple_budgets":[[2,9]]}`,
+		"accesses cap":   `{"name":"x","l1_kb":16,"l2_kb":256,"workload":"tpcc","accesses":1099511627776,"fidelity":"analytical"}`,
 		"malformed json": `{"name":`,
 	}
 	for label, js := range cases {
@@ -129,6 +132,15 @@ func TestValidateDirect(t *testing.T) {
 	good := Config{Name: "x", L1KB: 16, L2KB: 512, Workload: "tpcc"}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+	good.Accesses = profile.MaxAccesses
+	if err := good.Validate(); err != nil {
+		t.Errorf("config at the accesses cap rejected: %v", err)
+	}
+	over := good
+	over.Accesses++
+	if err := over.Validate(); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Errorf("config over the accesses cap: got %v, want a cap error", err)
 	}
 	if !strings.Contains(validJSON, "tuple_budgets") {
 		t.Error("test fixture drifted")

@@ -50,7 +50,7 @@ func fixtures(t testing.TB) map[string]work.Batch {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := exp.NewBatch([]string{"tab-fit", "tab-missrates"}, tinyExpEnv())
+	eb, err := exp.NewBatch([]string{"tab-fit", "tab-missrates", "tab-ext-node"}, tinyExpEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
