@@ -6,15 +6,18 @@
 // "scenarios" array — or a grid document — a top-level "grid" object
 // declaring axes over the scenario fields, which expands into the full
 // factorial design-space sweep (see examples/gridsweep/spec.json and
-// internal/grid). Batches and grids run concurrently with per-scenario
-// isolation. With -stream, results are emitted as NDJSON (one compact
-// result object per line, in input order, written as each scenario
-// completes) instead of one buffered JSON document, so arbitrarily large
-// batches never accumulate in memory. With -frontier (grid input only),
-// the run additionally reduces its points to the leakage-vs-AMAT Pareto
-// front and appends a final {"frontier": [...]} summary — as the last
-// NDJSON line in -stream mode, as a "frontier" field of the buffered
-// document otherwise.
+// internal/grid). grid.LoadWork reads it, so a document means here what
+// it means to `sweepd` and to POST /v1/batches. Every document runs as a
+// batch through the same driver, concurrently with per-scenario
+// isolation; a single config is a batch of one whose buffered output is
+// its one result object. With -stream, results are emitted as NDJSON
+// (one compact result object per line, in input order, written as each
+// scenario completes) instead of one buffered JSON document, so
+// arbitrarily large batches never accumulate in memory. With -frontier
+// (grid input only), the run additionally reduces its points to the
+// leakage-vs-AMAT Pareto front and appends a final {"frontier": [...]}
+// summary — as the last NDJSON line in -stream mode, as a "frontier"
+// field of the buffered document otherwise.
 //
 // With -frontier-refine (grid input, -stream only), the run is the
 // multi-fidelity ladder instead: the full grid runs at analytical
@@ -26,8 +29,8 @@
 // -checkpoint PATH, the analytical pass journals to PATH and the
 // shortlist to PATH.refine.
 //
-// With -checkpoint (batch + -stream only), every completed line is also
-// appended to a journal keyed by a content hash of the batch; adding
+// With -checkpoint (any document, with -stream), every completed line is
+// also appended to a journal keyed by a content hash of the batch; adding
 // -resume replays that journal on startup, skips (and does not re-emit)
 // finished scenarios, and refuses to resume against a different batch — so
 // a killed run restarted with the same command line completes exactly the
@@ -84,7 +87,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/profile"
-	"repro/internal/scenario"
 	"repro/internal/work"
 )
 
@@ -118,7 +120,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.workers, "workers", 0, "concurrent scenarios in batch mode (0 = GOMAXPROCS)")
 	fs.BoolVar(&o.stream, "stream", false, "emit batch results as NDJSON, one line per scenario as it completes")
 	fs.BoolVar(&o.progress, "progress", false, "report per-scenario completion on stderr")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "journal completed scenarios to this file (batch mode with -stream)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "journal completed scenarios to this file (with -stream)")
 	fs.BoolVar(&o.resume, "resume", false, "replay the -checkpoint journal and run only unfinished scenarios")
 	fs.BoolVar(&o.frontier, "frontier", false, "append the leakage-vs-AMAT Pareto front summary (grid input only)")
 	fs.BoolVar(&o.frontierRefine, "frontier-refine", false, "run the grid analytically, re-run the Pareto shortlist at trace fidelity, and append the refined front (grid input with -stream only)")
@@ -160,7 +162,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	if o.progress {
 		tickerW = stderr
 	}
-	prog := cli.NewProgress("scenario", "scenarios", tickerW)
 
 	if !profile.ValidFidelity(o.fidelity) {
 		fmt.Fprintf(stderr, "scenario: unknown -fidelity %q (want %q or %q)\n",
@@ -175,6 +176,19 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		fmt.Fprintln(stderr, "scenario: -checkpoint requires -stream (the journal records NDJSON lines)")
 		return 2
 	}
+	if o.frontierRefine {
+		switch {
+		case o.frontier:
+			fmt.Fprintln(stderr, "scenario: choose one of -frontier / -frontier-refine")
+			return 2
+		case !o.stream:
+			fmt.Fprintln(stderr, "scenario: -frontier-refine requires -stream (the run emits two NDJSON phases)")
+			return 2
+		case o.fidelity != "":
+			fmt.Fprintln(stderr, "scenario: -frontier-refine sets fidelity per phase; drop -fidelity")
+			return 2
+		}
+	}
 	if o.metricsAddr != "" {
 		o.metrics = obs.NewRegistry()
 		maddr, stopMetrics, err := obs.Serve(o.metricsAddr, o.metrics)
@@ -186,143 +200,59 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		fmt.Fprintf(stderr, "scenario: metrics on http://%s/metrics\n", maddr)
 	}
 
-	if grid.IsSpec(data) {
-		// Grid runs count "points": the unit operators watching a
-		// million-point sweep reason in.
-		prog = cli.NewProgress("scenario", "points", tickerW)
-		spec, err := grid.Load(bytes.NewReader(data))
-		if err != nil {
-			fmt.Fprintln(stderr, "scenario:", err)
-			return 1
-		}
-		if o.frontierRefine {
-			switch {
-			case o.frontier:
-				fmt.Fprintln(stderr, "scenario: choose one of -frontier / -frontier-refine")
-				return 2
-			case !o.stream:
-				fmt.Fprintln(stderr, "scenario: -frontier-refine requires -stream (the run emits two NDJSON phases)")
-				return 2
-			case o.fidelity != "":
-				fmt.Fprintln(stderr, "scenario: -frontier-refine sets fidelity per phase; drop -fidelity")
-				return 2
-			}
-			ro := grid.RefineOptions{
-				Workers:    o.workers,
-				Checkpoint: o.checkpoint,
-				Resume:     o.resume,
-				Progress:   refineProgress(tickerW),
-			}
-			// The refine ladder's manifest counts the analytical phase
-			// (the full grid); the trace shortlist rides on top and is
-			// sized by the run itself, not the input.
-			start := time.Now()
-			man := cli.Manifest{Tool: "scenario", Kind: "grid"}
-			if eb, err := spec.Expand(); err == nil {
-				man.Items, man.ItemsRun = eb.Len(), eb.Len()
-				if hash, err := eb.Hash(); err == nil {
-					man.BatchSHA256 = hash
-				}
-			}
-			err := grid.Refine(ctx, spec, ro, stdout)
-			man.Finish(start, nil, err)
-			cli.EmitManifest(stderr, man)
-			if err != nil {
-				// The per-phase tickers carry partial progress; the
-				// cross-phase note would mix two different totals.
-				return cli.Report("scenario", err, cli.NewProgress("scenario", "points", nil), stderr)
-			}
-			return 0
-		}
-		if o.fidelity != "" {
-			if spec.Grid.Axes.Fidelity != nil {
-				fmt.Fprintln(stderr, "scenario: the grid declares a fidelity axis; drop -fidelity")
-				return 2
-			}
-			if spec.Grid.Base.Fidelity == "" {
-				spec.Grid.Base.Fidelity = o.fidelity
-			}
-		}
-		b, err := spec.Expand()
-		if err != nil {
-			fmt.Fprintln(stderr, "scenario:", err)
-			return 1
-		}
-		var fr *grid.Frontier
-		if o.frontier {
-			fr = &grid.Frontier{}
-		}
-		return runWorkBatch(ctx, b, o, fr, prog, stdout, stderr)
+	b, single, err := grid.LoadWork(data, o.fidelity)
+	if err != nil {
+		fmt.Fprintln(stderr, "scenario:", err)
+		return 1
 	}
-
-	if o.frontier || o.frontierRefine {
+	gb, isGrid := b.(*grid.Batch)
+	if (o.frontier || o.frontierRefine) && !isGrid {
 		fmt.Fprintln(stderr, "scenario: -frontier and -frontier-refine require a grid document (a top-level \"grid\" object)")
 		return 2
 	}
-
-	if scenario.IsBatch(data) {
-		b, err := scenario.LoadBatch(bytes.NewReader(data))
+	if o.frontierRefine {
+		// The refine ladder's manifest counts the analytical phase (the
+		// full grid); the trace shortlist rides on top and is sized by the
+		// run itself, not the input.
+		start := time.Now()
+		man := cli.Manifest{Tool: "scenario", Kind: "grid", Items: gb.Len(), ItemsRun: gb.Len()}
+		if hash, err := gb.Hash(); err == nil {
+			man.BatchSHA256 = hash
+		}
+		err := grid.Refine(ctx, gb.Spec(), grid.RefineOptions{
+			Workers: o.workers, Checkpoint: o.checkpoint, Resume: o.resume, Progress: refineProgress(tickerW),
+		}, stdout)
+		man.Finish(start, nil, err)
+		cli.EmitManifest(stderr, man)
 		if err != nil {
-			fmt.Fprintln(stderr, "scenario:", err)
-			return 1
+			// The per-phase tickers carry partial progress; the
+			// cross-phase note would mix two different totals.
+			return cli.Report("scenario", err, cli.NewProgress("scenario", "points", nil), stderr)
 		}
-		if o.fidelity != "" {
-			for i := range b.Scenarios {
-				if b.Scenarios[i].Fidelity == "" {
-					b.Scenarios[i].Fidelity = o.fidelity
-				}
-			}
-		}
-		return runWorkBatch(ctx, b, o, nil, prog, stdout, stderr)
-	}
-
-	if o.checkpoint != "" {
-		fmt.Fprintln(stderr, "scenario: -checkpoint requires a batch or grid input")
-		return 2
-	}
-
-	cfg, err := scenario.Load(bytes.NewReader(data))
-	if err != nil {
-		fmt.Fprintln(stderr, "scenario:", err)
-		return 1
-	}
-	if cfg.Fidelity == "" {
-		cfg.Fidelity = o.fidelity
-	}
-	start := time.Now()
-	res, err := scenario.RunCtx(ctx, cfg)
-	man := cli.Manifest{Tool: "scenario", Fidelity: cfg.Fidelity, Items: 1, ItemsRun: 1}
-	man.Finish(start, nil, err)
-	cli.EmitManifest(stderr, man)
-	if err != nil {
-		return cli.Report("scenario", err, prog, stderr)
-	}
-	if o.stream {
-		line, err := res.NDJSONLine()
-		if err != nil {
-			fmt.Fprintln(stderr, "scenario:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "%s\n", line)
 		return 0
 	}
-	out, err := res.Render()
-	if err != nil {
-		fmt.Fprintln(stderr, "scenario:", err)
-		return 1
+
+	// Grid runs count "points": the unit operators watching a
+	// million-point sweep reason in.
+	noun := "scenarios"
+	if isGrid {
+		noun = "points"
 	}
-	fmt.Fprintln(stdout, out)
-	return 0
+	var fr *grid.Frontier
+	if o.frontier {
+		fr = &grid.Frontier{}
+	}
+	return runWorkBatch(ctx, b, single, o, fr, cli.NewProgress("scenario", noun, tickerW), stdout, stderr)
 }
 
-// runWorkBatch drives any ordered workload (a scenario batch or an
-// expanded grid) through the unified driver: -stream is work.Run,
-// -checkpoint adds its journal, and the buffered document is work.Collect
-// reassembled. A non-nil frontier accumulates every result line — the
+// runWorkBatch drives any ordered workload (a scenario batch, a single
+// config as a batch of one, or an expanded grid) through the unified
+// driver: -stream is work.Run, -checkpoint adds its journal, and the
+// buffered document is work.Collect reassembled. A non-nil frontier accumulates every result line — the
 // Observe hook of work.Run sees the journal-replayed ones and this run's —
 // keyed by input index, so the appended summary always covers the whole
 // grid even on a resume that re-emits nothing.
-func runWorkBatch(ctx context.Context, b work.Batch, o options, fr *grid.Frontier, prog *cli.Progress, stdout, stderr io.Writer) int {
+func runWorkBatch(ctx context.Context, b work.Batch, single bool, o options, fr *grid.Frontier, prog *cli.Progress, stdout, stderr io.Writer) int {
 	start := time.Now()
 	man := cli.Manifest{Tool: "scenario", Kind: b.Kind(), Fidelity: work.FidelityOf(b), Items: b.Len(), ItemsRun: b.Len()}
 	if hash, err := b.Hash(); err == nil {
@@ -402,7 +332,7 @@ func runWorkBatch(ctx context.Context, b work.Batch, o options, fr *grid.Frontie
 			return 1
 		}
 	}
-	out, err := renderBatchDoc(lines, frontierJSON)
+	out, err := renderBatchDoc(lines, single, frontierJSON)
 	if err != nil {
 		runErr = err
 		fmt.Fprintln(stderr, "scenario:", err)
@@ -432,26 +362,31 @@ func refineProgress(w io.Writer) func(phase string, done, total int) {
 }
 
 // renderBatchDoc reassembles the driver's NDJSON lines into the buffered
-// {"scenarios": [...]} document, with an optional "frontier" field when a
-// grid run computed one. The result is byte-identical to marshalling the
-// results array with two-space indentation: MarshalIndent is Marshal
+// document: a single config's one result, or the {"scenarios": [...]}
+// document with an optional "frontier" field when a grid run computed
+// one. The result is byte-identical to marshalling the result (or the
+// results array) with two-space indentation: MarshalIndent is Marshal
 // followed by Indent, and each driver line is already the compact marshal
 // of its result.
-func renderBatchDoc(lines [][]byte, frontier []byte) (string, error) {
+func renderBatchDoc(lines [][]byte, single bool, frontier []byte) (string, error) {
 	var compact bytes.Buffer
-	compact.WriteString(`{"scenarios":[`)
-	for i, line := range lines {
-		if i > 0 {
-			compact.WriteByte(',')
+	if single {
+		compact.Write(lines[0])
+	} else {
+		compact.WriteString(`{"scenarios":[`)
+		for i, line := range lines {
+			if i > 0 {
+				compact.WriteByte(',')
+			}
+			compact.Write(line)
 		}
-		compact.Write(line)
+		compact.WriteString(`]`)
+		if frontier != nil {
+			compact.WriteString(`,"frontier":`)
+			compact.Write(frontier)
+		}
+		compact.WriteString(`}`)
 	}
-	compact.WriteString(`]`)
-	if frontier != nil {
-		compact.WriteString(`,"frontier":`)
-		compact.Write(frontier)
-	}
-	compact.WriteString(`}`)
 	var out bytes.Buffer
 	if err := json.Indent(&out, compact.Bytes(), "", "  "); err != nil {
 		return "", err

@@ -382,7 +382,8 @@ func TestRunFrontierRequiresGrid(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointFlagValidation pins the flag contract.
+// TestRunCheckpointFlagValidation pins the flag contract, and that a
+// single config checkpoints like any batch: it is a batch of one.
 func TestRunCheckpointFlagValidation(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := run(t.Context(), []string{"-resume"}, strings.NewReader(tinyScenario), &bytes.Buffer{}, &stderr); code != 2 {
@@ -392,9 +393,23 @@ func TestRunCheckpointFlagValidation(t *testing.T) {
 	if code := run(t.Context(), []string{"-checkpoint", "x.journal"}, strings.NewReader(tinyScenario), &bytes.Buffer{}, &stderr); code != 2 {
 		t.Errorf("-checkpoint without -stream: exit %d, want 2", code)
 	}
+
+	jpath := filepath.Join(t.TempDir(), "single.journal")
+	var first bytes.Buffer
 	stderr.Reset()
-	if code := run(t.Context(), []string{"-stream", "-checkpoint", filepath.Join(t.TempDir(), "x.journal")}, strings.NewReader(tinyScenario), &bytes.Buffer{}, &stderr); code != 2 {
-		t.Errorf("-checkpoint with single-scenario input: exit %d, want 2", code)
+	if code := run(t.Context(), []string{"-stream", "-checkpoint", jpath}, strings.NewReader(tinyScenario), &first, &stderr); code != 0 {
+		t.Fatalf("-checkpoint with single-scenario input: exit %d, stderr: %s", code, stderr.String())
+	}
+	if strings.Count(first.String(), "\n") != 1 {
+		t.Errorf("checkpointed single run emitted %q, want one line", first.String())
+	}
+	var resumed bytes.Buffer
+	stderr.Reset()
+	if code := run(t.Context(), []string{"-stream", "-checkpoint", jpath, "-resume"}, strings.NewReader(tinyScenario), &resumed, &stderr); code != 0 {
+		t.Fatalf("single-scenario resume: exit %d, stderr: %s", code, stderr.String())
+	}
+	if resumed.Len() != 0 {
+		t.Errorf("fully journaled single config re-emitted %q", resumed.String())
 	}
 }
 

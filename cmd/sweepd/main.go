@@ -7,15 +7,18 @@
 // result lines, until the batch is done. Run one serve and as many work
 // processes as you have cores and machines.
 //
-// The workload is any registered payload kind: a scenario batch (the
-// default; input as for cmd/scenario), a design-space grid (-grid
-// spec.json — the document expands into its full factorial point product,
-// and each work unit carries only the spec plus a point range, so the
-// fleet re-expands deterministically instead of shipping every config),
-// or, with -experiments, units of experiments emitting the same
-// {"id","ascii","csv"} frames as `figures -stream` (-ids names registry
-// and extension IDs alike, resolved by the same exp.Select rule as
-// `figures -only`).
+// The workload is any registered payload kind. -f (or stdin) takes any
+// document cmd/scenario reads, with the same meaning (grid.LoadWork): a
+// single scenario config (run as a batch of one), a scenario batch, or a
+// design-space grid — the grid expands into its full factorial point
+// product, and each work unit carries only the spec plus a point range,
+// so the fleet re-expands deterministically instead of shipping every
+// config. -fidelity fills every document config that names no fidelity,
+// exactly as in cmd/scenario, so a checkpoint either CLI writes resumes
+// and replays under the other. With -experiments the units are
+// experiments emitting the same {"id","ascii","csv"} frames as `figures
+// -stream` (-ids names registry and extension IDs alike, resolved by the
+// same exp.Select rule as `figures -only`).
 //
 // Every unit is self-contained: an experiments unit names its artifact
 // IDs and the environment scale (accesses/seed/MinR2/fidelity — the scale
@@ -57,15 +60,16 @@
 //
 //	sweepd serve -f examples/scenarios.json -addr :8080
 //	sweepd serve -f big.json -units 64 -checkpoint big.journal -resume > results.ndjson
-//	sweepd serve -grid examples/gridsweep/spec.json -units 32 > grid.ndjson
+//	sweepd serve -f examples/gridsweep/spec.json -units 32 > grid.ndjson
+//	sweepd serve -f examples/gridsweep/spec.json -fidelity analytical -checkpoint grid.journal -resume
 //	sweepd serve -experiments -ids fig1,fig2 -token s3cret
 //	sweepd serve -store /var/lib/sweepd -addr :8080
 //	sweepd work -coordinator http://host:8080
 //	sweepd work -coordinator http://host:8080 -workers 4 -token s3cret -progress
 //	sweepd submit -coordinator http://host:8080 -f examples/scenarios.json -results > results.ndjson
-//	sweepd submit -coordinator http://host:8080 -grid spec.json -wait
+//	sweepd submit -coordinator http://host:8080 -f spec.json -wait
 //	sweepd journal -f big.json -checkpoint big.journal > results.ndjson
-//	sweepd journal -grid examples/gridsweep/spec.json -checkpoint grid.journal > grid.ndjson
+//	sweepd journal -f examples/gridsweep/spec.json -checkpoint grid.journal > grid.ndjson
 //	sweepd journal -stat -checkpoint big.journal
 //
 // Observability: the coordinator serves a fleet-wide operator probe on
@@ -99,7 +103,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/profile"
-	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/work"
 )
@@ -125,7 +128,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 // the exact environment scale) a checkpoint pins.
 type inputOptions struct {
 	file        string
-	grid        string
 	experiments bool
 	ids         string
 	quick       bool
@@ -135,13 +137,12 @@ type inputOptions struct {
 
 // registerInputFlags wires the workload-selection flags.
 func registerInputFlags(fs *flag.FlagSet, o *inputOptions) {
-	fs.StringVar(&o.file, "f", "", "scenario JSON file, single or batch (default stdin)")
-	fs.StringVar(&o.grid, "grid", "", "grid spec JSON file; expands into the full design-space point product")
-	fs.BoolVar(&o.experiments, "experiments", false, "work on experiment units instead of a scenario batch")
+	fs.StringVar(&o.file, "f", "", "workload document as cmd/scenario reads it: a scenario config, a batch, or a grid spec (default stdin)")
+	fs.BoolVar(&o.experiments, "experiments", false, "work on experiment units instead of a workload document")
 	fs.StringVar(&o.ids, "ids", "", "comma-separated experiment IDs with -experiments, registry or extension (default: the whole registry)")
 	fs.BoolVar(&o.quick, "quick", false, "pin the experiments batch to the quick environment scale (match any figures checkpoint)")
 	fs.IntVar(&o.accesses, "accesses", 0, "pin the experiments batch to this trace length (0 = profile default)")
-	fs.StringVar(&o.fidelity, "fidelity", "", `pin the experiments batch to this miss-matrix fidelity: "trace" (default) or "analytical"`)
+	fs.StringVar(&o.fidelity, "fidelity", "", `miss-rate fidelity: the default for document configs that do not set one, or the experiments batch's: "trace" (default) or "analytical"`)
 }
 
 // experimentsEnv resolves the environment scale the input flags declare —
@@ -160,7 +161,8 @@ func experimentsEnv(o inputOptions) *exp.Env {
 }
 
 // loadWorkBatch resolves the selected workload into a work.Batch plus the
-// item noun for diagnostics.
+// item noun for diagnostics. A document (-f, or stdin) means what it means
+// to `scenario`: grid.LoadWork reads it under the -fidelity default.
 func loadWorkBatch(o inputOptions, stdin io.Reader) (work.Batch, string, error) {
 	if o.experiments {
 		// -ids resolves exactly as `figures -only` does, so a `figures
@@ -176,20 +178,20 @@ func loadWorkBatch(o inputOptions, stdin io.Reader) (work.Batch, string, error) 
 		b, err := exp.NewBatch(ids, experimentsEnv(o))
 		return b, "experiments", err
 	}
-	if o.grid != "" {
-		f, err := os.Open(o.grid)
-		if err != nil {
-			return nil, "", err
-		}
-		defer f.Close()
-		spec, err := grid.Load(f)
-		if err != nil {
-			return nil, "", err
-		}
-		b, err := spec.Expand()
+	var data []byte
+	var err error
+	if o.file != "" {
+		data, err = os.ReadFile(o.file)
+	} else {
+		data, err = io.ReadAll(stdin)
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	b, _, err := grid.LoadWork(data, o.fidelity)
+	if _, ok := b.(*grid.Batch); ok {
 		return b, "points", err
 	}
-	b, err := loadBatch(o.file, stdin)
 	return b, "scenarios", err
 }
 
@@ -206,17 +208,11 @@ func validateInput(o inputOptions, stderr io.Writer) bool {
 	case o.ids != "" && !o.experiments:
 		fmt.Fprintln(stderr, "sweepd: -ids requires -experiments")
 		return false
-	case (o.quick || o.accesses > 0 || o.fidelity != "") && !o.experiments:
-		fmt.Fprintln(stderr, "sweepd: -quick/-accesses/-fidelity require -experiments (scenario batches and grids carry their own accesses and fidelity)")
+	case (o.quick || o.accesses > 0) && !o.experiments:
+		fmt.Fprintln(stderr, "sweepd: -quick/-accesses require -experiments (scenario documents carry their own accesses)")
 		return false
 	case o.file != "" && o.experiments:
 		fmt.Fprintln(stderr, "sweepd: -f does not apply to -experiments (use -ids to select artifacts)")
-		return false
-	case o.grid != "" && o.experiments:
-		fmt.Fprintln(stderr, "sweepd: -grid does not apply to -experiments")
-		return false
-	case o.grid != "" && o.file != "":
-		fmt.Fprintln(stderr, "sweepd: -grid and -f are mutually exclusive (one workload per sweep)")
 		return false
 	}
 	return true
@@ -406,7 +402,7 @@ func runServe(ctx context.Context, args []string, stdin io.Reader, stdout, stder
 func runServeStore(ctx context.Context, o serveOptions, stderr io.Writer) int {
 	switch {
 	case o.input != inputOptions{}:
-		fmt.Fprintln(stderr, "sweepd: -store mode takes no workload flags (-f/-grid/-experiments/-ids/-quick/-accesses/-fidelity); submit batches with `sweepd submit`")
+		fmt.Fprintln(stderr, "sweepd: -store mode takes no workload flags (-f/-experiments/-ids/-quick/-accesses/-fidelity); submit batches with `sweepd submit`")
 		return 2
 	case o.checkpoint != "" || o.resume:
 		fmt.Fprintln(stderr, "sweepd: -store replaces -checkpoint/-resume (the store journals every batch; restart resumes automatically)")
@@ -812,31 +808,4 @@ func runJournal(_ context.Context, args []string, stdin io.Reader, stdout, stder
 		}
 	}
 	return 0
-}
-
-// loadBatch reads a scenario document (single config or batch) and returns
-// it as a batch — a single config becomes a batch of one, so sweepd serves
-// any input `scenario` accepts.
-func loadBatch(file string, stdin io.Reader) (scenario.Batch, error) {
-	var r io.Reader = stdin
-	if file != "" {
-		f, err := os.Open(file)
-		if err != nil {
-			return scenario.Batch{}, err
-		}
-		defer f.Close()
-		r = f
-	}
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return scenario.Batch{}, err
-	}
-	if scenario.IsBatch(data) {
-		return scenario.LoadBatch(bytes.NewReader(data))
-	}
-	cfg, err := scenario.Load(bytes.NewReader(data))
-	if err != nil {
-		return scenario.Batch{}, err
-	}
-	return scenario.Batch{Scenarios: []scenario.Config{cfg}}, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -432,9 +433,10 @@ func TestJournalExperimentsScale(t *testing.T) {
 	}
 }
 
-// TestServeGridMatchesDriver checks `serve -grid` distributes a grid
-// spec's expanded point product and reassembles exactly the sequential
-// driver's NDJSON — the third payload kind at the binary level.
+// TestServeGridMatchesDriver checks `serve -f` with a grid document
+// distributes the spec's expanded point product and reassembles exactly
+// the sequential driver's NDJSON — the third payload kind at the binary
+// level.
 func TestServeGridMatchesDriver(t *testing.T) {
 	specJSON := `{"grid":{
 		"axes":{"l1_kb":[16,32]},
@@ -458,7 +460,7 @@ func TestServeGridMatchesDriver(t *testing.T) {
 	}
 
 	ctx := t.Context()
-	url, wait := startServe(t, ctx, []string{"-grid", specPath, "-units", "2"}, "")
+	url, wait := startServe(t, ctx, []string{"-f", specPath, "-units", "2"}, "")
 	if code := runWorkCmd(t, ctx, url, "gw0"); code != 0 {
 		t.Fatalf("worker: exit %d", code)
 	}
@@ -468,6 +470,92 @@ func TestServeGridMatchesDriver(t *testing.T) {
 	}
 	if stdout != want.String() {
 		t.Errorf("distributed grid output differs from driver:\n got: %q\nwant: %q", stdout, want.String())
+	}
+}
+
+// TestJournalReadsEveryDocumentAcrossCLIs pins one meaning per workload
+// document: for a single config, a batch and a grid, each with and
+// without a -fidelity default, `sweepd journal -f D [-fidelity F]` reads
+// the journal of the batch `scenario -f D [-fidelity F] -stream
+// -checkpoint` runs. Each reference batch is built here without
+// grid.LoadWork, from the documented meaning: the grid's spec with its
+// base fidelity set, then Expand; the batch through LoadBatch with every
+// empty fidelity filled in; the single config as a batch of one.
+func TestJournalReadsEveryDocumentAcrossCLIs(t *testing.T) {
+	single := filepath.Join(t.TempDir(), "single.json")
+	if err := os.WriteFile(single, []byte(`{"name":"solo","l1_kb":16,"l2_kb":256,"workload":"tpcc","accesses":20000}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fill := func(cfgs []scenario.Config, fid string) {
+		for i := range cfgs {
+			if cfgs[i].Fidelity == "" {
+				cfgs[i].Fidelity = fid
+			}
+		}
+	}
+	docs := []struct {
+		name, path string
+		build      func(r io.Reader, fid string) (work.Batch, error)
+	}{
+		{"single", single, func(r io.Reader, fid string) (work.Batch, error) {
+			cfg, err := scenario.Load(r)
+			b := scenario.Batch{Scenarios: []scenario.Config{cfg}}
+			fill(b.Scenarios, fid)
+			return b, err
+		}},
+		{"batch", "../../examples/scenarios.json", func(r io.Reader, fid string) (work.Batch, error) {
+			b, err := scenario.LoadBatch(r)
+			fill(b.Scenarios, fid)
+			return b, err
+		}},
+		{"grid", "../../examples/gridsweep/spec.json", func(r io.Reader, fid string) (work.Batch, error) {
+			s, err := grid.Load(r)
+			if err != nil {
+				return nil, err
+			}
+			if s.Grid.Base.Fidelity == "" {
+				s.Grid.Base.Fidelity = fid
+			}
+			return s.Expand()
+		}},
+	}
+	for _, d := range docs {
+		for _, fid := range []string{"", "analytical"} {
+			t.Run(d.name+"/"+cmp.Or(fid, "default"), func(t *testing.T) {
+				f, err := os.Open(d.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := d.build(f, fid)
+				f.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				jpath := filepath.Join(t.TempDir(), "run.journal")
+				jr, done, err := work.OpenJournal(jpath, b, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want bytes.Buffer
+				err = work.Run(t.Context(), b, work.Options{Journal: jr, Done: done}, &want)
+				jr.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				args := []string{"journal", "-f", d.path, "-checkpoint", jpath}
+				if fid != "" {
+					args = append(args, "-fidelity", fid)
+				}
+				var stdout, stderr bytes.Buffer
+				if code := run(t.Context(), args, strings.NewReader(""), &stdout, &stderr); code != 0 {
+					t.Fatalf("sweepd %s: exit %d, stderr: %s", strings.Join(args, " "), code, stderr.String())
+				}
+				if stdout.String() != want.String() {
+					t.Errorf("journal reassembly differs from the run:\n got: %q\nwant: %q", stdout.String(), want.String())
+				}
+			})
+		}
 	}
 }
 
@@ -750,15 +838,6 @@ func TestFlagAndDispatchErrors(t *testing.T) {
 	}
 	if code := run(t.Context(), []string{"serve", "-quick"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
 		t.Errorf("serve -quick without -experiments: exit %d, want 2", code)
-	}
-	if code := run(t.Context(), []string{"serve", "-grid", "g.json", "-experiments"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
-		t.Errorf("serve -grid with -experiments: exit %d, want 2", code)
-	}
-	if code := run(t.Context(), []string{"serve", "-grid", "g.json", "-f", "b.json"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
-		t.Errorf("serve -grid with -f: exit %d, want 2", code)
-	}
-	if code := run(t.Context(), []string{"serve", "-grid", "/nonexistent.json"}, strings.NewReader(""), &stdout, &stderr); code != 1 {
-		t.Errorf("missing grid file: exit %d, want 1", code)
 	}
 	if code := run(t.Context(), []string{"journal", "-checkpoint", "j", "-accesses", "5"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
 		t.Errorf("journal -accesses without -experiments: exit %d, want 2", code)

@@ -8,19 +8,21 @@
 //
 //	go run ./examples/gridsweep
 //
-// The same spec drives the CLIs. Locally:
+// The same spec drives the CLIs, which all read it through grid.LoadWork,
+// so it means the same to each of them (-fidelity included). Locally:
 //
 //	go run ./cmd/scenario -f examples/gridsweep/spec.json -stream -frontier
 //
 // Distributed across machines, the grid travels as the spec plus a point
 // range per work unit (the fleet re-expands deterministically — no config
 // list ever crosses the wire), and checkpoint/resume works exactly as for
-// scenario batches:
+// scenario batches — across CLIs too: `sweepd serve -resume` completes a
+// journal `scenario -stream -checkpoint` started, and the reverse:
 //
-//	sweepd serve -grid examples/gridsweep/spec.json -units 24 \
+//	sweepd serve -f examples/gridsweep/spec.json -units 24 \
 //	    -checkpoint grid.journal -resume > grid.ndjson
 //	sweepd work -coordinator http://host:8080   # per core/machine
-//	sweepd journal -grid examples/gridsweep/spec.json -checkpoint grid.journal
+//	sweepd journal -f examples/gridsweep/spec.json -checkpoint grid.journal
 //
 // spec-analytical.json is the same study at analytical fidelity: its
 // base sets "fidelity": "analytical", so every point's miss rates come

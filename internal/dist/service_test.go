@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/dist/store"
+	"repro/internal/grid"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/work"
@@ -426,6 +428,54 @@ func TestServiceRefusesHostileAccesses(t *testing.T) {
 	}
 	if st := s.Status(); len(st.Batches) != 0 || st.QueueDepth != 0 {
 		t.Errorf("refused batch was queued: %+v", st)
+	}
+}
+
+// TestServiceAdmitsPayloadsAsTheCLIsReadThem pins admission to the one
+// document rule: a raw POST of examples/scenarios.json, which leaves
+// defaults out, gets the batch ID `sweepd submit -f` gives that file
+// (Submit of LoadBatch's batch), and a grid Expand refuses answers 400.
+func TestServiceAdmitsPayloadsAsTheCLIsReadThem(t *testing.T) {
+	s, srv := startService(t, t.Context(), t.TempDir(), ServiceConfig{})
+	post := func(kind, payload string) (int, []byte) {
+		t.Helper()
+		body := fmt.Sprintf(`{"kind":%q,"payload":%s}`, kind, payload)
+		resp, err := srv.Client().Post(srv.URL+"/v1/batches", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, msg
+	}
+
+	data, err := os.ReadFile("../../examples/scenarios.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, msg := post(scenario.JournalKind, string(data))
+	var raw BatchStatus
+	if code != http.StatusCreated || json.Unmarshal(msg, &raw) != nil {
+		t.Fatalf("raw POST: HTTP %d %s, want 201", code, msg)
+	}
+	b, err := scenario.LoadBatch(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, created, err := s.Submit(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if created || st.ID != raw.ID {
+		t.Errorf("raw POST admitted %s, but the loaded file is %s (created %v)", raw.ID, st.ID, created)
+	}
+
+	colliding := `{"grid":{"name":"g{l1_kb}{l2_kb}","axes":{"l1_kb":[1,11],"l2_kb":[11,1]},"base":{"workload":"tpcc"}},"range":{"lo":0,"hi":4}}`
+	if code, msg := post(grid.WorkKind, colliding); code != http.StatusBadRequest || !strings.Contains(string(msg), "g111") {
+		t.Errorf("colliding grid: HTTP %d %s, want 400 naming g111", code, msg)
 	}
 }
 

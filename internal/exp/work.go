@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"repro/internal/dist/journal"
 	"repro/internal/profile"
@@ -47,10 +48,11 @@ func (a Artifact) NDJSONLine() ([]byte, error) {
 // Batch is a list of experiments (registry or extension) as a
 // work.Batch: each item is one experiment, rendering to its Line, run
 // against the batch's Env. The Env's scale travels with every unit, and a
-// batch decoded from the wire takes its Env from a per-process memo keyed
-// by that scale — substrates (caches, fitted models, miss matrices) are
-// then memoized per machine and scale, so a worker fleet rebuilds them
-// once per machine instead of once per unit.
+// batch decoded from the wire takes its Env from the environments of the
+// last few scales the process decoded (wireEnv) — substrates (caches,
+// fitted models, miss matrices) are then memoized per machine and scale,
+// so a worker fleet rebuilds them once per machine instead of once per
+// unit.
 type Batch struct {
 	ids  []string
 	exps []Experiment
@@ -76,20 +78,38 @@ func init() {
 			return nil, fmt.Errorf("exp: work payload: unknown fidelity %q (want %q or %q)",
 				p.Fidelity, profile.FidelityTrace, profile.FidelityAnalytical)
 		}
-		// The build cannot fail, so Do returns no error.
-		env, _ := wireEnvs.Do(p.Scale, func() (*Env, error) {
-			e := NewEnv()
-			e.Accesses, e.Seed, e.MinR2, e.Fidelity = p.Accesses, p.Seed, p.MinR2, p.Fidelity
-			return e, nil
-		})
-		return NewBatch(p.IDs, env)
+		return NewBatch(p.IDs, wireEnv(p.Scale))
 	})
 }
 
-// wireEnvs holds the environment of every scale this process has decoded
-// a batch at, so the units of one batch — and of every batch at the same
-// scale — share memoized substrates.
-var wireEnvs sweep.Memo[Scale, *Env]
+// maxWireEnvs bounds the scales whose environments wireEnvs holds.
+const maxWireEnvs = 8
+
+// wireEnvs holds the environments of the last maxWireEnvs scales this
+// process decoded a batch at, oldest first.
+var wireEnvs struct {
+	sync.Mutex
+	envs []*Env
+}
+
+// wireEnv returns the environment of scale sc, so the units of one batch
+// — and of every batch at the same scale — share memoized substrates,
+// while a process that decodes many scales evicts the oldest. A batch
+// whose scale was evicted keeps its *Env. No single-flight build is
+// needed: an Env builds nothing until it is used.
+func wireEnv(sc Scale) *Env {
+	wireEnvs.Lock()
+	defer wireEnvs.Unlock()
+	for _, e := range wireEnvs.envs {
+		if ScaleOf(e) == sc {
+			return e
+		}
+	}
+	e := NewEnv()
+	e.Accesses, e.Seed, e.MinR2, e.Fidelity = sc.Accesses, sc.Seed, sc.MinR2, sc.Fidelity
+	wireEnvs.envs = append(wireEnvs.envs[max(0, len(wireEnvs.envs)-maxWireEnvs+1):], e)
+	return e
+}
 
 // NewBatch resolves experiment IDs, registry or extension (preserving
 // input order), into an experiment work batch run against env. Unknown

@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -122,8 +124,9 @@ func TestWorkBatchWireRoundTrip(t *testing.T) {
 // TestWirePayloadScale pins the decoder's scale handling: a payload
 // without a scale (the form written before units carried one), a
 // non-positive trace length, one above profile.MaxAccesses and an unknown
-// fidelity are refused, and
-// every unit decoded at one scale shares one environment.
+// fidelity are refused; every unit decoded at one scale shares one
+// environment; and a process that decodes many scales holds the
+// environments of only the last maxWireEnvs.
 func TestWirePayloadScale(t *testing.T) {
 	for _, payload := range []string{
 		`{"ids":["fig1"]}`,
@@ -156,6 +159,39 @@ func TestWirePayloadScale(t *testing.T) {
 	}
 	if want := (Scale{Accesses: 123456, Seed: 3, MinR2: 0.97}); ScaleOf(e1) != want {
 		t.Errorf("decoded environment scale = %+v, want %+v", ScaleOf(e1), want)
+	}
+
+	for seed := 1000; seed < 1100; seed++ {
+		envOf(fmt.Sprintf(`{"ids":["fig1"],"accesses":123456,"seed":%d,"min_r2":0.97}`, seed))
+	}
+	wireEnvs.Lock()
+	held := len(wireEnvs.envs)
+	wireEnvs.Unlock()
+	if held > maxWireEnvs {
+		t.Errorf("decoding 100 scales left %d environments held, want at most %d", held, maxWireEnvs)
+	}
+	if envOf(`{"ids":["fig1"],"accesses":123456,"seed":3,"min_r2":0.97}`) == e1 {
+		t.Error("the environment of a scale 100 scales back was never evicted")
+	}
+	if envOf(`{"ids":["fig1"],"accesses":123456,"seed":5,"min_r2":0.97}`) != envOf(`{"ids":["fig2"],"accesses":123456,"seed":5,"min_r2":0.97}`) {
+		t.Error("consecutive units at one scale must share one environment")
+	}
+
+	// Concurrent decodes at two fresh scales share one environment each.
+	envs, err := sweep.MapCtx(t.Context(), 16, 8, func(_ context.Context, i int) (*Env, error) {
+		b, err := work.Unmarshal(WorkKind, json.RawMessage(fmt.Sprintf(`{"ids":["fig1"],"accesses":123456,"seed":%d,"min_r2":0.97}`, 7+i%2)))
+		if err != nil {
+			return nil, err
+		}
+		return b.(*Batch).env, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range envs {
+		if e != envs[i%2] {
+			t.Fatalf("concurrent unit %d got its own environment", i)
+		}
 	}
 }
 

@@ -57,26 +57,13 @@ func init() {
 		if err := dec.Decode(&p); err != nil {
 			return nil, fmt.Errorf("grid: work payload: %w", err)
 		}
-		if err := (Spec{Grid: p.Grid}).Validate(); err != nil {
-			return nil, err
-		}
-		g := p.Grid.withDefaults()
-		n, axes, err := pointCount(g)
+		// The payload means what its spec means to Expand, sliced to its
+		// range: a submission (the whole grid) gets Expand's every check.
+		b, err := Spec{Grid: p.Grid}.expand(&p.Range)
 		if err != nil {
 			return nil, err
 		}
-		r := p.Range
-		if r.Lo < 0 || r.Hi > n || r.Lo >= r.Hi {
-			return nil, fmt.Errorf("grid: range [%d, %d) out of bounds for %d points", r.Lo, r.Hi, n)
-		}
-		// Nothing is materialized — the worker proves every point valid
-		// analytically and computes configs on demand. The full-grid
-		// duplicate-name backstop ran on the coordinator's Expand, whose
-		// spec this payload's hash pins.
-		if err := validateAxisValues(g, axes); err != nil {
-			return nil, err
-		}
-		return &Batch{grid: g, axes: axes, r: r, n: n}, nil
+		return b, nil
 	})
 }
 
@@ -87,7 +74,14 @@ func init() {
 // grids small enough (≤ dupScanMaxPoints) that the scan is free — the
 // one collision class the analytical checks admit is concatenation
 // ambiguity between adjacent template placeholders.
-func (s Spec) Expand() (*Batch, error) {
+func (s Spec) Expand() (*Batch, error) { return s.expand(nil) }
+
+// expand is the one resolution of a spec, shared by Expand and the wire
+// decoder: the batch covering r of the row-major expansion, or the whole
+// grid when r is nil. The duplicate-name backstop runs whenever the batch
+// is the whole grid; a unit's sub-range is never scanned, since the spec
+// its payload carries was scanned at submission.
+func (s Spec) expand(r *sweep.Range) (*Batch, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,10 +90,17 @@ func (s Spec) Expand() (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
+	whole := sweep.Range{Lo: 0, Hi: n}
+	if r == nil {
+		r = &whole
+	}
+	if r.Lo < 0 || r.Hi > n || r.Lo >= r.Hi {
+		return nil, fmt.Errorf("grid: range [%d, %d) out of bounds for %d points", r.Lo, r.Hi, n)
+	}
 	if err := validateAxisValues(g, axes); err != nil {
 		return nil, err
 	}
-	if n <= dupScanMaxPoints {
+	if *r == whole && n <= dupScanMaxPoints {
 		names := make(map[string]int, n)
 		for i := 0; i < n; i++ {
 			name := configAt(g, axes, i).Name
@@ -110,8 +111,11 @@ func (s Spec) Expand() (*Batch, error) {
 			names[name] = i
 		}
 	}
-	return &Batch{grid: g, axes: axes, r: sweep.Range{Lo: 0, Hi: n}, n: n}, nil
+	return &Batch{grid: g, axes: axes, r: *r, n: n}, nil
 }
+
+// Spec returns the defaulted spec the batch expands.
+func (b *Batch) Spec() Spec { return Spec{Grid: b.grid} }
 
 // ConfigAt computes the config of point i of this batch (slice) on
 // demand: the named, defaulted scenario at absolute grid index

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/profile"
 	"repro/internal/scenario"
+	"repro/internal/work"
 )
 
 // DefaultNameTemplate names points when the spec does not: it mentions
@@ -96,7 +98,7 @@ func Load(r io.Reader) (Spec, error) {
 }
 
 // IsSpec reports whether the JSON document carries a top-level "grid" key —
-// how cmd/scenario tells a grid document from a scenario or batch.
+// how LoadWork tells a grid document from a scenario or batch.
 func IsSpec(data []byte) bool {
 	var probe struct {
 		Grid json.RawMessage `json:"grid"`
@@ -105,6 +107,55 @@ func IsSpec(data []byte) bool {
 		return false
 	}
 	return probe.Grid != nil
+}
+
+// LoadWork is the one rule for what a workload document means, whichever
+// way it comes in — cmd/scenario and every cmd/sweepd subcommand read
+// documents through it, and the wire decoders resolve a payload the same
+// way. A top-level "grid" object is a grid, expanded; a "scenarios" array
+// is a scenario batch; anything else is one scenario config, returned as
+// a batch of one with single set. fidelity is the -fidelity default: it
+// fills every config that names none (for a grid, the base unless the
+// base names one), and a grid with a fidelity axis refuses it.
+func LoadWork(data []byte, fidelity string) (b work.Batch, single bool, err error) {
+	if !profile.ValidFidelity(fidelity) {
+		return nil, false, fmt.Errorf("grid: unknown fidelity %q (want %q or %q)",
+			fidelity, profile.FidelityTrace, profile.FidelityAnalytical)
+	}
+	if IsSpec(data) {
+		s, err := Load(bytes.NewReader(data))
+		if err == nil && fidelity != "" && s.Grid.Axes.Fidelity != nil {
+			err = fmt.Errorf("grid: the grid declares a fidelity axis; drop -fidelity")
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		if s.Grid.Base.Fidelity == "" {
+			s.Grid.Base.Fidelity = fidelity
+		}
+		gb, err := s.Expand()
+		if err != nil {
+			return nil, false, err
+		}
+		return gb, false, nil
+	}
+	var sb scenario.Batch
+	if scenario.IsBatch(data) {
+		sb, err = scenario.LoadBatch(bytes.NewReader(data))
+	} else {
+		var cfg scenario.Config
+		cfg, err = scenario.Load(bytes.NewReader(data))
+		sb, single = scenario.Batch{Scenarios: []scenario.Config{cfg}}, true
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	for i := range sb.Scenarios {
+		if sb.Scenarios[i].Fidelity == "" {
+			sb.Scenarios[i].Fidelity = fidelity
+		}
+	}
+	return sb, single, nil
 }
 
 // withDefaults fills the template and cap.
@@ -375,9 +426,9 @@ func pointCount(g Grid) (int, []axis, error) {
 
 // configAt computes point i of the (defaulted) grid's row-major
 // expansion: a named, defaulted scenario config, a pure function of
-// (g, i) in O(axes) time and memory. It does not validate — Expand and
-// the wire decoder prove every point valid once, per axis value rather
-// than per point (validateAxisValues).
+// (g, i) in O(axes) time and memory. It does not validate — expand
+// proves every point valid once, per axis value rather than per point
+// (validateAxisValues).
 func configAt(g Grid, axes []axis, i int) scenario.Config {
 	cfg := g.Base
 	// Row-major: the last axis varies fastest.

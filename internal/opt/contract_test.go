@@ -63,6 +63,21 @@ func TestSearchContract(t *testing.T) {
 	vths, toxs := []float64{0.2, 0.3, 0.4}, []float64{10, 12}
 	type tupleWinner struct{ Vths, Toxs []float64 }
 
+	// Scheme II's fronts see 20 candidates: ten Vth values in scrambled
+	// order, each tied across Tox 10 and 12. Below 13 candidates the
+	// front's sort is an insertion sort, stable by accident. Every
+	// candidate meets the budget, so the top Vth wins both groups, on its
+	// earlier (Tox 10) twin.
+	wide := vthEvaluator{delay: map[float64]float64{}, leak: map[float64]float64{}}
+	var wideOps []device.OperatingPoint
+	for k := 0; k < 10; k++ {
+		v := (3 * k) % 10
+		vth := 0.2 + 0.02*float64(v)
+		wide.delay[vth], wide.leak[vth] = float64(v+1)*1e-10, float64(10-v)*1e-3
+		wideOps = append(wideOps, device.OP(vth, 10), device.OP(vth, 12))
+	}
+	top := device.OP(0.2+0.02*9, 10)
+
 	for _, tc := range []struct {
 		name string
 		// search returns the evaluation count and the winner to compare
@@ -83,10 +98,11 @@ func TestSearchContract(t *testing.T) {
 		{
 			name: "scheme II",
 			search: func(ctx context.Context) (int, any, error) {
-				r, err := OptimizeSchemeIICtx(ctx, ev, ops, budget)
-				return r.Evaluated, nil, err
+				r, err := OptimizeSchemeIICtx(ctx, wide, wideOps, 1e-6)
+				return r.Evaluated, r.Assignment, err
 			},
-			wantEvaluated: 2 * len(ops),
+			wantEvaluated: 2 * len(wideOps),
+			wantWinner:    components.Split(top, top),
 		},
 		{
 			name: "scheme I",

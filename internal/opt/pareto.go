@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/components"
@@ -24,11 +26,13 @@ func ParetoFront(points []ParetoPoint) []ParetoPoint {
 		return nil
 	}
 	sorted := append([]ParetoPoint(nil), points...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].DelayS != sorted[j].DelayS {
-			return sorted[i].DelayS < sorted[j].DelayS
+	// Stable, so among exact ties the front keeps the earliest candidate
+	// in scan order, as every knob search promises.
+	slices.SortStableFunc(sorted, func(a, b ParetoPoint) int {
+		if a.DelayS != b.DelayS {
+			return cmp.Compare(a.DelayS, b.DelayS)
 		}
-		return sorted[i].LeakageW < sorted[j].LeakageW
+		return cmp.Compare(a.LeakageW, b.LeakageW)
 	})
 	out := sorted[:0]
 	bestLeak := sorted[0].LeakageW + 1

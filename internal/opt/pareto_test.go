@@ -86,6 +86,30 @@ func TestParetoFrontSortedProperty(t *testing.T) {
 	}
 }
 
+// TestParetoFrontTiesKeepScanOrder pins the tie rule every knob search
+// promises: among candidates with identical (delay, leakage), the front
+// keeps the earliest in input order. Forty candidates, twenty exactly
+// tied pairs in scrambled delay order, the earlier twin first: below 13
+// candidates the sort is an insertion sort, stable by accident.
+func TestParetoFrontTiesKeepScanOrder(t *testing.T) {
+	var pts []ParetoPoint
+	for k := 0; k < 20; k++ {
+		d := float64((7*k)%20 + 1)
+		for _, tox := range []float64{10, 12} {
+			pts = append(pts, ParetoPoint{DelayS: d, LeakageW: 100 - d, OP: device.OP(0.3, tox)})
+		}
+	}
+	front := ParetoFront(pts)
+	if len(front) != 20 {
+		t.Fatalf("front has %d points, want one per tied pair (20)", len(front))
+	}
+	for _, p := range front {
+		if p.OP != device.OP(0.3, 10) {
+			t.Errorf("front point at delay %.0f kept the later twin %+v", p.DelayS, p.OP)
+		}
+	}
+}
+
 func TestParetoFrontIdempotent(t *testing.T) {
 	pts := randomPoints(42, 200)
 	once := ParetoFront(pts)

@@ -278,12 +278,3 @@ func missRates(ctx context.Context, cfg Config, l1Size, l2Size int) (float64, fl
 	}
 	return avg.L1Local[l1Size], avg.L2Local[l1Size][l2Size], nil
 }
-
-// Render formats the result as JSON.
-func (r Result) Render() (string, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out), nil
-}

@@ -82,12 +82,12 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 
 	// The rendered result is valid JSON and round-trips.
-	out, err := res.Render()
+	out, err := res.NDJSONLine()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var back Result
-	if err := json.Unmarshal([]byte(out), &back); err != nil {
+	if err := json.Unmarshal(out, &back); err != nil {
 		t.Fatalf("rendered result is not valid JSON: %v", err)
 	}
 	if back.Name != res.Name || back.L2Optimization.LeakageMW != res.L2Optimization.LeakageMW {

@@ -26,15 +26,11 @@ var _ work.Batch = Batch{}
 
 func init() {
 	work.Register(JournalKind, func(payload json.RawMessage) (work.Batch, error) {
-		dec := json.NewDecoder(bytes.NewReader(payload))
-		dec.DisallowUnknownFields()
-		var b Batch
-		if err := dec.Decode(&b); err != nil {
-			return nil, fmt.Errorf("scenario: work payload: %w", err)
-		}
-		// Defaults were applied before MarshalRange rendered the payload;
-		// only structural validity needs re-checking here.
-		if err := b.Validate(); err != nil {
+		// A payload means what the same document means to LoadBatch, so a
+		// raw submission that leaves defaults out gets the batch ID the
+		// CLIs give its file.
+		b, err := LoadBatch(bytes.NewReader(payload))
+		if err != nil {
 			return nil, err
 		}
 		return b, nil
