@@ -4,7 +4,7 @@ GO ?= go
 # top of the file.
 .DEFAULT_GOAL := ci
 
-.PHONY: help ci fmt tidy vet staticcheck lint build test race fuzz bench bench-compile bench-snapshot cover golden docs
+.PHONY: help ci fmt tidy vet staticcheck lint build examples test race fuzz bench bench-compile bench-snapshot cover golden docs
 
 # The perf-snapshot file for the current PR and the packages it records.
 # Bump SNAPSHOT per PR (BENCH_7.json, ...) so the repo keeps the
@@ -18,14 +18,14 @@ help: ## list the Makefile verbs and what they do
 	@grep -E '^[a-zA-Z_-]+:.*?## ' $(MAKEFILE_LIST) | awk 'BEGIN {FS = ":.*?## "}; {printf "  %-14s %s\n", $$1, $$2}'
 
 # ci is the gate: formatting, module tidiness, vet, staticcheck, the
-# repository's own analyzer suite, build, race-enabled tests, bounded
-# fuzzing runs, and a one-iteration pass over every benchmark as a
-# compile-and-run check —
+# repository's own analyzer suite, build, a run of every example,
+# race-enabled tests, bounded fuzzing runs, and a one-iteration pass over
+# every benchmark as a compile-and-run check —
 # the same chain .github/workflows/ci.yml runs, so a green `make ci`
 # means a green CI run. (CI's benchmark-regression gate needs a
 # merge-base to diff against and only runs on pull requests; see
 # .github/workflows/ci.yml.)
-ci: fmt tidy vet staticcheck lint build race fuzz bench-compile ## the full CI gate (fmt + tidy + vet + staticcheck + repolint + build + race tests + fuzz + bench compile)
+ci: fmt tidy vet staticcheck lint build examples race fuzz bench-compile ## the full CI gate (fmt + tidy + vet + staticcheck + repolint + build + examples + race tests + fuzz + bench compile)
 
 # fmt fails listing the files gofmt would rewrite, same as the CI step.
 fmt: ## fail when gofmt would change any file
@@ -66,6 +66,20 @@ lint: ## run the repolint determinism-invariant suite (zero diagnostics required
 
 build: ## compile every package and binary
 	$(GO) build ./...
+
+# examples runs every program under examples/ from the repo root, where
+# their doc comments run them: no test does, yet they are the only
+# non-test callers of parts of core's API (DesignHierarchy among them).
+# Their stdout is discarded; a non-zero exit fails the target. The
+# distsweep checkpoint is removed before and after, so every run starts
+# fresh and leaves nothing behind.
+examples: ## run every examples/ program from the repo root (~10s)
+	@rm -f distsweep.journal
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || { rm -f distsweep.journal; exit 1; }; \
+	done
+	@rm -f distsweep.journal
 
 test: ## run the tier-1 test suite
 	$(GO) test ./...

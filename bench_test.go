@@ -220,17 +220,18 @@ func gomaxprocsLevels() []int {
 	return levels
 }
 
-// benchAll measures one cold exp.Env.All() pass: every artifact of the
-// paper regenerated from scratch (workload simulation, characterization,
-// model fits, and all optimizations), at a reduced trace length so a single
-// iteration stays in benchmark range.
+// benchAll measures one RunExperimentsCtx pass over the registry: every
+// artifact of the paper regenerated from a fresh Env (workload simulation
+// and all optimizations), at a reduced trace length so a single iteration
+// stays in benchmark range. Designs come from core's process-wide memo,
+// so only the first iteration characterizes and fits them.
 func benchAll(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		env := exp.NewQuickEnv()
 		env.Accesses = 100_000
 		env.Workers = workers
-		arts, err := env.AllCtx(b.Context())
+		arts, err := env.RunExperimentsCtx(b.Context(), exp.Experiments())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func main() {
 
 	// The same study through the library API: one tuple optimization with
 	// explicit budgets.
-	h, err := core.DesignHierarchy(ctx, core.NewTechnology(), 16*cachecfg.KB, 512*cachecfg.KB,
+	h, err := core.DesignHierarchy(ctx, 16*cachecfg.KB, 512*cachecfg.KB,
 		core.HierarchyOptions{Accesses: 300_000})
 	if err != nil {
 		log.Fatal(err)

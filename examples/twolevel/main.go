@@ -49,7 +49,7 @@ func main() {
 	// The same study through the library API, for one (L1, L2) pair:
 	// optimize the L2 knobs of a 16KB/512KB system under an explicit AMAT
 	// budget.
-	h, err := core.DesignHierarchy(ctx, core.NewTechnology(), 16*cachecfg.KB, 512*cachecfg.KB,
+	h, err := core.DesignHierarchy(ctx, 16*cachecfg.KB, 512*cachecfg.KB,
 		core.HierarchyOptions{Accesses: 300_000})
 	if err != nil {
 		log.Fatal(err)

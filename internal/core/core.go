@@ -17,9 +17,11 @@
 //  5. regenerate every figure and table of the paper's evaluation.
 //
 // The heavy lifting lives in the internal sub-packages (device, circuit,
-// sram, geom, components, fit, charlib, model, trace, sim, mem, amat, opt,
-// exp); this package provides the assembled, documented entry points that
-// the examples and command-line tools consume.
+// sram, geom, components, fit, charlib, model, trace, sim, mem, amat,
+// opt); this package provides the entry points the examples and tools
+// consume, and its process-wide memo (SharedDesign, SharedKnobGrid) is the
+// one source of cache designs and of the knob grid, with no private copy,
+// for scenario, grid and exp alike.
 package core
 
 import (
@@ -49,9 +51,6 @@ func NewTechnology() *device.Technology { return device.Default65nm() }
 // L1Config returns the canonical L1 organization of the given capacity.
 func L1Config(sizeBytes int) cachecfg.Config { return cachecfg.L1(sizeBytes) }
 
-// L2Config returns the canonical L2 organization of the given capacity.
-func L2Config(sizeBytes int) cachecfg.Config { return cachecfg.L2(sizeBytes) }
-
 // OP builds an operating point from volts and angstroms.
 func OP(vth, toxAngstrom float64) device.OperatingPoint { return device.OP(vth, toxAngstrom) }
 
@@ -65,7 +64,8 @@ type CacheDesign struct {
 }
 
 // DesignCache builds the cache netlists for cfg, characterizes the four
-// components over the default grid, and fits the paper's model forms.
+// components over the default grid, and fits the paper's model forms,
+// refusing a fit below R2 0.95. SharedDesign memoizes it.
 func DesignCache(tech *device.Technology, cfg cachecfg.Config) (*CacheDesign, error) {
 	c, err := components.New(tech, cfg)
 	if err != nil {
@@ -84,12 +84,6 @@ func (d *CacheDesign) Evaluate(a components.Assignment) (leakW, delayS, energyJ 
 	return d.Cache.Leakage(a).Total(), d.Cache.AccessTime(a), d.Cache.DynamicEnergy(a)
 }
 
-// KnobGrid returns the paper's fine optimization grid.
-func KnobGrid() []device.OperatingPoint {
-	g := charlib.OptimizationGrid()
-	return opt.PairsFromGrid(g.Vths, g.ToxAs)
-}
-
 // The shared substrate behind SharedDesign/SharedKnobGrid: design-space
 // sweeps evaluate the same few cache organizations at thousands to
 // millions of (config, budget) points, and characterize-and-fit is by far
@@ -98,7 +92,10 @@ func KnobGrid() []device.OperatingPoint {
 var (
 	sharedTech     = sync.OnceValue(NewTechnology)
 	designMemo     sweep.Memo[cachecfg.Config, *CacheDesign]
-	sharedKnobGrid = sync.OnceValue(KnobGrid)
+	sharedKnobGrid = sync.OnceValue(func() []device.OperatingPoint {
+		g := charlib.OptimizationGrid()
+		return opt.PairsFromGrid(g.Vths, g.ToxAs)
+	})
 )
 
 // SharedTechnology returns the process-wide default technology instance —
@@ -111,29 +108,30 @@ func SharedTechnology() *device.Technology { return sharedTech() }
 // singleflight semantics. Design construction is deterministic, and model
 // evaluation is pure, so sharing one design across concurrent
 // optimizations preserves the byte-identical-output invariant. Treat the
-// returned design as read-only.
+// returned design as read-only. Its fit gate is DesignCache's; exp
+// applies its own on top (model.CacheModel.CheckR2).
 func SharedDesign(cfg cachecfg.Config) (*CacheDesign, error) {
 	return designMemo.Do(cfg, func() (*CacheDesign, error) {
 		return DesignCache(sharedTech(), cfg)
 	})
 }
 
-// SharedKnobGrid returns the paper's fine optimization grid, computed
-// once per process. Treat the returned slice as read-only; callers that
-// need a private copy should use KnobGrid.
+// SharedKnobGrid returns the paper's fine optimization grid (every
+// OptimizationGrid (Vth, Tox) pair), computed once per process. The knob
+// searches only read it; treat the returned slice as read-only.
 func SharedKnobGrid() []device.OperatingPoint { return sharedKnobGrid() }
 
 // OptimizeLeakageCtx minimizes the cache's total leakage under a delay
 // budget (seconds) with the chosen assignment scheme, searching the
 // paper's fine knob grid against the fitted model.
 func (d *CacheDesign) OptimizeLeakageCtx(ctx context.Context, scheme opt.Scheme, delayBudget float64) (opt.Result, error) {
-	return opt.OptimizeCtx(ctx, scheme, d.Model, KnobGrid(), delayBudget)
+	return opt.OptimizeCtx(ctx, scheme, d.Model, SharedKnobGrid(), delayBudget)
 }
 
 // DelayRange returns the achievable [fastest, slowest] access times over
 // uniform assignments — the span of useful delay budgets.
 func (d *CacheDesign) DelayRange() (lo, hi float64) {
-	return opt.FeasibleDelayRange(d.Model, KnobGrid())
+	return opt.FeasibleDelayRange(d.Model, SharedKnobGrid())
 }
 
 // TradeoffCurveCtx sweeps n delay budgets across the feasible range and
@@ -141,23 +139,23 @@ func (d *CacheDesign) DelayRange() (lo, hi float64) {
 // frontier.
 func (d *CacheDesign) TradeoffCurveCtx(ctx context.Context, scheme opt.Scheme, n int) ([]opt.Result, error) {
 	lo, hi := d.DelayRange()
-	return opt.FrontierCtx(ctx, scheme, d.Model, KnobGrid(), units.Linspace(lo, hi, n))
+	return opt.FrontierCtx(ctx, scheme, d.Model, SharedKnobGrid(), units.Linspace(lo, hi, n))
 }
 
 // HierarchyDesign is a two-level cache system plus main memory under a
-// workload mix — the setting of the paper's Section 5.
+// workload mix — the setting of the paper's Section 5. L1 and L2 are the
+// process-wide shared designs (SharedDesign): treat them as read-only.
 type HierarchyDesign struct {
-	Tech *device.Technology
-	L1   *CacheDesign
-	L2   *CacheDesign
-	Mem  mem.Spec
+	L1  *CacheDesign
+	L2  *CacheDesign
+	Mem mem.Spec
 
 	// M1 and M2 are the local miss rates of the configured sizes under the
 	// simulated workloads.
 	M1, M2 float64
 }
 
-// HierarchyOptions tunes DesignHierarchy.
+// HierarchyOptions tunes DesignHierarchy's simulation and main memory.
 type HierarchyOptions struct {
 	// Accesses per workload for miss-rate simulation (default 1M).
 	Accesses int
@@ -167,10 +165,10 @@ type HierarchyOptions struct {
 	Mem *mem.Spec
 }
 
-// DesignHierarchy builds L1 and L2 designs of the given capacities and
-// simulates the three workload suites to obtain their miss rates.
-// Cancelling ctx aborts the simulation with ctx's error.
-func DesignHierarchy(ctx context.Context, tech *device.Technology, l1Size, l2Size int, o HierarchyOptions) (*HierarchyDesign, error) {
+// DesignHierarchy reads the L1 and L2 designs of the given capacities
+// from SharedDesign and simulates the three workload suites to obtain
+// their miss rates. Cancelling ctx aborts the simulation with ctx's error.
+func DesignHierarchy(ctx context.Context, l1Size, l2Size int, o HierarchyOptions) (*HierarchyDesign, error) {
 	if o.Accesses == 0 {
 		o.Accesses = 1_000_000
 	}
@@ -182,11 +180,11 @@ func DesignHierarchy(ctx context.Context, tech *device.Technology, l1Size, l2Siz
 		m = *o.Mem
 	}
 
-	l1, err := DesignCache(tech, cachecfg.L1(l1Size))
+	l1, err := SharedDesign(cachecfg.L1(l1Size))
 	if err != nil {
 		return nil, fmt.Errorf("core: L1: %w", err)
 	}
-	l2, err := DesignCache(tech, cachecfg.L2(l2Size))
+	l2, err := SharedDesign(cachecfg.L2(l2Size))
 	if err != nil {
 		return nil, fmt.Errorf("core: L2: %w", err)
 	}
@@ -200,12 +198,11 @@ func DesignHierarchy(ctx context.Context, tech *device.Technology, l1Size, l2Siz
 		return nil, err
 	}
 	return &HierarchyDesign{
-		Tech: tech,
-		L1:   l1,
-		L2:   l2,
-		Mem:  m,
-		M1:   avg.L1Local[l1Size],
-		M2:   avg.L2Local[l1Size][l2Size],
+		L1:  l1,
+		L2:  l2,
+		Mem: m,
+		M1:  avg.L1Local[l1Size],
+		M2:  avg.L2Local[l1Size][l2Size],
 	}, nil
 }
 
@@ -219,22 +216,10 @@ func (h *HierarchyDesign) AMAT(a1, a2 components.Assignment) float64 {
 	return h.twoLevel().AMAT(a1, a2)
 }
 
-// TotalEnergy returns the per-access total energy (J) under the assignments
-// (dynamic plus leakage over the AMAT window — the Figure 2 objective).
-func (h *HierarchyDesign) TotalEnergy(a1, a2 components.Assignment) float64 {
-	return h.twoLevel().System(a1, a2).TotalEnergyJ()
-}
-
 // OptimizeL2 minimizes combined leakage over L2 assignments under an AMAT
 // budget with L1 pinned (the paper's first two-level experiment).
 func (h *HierarchyDesign) OptimizeL2(ctx context.Context, scheme opt.Scheme, a1 components.Assignment, amatBudget float64) (opt.TwoLevelResult, error) {
-	return h.twoLevel().OptimizeL2Ctx(ctx, scheme, a1, KnobGrid(), amatBudget)
-}
-
-// OptimizeL1 minimizes combined leakage over L1 assignments under an AMAT
-// budget with L2 pinned.
-func (h *HierarchyDesign) OptimizeL1(ctx context.Context, scheme opt.Scheme, a2 components.Assignment, amatBudget float64) (opt.TwoLevelResult, error) {
-	return h.twoLevel().OptimizeL1Ctx(ctx, scheme, a2, KnobGrid(), amatBudget)
+	return h.twoLevel().OptimizeL2Ctx(ctx, scheme, a1, SharedKnobGrid(), amatBudget)
 }
 
 // MemorySystem returns the whole-system view used by the tuple-budget

@@ -19,13 +19,12 @@ var (
 func setup(t *testing.T) (*CacheDesign, *HierarchyDesign) {
 	t.Helper()
 	once.Do(func() {
-		tech := NewTechnology()
-		d, err := DesignCache(tech, L1Config(16*cachecfg.KB))
+		d, err := DesignCache(NewTechnology(), L1Config(16*cachecfg.KB))
 		if err != nil {
 			t.Fatal(err)
 		}
 		design = d
-		h, err := DesignHierarchy(t.Context(), tech, 16*cachecfg.KB, 512*cachecfg.KB,
+		h, err := DesignHierarchy(t.Context(), 16*cachecfg.KB, 512*cachecfg.KB,
 			HierarchyOptions{Accesses: 200_000})
 		if err != nil {
 			t.Fatal(err)
@@ -106,7 +105,7 @@ func TestHierarchyBasics(t *testing.T) {
 	if am < 500*units.Picosecond || am > 10*units.Nanosecond {
 		t.Errorf("AMAT %v out of regime", am)
 	}
-	e := h.TotalEnergy(a1, a2)
+	e := h.twoLevel().System(a1, a2).TotalEnergyJ()
 	if e < units.FromPJ(10) || e > units.FromPJ(5000) {
 		t.Errorf("total energy %v pJ out of regime", units.ToPJ(e))
 	}
@@ -144,5 +143,24 @@ func TestHierarchyOptimizeTuples(t *testing.T) {
 	}
 	if got := r.Assignment.DistinctToxs(); got > 2 {
 		t.Errorf("used %d Tox values", got)
+	}
+}
+
+// TestHierarchyReadsSharedDesigns pins DesignHierarchy to the process
+// memo: its levels are the designs SharedDesign returns, not private
+// builds.
+func TestHierarchyReadsSharedDesigns(t *testing.T) {
+	_, h := setup(t)
+	for _, tc := range []struct {
+		got *CacheDesign
+		cfg cachecfg.Config
+	}{{h.L1, cachecfg.L1(16 * cachecfg.KB)}, {h.L2, cachecfg.L2(512 * cachecfg.KB)}} {
+		want, err := SharedDesign(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.got != want {
+			t.Errorf("%v: DesignHierarchy built its own design", tc.cfg)
+		}
 	}
 }

@@ -604,6 +604,45 @@ func TestStatusExecFallback(t *testing.T) {
 	}
 }
 
+// TestUnitFailsAfterRepeatedLeaseExpiry pins the poison-pill guard: a
+// unit whose lease expires maxLeaseExpiries times with no result — a unit
+// that kills every worker it reaches — fails its batch with an error
+// naming the unit and the count. The lease that finds the last expiry
+// hands out nothing of the batch, and the unit's heartbeats bounce.
+func TestUnitFailsAfterRepeatedLeaseExpiry(t *testing.T) {
+	fc := &fakeClock{now: time.Unix(1000, 0)}
+	s, srv, id, _ := batchService(t, toyBatch{2}, ServiceConfig{Units: 1, LeaseTTL: time.Second, Clock: fc.clock})
+	var unit *Unit
+	for i := 0; i < maxLeaseExpiries; i++ {
+		lease := leaseRaw(t, srv, fmt.Sprintf("w%d", i))
+		if lease.Unit == nil || lease.Unit.ID != 0 {
+			t.Fatalf("lease %d = %+v, want unit 0 again", i, lease)
+		}
+		unit = lease.Unit
+		fc.advance(2 * time.Second) // the worker dies: no heartbeat, no result
+	}
+	if lease := leaseRaw(t, srv, "w-next"); lease.Unit != nil {
+		t.Fatalf("lease after %d expiries handed out unit %+v", maxLeaseExpiries, *lease.Unit)
+	}
+	want := fmt.Sprintf("unit 0 lease expired %d times with no result", maxLeaseExpiries)
+	st := s.Status().Batches[0]
+	if st.State != BatchFailed || st.Error != want {
+		t.Fatalf("batch = %+v, want failed with %q", st, want)
+	}
+	if _, err := results(t.Context(), s, id); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Results = %v, want an error naming %q", err, want)
+	}
+	hb := fmt.Sprintf(`{"worker":"w%d","batch":%q,"unit":%d}`, maxLeaseExpiries-1, id, unit.ID)
+	resp, err := srv.Client().Post(srv.URL+"/v1/heartbeat", "application/json", strings.NewReader(hb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("heartbeat for the failed unit: HTTP %d, want 409", resp.StatusCode)
+	}
+}
+
 // leaseRaw takes a lease over plain HTTP, bypassing the Worker loop.
 func leaseRaw(t *testing.T, srv *httptest.Server, worker string) LeaseResponse {
 	t.Helper()

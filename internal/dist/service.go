@@ -122,6 +122,11 @@ const (
 	unitDone
 )
 
+// maxLeaseExpiries is how many times one unit's lease may expire with no
+// result before the unit fails its batch: a unit that kills every worker
+// would otherwise be re-leased forever, taking the fleet down in turn.
+const maxLeaseExpiries = 3
+
 // workerState is the service's per-worker bookkeeping, keyed by the
 // worker's self-assigned ID.
 type workerState struct {
@@ -137,6 +142,7 @@ type unitState struct {
 	worker   string
 	deadline time.Time
 	leasedAt time.Time // current lease grant; zero while pending/done
+	expiries int       // leases that expired with no result
 }
 
 // batchRun is the in-memory state of one admitted batch.
@@ -578,6 +584,12 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 				u.state = unitPending
 				u.worker = ""
 				u.leasedAt = time.Time{}
+				if u.expiries++; u.expiries >= maxLeaseExpiries {
+					msg := fmt.Sprintf("unit %d lease expired %d times with no result", u.unit.ID, u.expiries)
+					s.finishLocked(br, BatchFailed, msg, now)
+					s.logf("batch %s: failed: %s", br.id, msg)
+					break
+				}
 			}
 			if u.state != unitPending {
 				continue

@@ -431,6 +431,34 @@ func TestServiceRefusesHostileAccesses(t *testing.T) {
 	}
 }
 
+// TestServiceRefusesUnrunnableConfigs checks admission refuses what
+// cannot run: a cache size that is no cachecfg organization, a size over
+// scenario.MaxCacheKB, or negative accesses — in a scenario batch or a
+// grid — is answered 400 and never queued, so no worker leases it.
+func TestServiceRefusesUnrunnableConfigs(t *testing.T) {
+	s, srv := startService(t, t.Context(), t.TempDir(), ServiceConfig{})
+	for _, tc := range []struct{ kind, payload, want string }{
+		{"scenario-batch", `{"scenarios":[{"name":"x","l1_kb":16,"l2_kb":3,"workload":"tpcc"}]}`, "powers of two"},
+		{"scenario-batch", `{"scenarios":[{"name":"x","l1_kb":16,"l2_kb":1048576,"workload":"tpcc","fidelity":"analytical"}]}`, "above the cap"},
+		{"scenario-batch", `{"scenarios":[{"name":"x","l1_kb":16,"l2_kb":256,"workload":"tpcc","accesses":-5}]}`, "negative"},
+		{"grid", `{"grid":{"axes":{"l2_kb":[256,1048576]},"base":{"l1_kb":16,"workload":"tpcc","fidelity":"analytical"}},"range":{"lo":0,"hi":2}}`, "above the cap"},
+	} {
+		body := fmt.Sprintf(`{"kind":%q,"payload":%s}`, tc.kind, tc.payload)
+		resp, err := srv.Client().Post(srv.URL+"/v1/batches", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("%s: HTTP %d %s, want 400 naming %q", tc.payload, resp.StatusCode, msg, tc.want)
+		}
+	}
+	if st := s.Status(); len(st.Batches) != 0 || st.QueueDepth != 0 {
+		t.Errorf("refused batches were queued: %+v", st)
+	}
+}
+
 // TestServiceAdmitsPayloadsAsTheCLIsReadThem pins admission to the one
 // document rule: a raw POST of examples/scenarios.json, which leaves
 // defaults out, gets the batch ID `sweepd submit -f` gives that file
@@ -473,9 +501,9 @@ func TestServiceAdmitsPayloadsAsTheCLIsReadThem(t *testing.T) {
 		t.Errorf("raw POST admitted %s, but the loaded file is %s (created %v)", raw.ID, st.ID, created)
 	}
 
-	colliding := `{"grid":{"name":"g{l1_kb}{l2_kb}","axes":{"l1_kb":[1,11],"l2_kb":[11,1]},"base":{"workload":"tpcc"}},"range":{"lo":0,"hi":4}}`
-	if code, msg := post(grid.WorkKind, colliding); code != http.StatusBadRequest || !strings.Contains(string(msg), "g111") {
-		t.Errorf("colliding grid: HTTP %d %s, want 400 naming g111", code, msg)
+	colliding := `{"grid":{"name":"g{l1_kb}{l2_kb}","axes":{"l1_kb":[1,16],"l2_kb":[64,4]},"base":{"workload":"tpcc"}},"range":{"lo":0,"hi":4}}`
+	if code, msg := post(grid.WorkKind, colliding); code != http.StatusBadRequest || !strings.Contains(string(msg), `both expand to name \"g164\"`) {
+		t.Errorf("colliding grid: HTTP %d %s, want 400 naming g164", code, msg)
 	}
 }
 

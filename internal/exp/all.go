@@ -71,8 +71,7 @@ func tabExp(id string, f func(*Env, context.Context) (Table, error)) Experiment 
 }
 
 // Experiments is the registry of the paper's evaluation in the paper's
-// order. AllCtx runs the whole list; Select resolves ID lists against it
-// and Extensions.
+// order. Select resolves ID lists against it and Extensions.
 func Experiments() []Experiment {
 	return []Experiment{
 		figExp("fig1", (*Env).Fig1),
@@ -135,21 +134,12 @@ func Select(ids string, ext bool) ([]Experiment, error) {
 	return slices.DeleteFunc(all, func(x Experiment) bool { return !slices.Contains(named, x.ID) }), nil
 }
 
-// AllCtx runs every experiment in the paper's order and returns the
-// artifacts. Experiments fan out across e.Workers workers (the shared
-// substrates are singleflight-memoized, so each model and miss matrix is
-// still built once); artifacts are collected in registry order, so the
-// output is byte-identical to a sequential run. An error in any experiment
-// aborts the run: partial evaluations are worse than loud failures in a
-// reproduction. Cancelling ctx stops scheduling experiments and aborts the
-// sweeps inside running ones.
-func (e *Env) AllCtx(ctx context.Context) ([]Artifact, error) {
-	return e.RunExperimentsCtx(ctx, Experiments())
-}
-
-// RunExperimentsCtx runs a list of experiments (any Select result),
-// fanning out as AllCtx does, preserving input order and reporting
-// completions to e.Progress.
+// RunExperimentsCtx runs a list of experiments (any Select result) across
+// e.Workers workers, reporting completions to e.Progress, and returns the
+// artifacts in input order — byte-identical to a sequential run. An error
+// in any experiment aborts the run: partial evaluations are worse than
+// loud failures in a reproduction. Cancelling ctx stops scheduling
+// experiments and aborts the sweeps inside running ones.
 func (e *Env) RunExperimentsCtx(ctx context.Context, exps []Experiment) ([]Artifact, error) {
 	var done atomic.Int64
 	return sweep.MapCtx(ctx, len(exps), e.workers(), func(ctx context.Context, i int) (Artifact, error) {

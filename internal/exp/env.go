@@ -4,9 +4,10 @@
 //
 // The per-experiment index is the Experiments registry (the paper's
 // evaluation) and the Extensions list (studies beyond it) in all.go;
-// `figures -list -ext` prints every ID in order. Experiments fan out across the sweep engine
-// (internal/sweep) and share lazily built caches, fitted models and miss
-// matrices through singleflight memos, so a parallel run builds each
+// `figures -list -ext` prints every ID in order. Experiments fan out
+// across the sweep engine (internal/sweep). Cache designs and the knob
+// grid come from core's process-wide memo, shared with scenario points;
+// each Env memoizes its miss matrices. A parallel run builds each
 // substrate exactly once and emits output byte-identical to a sequential
 // run.
 package exp
@@ -16,29 +17,26 @@ import (
 	"fmt"
 
 	"repro/internal/cachecfg"
-	"repro/internal/charlib"
-	"repro/internal/components"
-	"repro/internal/device"
-	"repro/internal/mem"
-	"repro/internal/model"
+	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
-// Env carries the shared state of an experiment run: the technology, the
-// workload seed and simulation length, and lazily built caches, fitted
-// models, and miss-rate matrices.
+// Env carries the scale of an experiment run (the workload seed, the
+// simulation length, the fit gate and the miss-rate fidelity) and its
+// lazily built miss-rate matrices. It holds no cache design: every Env
+// reads designs from core's process-wide memo and applies its own gate.
 type Env struct {
-	Tech *device.Technology
-	Mem  mem.Spec
-
 	// Accesses is the trace length per (workload, L1 size) simulation.
 	Accesses int
 	// Seed drives all synthetic workloads.
 	Seed int64
-	// MinR2 gates model fits (0 accepts any fit).
+	// MinR2 gates the leakage and delay fits of every design an
+	// experiment reads. core.SharedDesign refuses fits below R2 0.95
+	// itself, so the effective gate is max(0.95, MinR2); every fit of an
+	// admitted size (1 KB to 64 MB) measures R2 >= 0.991, above both.
 	MinR2 float64
 	// Fidelity selects the miss-matrix builder: "" or
 	// profile.FidelityTrace runs the trace-driven simulator (the golden
@@ -50,7 +48,7 @@ type Env struct {
 	// first matrix is built; the memoized matrices do not rebuild on
 	// later changes.
 	Fidelity string
-	// Workers bounds the experiment fan-out of AllCtx/RunExperimentsCtx
+	// Workers bounds the experiment fan-out of RunExperimentsCtx
 	// and the size and budget-fraction sweeps inside an experiment: 0
 	// uses GOMAXPROCS, 1 runs them one at a time. A single knob search
 	// always runs on one goroutine; the opt budget sweeps (FrontierCtx,
@@ -64,8 +62,6 @@ type Env struct {
 	// RunExperimentsCtx.
 	Progress sweep.Progress
 
-	caches   sweep.Memo[string, *components.Cache]
-	models   sweep.Memo[string, *model.CacheModel]
 	matrices sweep.Memo[struct{}, []*sim.MissMatrix]
 	average  sweep.Memo[struct{}, *sim.MissMatrix]
 }
@@ -73,8 +69,6 @@ type Env struct {
 // NewEnv returns an environment with production-scale defaults.
 func NewEnv() *Env {
 	return &Env{
-		Tech:     device.Default65nm(),
-		Mem:      mem.DefaultDDR(),
 		Accesses: 1_000_000,
 		Seed:     1,
 		MinR2:    0.97,
@@ -89,31 +83,17 @@ func NewQuickEnv() *Env {
 	return e
 }
 
-// Cache returns (building and caching on first use) the transistor-level
-// cache for a configuration. Concurrent callers for the same configuration
-// share one build.
-func (e *Env) Cache(cfg cachecfg.Config) (*components.Cache, error) {
-	key := cfg.Name + "/" + cfg.String()
-	return e.caches.Do(key, func() (*components.Cache, error) {
-		return components.New(e.Tech, cfg)
-	})
-}
-
-// Model returns (building and caching on first use) the fitted analytical
-// model for a configuration.
-func (e *Env) Model(cfg cachecfg.Config) (*model.CacheModel, error) {
-	c, err := e.Cache(cfg)
-	if err != nil {
-		return nil, err
+// design returns cfg's shared, read-only design from core's memo, refused
+// when a leakage or delay fit falls below the Env's MinR2.
+func (e *Env) design(cfg cachecfg.Config) (*core.CacheDesign, error) {
+	d, err := core.SharedDesign(cfg)
+	if err == nil {
+		err = d.Model.CheckR2(e.MinR2)
 	}
-	key := cfg.Name + "/" + cfg.String()
-	return e.models.Do(key, func() (*model.CacheModel, error) {
-		m, err := model.Build(c, charlib.DefaultGrid(), e.MinR2)
-		if err != nil {
-			return nil, fmt.Errorf("exp: model for %v: %w", cfg, err)
-		}
-		return m, nil
-	})
+	if err != nil {
+		return nil, fmt.Errorf("exp: model for %v: %w", cfg, err)
+	}
+	return d, nil
 }
 
 // SuiteMatricesCtx returns the per-workload miss matrices over the

@@ -306,7 +306,11 @@ func TestSplitBeatsGrowingTheL2(t *testing.T) {
 	// knobs inside the L2 never hurts, strictly helps somewhere, and shifts
 	// the optimal L2 size down (smaller L2 + aggressive periphery instead
 	// of growing the cache).
-	single, split, err := env(t).L2SweepAtMargin(t.Context(), 1.03)
+	single, err := env(t).l2SizeSweepAt(t.Context(), 1.03, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := env(t).l2SizeSweepAt(t.Context(), 1.03, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +484,7 @@ func TestFitQualityGate(t *testing.T) {
 }
 
 func TestAllArtifacts(t *testing.T) {
-	arts, err := env(t).AllCtx(t.Context())
+	arts, err := env(t).RunExperimentsCtx(t.Context(), Experiments())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/cachecfg"
-	"repro/internal/charlib"
 	"repro/internal/components"
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/device"
 	"repro/internal/mem"
@@ -26,18 +26,14 @@ import (
 // transistor-level netlists: for each delay budget it optimizes both ways
 // and evaluates *both* winners on the netlists.
 func (e *Env) ModelVsDirectAblation(ctx context.Context) (Table, error) {
-	cache, err := e.Cache(fig1Cache())
+	d, err := e.design(fig1Cache())
 	if err != nil {
 		return Table{}, err
 	}
-	m, err := e.Model(fig1Cache())
-	if err != nil {
-		return Table{}, err
-	}
-	dir := opt.Direct{Cache: cache}
+	dir := opt.Direct{Cache: d.Cache}
 	// A coarse grid keeps the direct (netlist-walking) optimizer affordable.
 	ops := opt.PairsFromGrid(units.GridSteps(0.20, 0.50, 0.02), units.GridSteps(10, 14, 0.5))
-	lo, hi := opt.FeasibleDelayRange(m, ops)
+	lo, hi := opt.FeasibleDelayRange(d.Model, ops)
 
 	t := Table{
 		ID:    "tab-ablation-model",
@@ -52,7 +48,7 @@ func (e *Env) ModelVsDirectAblation(ctx context.Context) (Table, error) {
 	}
 	for _, frac := range []float64{0.35, 0.55, 0.75} {
 		budget := lo + frac*(hi-lo)
-		rm, err := opt.OptimizeSchemeIICtx(ctx, m, ops, budget)
+		rm, err := opt.OptimizeSchemeIICtx(ctx, d.Model, ops, budget)
 		if err != nil {
 			return Table{}, err
 		}
@@ -90,14 +86,14 @@ func (e *Env) DelayCompositionAblation(ctx context.Context) (Table, error) {
 		},
 	}
 	for _, cfg := range []cachecfg.Config{fig1Cache(), cachecfg.L2(512 * cachecfg.KB)} {
-		c, err := e.Cache(cfg)
+		d, err := e.design(cfg)
 		if err != nil {
 			return Table{}, err
 		}
 		for _, op := range []device.OperatingPoint{device.OP(0.20, 10), device.OP(0.35, 12), device.OP(0.50, 14)} {
 			a := components.Uniform(op)
-			sum := c.AccessTime(a)
-			over := c.AccessTimeOverlapped(a)
+			sum := d.Cache.AccessTime(a)
+			over := d.Cache.AccessTimeOverlapped(a)
 			t.AddRow(cfg.String(), op.String(),
 				fmt.Sprintf("%.0f", units.ToPS(sum)),
 				fmt.Sprintf("%.0f", units.ToPS(over)),
@@ -111,19 +107,14 @@ func (e *Env) DelayCompositionAblation(ctx context.Context) (Table, error) {
 // cells, [6]) against and combined with the paper's static knob
 // optimization, on the 16 KB cache at a mid delay budget.
 func (e *Env) DrowsyExtension(ctx context.Context) (Table, error) {
-	cache, err := e.Cache(fig1Cache())
+	d, err := e.design(fig1Cache())
 	if err != nil {
 		return Table{}, err
 	}
-	m, err := e.Model(fig1Cache())
-	if err != nil {
-		return Table{}, err
-	}
-	g := charlib.OptimizationGrid()
-	ops := opt.PairsFromGrid(g.Vths, g.ToxAs)
-	lo, hi := opt.FeasibleDelayRange(m, ops)
+	ops := core.SharedKnobGrid()
+	lo, hi := opt.FeasibleDelayRange(d.Model, ops)
 	budget := lo + 0.55*(hi-lo)
-	r, err := opt.OptimizeSchemeIICtx(ctx, m, ops, budget)
+	r, err := opt.OptimizeSchemeIICtx(ctx, d.Model, ops, budget)
 	if err != nil {
 		return Table{}, err
 	}
@@ -140,14 +131,14 @@ func (e *Env) DrowsyExtension(ctx context.Context) (Table, error) {
 			"static knobs and the dynamic technique compose",
 		},
 	}
-	fast := components.Uniform(device.OperatingPoint{Vth: e.Tech.VthMin, ToxM: e.Tech.ToxMin})
-	base := cache.Leakage(fast).Total()
+	fast := components.Uniform(device.OperatingPoint{Vth: d.Tech.VthMin, ToxM: d.Tech.ToxMin})
+	base := d.Cache.Leakage(fast).Total()
 	add := func(name string, a components.Assignment, awake float64) error {
 		var leak float64
 		if awake >= 1 {
-			leak = cache.Leakage(a).Total()
+			leak = d.Cache.Leakage(a).Total()
 		} else {
-			l, err := cache.LeakageWithDrowsy(a, awake)
+			l, err := d.Cache.LeakageWithDrowsy(a, awake)
 			if err != nil {
 				return err
 			}
@@ -288,7 +279,7 @@ func (e *Env) ReplacementAblation(ctx context.Context) (Table, error) {
 // AreaTable reports the Section 2 cost of thick oxide: cell and macro area
 // growth across the Tox range.
 func (e *Env) AreaTable(ctx context.Context) (Table, error) {
-	cache, err := e.Cache(fig1Cache())
+	d, err := e.design(fig1Cache())
 	if err != nil {
 		return Table{}, err
 	}
@@ -301,13 +292,13 @@ func (e *Env) AreaTable(ctx context.Context) (Table, error) {
 			"area feeds back into wire lengths, delay and dynamic energy",
 		},
 	}
-	base := cache.AreaM2(components.Uniform(device.OP(0.3, 10)))
+	base := d.Cache.AreaM2(components.Uniform(device.OP(0.3, 10)))
 	for _, tox := range []float64{10, 11, 12, 13, 14} {
 		op := device.OP(0.3, tox)
-		area := cache.AreaM2(components.Uniform(op))
+		area := d.Cache.AreaM2(components.Uniform(op))
 		t.AddRow(
 			fmt.Sprintf("%.0f", tox),
-			fmt.Sprintf("%.3f", e.Tech.ScaleFactor(op)),
+			fmt.Sprintf("%.3f", d.Tech.ScaleFactor(op)),
 			fmt.Sprintf("%.4f", area/1e-6),
 			fmt.Sprintf("%.2fx", area/base),
 		)
@@ -324,7 +315,7 @@ func (e *Env) SystemEnergyPerInstruction(ctx context.Context) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	core := cpu.Default65nmCore()
+	proc := cpu.Default65nmCore()
 	t := Table{
 		ID:      "tab-ext-cpi",
 		Title:   "Extension: program-level energy under knob choices (16KB L1 + 512KB L2, 2GHz in-order core)",
@@ -342,7 +333,7 @@ func (e *Env) SystemEnergyPerInstruction(ctx context.Context) (Table, error) {
 	}
 	for _, row := range rows {
 		sys := tl.System(row.a1, row.a2)
-		m, err := core.Run(sys)
+		m, err := proc.Run(sys)
 		if err != nil {
 			return Table{}, err
 		}
@@ -364,8 +355,7 @@ func (e *Env) JointOptimization(ctx context.Context) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	g := charlib.OptimizationGrid()
-	ops := opt.PairsFromGrid(g.Vths, g.ToxAs)
+	ops := core.SharedKnobGrid()
 	fast := tl.AMAT(components.Uniform(device.OP(0.20, 10)), components.Uniform(device.OP(0.20, 10)))
 	slow := tl.AMAT(components.Uniform(device.OP(0.50, 14)), components.Uniform(device.OP(0.50, 14)))
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cachecfg"
 	"repro/internal/charlib"
 	"repro/internal/components"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/opt"
 	"repro/internal/units"
@@ -127,15 +128,15 @@ func formatSet(vals []float64, f string) string {
 // against the Vth-only prior art ([7], Kim et al. ICCAD'03) and a Tox-only
 // strawman, on the 16 KB cache across delay budgets.
 func (e *Env) BaselineComparison(ctx context.Context) (Table, error) {
-	m, err := e.Model(fig1Cache())
+	d, err := e.design(fig1Cache())
 	if err != nil {
 		return Table{}, err
 	}
 	g := charlib.OptimizationGrid()
-	full := opt.PairsFromGrid(g.Vths, g.ToxAs)
+	full := core.SharedKnobGrid()
 	vthOnly := opt.VthOnlyGrid(g.Vths, 12)
 	toxOnly := opt.ToxOnlyGrid(g.ToxAs, 0.30)
-	lo, hi := opt.FeasibleDelayRange(m, full)
+	lo, hi := opt.FeasibleDelayRange(d.Model, full)
 
 	t := Table{
 		ID:    "tab-baseline",
@@ -158,7 +159,7 @@ func (e *Env) BaselineComparison(ctx context.Context) (Table, error) {
 		row := make([]string, 0, 4)
 		row = append(row, fmt.Sprintf("%.0f", units.ToPS(budget)))
 		for _, grid := range [][]device.OperatingPoint{full, vthOnly, toxOnly} {
-			r, err := opt.OptimizeSchemeIICtx(ctx, m, grid, budget)
+			r, err := opt.OptimizeSchemeIICtx(ctx, d.Model, grid, budget)
 			if err != nil {
 				return Table{}, err
 			}
@@ -185,12 +186,12 @@ func (e *Env) FitQuality(ctx context.Context) (Table, error) {
 		if err := ctx.Err(); err != nil {
 			return Table{}, err
 		}
-		m, err := e.Model(cfg)
+		d, err := e.design(cfg)
 		if err != nil {
 			return Table{}, err
 		}
 		for _, p := range components.Parts() {
-			cm := m.Comps[p]
+			cm := d.Model.Comps[p]
 			t.AddRow(
 				cfg.String(),
 				p.String(),

@@ -78,7 +78,7 @@ func TestStreamExperimentsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rebuilds cold environments")
 	}
-	arts, err := tinyEnv(1).AllCtx(t.Context())
+	arts, err := tinyEnv(1).RunExperimentsCtx(t.Context(), Experiments())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRunExperimentsCtxCancel(t *testing.T) {
 	e.Accesses = 100_000
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.AllCtx(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := e.RunExperimentsCtx(ctx, Experiments()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

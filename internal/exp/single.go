@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/cachecfg"
-	"repro/internal/charlib"
 	"repro/internal/components"
+	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/opt"
 	"repro/internal/sweep"
@@ -24,7 +24,7 @@ func (e *Env) Fig1(ctx context.Context) (Figure, error) {
 	if err := ctx.Err(); err != nil {
 		return Figure{}, err
 	}
-	c, err := e.Cache(fig1Cache())
+	d, err := e.design(fig1Cache())
 	if err != nil {
 		return Figure{}, err
 	}
@@ -41,8 +41,8 @@ func (e *Env) Fig1(ctx context.Context) (Figure, error) {
 		s := Series{Name: name}
 		for _, op := range ops {
 			a := components.Uniform(op)
-			s.X = append(s.X, units.ToPS(c.AccessTime(a)))
-			s.Y = append(s.Y, units.ToMW(c.Leakage(a).Total()))
+			s.X = append(s.X, units.ToPS(d.Cache.AccessTime(a)))
+			s.Y = append(s.Y, units.ToMW(d.Cache.Leakage(a).Total()))
 		}
 		return s
 	}
@@ -58,13 +58,12 @@ func (e *Env) Fig1(ctx context.Context) (Figure, error) {
 // SchemeComparison reproduces the Section 4 scheme study: minimum leakage of
 // Schemes I, II, III for a 16 KB cache across a sweep of delay constraints.
 func (e *Env) SchemeComparison(ctx context.Context) (Table, error) {
-	m, err := e.Model(fig1Cache())
+	d, err := e.design(fig1Cache())
 	if err != nil {
 		return Table{}, err
 	}
-	g := charlib.OptimizationGrid()
-	ops := opt.PairsFromGrid(g.Vths, g.ToxAs)
-	lo, hi := opt.FeasibleDelayRange(m, ops)
+	ops := core.SharedKnobGrid()
+	lo, hi := opt.FeasibleDelayRange(d.Model, ops)
 
 	t := Table{
 		ID:    "tab-schemes",
@@ -80,15 +79,15 @@ func (e *Env) SchemeComparison(ctx context.Context) (Table, error) {
 	fracs := []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	rows, err := sweep.MapCtx(ctx, len(fracs), e.workers(), func(ctx context.Context, i int) ([]string, error) {
 		budget := lo + fracs[i]*(hi-lo)
-		r1, err := opt.OptimizeSchemeICtx(ctx, m, ops, budget, 0)
+		r1, err := opt.OptimizeSchemeICtx(ctx, d.Model, ops, budget, 0)
 		if err != nil {
 			return nil, err
 		}
-		r2, err := opt.OptimizeSchemeIICtx(ctx, m, ops, budget)
+		r2, err := opt.OptimizeSchemeIICtx(ctx, d.Model, ops, budget)
 		if err != nil {
 			return nil, err
 		}
-		r3, err := opt.OptimizeSchemeIIICtx(ctx, m, ops, budget)
+		r3, err := opt.OptimizeSchemeIIICtx(ctx, d.Model, ops, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -119,13 +118,12 @@ func (e *Env) SchemeComparison(ctx context.Context) (Table, error) {
 // budgets, demonstrating the paper's structural finding: high Vth and thick
 // Tox in the cell array, aggressive values in the periphery.
 func (e *Env) SchemeAssignments(ctx context.Context) (Table, error) {
-	m, err := e.Model(fig1Cache())
+	d, err := e.design(fig1Cache())
 	if err != nil {
 		return Table{}, err
 	}
-	g := charlib.OptimizationGrid()
-	ops := opt.PairsFromGrid(g.Vths, g.ToxAs)
-	lo, hi := opt.FeasibleDelayRange(m, ops)
+	ops := core.SharedKnobGrid()
+	lo, hi := opt.FeasibleDelayRange(d.Model, ops)
 
 	t := Table{
 		ID:    "tab-assignments",
@@ -138,7 +136,7 @@ func (e *Env) SchemeAssignments(ctx context.Context) (Table, error) {
 	}
 	for _, frac := range []float64{0.3, 0.45, 0.6, 0.75, 0.9} {
 		budget := lo + frac*(hi-lo)
-		r, err := opt.OptimizeSchemeIICtx(ctx, m, ops, budget)
+		r, err := opt.OptimizeSchemeIICtx(ctx, d.Model, ops, budget)
 		if err != nil {
 			return Table{}, err
 		}
@@ -164,14 +162,11 @@ func (e *Env) SchemeAssignments(ctx context.Context) (Table, error) {
 // recommended strategy (Tox pinned conservatively high, Vth free) against
 // the converse.
 func (e *Env) KnobSensitivity(ctx context.Context) (Table, error) {
-	c, err := e.Cache(fig1Cache())
+	d, err := e.design(fig1Cache())
 	if err != nil {
 		return Table{}, err
 	}
-	m, err := e.Model(fig1Cache())
-	if err != nil {
-		return Table{}, err
-	}
+	c, m := d.Cache, d.Model
 	vths := units.GridSteps(0.20, 0.50, 0.005)
 	toxs := units.GridSteps(10, 14, 0.05)
 

@@ -6,9 +6,10 @@ import (
 	"math"
 
 	"repro/internal/cachecfg"
-	"repro/internal/charlib"
 	"repro/internal/components"
+	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/mem"
 	"repro/internal/opt"
 	"repro/internal/sweep"
 	"repro/internal/units"
@@ -24,20 +25,20 @@ func (e *Env) twoLevelFor(ctx context.Context, l1Size, l2Size int) (*opt.TwoLeve
 	if err != nil {
 		return nil, err
 	}
-	l1m, err := e.Model(cachecfg.L1(l1Size))
+	l1d, err := e.design(cachecfg.L1(l1Size))
 	if err != nil {
 		return nil, err
 	}
-	l2m, err := e.Model(cachecfg.L2(l2Size))
+	l2d, err := e.design(cachecfg.L2(l2Size))
 	if err != nil {
 		return nil, err
 	}
 	tl := &opt.TwoLevel{
-		L1:  l1m,
-		L2:  l2m,
+		L1:  l1d.Model,
+		L2:  l2d.Model,
 		M1:  mm.L1Local[l1Size],
 		M2:  mm.L2Local[l1Size][l2Size],
-		Mem: e.Mem,
+		Mem: mem.DefaultDDR(),
 	}
 	if err := tl.Validate(); err != nil {
 		return nil, err
@@ -55,7 +56,8 @@ func (e *Env) twoLevelFor(ctx context.Context, l1Size, l2Size int) (*opt.TwoLeve
 // the "bigger is better, up to a point" mechanism of Section 5.
 func (e *Env) commonL2AMATTarget(ctx context.Context, margin float64) (float64, error) {
 	a1 := components.Uniform(opt.DefaultOP())
-	conservative := components.Uniform(device.OperatingPoint{Vth: e.Tech.VthMax, ToxM: e.Tech.ToxMax})
+	tech := core.SharedTechnology()
+	conservative := components.Uniform(device.OperatingPoint{Vth: tech.VthMax, ToxM: tech.ToxMax})
 	tl, err := e.twoLevelFor(ctx, l1Fixed().SizeBytes, 1*cachecfg.MB)
 	if err != nil {
 		return 0, err
@@ -108,8 +110,7 @@ func (e *Env) l2SizeSweepAt(ctx context.Context, margin float64, split bool) (Ta
 			"paper: with one pair, bigger L2 generally leaks less under equal AMAT, up to diminishing returns")
 	}
 
-	g := charlib.OptimizationGrid()
-	ops := opt.PairsFromGrid(g.Vths, g.ToxAs)
+	ops := core.SharedKnobGrid()
 	a1 := components.Uniform(opt.DefaultOP())
 
 	// One worker per L2 size; rows and the best-size fold happen afterwards
@@ -172,8 +173,7 @@ func (e *Env) L1Sweep(ctx context.Context) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	g := charlib.OptimizationGrid()
-	ops := opt.PairsFromGrid(g.Vths, g.ToxAs)
+	ops := core.SharedKnobGrid()
 	// Conservative fixed L2 assignment (cells slow, periphery moderate).
 	a2 := components.Split(opt.ConservativeOP(), opt.DefaultOP())
 
@@ -283,15 +283,4 @@ func (e *Env) MissRateTable(ctx context.Context) (Table, error) {
 	}
 	add(avg.Workload, avg.L1Local, avg.L2Local)
 	return t, nil
-}
-
-// L2SweepAtMargin exposes the L2 sweep at an explicit AMAT margin for
-// sensitivity studies and ablations.
-func (e *Env) L2SweepAtMargin(ctx context.Context, margin float64) (single, split Table, err error) {
-	single, err = e.l2SizeSweepAt(ctx, margin, false)
-	if err != nil {
-		return
-	}
-	split, err = e.l2SizeSweepAt(ctx, margin, true)
-	return
 }

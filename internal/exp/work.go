@@ -49,10 +49,10 @@ func (a Artifact) NDJSONLine() ([]byte, error) {
 // work.Batch: each item is one experiment, rendering to its Line, run
 // against the batch's Env. The Env's scale travels with every unit, and a
 // batch decoded from the wire takes its Env from the environments of the
-// last few scales the process decoded (wireEnv) — substrates (caches,
-// fitted models, miss matrices) are then memoized per machine and scale,
-// so a worker fleet rebuilds them once per machine instead of once per
-// unit.
+// last few scales the process decoded (wireEnv) — miss matrices are then
+// memoized per machine and scale, and cache designs per machine (core's
+// memo), so a worker fleet rebuilds them once per machine instead of once
+// per unit.
 type Batch struct {
 	ids  []string
 	exps []Experiment
@@ -128,9 +128,6 @@ func NewBatch(ids []string, env *Env) (*Batch, error) {
 	}
 	return &Batch{ids: ids, exps: exps, env: env}, nil
 }
-
-// IDs returns the batch's experiment IDs in run order.
-func (b *Batch) IDs() []string { return b.ids }
 
 // Kind names the experiments payload family.
 func (b *Batch) Kind() string { return WorkKind }

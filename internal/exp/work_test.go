@@ -31,7 +31,7 @@ func TestNewBatchResolvesRegistry(t *testing.T) {
 	if b.Len() != 2 || b.Kind() != WorkKind {
 		t.Fatalf("batch = %+v", b)
 	}
-	if ids := b.IDs(); ids[0] != "fig2" || ids[1] != "fig1" {
+	if ids := b.ids; ids[0] != "fig2" || ids[1] != "fig1" {
 		t.Fatalf("ids = %v, want input order preserved", ids)
 	}
 }
@@ -113,7 +113,7 @@ func TestWorkBatchWireRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("decoded batch is %T", sub)
 	}
-	if ids := eb.IDs(); len(ids) != 2 || ids[0] != "fig2" || ids[1] != "tab-l1" {
+	if ids := eb.ids; len(ids) != 2 || ids[0] != "fig2" || ids[1] != "tab-l1" {
 		t.Fatalf("decoded ids = %v", ids)
 	}
 	if got, want := ScaleOf(eb.env), ScaleOf(env); got != want {

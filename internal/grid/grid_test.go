@@ -137,9 +137,9 @@ func TestExpandErrors(t *testing.T) {
 		"duplicate expanded names": {
 			// The analytical checks pass — both axes are in the template,
 			// each axis's values render distinctly — but the placeholders
-			// are adjacent with no separator, so (1,11) and (11,1) both
-			// render "g-111". The backstop full-name scan catches it.
-			`{"grid":{"name":"g-{l1_kb}{l2_kb}","axes":{"l1_kb":[1,11],"l2_kb":[11,1]},"base":{"workload":"tpcc"}}}`,
+			// are adjacent with no separator, so (1,64) and (16,4) both
+			// render "g-164". The backstop full-name scan catches it.
+			`{"grid":{"name":"g-{l1_kb}{l2_kb}","axes":{"l1_kb":[1,16],"l2_kb":[64,4]},"base":{"workload":"tpcc"}}}`,
 			"both expand to name",
 		},
 		"invalid point config": {

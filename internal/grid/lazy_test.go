@@ -17,20 +17,22 @@ import (
 	"repro/internal/work"
 )
 
-// millionSpec is a 1,048,576-point grid (1024 l1_kb values × 1024 l2_kb
-// values). The axis values are synthetic — most are not runnable cache
-// organizations — because these tests exercise expansion mechanics
-// (laziness, index arithmetic, wire size), never RunItem.
+// millionSpec is a 1,048,576-point grid: 16 l1_kb × 16 l2_kb powers of
+// two (1 KB to 32 MB) × 4096 AMAT budgets. Every point passes admission,
+// but these tests exercise expansion mechanics (laziness, index
+// arithmetic, wire size), never RunItem.
 func millionSpec() Spec {
-	l1 := make([]int, 1024)
-	l2 := make([]int, 1024)
-	for i := range l1 {
-		l1[i] = i + 1
-		l2[i] = i + 1
+	var sizes []int
+	for kb := 1; kb <= 1<<15; kb *= 2 {
+		sizes = append(sizes, kb)
+	}
+	budgets := make([]float64, 4096)
+	for i := range budgets {
+		budgets[i] = float64(1000 + i)
 	}
 	return Spec{Grid: Grid{
-		Name:      "m-{l1_kb}-{l2_kb}",
-		Axes:      Axes{L1KB: l1, L2KB: l2},
+		Name:      "m-{l1_kb}-{l2_kb}-{amat_budget_ps}",
+		Axes:      Axes{L1KB: sizes, L2KB: sizes, AMATBudgetPS: budgets},
 		Base:      scenario.Config{Workload: "tpcc", Accesses: 20000, Fidelity: "analytical"},
 		MaxPoints: HardMaxPoints,
 	}}
@@ -74,22 +76,23 @@ func TestMillionPointExpandIsLazy(t *testing.T) {
 	if b.Len() != 1<<20 {
 		t.Fatalf("Len = %d, want %d", b.Len(), 1<<20)
 	}
-	// O(sum of axis lengths) work is ~2048 values here; a materializing
+	// O(sum of axis lengths) work is ~4128 values here; a materializing
 	// expansion would pay several allocations per point, i.e. millions.
 	if allocs > 50_000 {
 		t.Errorf("Expand of a 2^20-point grid did %.0f allocations — expansion is materializing points", allocs)
 	}
 
-	// Row-major spot checks: l2_kb varies fastest.
+	// Row-major spot checks: amat_budget_ps varies fastest.
 	for _, at := range []struct {
 		i    int
 		name string
 	}{
-		{0, "m-1-1"},
-		{1, "m-1-2"},
-		{1024, "m-2-1"},
-		{512*1024 + 7, "m-513-8"},
-		{1<<20 - 1, "m-1024-1024"},
+		{0, "m-1-1-1000"},
+		{1, "m-1-1-1001"},
+		{4096, "m-1-2-1000"},
+		{16 * 4096, "m-2-1-1000"},
+		{512*1024 + 7, "m-256-1-1007"},
+		{1<<20 - 1, "m-32768-32768-5095"},
 	} {
 		c := b.ConfigAt(at.i)
 		if c.Name != at.name {
@@ -129,8 +132,8 @@ func TestMillionPointWirePayload(t *testing.T) {
 	if sub.Len() != b.Len() {
 		t.Fatalf("decoded Len = %d, want %d", sub.Len(), b.Len())
 	}
-	if got := sub.(*Batch).ConfigAt(1<<20 - 1).Name; got != "m-1024-1024" {
-		t.Errorf("decoded last point named %q, want m-1024-1024", got)
+	if got := sub.(*Batch).ConfigAt(1<<20 - 1).Name; got != "m-32768-32768-5095" {
+		t.Errorf("decoded last point named %q, want m-32768-32768-5095", got)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cachecfg"
 	"repro/internal/profile"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
@@ -16,9 +17,9 @@ import (
 )
 
 // collidingSpec is a grid Validate admits but Expand refuses: its
-// adjacent placeholders render points 0 (1,11) and 3 (11,1) both as
-// "g111".
-const collidingSpec = `{"grid":{"name":"g{l1_kb}{l2_kb}","axes":{"l1_kb":[1,11],"l2_kb":[11,1]},"base":{"workload":"tpcc"}}}`
+// adjacent placeholders render points 0 (1,64) and 3 (16,4) both as
+// "g164".
+const collidingSpec = `{"grid":{"name":"g{l1_kb}{l2_kb}","axes":{"l1_kb":[1,16],"l2_kb":[64,4]},"base":{"workload":"tpcc"}}}`
 
 // configOf returns item i's config of a batch LoadWork built.
 func configOf(b work.Batch, i int) scenario.Config {
@@ -56,7 +57,7 @@ func TestLoadWork(t *testing.T) {
 		{"fidelity axis with fidelity", fidelityAxis, an, "", false, nil, "fidelity axis"},
 		{"unknown fidelity", single, "clairvoyant", "", false, nil, "unknown fidelity"},
 		{"malformed JSON", `{"name":`, "", "", false, nil, "scenario:"},
-		{"colliding grid", collidingSpec, "", "", false, nil, `"g111"`},
+		{"colliding grid", collidingSpec, "", "", false, nil, `"g164"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, single, err := LoadWork([]byte(tc.doc), tc.fidelity)
@@ -88,8 +89,8 @@ func TestLoadWork(t *testing.T) {
 // duplicate-name scan among them, while a sub-range decodes as a unit.
 func TestWireFullRangeGetsExpandChecks(t *testing.T) {
 	full := strings.TrimSuffix(collidingSpec, "}") + `,"range":{"lo":0,"hi":4}}`
-	if _, err := work.Unmarshal(WorkKind, []byte(full)); err == nil || !strings.Contains(err.Error(), `"g111"`) {
-		t.Errorf("colliding full-range payload: err = %v, want the duplicate name g111", err)
+	if _, err := work.Unmarshal(WorkKind, []byte(full)); err == nil || !strings.Contains(err.Error(), `"g164"`) {
+		t.Errorf("colliding full-range payload: err = %v, want the duplicate name g164", err)
 	}
 	b := loadTiny(t)
 	payload, err := b.MarshalRange(sweep.Range{Lo: 1, Hi: 3})
@@ -136,7 +137,9 @@ var fuzzFidelities = []string{"", profile.FidelityTrace, profile.FidelityAnalyti
 // FuzzLoadWork feeds arbitrary documents and -fidelity values to the one
 // document rule. It may refuse a document but never panic; an accepted
 // batch is non-empty, and -fidelity fills exactly the configs that name
-// none. The command line and the wire agree on a raw document: a
+// none, and every accepted config names two runnable cache levels: each
+// within scenario.MaxCacheKB and a valid cachecfg organization. The
+// command line and the wire agree on a raw document: a
 // "scenarios" document decodes as the scenario-batch payload it is, and
 // a grid plus its full range decodes as the grid — same hash, same item
 // keys. A small accepted grid is brute-forced: every point valid, every
@@ -157,6 +160,9 @@ func FuzzLoadWork(f *testing.F) {
 	}
 	for _, doc := range []string{
 		`{"name":"solo","l1_kb":16,"l2_kb":256,"workload":"tpcc","accesses":20000}`,
+		`{"name":"odd","l1_kb":16,"l2_kb":3,"workload":"tpcc","fidelity":"analytical"}`,
+		`{"scenarios":[{"name":"huge","l1_kb":16,"l2_kb":1048576,"workload":"tpcc"}]}`,
+		`{"grid":{"axes":{"l2_kb":[256,24]},"base":{"l1_kb":16,"workload":"tpcc"}}}`,
 		collidingSpec,
 		`{"grid":{"name":"g-{fidelity}","axes":{"fidelity":["trace","analytical"]},"base":{"l1_kb":16,"l2_kb":256,"workload":"tpcc"}}}`,
 		`{"scenarios":[{"name":"a","l1_kb":16,"l2_kb":256,"workload":"tpcc"},{"name":"a","l1_kb":32,"l2_kb":256,"workload":"tpcc"}]}`,
@@ -204,8 +210,17 @@ func FuzzLoadWork(f *testing.F) {
 			if want.Fidelity == "" {
 				want.Fidelity = fid
 			}
-			if got := configOf(b, i); !reflect.DeepEqual(got, want) {
+			got := configOf(b, i)
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("item %d = %+v, want %+v", i, got, want)
+			}
+			if got.L1KB > scenario.MaxCacheKB || got.L2KB > scenario.MaxCacheKB {
+				t.Fatalf("item %d (%s) accepted over the cap: %d/%d KB", i, got.Name, got.L1KB, got.L2KB)
+			}
+			for _, org := range []cachecfg.Config{cachecfg.L1(got.L1KB * cachecfg.KB), cachecfg.L2(got.L2KB * cachecfg.KB)} {
+				if err := org.Validate(); err != nil {
+					t.Fatalf("item %d (%s) accepted, yet %v", i, got.Name, err)
+				}
 			}
 		}
 

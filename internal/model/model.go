@@ -117,8 +117,8 @@ func FitLeakage(samples []charlib.Sample) (LeakageModel, fit.Stats, error) {
 		Lower:         []float64{0, 0, -80, 0, -8},
 		Upper:         []float64{math.Inf(1), math.Inf(1), -0.5, math.Inf(1), -0.05},
 	})
-	// ErrNoConverge still returns the best parameters found; the R2 gate in
-	// Build is the arbiter of fit quality, not the iteration budget.
+	// ErrNoConverge still returns the best parameters found; the R2 gate
+	// (CheckR2) is the arbiter of fit quality, not the iteration budget.
 	if err != nil && !errors.Is(err, fit.ErrNoConverge) {
 		return LeakageModel{}, stats, err
 	}
@@ -200,8 +200,8 @@ type CacheModel struct {
 }
 
 // Build characterizes every component of the cache on the grid and fits the
-// paper's model forms. It fails if any fit falls below minR2 (pass 0 to
-// accept any fit).
+// paper's model forms. It fails if any fit falls below minR2 (CheckR2;
+// pass 0 to accept any fit).
 func Build(c *components.Cache, g charlib.Grid, minR2 float64) (*CacheModel, error) {
 	all, err := charlib.CharacterizeCache(c, g)
 	if err != nil {
@@ -222,14 +222,6 @@ func Build(c *components.Cache, g charlib.Grid, minR2 float64) (*CacheModel, err
 		if err != nil {
 			return nil, fmt.Errorf("model: %v energy fit: %w", p, err)
 		}
-		if minR2 > 0 {
-			if ls.R2 < minR2 {
-				return nil, fmt.Errorf("model: %v leakage fit R2 %.4f < %.4f", p, ls.R2, minR2)
-			}
-			if ds.R2 < minR2 {
-				return nil, fmt.Errorf("model: %v delay fit R2 %.4f < %.4f", p, ds.R2, minR2)
-			}
-		}
 		cm.Comps[p] = ComponentModel{
 			Part: p,
 			Leak: lm, LeakStats: ls,
@@ -237,7 +229,27 @@ func Build(c *components.Cache, g charlib.Grid, minR2 float64) (*CacheModel, err
 			Energy: em, EnergyStats: es,
 		}
 	}
+	if err := cm.CheckR2(minR2); err != nil {
+		return nil, err
+	}
 	return cm, nil
+}
+
+// CheckR2 is the fit-quality gate: it reports the first component whose
+// leakage or delay fit has R2 below minR2 (0 accepts any fit).
+func (cm *CacheModel) CheckR2(minR2 float64) error {
+	if minR2 <= 0 {
+		return nil
+	}
+	for _, c := range cm.Comps {
+		if c.LeakStats.R2 < minR2 {
+			return fmt.Errorf("model: %v leakage fit R2 %.4f < %.4f", c.Part, c.LeakStats.R2, minR2)
+		}
+		if c.DelayStats.R2 < minR2 {
+			return fmt.Errorf("model: %v delay fit R2 %.4f < %.4f", c.Part, c.DelayStats.R2, minR2)
+		}
+	}
+	return nil
 }
 
 // LeakageW returns the modelled total leakage (W) under an assignment.

@@ -201,6 +201,30 @@ func TestBuildFailsOnImpossibleR2(t *testing.T) {
 	}
 }
 
+// TestCheckR2 pins the one fit gate Build and every shared-model reader
+// apply: 0 accepts any fit, and a refusal names the first component in
+// part order, leakage before delay.
+func TestCheckR2(t *testing.T) {
+	var cm CacheModel
+	for i := range cm.Comps {
+		cm.Comps[i].Part = components.PartID(i)
+		cm.Comps[i].LeakStats.R2, cm.Comps[i].DelayStats.R2 = 0.99, 0.99
+	}
+	cm.Comps[components.PartDecoder].DelayStats.R2 = 0.96
+	cm.Comps[components.PartDataDrivers].LeakStats.R2 = -1
+	if err := cm.CheckR2(0); err != nil {
+		t.Errorf("gate 0 refused: %v", err)
+	}
+	want := "model: decoder delay fit R2 0.9600 < 0.9700"
+	if err := cm.CheckR2(0.97); err == nil || err.Error() != want {
+		t.Errorf("CheckR2(0.97) = %v, want %q", err, want)
+	}
+	want = "model: data-drivers leakage fit R2 -1.0000 < 0.9500"
+	if err := cm.CheckR2(0.95); err == nil || err.Error() != want {
+		t.Errorf("CheckR2(0.95) = %v, want %q", err, want)
+	}
+}
+
 func TestModelStrings(t *testing.T) {
 	lm := LeakageModel{A0: 1e-3, A1: 2, Alpha1: -20, A2: 3, Alpha2: -1}
 	if lm.String() == "" {

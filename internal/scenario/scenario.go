@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/cachecfg"
 	"repro/internal/components"
@@ -25,11 +24,17 @@ import (
 	"repro/internal/units"
 )
 
+// MaxCacheKB caps each cache level a config may name at 64 MB, sixteen
+// times the paper's largest L2: a simulated 64 MB L2 holds ~35 MB, while
+// an uncapped size could run a worker out of memory.
+const MaxCacheKB = 64 * 1024
+
 // Config is the JSON schema of one scenario.
 type Config struct {
 	// Name labels the run.
 	Name string `json:"name"`
-	// L1KB and L2KB are the cache capacities in kilobytes.
+	// L1KB and L2KB are the cache capacities in kilobytes: powers of two
+	// from 1 to MaxCacheKB (valid cachecfg.L1 and cachecfg.L2 sizes).
 	L1KB int `json:"l1_kb"`
 	L2KB int `json:"l2_kb"`
 	// Workload is one of spec2000, specweb, tpcc, or average.
@@ -61,7 +66,8 @@ type Config struct {
 	Fidelity string `json:"fidelity,omitempty"`
 }
 
-// Validate reports schema errors.
+// Validate reports schema errors; a config it accepts can run. Each check
+// reads one field, so a grid proves its points valid per axis value.
 func (c Config) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("scenario: missing name")
@@ -69,10 +75,22 @@ func (c Config) Validate() error {
 	if c.L1KB <= 0 || c.L2KB <= 0 {
 		return fmt.Errorf("scenario: cache sizes must be positive, got %d/%d KB", c.L1KB, c.L2KB)
 	}
+	if c.L1KB > MaxCacheKB || c.L2KB > MaxCacheKB { // before the KB multiply: no overflow
+		return fmt.Errorf("scenario: cache sizes %d/%d KB above the cap of %d KB", c.L1KB, c.L2KB, MaxCacheKB)
+	}
+	if err := cachecfg.L1(c.L1KB * cachecfg.KB).Validate(); err != nil {
+		return fmt.Errorf("scenario: l1_kb %d: %w", c.L1KB, err)
+	}
+	if err := cachecfg.L2(c.L2KB * cachecfg.KB).Validate(); err != nil {
+		return fmt.Errorf("scenario: l2_kb %d: %w", c.L2KB, err)
+	}
 	switch c.Workload {
 	case "spec2000", "specweb", "tpcc", "average":
 	default:
 		return fmt.Errorf("scenario: unknown workload %q", c.Workload)
+	}
+	if c.Accesses < 0 {
+		return fmt.Errorf("scenario: accesses must not be negative, got %d", c.Accesses)
 	}
 	if c.Accesses > profile.MaxAccesses {
 		return fmt.Errorf("scenario: accesses %d above the cap of %d", c.Accesses, profile.MaxAccesses)
@@ -126,9 +144,6 @@ func Load(r io.Reader) (Config, error) {
 	}
 	return c.withDefaults(), nil
 }
-
-// LoadString parses a JSON scenario from a string.
-func LoadString(s string) (Config, error) { return Load(strings.NewReader(s)) }
 
 // Result is the outcome of one scenario run, JSON-serializable for
 // downstream tooling.

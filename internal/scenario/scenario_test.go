@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -17,8 +18,11 @@ const validJSON = `{
   "tuple_budgets": [[2,2],[1,2]]
 }`
 
+// loadString parses a JSON scenario from a string.
+func loadString(s string) (Config, error) { return Load(strings.NewReader(s)) }
+
 func TestLoadValid(t *testing.T) {
-	c, err := LoadString(validJSON)
+	c, err := loadString(validJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +48,54 @@ func TestLoadRejects(t *testing.T) {
 		"accesses cap":   `{"name":"x","l1_kb":16,"l2_kb":256,"workload":"tpcc","accesses":1099511627776,"fidelity":"analytical"}`,
 		"malformed json": `{"name":`,
 	}
+	// Admission refuses what cannot run, at either fidelity: a size that
+	// is no cachecfg organization, a size over MaxCacheKB, and negative
+	// accesses.
+	for _, fidelity := range []string{profile.FidelityTrace, profile.FidelityAnalytical} {
+		for label, fields := range map[string]string{
+			"l1 not a power of two": `"l1_kb":24,"l2_kb":512`,
+			"l2 not a power of two": `"l1_kb":16,"l2_kb":3`,
+			"l1 over the cap":       `"l1_kb":131072,"l2_kb":512`,
+			"l2 over the cap":       `"l1_kb":16,"l2_kb":1048576`,
+			"l2 overflowing bytes":  `"l1_kb":16,"l2_kb":9007199254740993`,
+			"negative accesses":     `"l1_kb":16,"l2_kb":512,"accesses":-5`,
+		} {
+			cases[label+" at "+fidelity] = fmt.Sprintf(`{"name":"x",%s,"workload":"tpcc","fidelity":%q}`, fields, fidelity)
+		}
+	}
 	for label, js := range cases {
-		if _, err := LoadString(js); err == nil {
+		if _, err := loadString(js); err == nil {
 			t.Errorf("%s accepted", label)
 		}
 	}
 }
 
+// TestSizeRuleBounds pins both ends of the size rule: 1 KB and
+// MaxCacheKB pass at each level, and each refusal names its field.
+func TestSizeRuleBounds(t *testing.T) {
+	for _, kb := range []int{1, MaxCacheKB} {
+		c := Config{Name: "x", L1KB: kb, L2KB: kb, Workload: "tpcc"}
+		if err := c.Validate(); err != nil {
+			t.Errorf("%d KB refused: %v", kb, err)
+		}
+	}
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{L1KB: 16, L2KB: 3}, "scenario: l2_kb 3: cachecfg: size, block and associativity must be powers of two: 3KB/64B/8-way"},
+		{Config{L1KB: 2 * MaxCacheKB, L2KB: 512}, "scenario: cache sizes 131072/512 KB above the cap of 65536 KB"},
+		{Config{L1KB: 16, L2KB: 512, Accesses: -5}, "scenario: accesses must not be negative, got -5"},
+	} {
+		tc.cfg.Name, tc.cfg.Workload = "x", "tpcc"
+		if err := tc.cfg.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("%+v: got %v, want %q", tc.cfg, err, tc.want)
+		}
+	}
+}
+
 func TestRunEndToEnd(t *testing.T) {
-	c, err := LoadString(validJSON)
+	c, err := loadString(validJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +139,7 @@ func TestRunEndToEnd(t *testing.T) {
 }
 
 func TestRunAverageWorkload(t *testing.T) {
-	c, err := LoadString(`{"name":"avg","l1_kb":16,"l2_kb":512,"workload":"average","accesses":30000}`)
+	c, err := loadString(`{"name":"avg","l1_kb":16,"l2_kb":512,"workload":"average","accesses":30000}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +155,7 @@ func TestRunAverageWorkload(t *testing.T) {
 func TestRunExplicitBudget(t *testing.T) {
 	// An absurdly tight explicit budget must be reported infeasible, not
 	// silently replaced.
-	c, err := LoadString(`{"name":"tight","l1_kb":16,"l2_kb":512,"workload":"spec2000","accesses":30000,"amat_budget_ps":100}`)
+	c, err := loadString(`{"name":"tight","l1_kb":16,"l2_kb":512,"workload":"spec2000","accesses":30000,"amat_budget_ps":100}`)
 	if err != nil {
 		t.Fatal(err)
 	}
