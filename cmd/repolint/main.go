@@ -3,8 +3,8 @@
 // fan-out only through the sweep engine, no map-iteration order in
 // output, injected clocks, fixed-point float formatting, context-first
 // entry points, every registered workload kind wired into the
-// equivalence suite — checked at review time instead of discovered at
-// run time. Zero diagnostics is the contract: `make lint` and the CI
+// equivalence suite, no exported API that only tests call — checked at
+// review time instead of discovered at run time. Zero diagnostics is the contract: `make lint` and the CI
 // checks job fail on any finding.
 //
 // Usage:
@@ -15,7 +15,8 @@
 //
 // Patterns are `go list` patterns; with none, ./... is linted. The
 // kindfixture analyzer needs internal/work in the pattern set to see the
-// equivalence suite's fixture table, so ./... is the shape CI runs.
+// equivalence suite's fixture table, and deadexport runs only when every
+// package of the module is loaded, so ./... is the shape CI runs.
 //
 // Intentional exceptions carry a `//lint:allow <analyzer> <reason>`
 // directive on (or directly above) the flagged line; repolint rejects

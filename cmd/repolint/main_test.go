@@ -12,7 +12,7 @@ func TestListPrintsSuite(t *testing.T) {
 	if code := run(context.Background(), []string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("run -list = %d, stderr %q", code, errb.String())
 	}
-	for _, name := range []string{"nofanout", "maporder", "noclock", "ctxflow", "floatfmt", "kindfixture"} {
+	for _, name := range []string{"nofanout", "maporder", "noclock", "ctxflow", "floatfmt", "kindfixture", "deadexport"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
@@ -29,6 +29,20 @@ func TestRepositoryIsClean(t *testing.T) {
 	var out, errb strings.Builder
 	if code := run(context.Background(), []string{"repro/..."}, &out, &errb); code != 0 {
 		t.Fatalf("repolint repro/... = %d, want 0\n%s%s", code, out.String(), errb.String())
+	}
+}
+
+// TestPartialLoadIsClean pins the partial-load contract on the real
+// module: a pattern short of ./... cannot see every caller, so deadexport
+// stays silent — obs's exports used only by other packages are not
+// reported — and obs's deadexport allow is not reported stale.
+func TestPartialLoadIsClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks a module package")
+	}
+	var out, errb strings.Builder
+	if code := run(context.Background(), []string{"repro/internal/obs"}, &out, &errb); code != 0 {
+		t.Fatalf("repolint repro/internal/obs = %d, want 0\n%s%s", code, out.String(), errb.String())
 	}
 }
 

@@ -78,6 +78,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -202,7 +203,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 
 	b, single, err := grid.LoadWork(data, o.fidelity)
 	if err != nil {
-		fmt.Fprintln(stderr, "scenario:", err)
+		// The scenario package's own errors already carry the tool's name.
+		fmt.Fprintln(stderr, "scenario:", strings.TrimPrefix(err.Error(), "scenario: "))
 		return 1
 	}
 	gb, isGrid := b.(*grid.Batch)

@@ -154,13 +154,24 @@ func TestRunStreamProgress(t *testing.T) {
 	}
 }
 
+// TestRunBadInput pins the refusal text: exit 1 with one "scenario:"
+// prefix. The tool and the package share it, so a refused config, batch
+// entry or document says it once, while a grid error keeps the config
+// error it wraps.
 func TestRunBadInput(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(t.Context(), nil, strings.NewReader(`{"name":`), &stdout, &stderr); code != 1 {
-		t.Errorf("malformed JSON: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "scenario:") {
-		t.Errorf("no diagnostic on stderr: %q", stderr.String())
+	const cachecfgErr = "l2_kb 3: cachecfg: size, block and associativity must be powers of two: 3KB/64B/8-way\n"
+	for _, tc := range []struct{ in, want string }{
+		{`{"name":`, "scenario: unexpected EOF\n"},
+		{`{"name":"x","bogus":1}`, "scenario: json: unknown field \"bogus\"\n"},
+		{`{"name":"x","l1_kb":16,"l2_kb":3,"workload":"tpcc"}`, "scenario: " + cachecfgErr},
+		{`{"scenarios":[{"name":"x","l1_kb":16,"l2_kb":3,"workload":"tpcc"}]}`, "scenario: batch entry 0: " + cachecfgErr},
+		{`{"grid":{"axes":{"l2_kb":[256,3]},"base":{"l1_kb":16,"workload":"tpcc"}}}`,
+			"scenario: grid: axis l2_kb value 2 of 2: scenario: " + cachecfgErr},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(t.Context(), nil, strings.NewReader(tc.in), &stdout, &stderr); code != 1 || stderr.String() != tc.want {
+			t.Errorf("%s: exit %d, stderr %q; want 1, %q", tc.in, code, stderr.String(), tc.want)
+		}
 	}
 }
 

@@ -69,11 +69,6 @@ func (s System) AMAT() float64 {
 	return s.L1.AccessTimeS + s.L1.LocalMissRate*(s.L2.AccessTimeS+s.L2.LocalMissRate*s.Mem.LatencyS)
 }
 
-// GlobalL2MissRate returns L2 misses per L1 access.
-func (s System) GlobalL2MissRate() float64 {
-	return s.L1.LocalMissRate * s.L2.LocalMissRate
-}
-
 // LeakageW returns the hierarchy's total cache leakage power (the quantity
 // minimized in the paper's two-level experiments; main-memory standby power
 // is reported separately).
@@ -95,38 +90,4 @@ func (s System) DynamicEnergyJ() float64 {
 func (s System) TotalEnergyJ() float64 {
 	window := s.AMAT()
 	return s.DynamicEnergyJ() + (s.LeakageW()+s.Mem.StandbyW)*window
-}
-
-// EnergyBreakdown itemizes TotalEnergyJ for reporting.
-type EnergyBreakdown struct {
-	L1DynamicJ  float64
-	L2DynamicJ  float64
-	MemDynamicJ float64
-	L1LeakJ     float64
-	L2LeakJ     float64
-	MemStandbyJ float64
-}
-
-// Total sums the parts.
-func (b EnergyBreakdown) Total() float64 {
-	return b.L1DynamicJ + b.L2DynamicJ + b.MemDynamicJ + b.L1LeakJ + b.L2LeakJ + b.MemStandbyJ
-}
-
-// Breakdown itemizes the total energy of one average access.
-func (s System) Breakdown() EnergyBreakdown {
-	w := s.AMAT()
-	return EnergyBreakdown{
-		L1DynamicJ:  s.L1.DynamicEnergyJ,
-		L2DynamicJ:  s.L1.LocalMissRate * s.L2.DynamicEnergyJ,
-		MemDynamicJ: s.GlobalL2MissRate() * s.Mem.EnergyJ,
-		L1LeakJ:     s.L1.LeakageW * w,
-		L2LeakJ:     s.L2.LeakageW * w,
-		MemStandbyJ: s.Mem.StandbyW * w,
-	}
-}
-
-// SingleLevelAMAT returns the AMAT of an L1 backed directly by memory, used
-// in single-cache studies.
-func SingleLevelAMAT(l1 LevelStats, m mem.Spec) float64 {
-	return l1.AccessTimeS + l1.LocalMissRate*m.LatencyS
 }

@@ -53,13 +53,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestGlobalMissRate(t *testing.T) {
-	s := sys()
-	if got := s.GlobalL2MissRate(); !units.ApproxEqual(got, 0.01, 1e-12, 0) {
-		t.Errorf("global miss rate = %v, want 0.01", got)
-	}
-}
-
 func TestDynamicEnergy(t *testing.T) {
 	s := sys()
 	want := 20e-12 + 0.05*(150e-12+0.20*2e-9)
@@ -70,13 +63,11 @@ func TestDynamicEnergy(t *testing.T) {
 
 func TestTotalEnergyBreakdownConsistency(t *testing.T) {
 	s := sys()
-	b := s.Breakdown()
-	if !units.ApproxEqual(b.Total(), s.TotalEnergyJ(), 1e-12, 0) {
-		t.Errorf("breakdown total %v != TotalEnergyJ %v", b.Total(), s.TotalEnergyJ())
-	}
-	// Every term non-negative, leakage terms positive here.
-	if b.L1LeakJ <= 0 || b.L2LeakJ <= 0 || b.MemStandbyJ <= 0 {
-		t.Errorf("leakage terms must be positive: %+v", b)
+	// Dynamic energy plus L1, L2 and DDR standby power over the AMAT window.
+	amat := 600e-12 + 0.05*(1500e-12+0.20*50e-9)
+	want := 20e-12 + 0.05*(150e-12+0.20*2e-9) + (10e-3+50e-3+50e-3)*amat
+	if got := s.TotalEnergyJ(); !units.ApproxEqual(got, want, 1e-12, 0) {
+		t.Errorf("total energy = %v, want %v", got, want)
 	}
 	// Total energy should land in Figure 2's tens-to-hundreds of pJ regime.
 	if pj := units.ToPJ(s.TotalEnergyJ()); pj < 20 || pj > 1000 {
@@ -121,16 +112,6 @@ func TestAMATMonotonicityProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Errorf("AMAT not monotone in L1 miss rate: %v", err)
-	}
-}
-
-func TestSingleLevelAMAT(t *testing.T) {
-	l1 := LevelStats{Name: "L1", AccessTimeS: 600e-12, LocalMissRate: 0.05,
-		DynamicEnergyJ: 20e-12, LeakageW: 10e-3}
-	got := SingleLevelAMAT(l1, mem.DefaultDDR())
-	want := 600e-12 + 0.05*50e-9
-	if !units.ApproxEqual(got, want, 1e-12, 0) {
-		t.Errorf("single-level AMAT = %v, want %v", got, want)
 	}
 }
 

@@ -95,17 +95,20 @@ func (s *allowSet) suppress(analyzer string, p token.Position) bool {
 
 // hygiene returns the directive-discipline diagnostics: malformed or
 // reasonless directives, directives that suppressed nothing, and (under
-// strict) directives naming analyzers outside the known set. Directives
-// for analyzers not in the active set are skipped when non-strict, so a
+// strict) directives naming analyzers outside the known set. known maps
+// each active analyzer to whether it ran: a program rule skipped on a
+// partial load leaves its directives unjudged, and directives for
+// analyzers outside the set are skipped when non-strict, so a
 // single-analyzer fixture run does not flag another analyzer's allows.
 func (s *allowSet) hygiene(known map[string]bool, strict bool) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range s.all {
+		ran, active := known[d.analyzer]
 		switch {
 		case d.analyzer == "":
 			out = append(out, Diagnostic{Pos: d.pos, Analyzer: "repolint",
 				Message: "lint:allow needs an analyzer name and a reason"})
-		case !known[d.analyzer]:
+		case !active:
 			if strict {
 				out = append(out, Diagnostic{Pos: d.pos, Analyzer: "repolint",
 					Message: "lint:allow names unknown analyzer " + strconv.Quote(d.analyzer)})
@@ -113,7 +116,7 @@ func (s *allowSet) hygiene(known map[string]bool, strict bool) []Diagnostic {
 		case d.reason == "":
 			out = append(out, Diagnostic{Pos: d.pos, Analyzer: "repolint",
 				Message: "lint:allow " + d.analyzer + " needs a reason"})
-		case !d.used:
+		case !d.used && ran:
 			out = append(out, Diagnostic{Pos: d.pos, Analyzer: "repolint",
 				Message: "lint:allow " + d.analyzer + " suppresses nothing; remove it"})
 		}

@@ -4,7 +4,8 @@
 // engine, no map-iteration-order leaks into output, injected clocks and
 // per-shard RNGs only, fixed-point float formatting in names and NDJSON,
 // context threaded through every looping layer, every registered workload
-// kind wired into the cross-kind equivalence suite — expressed as
+// kind wired into the cross-kind equivalence suite, no exported API that
+// only tests call — expressed as
 // compile-time checks that travel with the code instead of the reviewer.
 //
 // The package is deliberately self-contained: analyzers run on the
@@ -33,6 +34,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -46,15 +48,18 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph rule statement printed by `repolint -list`.
 	Doc string
-	// Exempt lists package-path patterns the analyzer never visits. A
-	// pattern is a "/"-separated segment sequence; it matches a package
-	// whose import path contains that sequence (so "cmd" matches
-	// repro/cmd/sweepd and "internal/sweep" matches repro/internal/sweep).
+	// Exempt lists package-path patterns the analyzer never visits (Run)
+	// or never reports into (RunProgram). A pattern is a "/"-separated
+	// segment sequence; it matches a package whose import path contains
+	// that sequence (so "cmd" matches repro/cmd/sweepd and
+	// "internal/sweep" matches repro/internal/sweep).
 	Exempt []string
 	// Run, when non-nil, checks one package.
 	Run func(*Pass)
 	// RunProgram, when non-nil, checks the whole loaded program after all
 	// per-package passes; report attributes a diagnostic to a position.
+	// It needs every package, so RunSuite skips it on a partial load,
+	// where its allow directives count as neither used nor stale.
 	RunProgram func(*Program, func(pos token.Pos, msg string))
 }
 
@@ -87,6 +92,9 @@ type Package struct {
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
+	// Complete is set when Packages hold every package of the module
+	// (repolint ./...) or the whole fixture tree.
+	Complete bool
 }
 
 // Pass hands one package to one analyzer with a way to report findings.
@@ -164,13 +172,14 @@ type SuiteOptions struct {
 // unknown analyzer under Strict), sorted by position.
 func RunSuite(prog *Program, opt SuiteOptions) []Diagnostic {
 	known := make(map[string]bool, len(opt.Analyzers))
-	for _, a := range opt.Analyzers {
-		known[a.Name] = true
-	}
 	allows := collectAllows(prog)
 
 	var diags []Diagnostic
 	for _, a := range opt.Analyzers {
+		known[a.Name] = a.RunProgram == nil || prog.Complete
+		if !known[a.Name] {
+			continue
+		}
 		if a.Run != nil {
 			for _, pkg := range prog.Packages {
 				if a.exempt(pkg) {
@@ -190,9 +199,13 @@ func RunSuite(prog *Program, opt SuiteOptions) []Diagnostic {
 		}
 		if a.RunProgram != nil {
 			name := a.Name
+			exempt := make(map[string]bool)
+			for _, pkg := range prog.Packages {
+				exempt[pkg.Dir] = a.exempt(pkg)
+			}
 			a.RunProgram(prog, func(pos token.Pos, msg string) {
 				p := prog.Fset.Position(pos)
-				if allows.suppress(name, p) {
+				if exempt[filepath.Dir(p.Filename)] || allows.suppress(name, p) {
 					return
 				}
 				diags = append(diags, Diagnostic{Pos: p, Analyzer: name, Message: msg})

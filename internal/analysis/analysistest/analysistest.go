@@ -40,6 +40,8 @@ type want struct {
 // Run loads testdata/<dir>/src as a fixture tree, runs the analyzer
 // (with lint:allow handling, so fixtures can prove the escape hatch),
 // and diffs diagnostics against the want comments.
+//
+//lint:allow deadexport internal/analysis's fixture tests run every analyzer through it
 func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	t.Helper()
 	root := filepath.Join("testdata", dir, "src")

@@ -16,8 +16,7 @@ import (
 // fixtures() map in internal/work's tests), either as a string literal
 // matching the kind's value or as the package-qualified constant
 // (grid.WorkKind) matching the Register argument. The check is
-// whole-program: it runs only when the analyzed pattern includes the
-// work package (repolint ./...), and is silent on partial loads.
+// whole-program: it runs only on a complete load (repolint ./...).
 var KindFixture = &Analyzer{
 	Name: "kindfixture",
 	Doc: "every work.Register call site needs a matching entry in the " +
@@ -77,12 +76,7 @@ func runKindFixture(prog *Program, report func(token.Pos, string)) {
 			})
 		}
 	}
-	if len(sites) == 0 {
-		return
-	}
-	if workPkg == nil {
-		// Partial load (a pattern that does not include internal/work):
-		// the table is unknowable, so stay silent rather than guess.
+	if len(sites) == 0 || workPkg == nil {
 		return
 	}
 

@@ -45,34 +45,24 @@ type listPackage struct {
 	Error        *struct {
 		Err string
 	}
+	Module *struct {
+		Path string
+	}
 }
 
 // Load enumerates and type-checks the packages matching patterns (go
 // list syntax, e.g. "./..."), resolved relative to dir.
 func Load(ctx context.Context, dir string, patterns []string) (*Program, error) {
-	args := append([]string{
-		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,Incomplete,GoFiles,CgoFiles,TestGoFiles,XTestGoFiles,Error",
-	}, patterns...)
-	cmd := exec.CommandContext(ctx, "go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	listed, err := goList(ctx, dir, append([]string{"-export", "-deps",
+		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,Incomplete,GoFiles,CgoFiles,TestGoFiles,XTestGoFiles,Error,Module",
+	}, patterns...)...)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: go list: %v\n%s", err, stderr.String())
+		return nil, err
 	}
 
 	exports := make(map[string]string)
 	var targets []listPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
-		}
+	for _, p := range listed {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
@@ -91,6 +81,9 @@ func Load(ctx context.Context, dir string, patterns []string) (*Program, error) 
 	fset := token.NewFileSet()
 	imp := exportImporter(fset, exports)
 	prog := &Program{Fset: fset}
+	if prog.Complete, err = wholeModule(ctx, dir, targets); err != nil {
+		return nil, err
+	}
 	for _, t := range targets {
 		if len(t.GoFiles)+len(t.CgoFiles) == 0 {
 			// Test-only directories (the root bench harness) have nothing
@@ -104,6 +97,40 @@ func Load(ctx context.Context, dir string, patterns []string) (*Program, error) 
 		prog.Packages = append(prog.Packages, pkg)
 	}
 	return prog, nil
+}
+
+// goList runs `go list -e <args>` in dir and decodes its JSON stream.
+func goList(ctx context.Context, dir string, args ...string) ([]listPackage, error) {
+	cmd := exec.CommandContext(ctx, "go", append([]string{"list", "-e"}, args...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("analysis: go list %v: %v\n%s", args, err, stderr.String())
+	}
+	var pkgs []listPackage
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var p listPackage
+		if err := dec.Decode(&p); err == io.EOF {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
+		}
+		pkgs = append(pkgs, p)
+	}
+}
+
+// wholeModule reports whether targets are every package of their module,
+// the complete program whole-program rules need: go list -find names the
+// module's packages, and targets are among them.
+func wholeModule(ctx context.Context, dir string, targets []listPackage) (bool, error) {
+	if len(targets) == 0 || targets[0].Module == nil {
+		return false, nil
+	}
+	all, err := goList(ctx, dir, "-find", "-json=ImportPath", targets[0].Module.Path+"/...")
+	return err == nil && len(all) == len(targets), err
 }
 
 // exportImporter builds the export-data importer over the go list
@@ -236,22 +263,11 @@ func LoadTree(ctx context.Context, root string) (*Program, error) {
 			paths = append(paths, ip)
 		}
 		sort.Strings(paths)
-		args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export"}, paths...)
-		cmd := exec.CommandContext(ctx, "go", args...)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
+		listed, err := goList(ctx, "", append([]string{"-export", "-deps", "-json=ImportPath,Export"}, paths...)...)
 		if err != nil {
-			return nil, fmt.Errorf("analysis: go list %v: %v\n%s", paths, err, stderr.String())
+			return nil, err
 		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			var p listPackage
-			if err := dec.Decode(&p); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
+		for _, p := range listed {
 			if p.Export != "" {
 				exports[p.ImportPath] = p.Export
 			}
@@ -264,7 +280,7 @@ func LoadTree(ctx context.Context, root string) (*Program, error) {
 		local:    make(map[string]*types.Package),
 		fallback: exportImporter(fset, exports),
 	}
-	prog := &Program{Fset: fset}
+	prog := &Program{Fset: fset, Complete: true}
 	done := make(map[string]bool)
 	var check func(path string) error
 	check = func(path string) error {

@@ -10,5 +10,6 @@ func Suite() []*Analyzer {
 		CtxFlow,
 		FloatFmt,
 		KindFixture,
+		DeadExport,
 	}
 }

@@ -20,6 +20,22 @@ func TestNoClock(t *testing.T)     { analysistest.Run(t, analysis.NoClock, "nocl
 func TestCtxFlow(t *testing.T)     { analysistest.Run(t, analysis.CtxFlow, "ctxflow") }
 func TestFloatFmt(t *testing.T)    { analysistest.Run(t, analysis.FloatFmt, "floatfmt") }
 func TestKindFixture(t *testing.T) { analysistest.Run(t, analysis.KindFixture, "kindfixture") }
+func TestDeadExport(t *testing.T)  { analysistest.Run(t, analysis.DeadExport, "deadexport") }
+
+// TestDeadExportSilentOnPartialLoad pins the whole-program contract: a
+// load that misses some of the module cannot see every caller, so the
+// rule reports nothing — and its allow directives are not stale.
+func TestDeadExportSilentOnPartialLoad(t *testing.T) {
+	prog, err := analysis.LoadTree(context.Background(), "testdata/deadexport/src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Complete = false
+	diags := analysis.RunSuite(prog, analysis.SuiteOptions{Analyzers: []*analysis.Analyzer{analysis.DeadExport}, Strict: true})
+	if len(diags) != 0 {
+		t.Fatalf("partial load: %d diagnostics, want none:\n%s", len(diags), render(diags))
+	}
+}
 
 // TestAllowHygiene pins the escape hatch's discipline: malformed,
 // reasonless, stale, and unknown-analyzer directives are diagnostics

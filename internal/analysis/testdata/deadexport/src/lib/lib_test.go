@@ -1,0 +1,9 @@
+package lib
+
+import "testing"
+
+func TestLib(t *testing.T) {
+	TestOnly()
+	Oracle()
+	T{}.Unused()
+}

@@ -6,15 +6,15 @@ package a
 import "time"
 
 //lint:allow
-func A() time.Time {
+func a() time.Time {
 	//lint:allow noclock
 	return time.Now()
 }
 
 //lint:allow noclock stale exception kept to prove unused directives surface
-func B() int { return 1 }
+func b() int { return 1 }
 
 //lint:allow othertool suppression aimed at a different linter
-func C() time.Time {
+func c() time.Time {
 	return time.Now() //lint:allow noclock fixture control: a correct directive stays silent
 }

@@ -51,6 +51,8 @@ func OptimizationGrid() Grid {
 }
 
 // CoarseGrid returns a small grid for exhaustive cross-checks in tests.
+//
+//lint:allow deadexport charlib's, model's and opt's tests cross-check exhaustively on it
 func CoarseGrid() Grid {
 	return Grid{
 		Vths:  units.GridSteps(0.20, 0.50, 0.1),
@@ -114,28 +116,4 @@ func CharacterizeCache(c *components.Cache, g Grid) ([components.PartCount][]Sam
 		out[p] = s
 	}
 	return out, nil
-}
-
-// SliceAtTox filters samples at a fixed Tox (within tolerance), ordered by
-// Vth — one of the two kinds of one-dimensional slices plotted in Figure 1.
-func SliceAtTox(samples []Sample, toxA float64) []Sample {
-	var out []Sample
-	for _, s := range samples {
-		if units.ApproxEqual(s.ToxA, toxA, 1e-9, 1e-9) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// SliceAtVth filters samples at a fixed Vth, ordered by Tox — the other
-// Figure 1 slice.
-func SliceAtVth(samples []Sample, vth float64) []Sample {
-	var out []Sample
-	for _, s := range samples {
-		if units.ApproxEqual(s.Vth, vth, 1e-9, 1e-9) {
-			out = append(out, s)
-		}
-	}
-	return out
 }

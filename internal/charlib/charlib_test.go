@@ -100,31 +100,23 @@ func TestCharacterizeCacheAllParts(t *testing.T) {
 
 func TestSlices(t *testing.T) {
 	c := l1Cache(t)
-	g := DefaultGrid()
-	samples, err := Characterize(c.Part(components.PartCellArray), g)
+	samples, err := Characterize(c.Part(components.PartCellArray), DefaultGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
-	atTox := SliceAtTox(samples, 10)
-	if len(atTox) != len(g.Vths) {
-		t.Errorf("SliceAtTox(10A) has %d points, want %d", len(atTox), len(g.Vths))
-	}
-	for _, s := range atTox {
-		if s.ToxA != 10 {
-			t.Errorf("stray Tox %v in slice", s.ToxA)
-		}
-	}
-	atVth := SliceAtVth(samples, 0.30)
-	if len(atVth) != len(g.ToxAs) {
-		t.Errorf("SliceAtVth(0.3) has %d points, want %d", len(atVth), len(g.ToxAs))
-	}
-
 	// Figure 1's headline observations, checked on raw characterization data:
 	// fixing Vth low and sweeping Tox moves leakage a lot over a narrow delay
 	// range; fixing Tox and sweeping Vth covers a wide delay range.
-	vthFixed := SliceAtVth(samples, 0.20)
+	var vthFixed, toxFixed []Sample
+	for _, s := range samples {
+		if s.Vth == 0.20 {
+			vthFixed = append(vthFixed, s)
+		}
+		if s.ToxA == 10 {
+			toxFixed = append(toxFixed, s)
+		}
+	}
 	delaySpanVthFixed := span(vthFixed, func(s Sample) float64 { return s.DelayS })
-	toxFixed := SliceAtTox(samples, 10)
 	delaySpanToxFixed := span(toxFixed, func(s Sample) float64 { return s.DelayS })
 	if delaySpanVthFixed >= delaySpanToxFixed {
 		t.Errorf("delay span with Vth fixed (%v) should be narrower than with Tox fixed (%v)",

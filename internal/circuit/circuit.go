@@ -152,16 +152,6 @@ func (n *Netlist) CountTransistors() float64 {
 	return c
 }
 
-// InputCap returns the gate capacitance presented by the listed input
-// widths (sum of NMOS+PMOS widths of the first stage) at the operating point.
-func InputCap(t *device.Technology, op device.OperatingPoint, widthsM ...float64) float64 {
-	var c float64
-	for _, w := range widthsM {
-		c += t.GateCap(w, op)
-	}
-	return c
-}
-
 // --- Standard gates -------------------------------------------------------
 
 // BetaP is the PMOS/NMOS width ratio used for roughly symmetric inverters.
@@ -219,13 +209,6 @@ func (w Wire) R(t *device.Technology) float64 { return t.WireRPerM * w.LengthM }
 
 // C returns the total wire capacitance.
 func (w Wire) C(t *device.Technology) float64 { return t.WireCPerM * w.LengthM }
-
-// ElmoreDelay returns the 50%-point delay of a driver with effective
-// resistance rDrive driving a distributed wire (rWire, cWire) terminated by
-// cLoad: 0.69*rDrive*(cWire+cLoad) + 0.38*rWire*cWire + 0.69*rWire*cLoad.
-func ElmoreDelay(rDrive, rWire, cWire, cLoad float64) float64 {
-	return 0.69*rDrive*(cWire+cLoad) + 0.38*rWire*cWire + 0.69*rWire*cLoad
-}
 
 // GateDelay returns the delay of a single gate with effective drive
 // resistance from an NMOS of width wDrive, loaded by cLoad plus its own
@@ -304,15 +287,6 @@ func OptimalChain(t *device.Technology, op device.OperatingPoint, cIn, cLoad flo
 // capacitance at the operating point.
 func widthPerGateCap(t *device.Technology, op device.OperatingPoint) float64 {
 	return t.WMin / t.GateCap(t.WMin, op)
-}
-
-// ChainLeakage returns a netlist representing the leakage of an optimally
-// sized chain (its stages modelled as inverters at 50% input probability).
-func ChainLeakage(name string, chain ChainResult) *Netlist {
-	n := &Netlist{Name: name}
-	inv := Inverter(name+".stage", chain.TotalWidthM, 0.5)
-	n.AddChild(inv, 1)
-	return n
 }
 
 // SwitchingEnergy returns the CV^2 energy of one full-swing transition of

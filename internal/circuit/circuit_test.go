@@ -147,19 +147,6 @@ func TestGateLeakVanishesAtThickOxide(t *testing.T) {
 	}
 }
 
-func TestElmoreDelay(t *testing.T) {
-	// Pure driver into lumped load: 0.69*R*C.
-	d := ElmoreDelay(1000, 0, 0, 1e-15)
-	if !units.ApproxEqual(d, 0.69e-12, 1e-9, 0) {
-		t.Errorf("lumped RC = %v", d)
-	}
-	// Adding wire resistance increases delay.
-	d2 := ElmoreDelay(1000, 500, 1e-15, 1e-15)
-	if d2 <= d {
-		t.Error("wire RC must add delay")
-	}
-}
-
 func TestWireRC(t *testing.T) {
 	tc := tech()
 	w := Wire{LengthM: 100 * units.Micrometre}
@@ -255,19 +242,6 @@ func TestSwitchingEnergy(t *testing.T) {
 	partial := SwitchingEnergy(tc, 1e-15, 0.1)
 	if !units.ApproxEqual(partial, 1e-16, 1e-9, 0) {
 		t.Errorf("partial swing energy = %v", partial)
-	}
-}
-
-func TestChainLeakageScalesWithWidth(t *testing.T) {
-	tc := tech()
-	op := device.OP(0.25, 11)
-	cin := tc.GateCap(tc.WMin, op)
-	small := OptimalChain(tc, op, cin, 16*cin)
-	large := OptimalChain(tc, op, cin, 4096*cin)
-	ls := ChainLeakage("s", small).LeakagePower(tc, op).Total()
-	ll := ChainLeakage("l", large).LeakagePower(tc, op).Total()
-	if ll <= ls {
-		t.Errorf("bigger chain should leak more: %v <= %v", ll, ls)
 	}
 }
 

@@ -71,7 +71,7 @@ type Progress struct {
 	w           io.Writer // nil = track silently
 	label, unit string
 	done, total int
-	clock       obs.Clock
+	clock       obs.Clock // nil = time.Now, the metrics layer's source; tests set a fake
 	start       time.Time // first observed completion; zero until then
 	base        int       // done at first observation — rate covers what we watched
 }
@@ -81,15 +81,6 @@ type Progress struct {
 // observable — or tracks silently when w is nil.
 func NewProgress(label, unit string, w io.Writer) *Progress {
 	return &Progress{w: w, label: label, unit: unit}
-}
-
-// WithClock replaces the tracker's time source (default time.Now via the
-// obs clock, the same source the metrics layer uses, so CLI tickers and
-// scraped throughput agree). Tests inject a fake to pin the rate/ETA
-// arithmetic.
-func (p *Progress) WithClock(c obs.Clock) *Progress {
-	p.clock = c
-	return p
 }
 
 // Hook returns the sweep.Progress callback feeding this tracker. The

@@ -94,7 +94,8 @@ func (c *fakeClock) advance(d time.Duration) { c.now = c.now.Add(d) }
 func TestProgressRateAndETA(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	var buf bytes.Buffer
-	p := NewProgress("scenario", "points", &buf).WithClock(clk.clock())
+	p := NewProgress("scenario", "points", &buf)
+	p.clock = clk.clock()
 	hook := p.Hook()
 
 	hook(1, 100) // first observation: no rate measurable yet
@@ -123,7 +124,8 @@ func TestProgressRateAndETA(t *testing.T) {
 func TestProgressRateStalledClock(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	var buf bytes.Buffer
-	p := NewProgress("x", "items", &buf).WithClock(clk.clock())
+	p := NewProgress("x", "items", &buf)
+	p.clock = clk.clock()
 	hook := p.Hook()
 	hook(1, 10)
 	hook(2, 10) // clock unchanged → elapsed 0 → no suffix

@@ -86,7 +86,7 @@ func TestLeakageMagnitude16KB(t *testing.T) {
 	c := newL1(t, 16*cachecfg.KB)
 	// Fast corner: Figure 1's y-axis spans ~0-60 mW for a 16KB cache.
 	fast := c.Leakage(Uniform(device.OP(0.20, 10))).Total()
-	if fast < units.FromMW(5) || fast > units.FromMW(120) {
+	if fast < 5*units.Milliwatt || fast > 120*units.Milliwatt {
 		t.Errorf("fast-corner 16KB leakage = %v mW, want 5..120", units.ToMW(fast))
 	}
 	slow := c.Leakage(Uniform(device.OP(0.50, 14))).Total()
@@ -230,7 +230,7 @@ func TestDynamicEnergyMagnitude(t *testing.T) {
 	c := newL1(t, 16*cachecfg.KB)
 	e := c.DynamicEnergy(Uniform(device.OP(0.25, 11)))
 	// L1 read at 65nm: a few to a few tens of pJ.
-	if e < units.FromPJ(1) || e > units.FromPJ(200) {
+	if e < 1*units.Picojoule || e > 200*units.Picojoule {
 		t.Errorf("L1 dynamic energy = %v pJ, want 1..200", units.ToPJ(e))
 	}
 	l2 := newL2(t, 512*cachecfg.KB)

@@ -106,7 +106,7 @@ func TestHierarchyBasics(t *testing.T) {
 		t.Errorf("AMAT %v out of regime", am)
 	}
 	e := h.twoLevel().System(a1, a2).TotalEnergyJ()
-	if e < units.FromPJ(10) || e > units.FromPJ(5000) {
+	if e < 10*units.Picojoule || e > 5000*units.Picojoule {
 		t.Errorf("total energy %v pJ out of regime", units.ToPJ(e))
 	}
 }

@@ -189,20 +189,6 @@ func (t *Technology) calibrate() {
 	t.KDrv = ionTarget / (wOverL * cox * vdsat)
 }
 
-// Validate reports an error when an operating point lies outside the legal
-// knob ranges of the technology.
-func (t *Technology) Validate(op OperatingPoint) error {
-	const eps = 1e-12
-	if op.Vth < t.VthMin-eps || op.Vth > t.VthMax+eps {
-		return fmt.Errorf("device: Vth %.3f V outside [%.2f, %.2f]", op.Vth, t.VthMin, t.VthMax)
-	}
-	if op.ToxM < t.ToxMin-eps || op.ToxM > t.ToxMax+eps {
-		return fmt.Errorf("device: Tox %.2f A outside [%.1f, %.1f]",
-			units.ToAngstrom(op.ToxM), units.ToAngstrom(t.ToxMin), units.ToAngstrom(t.ToxMax))
-	}
-	return nil
-}
-
 // ScaleFactor returns the geometric scaling s mandated by the paper: drawn
 // channel length (and memory-cell widths) grow with Tox to preserve
 // electrostatic integrity, so linear dimensions scale by s and areas by s^2.
@@ -238,6 +224,8 @@ func (t *Technology) SubthresholdCurrent(kind MOSType, widthM float64, op Operat
 }
 
 // OffCurrent is SubthresholdCurrent at the worst case Vds = Vdd.
+//
+//lint:allow deadexport device's, circuit's and sram's tests and device's Example read the worst-case off current
 func (t *Technology) OffCurrent(kind MOSType, widthM float64, op OperatingPoint) float64 {
 	return t.SubthresholdCurrent(kind, widthM, op, t.Vdd)
 }
@@ -343,10 +331,4 @@ func (t *Technology) Tau(op OperatingPoint) float64 {
 	cj := t.JunctionCap(t.WMin, op)
 	r := t.DriveResistance(NMOS, t.WMin, op)
 	return r * (cg + cj)
-}
-
-// FO4 returns the fanout-of-4 inverter delay, the conventional
-// technology-independent delay yardstick (~5 Tau with parasitics).
-func (t *Technology) FO4(op OperatingPoint) float64 {
-	return 5 * t.Tau(op)
 }

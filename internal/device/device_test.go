@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,26 @@ import (
 )
 
 func tech() *Technology { return Default65nm() }
+
+// Validate reports an error when an operating point lies outside the legal
+// knob ranges of the technology.
+func (t *Technology) Validate(op OperatingPoint) error {
+	const eps = 1e-12
+	if op.Vth < t.VthMin-eps || op.Vth > t.VthMax+eps {
+		return fmt.Errorf("device: Vth %.3f V outside [%.2f, %.2f]", op.Vth, t.VthMin, t.VthMax)
+	}
+	if op.ToxM < t.ToxMin-eps || op.ToxM > t.ToxMax+eps {
+		return fmt.Errorf("device: Tox %.2f A outside [%.1f, %.1f]",
+			units.ToAngstrom(op.ToxM), units.ToAngstrom(t.ToxMin), units.ToAngstrom(t.ToxMax))
+	}
+	return nil
+}
+
+// FO4 returns the fanout-of-4 inverter delay, the conventional
+// technology-independent delay yardstick (~5 Tau with parasitics).
+func (t *Technology) FO4(op OperatingPoint) float64 {
+	return 5 * t.Tau(op)
+}
 
 // randOP maps two arbitrary float64s into a legal operating point, for
 // property-based tests.

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -601,6 +602,70 @@ func TestStatusExecFallback(t *testing.T) {
 	}
 	if st.Batches[0].State != BatchDone {
 		t.Errorf("batch state %s, want done", st.Batches[0].State)
+	}
+}
+
+// TestResultRefusesHostileExecMS pins the exec_ms rule: a value that is
+// not a finite number of milliseconds from 0 to maxExecMS answers 400
+// naming exec_ms and records nothing, so /v1/status keeps decoding. An
+// infinite mean would make encoding/json refuse the status body.
+func TestResultRefusesHostileExecMS(t *testing.T) {
+	fc := &fakeClock{now: time.Unix(1000, 0)}
+	_, srv, _, _ := batchService(t, toyBatch{2}, ServiceConfig{Units: 1, Clock: fc.clock})
+	lease := leaseRaw(t, srv, "w0")
+	if lease.Unit == nil {
+		t.Fatal("no unit leased")
+	}
+	for _, v := range []string{"Inf", "1e300", "-1", "NaN", "soon"} {
+		target := fmt.Sprintf("%s/v1/result?worker=w0&batch=%s&unit=0&exec_ms=%s", srv.URL, lease.Unit.Batch, v)
+		resp, err := srv.Client().Post(target, "application/x-ndjson", strings.NewReader("{\"i\":0}\n{\"i\":1}\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "exec_ms") {
+			t.Errorf("exec_ms=%s: HTTP %d %s, want 400 naming exec_ms", v, resp.StatusCode, msg)
+		}
+		if st := getStatus(t, srv); st.Batches[0].ItemsDone != 0 || st.UnitMeanMS != 0 {
+			t.Errorf("exec_ms=%s: refused result changed the batch: %+v", v, st)
+		}
+	}
+}
+
+// TestRefusedRequestsRegisterNoWorker pins that a request answered 400
+// changes no worker state: heartbeats, failure reports and results for
+// an unknown batch or unit, or with no worker ID, leave the worker table
+// — and the batch — as they were.
+func TestRefusedRequestsRegisterNoWorker(t *testing.T) {
+	fc := &fakeClock{now: time.Unix(1000, 0)}
+	s, srv, id, _ := batchService(t, toyBatch{2}, ServiceConfig{Units: 1, Clock: fc.clock})
+	leaseRaw(t, srv, "w0")
+	before := s.Status()
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/heartbeat", `{"worker":"ghost-heartbeat","batch":"nope","unit":0}`},
+		{"/v1/heartbeat", `{"batch":"` + id + `","unit":0}`},
+		{"/v1/fail", `{"worker":"ghost-fail","batch":"nope","unit":0,"error":"x"}`},
+		{"/v1/fail", `{"batch":"` + id + `","unit":0,"error":"x"}`},
+		{"/v1/result?worker=ghost-result&batch=nope&unit=0", "{}\n"},
+		{"/v1/result?worker=ghost-unit&batch=" + id + "&unit=7", "{}\n"},
+		{"/v1/result?worker=ghost-lines&batch=" + id + "&unit=0", "{}\n"},
+	} {
+		resp, err := srv.Client().Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: HTTP %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
+	}
+	after := s.Status()
+	if !reflect.DeepEqual(after.Workers, before.Workers) {
+		t.Errorf("refused requests changed the workers:\n%+v\n->\n%+v", before.Workers, after.Workers)
+	}
+	if after.Batches[0].State != before.Batches[0].State {
+		t.Errorf("refused requests moved the batch from %s to %s", before.Batches[0].State, after.Batches[0].State)
 	}
 }
 

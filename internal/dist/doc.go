@@ -42,8 +42,10 @@
 // docs/operations.md is the operator runbook.
 //
 // The worker's optional exec_ms on /v1/result reports the unit's measured
-// execution time; the service falls back to lease age when it is absent,
-// so old workers interoperate. The status probe and the metrics endpoint
+// execution time, a number of milliseconds from 0 to one year (anything
+// else answers 400); the service falls back to lease age when it is
+// absent, so old workers interoperate. A request answered 400 registers
+// no worker. The status probe and the metrics endpoint
 // sit behind the same handler (and therefore the same RequireToken gate)
 // as the work protocol.
 //

@@ -282,7 +282,8 @@ func Stat(path string) (Stats, error) {
 // Record appends one completed item: its input index and its exact result
 // line (compact JSON, no trailing newline). The append is a single write
 // syscall, so a crash leaves at worst one torn final line — which Open
-// tolerates.
+// tolerates. Nothing is fsynced, because results are recomputable: the
+// write survives a process crash in the page cache, not a power loss.
 func (j *Journal) Record(i int, line []byte) error {
 	e := Entry{I: i, Line: json.RawMessage(line)}
 	data, err := json.Marshal(e)
@@ -290,16 +291,6 @@ func (j *Journal) Record(i int, line []byte) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	if _, err := j.f.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	return nil
-}
-
-// Sync flushes the journal to stable storage. Record does not sync per
-// entry (results are recomputable; the journal is an optimization, not a
-// durability contract) — callers that want a hard flush point call Sync.
-func (j *Journal) Sync() error {
-	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil

@@ -127,6 +127,10 @@ const (
 // would otherwise be re-leased forever, taking the fleet down in turn.
 const maxLeaseExpiries = 3
 
+// maxExecMS caps a reported exec_ms at one year, far inside the exec
+// histogram's fixed-point sum (±9.2e9 s); the status sees finite times.
+const maxExecMS = 365 * 24 * 60 * 60 * 1000
+
 // workerState is the service's per-worker bookkeeping, keyed by the
 // worker's self-assigned ID.
 type workerState struct {
@@ -545,8 +549,9 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// noteWorkerLocked updates a worker's liveness bookkeeping. Callers hold
-// mu.
+// noteWorkerLocked updates a worker's liveness bookkeeping. Only a
+// request the service accepts counts, so a refused one registers no
+// worker. Callers hold mu.
 func (s *Service) noteWorkerLocked(id string, now time.Time) *workerState {
 	w := s.workers[id]
 	if w == nil {
@@ -559,12 +564,7 @@ func (s *Service) noteWorkerLocked(id string, now time.Time) *workerState {
 
 func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	const bad = "lease request needs a worker id"
-	if !decodeBody(w, r, maxControlBody, &req, bad) {
-		return
-	}
-	if req.Worker == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": bad})
+	if !decodeBody(w, r, maxControlBody, &req, &req.Worker, "lease request needs a worker id") {
 		return
 	}
 	if s.ctx.Err() != nil {
@@ -613,13 +613,12 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatRequest
-	if !decodeBody(w, r, maxControlBody, &req, "malformed heartbeat") {
+	if !decodeBody(w, r, maxControlBody, &req, &req.Worker, "heartbeat needs a worker id") {
 		return
 	}
 	now := s.clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.noteWorkerLocked(req.Worker, now)
 	br, ok := s.byID[req.Batch]
 	if !ok || req.Unit < 0 || req.Unit >= len(br.units) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "unknown unit"})
@@ -632,6 +631,7 @@ func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, map[string]string{"error": "lease lost"})
 		return
 	}
+	s.noteWorkerLocked(req.Worker, now)
 	u.deadline = now.Add(s.ttl)
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
@@ -643,8 +643,9 @@ func (s *Service) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // cancelled batches, where the lines no longer change the batch's fate
 // but are journaled as store cache for the next overlapping submission.
 // The optional exec_ms query parameter carries the worker's measured
-// unit execution time; without it the lease age stands in, so the timing
-// stats degrade rather than vanish against old workers. A body over the
+// unit execution time, a number of milliseconds from 0 to maxExecMS;
+// without it the lease age stands in, so the timing stats degrade rather
+// than vanish against old workers. A body over the
 // cap from the unit's lease holder fails the batch before the 413: a
 // unit's lines are deterministic, so no worker could ever upload them.
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -656,8 +657,14 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "result needs ?worker=ID&batch=ID&unit=N"})
 		return
 	}
-	execMS, execErr := strconv.ParseFloat(q.Get("exec_ms"), 64)
-	haveExec := execErr == nil && execMS >= 0
+	execMS, err := strconv.ParseFloat(q.Get("exec_ms"), 64)
+	haveExec := q.Has("exec_ms")
+	if haveExec && (err != nil || !(execMS >= 0 && execMS <= maxExecMS)) { // NaN fails both
+		writeJSON(w, http.StatusBadRequest, map[string]string{
+			"error": fmt.Sprintf("exec_ms must be a number of milliseconds from 0 to %d", int64(maxExecMS)),
+		})
+		return
+	}
 	body, code, readErr := readBody(w, r, maxResultBody)
 	if readErr != nil && code != http.StatusRequestEntityTooLarge {
 		writeJSON(w, code, map[string]string{"error": readErr.Error()})
@@ -667,7 +674,6 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	now := s.clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ws := s.noteWorkerLocked(worker, now)
 	br, ok := s.byID[batch]
 	var u *unitState
 	if ok && unitID >= 0 && unitID < len(br.units) {
@@ -701,6 +707,7 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	ws := s.noteWorkerLocked(worker, now)
 	stored := 0
 	for k, line := range lines {
 		idx := u.unit.Range.Lo + k
@@ -772,18 +779,18 @@ func (s *Service) recordUnitExecLocked(kind string, ms float64) {
 
 func (s *Service) handleFail(w http.ResponseWriter, r *http.Request) {
 	var req failRequest
-	if !decodeBody(w, r, maxControlBody, &req, "malformed failure report") {
+	if !decodeBody(w, r, maxControlBody, &req, &req.Worker, "failure report needs a worker id") {
 		return
 	}
 	now := s.clock.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.noteWorkerLocked(req.Worker, now)
 	br, ok := s.byID[req.Batch]
 	if !ok {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "unknown batch"})
 		return
 	}
+	s.noteWorkerLocked(req.Worker, now)
 	if br.active() {
 		msg := fmt.Sprintf("unit %d failed on worker %s: %s", req.Unit, req.Worker, req.Error)
 		s.finishLocked(br, BatchFailed, msg, now)
@@ -798,7 +805,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Payload json.RawMessage `json:"payload"`
 	}
 	const bad = `submission needs {"kind":..., "payload":...}`
-	if !decodeBody(w, r, maxResultBody, &req, bad) {
+	if !decodeBody(w, r, maxResultBody, &req, nil, bad) {
 		return
 	}
 	if req.Kind == "" || len(req.Payload) == 0 {
@@ -1179,14 +1186,15 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int,
 
 // decodeBody reads a JSON request body of at most limit bytes into v. It
 // answers the request itself and reports false when the body is over the
-// cap (413) or does not decode (400 with msg).
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, msg string) bool {
+// cap (413), does not decode, or leaves a non-nil worker empty (400 with
+// msg).
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, worker *string, msg string) bool {
 	body, code, err := readBody(w, r, limit)
 	if err != nil {
 		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return false
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := json.Unmarshal(body, v); err != nil || worker != nil && *worker == "" {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": msg})
 		return false
 	}

@@ -434,14 +434,18 @@ func TestServiceRefusesHostileAccesses(t *testing.T) {
 // TestServiceRefusesUnrunnableConfigs checks admission refuses what
 // cannot run: a cache size that is no cachecfg organization, a size over
 // scenario.MaxCacheKB, or negative accesses — in a scenario batch or a
-// grid — is answered 400 and never queued, so no worker leases it.
+// grid — is answered 400 and never queued, so no worker leases it. A
+// batch entry's error names "scenario:" once, before the entry.
 func TestServiceRefusesUnrunnableConfigs(t *testing.T) {
 	s, srv := startService(t, t.Context(), t.TempDir(), ServiceConfig{})
 	for _, tc := range []struct{ kind, payload, want string }{
-		{"scenario-batch", `{"scenarios":[{"name":"x","l1_kb":16,"l2_kb":3,"workload":"tpcc"}]}`, "powers of two"},
-		{"scenario-batch", `{"scenarios":[{"name":"x","l1_kb":16,"l2_kb":1048576,"workload":"tpcc","fidelity":"analytical"}]}`, "above the cap"},
+		{"scenario-batch", `{"scenarios":[{"name":"x","l1_kb":16,"l2_kb":3,"workload":"tpcc"}]}`,
+			`{"error":"scenario: batch entry 0: l2_kb 3: cachecfg: size, block and associativity must be powers of two: 3KB/64B/8-way"}`},
+		{"scenario-batch", `{"scenarios":[{"name":"x","l1_kb":16,"l2_kb":1048576,"workload":"tpcc","fidelity":"analytical"}]}`,
+			`{"error":"scenario: batch entry 0: cache sizes 16/1048576 KB above the cap of 65536 KB"}`},
 		{"scenario-batch", `{"scenarios":[{"name":"x","l1_kb":16,"l2_kb":256,"workload":"tpcc","accesses":-5}]}`, "negative"},
-		{"grid", `{"grid":{"axes":{"l2_kb":[256,1048576]},"base":{"l1_kb":16,"workload":"tpcc","fidelity":"analytical"}},"range":{"lo":0,"hi":2}}`, "above the cap"},
+		{"grid", `{"grid":{"axes":{"l2_kb":[256,1048576]},"base":{"l1_kb":16,"workload":"tpcc","fidelity":"analytical"}},"range":{"lo":0,"hi":2}}`,
+			"grid: axis l2_kb value 2 of 2: scenario: cache sizes 16/1048576 KB above the cap"},
 	} {
 		body := fmt.Sprintf(`{"kind":%q,"payload":%s}`, tc.kind, tc.payload)
 		resp, err := srv.Client().Post(srv.URL+"/v1/batches", "application/json", strings.NewReader(body))

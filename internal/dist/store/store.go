@@ -335,9 +335,6 @@ func (h *Handle) Record(i int, line []byte) error {
 	return h.s.indexItemLocked(h, i)
 }
 
-// Sync flushes the batch's journal to stable storage.
-func (h *Handle) Sync() error { return h.jr.Sync() }
-
 // Close closes the batch's journal (the shared index belongs to the
 // store and stays open).
 func (h *Handle) Close() error { return h.jr.Close() }

@@ -70,6 +70,8 @@ type exchange struct {
 // WireProtocol renders the complete wire-protocol document. storeDir is
 // a scratch directory for the fixture service's result store (the
 // caller's t.TempDir()); nothing under it appears in the output.
+//
+//lint:allow deadexport internal/docs' drift test and `make docs` render docs/wire-protocol.md with it
 func WireProtocol(ctx context.Context, storeDir string) ([]byte, error) {
 	exchanges, err := capture(ctx, storeDir)
 	if err != nil {

@@ -75,7 +75,9 @@ The worker uploads the unit's results as NDJSON — one line per input
 item, in item order, byte-identical to what a sequential run would
 produce. Query parameters attribute the upload: ` + "`worker`" + `, ` + "`batch`" + `
 and ` + "`unit`" + ` are required, ` + "`exec_ms`" + ` carries the worker-measured
-execution time (feeding the straggler baseline). Accepted lines are
+execution time (feeding the straggler baseline): when present it must be
+a number of milliseconds from 0 to one year, or the upload answers 400
+and changes nothing. Accepted lines are
 appended to the batch's store journal before any result stream can see
 them. The upload is idempotent: re-posting a completed unit is
 acknowledged without effect.`

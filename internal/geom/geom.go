@@ -76,15 +76,6 @@ func Organize(cfg cachecfg.Config, cell sram.CellParams) (Array, error) {
 	return a, nil
 }
 
-// MustOrganize is Organize for known-good configurations; it panics on error.
-func MustOrganize(cfg cachecfg.Config, cell sram.CellParams) Array {
-	a, err := Organize(cfg, cell)
-	if err != nil {
-		panic(fmt.Sprintf("geom: %v", err))
-	}
-	return a
-}
-
 // TotalBits returns the number of stored bits implied by the organization
 // (>= data+tag bits due to rounding).
 func (a Array) TotalBits() int { return a.NSub * a.Rows * a.Cols }

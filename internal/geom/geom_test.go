@@ -43,15 +43,6 @@ func TestOrganizeRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestMustOrganizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustOrganize should panic on invalid config")
-		}
-	}()
-	MustOrganize(cachecfg.Config{SizeBytes: 100}, sram.DefaultCell())
-}
-
 func TestSubarrayBounds(t *testing.T) {
 	for _, size := range cachecfg.L2Sizes() {
 		a := org(t, cachecfg.L2(size))

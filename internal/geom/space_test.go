@@ -82,7 +82,8 @@ func TestDensityBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rawCellArea := float64(a.TotalCells()) * cell.Area(tc, op)
+			w, h := cell.Dims(tc, op)
+			rawCellArea := float64(a.TotalCells()) * w * h
 			total := a.AreaM2(tc, op)
 			if factor := total / rawCellArea; factor < 1.1 || factor > 3.0 {
 				t.Errorf("%v: area overhead factor %.2f outside [1.1, 3.0]", cfg, factor)

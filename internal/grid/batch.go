@@ -124,17 +124,6 @@ func (b *Batch) ConfigAt(i int) scenario.Config {
 	return configAt(b.grid, b.axes, b.r.Lo+i)
 }
 
-// Configs materializes every point config of this batch (slice), in
-// order — the golden tests and docs render these. O(Len) memory; large
-// batches should use ConfigAt.
-func (b *Batch) Configs() []scenario.Config {
-	out := make([]scenario.Config, b.Len())
-	for i := range out {
-		out[i] = b.ConfigAt(i)
-	}
-	return out
-}
-
 // Kind names the grid payload family.
 func (b *Batch) Kind() string { return WorkKind }
 

@@ -5,9 +5,20 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/work"
 )
+
+// Configs materializes every point config of the batch (slice), in order,
+// for tests to compare against; the lazy batch itself only has ConfigAt.
+func (b *Batch) Configs() []scenario.Config {
+	out := make([]scenario.Config, b.Len())
+	for i := range out {
+		out[i] = b.ConfigAt(i)
+	}
+	return out
+}
 
 // tinySpec is a 2×2 grid cheap to reason about: points in row-major
 // order are (16,256), (16,512), (32,256), (32,512).

@@ -292,11 +292,6 @@ func (cm *CacheModel) PartDelayS(p components.PartID, op device.OperatingPoint) 
 	return cm.Comps[p].Delay.Eval(op.Vth, op.ToxAngstrom())
 }
 
-// PartDynamicEnergyJ returns one component's modelled dynamic energy.
-func (cm *CacheModel) PartDynamicEnergyJ(p components.PartID, op device.OperatingPoint) float64 {
-	return cm.Comps[p].Energy.Eval(op.ToxAngstrom())
-}
-
 // --- helpers ---------------------------------------------------------------
 
 func extremes(samples []charlib.Sample) (vMin, vMax, tMin, tMax float64) {

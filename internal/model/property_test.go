@@ -12,6 +12,11 @@ import (
 	"repro/internal/device"
 )
 
+// PartDynamicEnergyJ returns one component's modelled dynamic energy.
+func (cm *CacheModel) PartDynamicEnergyJ(p components.PartID, op device.OperatingPoint) float64 {
+	return cm.Comps[p].Energy.Eval(op.ToxAngstrom())
+}
+
 // Property-based tests on the fitted models: the paper's optimization
 // correctness relies on the fitted surfaces preserving the physical
 // monotonicities of the underlying circuit model.

@@ -69,16 +69,15 @@ type family struct {
 	series map[string]*series
 }
 
-// series is one labeled instance of a family. Counters and gauges use
-// bits alone (counter: integer count; gauge: float64 bits); histograms
-// use counts/sumNanos/count. Atomics keep the record path lock-free.
+// series is one labeled instance of a family. Counters use bits (the
+// integer count), gauges fn, histograms counts/sumNanos/count. Atomics
+// keep the record path lock-free.
 type series struct {
 	values []string
 
 	bits atomic.Uint64
-	// fn, when non-nil, backs a gauge evaluated at read time (WithFunc)
-	// instead of a stored value — zero hot-path cost for derived gauges
-	// like in-flight counts and rates.
+	// fn backs a gauge evaluated at read time (WithFunc) — zero hot-path
+	// cost for derived gauges like in-flight counts and rates.
 	fn func() float64
 
 	counts []atomic.Uint64 // per-bucket (non-cumulative), +Inf last
@@ -187,7 +186,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *CounterVec {
 }
 
 // Gauge registers (or re-resolves) a gauge family: an arbitrary float64
-// that goes up and down per label combination.
+// per label combination, read from a callback at snapshot time.
 func (r *Registry) Gauge(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{f: r.lookup(name, help, typeGauge, labels, nil)}
 }
@@ -231,13 +230,8 @@ func (c *Counter) Add(n uint64) { c.s.bits.Add(n) }
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.s.bits.Load() }
 
-// GaugeVec is a gauge family; With resolves one labeled gauge.
+// GaugeVec is a gauge family; WithFunc binds one labeled gauge.
 type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return &Gauge{s: v.f.with(values)}
-}
 
 // WithFunc binds the series for the given label values to a read-time
 // callback: Snapshot (and therefore every scrape) reports fn() instead
@@ -252,27 +246,6 @@ func (v *GaugeVec) WithFunc(fn func() float64, values ...string) {
 	s.fn = fn
 	v.f.mu.Unlock()
 }
-
-// Gauge is one labeled series of a gauge family.
-type Gauge struct{ s *series }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.s.bits.Store(math.Float64bits(v)) }
-
-// Add adds delta (negative to subtract) with a CAS loop, safe for
-// concurrent adders.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.s.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.s.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value reads the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.bits.Load()) }
 
 // HistogramVec is a histogram family; With resolves one labeled
 // histogram.
@@ -297,12 +270,6 @@ func (h *Histogram) Observe(v float64) {
 	h.s.sumNanos.Add(int64(math.Round(v * 1e9)))
 	h.s.count.Add(1)
 }
-
-// Count reads the total number of observations.
-func (h *Histogram) Count() uint64 { return h.s.count.Load() }
-
-// Sum reads the sum of observed values (1e-9 resolution; see series).
-func (h *Histogram) Sum() float64 { return float64(h.s.sumNanos.Load()) / 1e9 }
 
 // Snapshot is a point-in-time copy of a registry, ordered
 // deterministically (families by name, series by label values) — the
@@ -345,15 +312,6 @@ type Bucket struct {
 	Count      uint64
 }
 
-// LabelsOf zips a series' label values with its family's label names.
-func (f *FamilySnapshot) LabelsOf(s *SeriesSnapshot) map[string]string {
-	m := make(map[string]string, len(f.Labels))
-	for i, name := range f.Labels {
-		m[name] = s.LabelValues[i]
-	}
-	return m
-}
-
 // Snapshot copies the registry's current state. Safe to call while
 // writers record; each series is read at some instant during the call.
 func (r *Registry) Snapshot() Snapshot {
@@ -388,8 +346,6 @@ func (r *Registry) Snapshot() Snapshot {
 			case typeGauge:
 				if s.fn != nil {
 					ss.Value = s.fn()
-				} else {
-					ss.Value = math.Float64frombits(s.bits.Load())
 				}
 			case typeHistogram:
 				hs := &HistogramSnapshot{
@@ -417,6 +373,8 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Family returns the named family from the snapshot, or nil.
+//
+//lint:allow deadexport obs's and work's tests read metric families by name
 func (s Snapshot) Family(name string) *FamilySnapshot {
 	for i := range s.Families {
 		if s.Families[i].Name == name {

@@ -39,12 +39,9 @@ func TestCounterAndGauge(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 
-	g := r.Gauge("inflight", "in flight").With()
-	g.Set(3)
-	g.Add(-1)
-	g.Add(0.5)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", got)
+	r.Gauge("inflight", "in flight").WithFunc(func() float64 { return 2.5 })
+	if g := r.Snapshot().Family("inflight").Get(); g == nil || g.Value != 2.5 {
+		t.Fatalf("gauge = %+v, want 2.5", g)
 	}
 }
 
@@ -128,9 +125,6 @@ func TestLabelHandling(t *testing.T) {
 	if f.Series[0].LabelValues[1] != "analytical" || f.Series[1].LabelValues[1] != "trace" {
 		t.Fatalf("series order = %v, %v", f.Series[0].LabelValues, f.Series[1].LabelValues)
 	}
-	if labels := f.LabelsOf(&f.Series[1]); labels["kind"] != "grid" || labels["fidelity"] != "trace" {
-		t.Fatalf("LabelsOf = %v", labels)
-	}
 
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -162,7 +156,7 @@ func TestSeriesKeyCollision(t *testing.T) {
 func TestHandlerExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("work_items_total", "completed items", "kind").With("scenario-batch").Add(7)
-	r.Gauge("inflight", "items in flight").With().Set(1.5)
+	r.Gauge("inflight", "items in flight").WithFunc(func() float64 { return 1.5 })
 	h := r.Histogram("work_item_seconds", "per-item latency", []float64{0.1, 1}, "kind")
 	h.With("toy").Observe(0.05)
 	h.With("toy").Observe(2)
@@ -282,7 +276,6 @@ func TestClockDefault(t *testing.T) {
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("n", "").With()
-	g := r.Gauge("g", "").With()
 	h := r.Histogram("h", "", []float64{1}).With()
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -292,7 +285,6 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(0.5)
 				_ = r.Snapshot() // readers race writers safely
 			}
@@ -302,10 +294,7 @@ func TestConcurrentRecording(t *testing.T) {
 	if c.Value() != workers*per {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
 	}
-	if g.Value() != workers*per {
-		t.Errorf("gauge = %v, want %d", g.Value(), workers*per)
-	}
-	if h.Count() != workers*per || h.Sum() != workers*per*0.5 {
-		t.Errorf("histogram count/sum = %d/%v", h.Count(), h.Sum())
+	if hs := r.Snapshot().Family("h").Get().Histogram; hs.Count != workers*per || hs.Sum != workers*per*0.5 {
+		t.Errorf("histogram count/sum = %d/%v", hs.Count, hs.Sum)
 	}
 }

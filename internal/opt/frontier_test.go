@@ -1,11 +1,13 @@
 package opt
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/components"
 	"repro/internal/device"
 	"repro/internal/mem"
+	"repro/internal/sweep"
 	"repro/internal/units"
 )
 
@@ -21,9 +23,11 @@ func frontierSystem(t *testing.T) (*TwoLevel, []device.OperatingPoint) {
 	return tl, coarseOps()
 }
 
-// TestOptimizeL2FrontierMatchesPointwise pins the parallel frontier to the
-// per-budget sequential calls it fans out: same budgets in, same results
-// out, in budget order.
+// TestOptimizeL2FrontierMatchesPointwise sweeps OptimizeL2Ctx over AMAT
+// budgets in parallel on one shared TwoLevel and pins the results to the
+// sequential per-budget calls: same budgets in, same results out, in
+// budget order; every feasible result meets its budget, and leakage never
+// rises as the budget relaxes.
 func TestOptimizeL2FrontierMatchesPointwise(t *testing.T) {
 	tl, ops := frontierSystem(t)
 	a1 := components.Uniform(DefaultOP())
@@ -32,12 +36,11 @@ func TestOptimizeL2FrontierMatchesPointwise(t *testing.T) {
 	slow := tl.AMAT(a1, components.Uniform(device.OP(0.50, 14)))
 	budgets := units.Linspace(fast*0.5, slow*1.1, 7) // includes infeasible low end
 
-	got, err := tl.OptimizeL2FrontierCtx(t.Context(), SchemeII, a1, ops, budgets)
+	got, err := sweep.MapCtx(t.Context(), len(budgets), 0, func(ctx context.Context, i int) (TwoLevelResult, error) {
+		return tl.OptimizeL2Ctx(ctx, SchemeII, a1, ops, budgets[i])
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(got) != len(budgets) {
-		t.Fatalf("frontier has %d results for %d budgets", len(got), len(budgets))
 	}
 	feasible := 0
 	for i, b := range budgets {
@@ -46,7 +49,7 @@ func TestOptimizeL2FrontierMatchesPointwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got[i] != want {
-			t.Errorf("budget %d: frontier %+v != pointwise %+v", i, got[i], want)
+			t.Errorf("budget %d: parallel %+v != sequential %+v", i, got[i], want)
 		}
 		if got[i].Feasible {
 			feasible++

@@ -378,9 +378,9 @@ func TestResultString(t *testing.T) {
 }
 
 func TestDefaultOPWithinRange(t *testing.T) {
-	tech := device.Default65nm()
-	if err := tech.Validate(DefaultOP()); err != nil {
-		t.Errorf("default operating point invalid: %v", err)
+	tech, op := device.Default65nm(), DefaultOP()
+	if op.Vth < tech.VthMin || op.Vth > tech.VthMax || op.ToxM < tech.ToxMin || op.ToxM > tech.ToxMax {
+		t.Errorf("default operating point %+v outside the technology's knob ranges", op)
 	}
 }
 

@@ -54,6 +54,8 @@ func (sa SystemAssignment) L2() components.Assignment {
 }
 
 // DistinctVths returns the number of distinct Vth values used.
+//
+//lint:allow deadexport opt's and core's tests count a tuple result's distinct Vths
 func (sa SystemAssignment) DistinctVths() int {
 	seen := map[float64]bool{}
 	for _, op := range sa {
@@ -63,6 +65,8 @@ func (sa SystemAssignment) DistinctVths() int {
 }
 
 // DistinctToxs returns the number of distinct Tox values used.
+//
+//lint:allow deadexport opt's and core's tests count a tuple result's distinct Toxs
 func (sa SystemAssignment) DistinctToxs() int {
 	seen := map[float64]bool{}
 	for _, op := range sa {
@@ -83,6 +87,8 @@ func (ms *MemorySystem) Eval(sa SystemAssignment) amat.System {
 }
 
 // TotalEnergyJ is the Figure 2 objective.
+//
+//lint:allow deadexport opt's tests check tuple results against the Figure 2 objective
 func (ms *MemorySystem) TotalEnergyJ(sa SystemAssignment) float64 {
 	return ms.Eval(sa).TotalEnergyJ()
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/components"
 	"repro/internal/device"
 	"repro/internal/mem"
-	"repro/internal/sweep"
 )
 
 // CacheEvaluator extends ComponentEvaluator with dynamic energy — everything
@@ -142,15 +141,6 @@ func (t *TwoLevel) OptimizeL2Ctx(ctx context.Context, scheme Scheme, a1 componen
 		TotalEnergyJ: sys.TotalEnergyJ(),
 		Feasible:     true,
 	}, nil
-}
-
-// OptimizeL2FrontierCtx evaluates OptimizeL2Ctx at each AMAT budget, one
-// budget per worker, returning results in budget order — the two-level
-// analogue of FrontierCtx for trade-off curves over the system constraint.
-func (t *TwoLevel) OptimizeL2FrontierCtx(ctx context.Context, scheme Scheme, a1 components.Assignment, ops []device.OperatingPoint, amatBudgets []float64) ([]TwoLevelResult, error) {
-	return sweep.MapCtx(ctx, len(amatBudgets), 0, func(ctx context.Context, i int) (TwoLevelResult, error) {
-		return t.OptimizeL2Ctx(ctx, scheme, a1, ops, amatBudgets[i])
-	})
 }
 
 // OptimizeL1Ctx finds the L1 assignment minimizing combined leakage under

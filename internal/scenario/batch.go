@@ -27,7 +27,7 @@ func (b Batch) Validate() error {
 	}
 	seen := make(map[string]bool, len(b.Scenarios))
 	for i, c := range b.Scenarios {
-		if err := c.Validate(); err != nil {
+		if err := c.check(); err != nil {
 			return fmt.Errorf("scenario: batch entry %d: %w", i, err)
 		}
 		if seen[c.Name] {

@@ -69,43 +69,52 @@ type Config struct {
 // Validate reports schema errors; a config it accepts can run. Each check
 // reads one field, so a grid proves its points valid per axis value.
 func (c Config) Validate() error {
+	if err := c.check(); err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	}
+	return nil
+}
+
+// check is Validate without the package prefix, for errors that already
+// carry it (a batch names the entry after it).
+func (c Config) check() error {
 	if c.Name == "" {
-		return fmt.Errorf("scenario: missing name")
+		return fmt.Errorf("missing name")
 	}
 	if c.L1KB <= 0 || c.L2KB <= 0 {
-		return fmt.Errorf("scenario: cache sizes must be positive, got %d/%d KB", c.L1KB, c.L2KB)
+		return fmt.Errorf("cache sizes must be positive, got %d/%d KB", c.L1KB, c.L2KB)
 	}
 	if c.L1KB > MaxCacheKB || c.L2KB > MaxCacheKB { // before the KB multiply: no overflow
-		return fmt.Errorf("scenario: cache sizes %d/%d KB above the cap of %d KB", c.L1KB, c.L2KB, MaxCacheKB)
+		return fmt.Errorf("cache sizes %d/%d KB above the cap of %d KB", c.L1KB, c.L2KB, MaxCacheKB)
 	}
 	if err := cachecfg.L1(c.L1KB * cachecfg.KB).Validate(); err != nil {
-		return fmt.Errorf("scenario: l1_kb %d: %w", c.L1KB, err)
+		return fmt.Errorf("l1_kb %d: %w", c.L1KB, err)
 	}
 	if err := cachecfg.L2(c.L2KB * cachecfg.KB).Validate(); err != nil {
-		return fmt.Errorf("scenario: l2_kb %d: %w", c.L2KB, err)
+		return fmt.Errorf("l2_kb %d: %w", c.L2KB, err)
 	}
 	switch c.Workload {
 	case "spec2000", "specweb", "tpcc", "average":
 	default:
-		return fmt.Errorf("scenario: unknown workload %q", c.Workload)
+		return fmt.Errorf("unknown workload %q", c.Workload)
 	}
 	if c.Accesses < 0 {
-		return fmt.Errorf("scenario: accesses must not be negative, got %d", c.Accesses)
+		return fmt.Errorf("accesses must not be negative, got %d", c.Accesses)
 	}
 	if c.Accesses > profile.MaxAccesses {
-		return fmt.Errorf("scenario: accesses %d above the cap of %d", c.Accesses, profile.MaxAccesses)
+		return fmt.Errorf("accesses %d above the cap of %d", c.Accesses, profile.MaxAccesses)
 	}
 	if c.Scheme < 0 || c.Scheme > 3 {
-		return fmt.Errorf("scenario: scheme must be 1, 2 or 3, got %d", c.Scheme)
+		return fmt.Errorf("scheme must be 1, 2 or 3, got %d", c.Scheme)
 	}
 	vths, toxs := opt.CoarseMenu()
 	for _, b := range c.TupleBudgets {
 		if err := (opt.TupleBudget{NTox: b[0], NVth: b[1]}).Validate(len(vths), len(toxs)); err != nil {
-			return fmt.Errorf("scenario: %w", err)
+			return err
 		}
 	}
 	if !profile.ValidFidelity(c.Fidelity) {
-		return fmt.Errorf("scenario: unknown fidelity %q (want %q or %q)",
+		return fmt.Errorf("unknown fidelity %q (want %q or %q)",
 			c.Fidelity, profile.FidelityTrace, profile.FidelityAnalytical)
 	}
 	return nil

@@ -122,12 +122,16 @@ func TestMatrixDeterminism(t *testing.T) {
 }
 
 func TestStatsHitRate(t *testing.T) {
-	s := Stats{Accesses: 10, Hits: 7, Misses: 3}
-	if s.HitRate() != 0.7 {
-		t.Errorf("hit rate %v", s.HitRate())
+	// Four blocks touched ten times: four cold misses, six hits.
+	c := MustNew(tinyCfg(1024, 32, 2), LRU, WriteBack)
+	for i := 0; i < 10; i++ {
+		c.Access(uint64(i%4)*32, false)
+	}
+	if s := c.Stats; s.Hits != 6 || s.MissRate() != 0.4 {
+		t.Errorf("hits %d, miss rate %v; want 6, 0.4", s.Hits, s.MissRate())
 	}
 	var empty Stats
-	if empty.HitRate() != 0 || empty.MissRate() != 0 {
-		t.Error("empty stats rates should be 0")
+	if empty.MissRate() != 0 {
+		t.Error("empty stats miss rate should be 0")
 	}
 }

@@ -79,14 +79,6 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// HitRate returns hits/accesses.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 type line struct {
 	tag     uint64
 	valid   bool
@@ -132,6 +124,8 @@ func New(cfg cachecfg.Config, repl ReplPolicy, write WritePolicy) (*Cache, error
 }
 
 // MustNew panics on configuration errors.
+//
+//lint:allow deadexport sim's tests and examples and the root cache benchmark build fixed, valid caches
 func MustNew(cfg cachecfg.Config, repl ReplPolicy, write WritePolicy) *Cache {
 	c, err := New(cfg, repl, write)
 	if err != nil {
@@ -246,18 +240,6 @@ func (c *Cache) reassemble(tag, idx uint64) uint64 {
 	return tag<<(c.idxLSB+uint(log2(len(c.sets)))) | idx<<c.idxLSB
 }
 
-// Contains probes for addr without touching statistics or LRU state.
-func (c *Cache) Contains(addr uint64) bool {
-	set := c.sets[c.index(addr)]
-	tag := c.tag(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
 // Flush invalidates every line and returns the number of dirty lines that
 // would have been written back.
 func (c *Cache) Flush() int {
@@ -273,9 +255,6 @@ func (c *Cache) Flush() int {
 	return dirty
 }
 
-// ResetStats zeroes the counters without touching cache contents.
-func (c *Cache) ResetStats() { c.Stats = Stats{} }
-
 // Hierarchy is a two-level cache system: the L2 sees the L1 miss stream and
 // the L1's dirty write-backs.
 type Hierarchy struct {
@@ -286,6 +265,8 @@ type Hierarchy struct {
 }
 
 // NewHierarchy wires an L1 and an L2.
+//
+//lint:allow deadexport the reference two-level simulator of sim's tests and ExampleHierarchy
 func NewHierarchy(l1, l2 *Cache) *Hierarchy {
 	return &Hierarchy{L1: l1, L2: l2}
 }
@@ -313,6 +294,8 @@ func (h *Hierarchy) Access(addr uint64, write bool) {
 }
 
 // Run drives n accesses from the generator through the hierarchy.
+//
+//lint:allow deadexport sim's hierarchy tests
 func (h *Hierarchy) Run(g trace.Generator, n int) {
 	for i := 0; i < n; i++ {
 		a := g.Next()
@@ -320,19 +303,16 @@ func (h *Hierarchy) Run(g trace.Generator, n int) {
 	}
 }
 
-// RunSlice drives pre-collected accesses through the hierarchy.
-func (h *Hierarchy) RunSlice(accesses []trace.Access) {
-	for _, a := range accesses {
-		h.Access(a.Addr, a.Write)
-	}
-}
-
 // LocalMissRates returns (L1 local, L2 local) miss rates.
+//
+//lint:allow deadexport sim's hierarchy tests
 func (h *Hierarchy) LocalMissRates() (float64, float64) {
 	return h.L1.Stats.MissRate(), h.L2.Stats.MissRate()
 }
 
 // GlobalL2MissRate returns L2 misses per L1 access.
+//
+//lint:allow deadexport sim's hierarchy tests
 func (h *Hierarchy) GlobalL2MissRate() float64 {
 	if h.L1.Stats.Accesses == 0 {
 		return 0

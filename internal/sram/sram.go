@@ -86,12 +86,6 @@ func (c CellParams) Dims(t *device.Technology, op device.OperatingPoint) (w, h f
 	return c.WidthM * s, c.HeightM * s
 }
 
-// Area returns the scaled cell area at the operating point (grows as s^2).
-func (c CellParams) Area(t *device.Technology, op device.OperatingPoint) float64 {
-	w, h := c.Dims(t, op)
-	return w * h
-}
-
 // BitlineCapPerCell returns the capacitance one cell adds to its bitline:
 // the pass-gate junction plus the wire capacitance of one cell height.
 func (c CellParams) BitlineCapPerCell(t *device.Technology, op device.OperatingPoint) float64 {

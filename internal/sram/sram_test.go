@@ -94,13 +94,12 @@ func TestReadCurrent(t *testing.T) {
 func TestCellGeometryScaling(t *testing.T) {
 	tc := tech()
 	c := DefaultCell()
-	a10 := c.Area(tc, device.OP(0.3, 10))
-	a14 := c.Area(tc, device.OP(0.3, 14))
+	w10, h10 := c.Dims(tc, device.OP(0.3, 10))
+	w14, h14 := c.Dims(tc, device.OP(0.3, 14))
 	s := tc.ScaleFactor(device.OP(0.3, 14))
-	if !units.ApproxEqual(a14/a10, s*s, 1e-9, 0) {
+	if a14, a10 := w14*h14, w10*h10; !units.ApproxEqual(a14/a10, s*s, 1e-9, 0) {
 		t.Errorf("area scale = %v, want %v", a14/a10, s*s)
 	}
-	w10, h10 := c.Dims(tc, device.OP(0.3, 10))
 	if !units.ApproxEqual(w10, c.WidthM, 1e-12, 0) || !units.ApproxEqual(h10, c.HeightM, 1e-12, 0) {
 		t.Error("dims at ToxMin must equal reference dims")
 	}

@@ -162,6 +162,8 @@ func MapCtx[T any](ctx context.Context, n, workers int, fn func(ctx context.Cont
 }
 
 // EachCtx is MapCtx for side-effect-only work.
+//
+//lint:allow deadexport perfbench (a separate module) and sweep's tests call it
 func EachCtx(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	_, err := MapCtx(ctx, n, workers, func(ctx context.Context, i int) (struct{}, error) {
 		return struct{}{}, fn(ctx, i)

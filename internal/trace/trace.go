@@ -178,6 +178,8 @@ func PointerChase(seed int64) Params {
 
 // ExtraSuites returns the robustness workloads used by ablations and tests
 // beyond the paper's evaluation.
+//
+//lint:allow deadexport trace's, sim's and profile's tests cover the robustness workloads with it
 func ExtraSuites(seed int64) []Params {
 	return []Params{Stream(seed + 10), PointerChase(seed + 11)}
 }
@@ -241,6 +243,8 @@ func New(p Params) (Generator, error) {
 }
 
 // MustNew is New for known-good parameters.
+//
+//lint:allow deadexport trace's and sim's tests build fixed, valid generators
 func MustNew(p Params) Generator {
 	g, err := New(p)
 	if err != nil {
@@ -327,6 +331,8 @@ func (g *generator) limit() uint64 {
 }
 
 // Collect materializes n accesses from the generator.
+//
+//lint:allow deadexport trace's and sim's tests and the root simulator benchmark replay collected accesses
 func Collect(g Generator, n int) []Access {
 	out := make([]Access, n)
 	for i := range out {

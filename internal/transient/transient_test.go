@@ -110,7 +110,10 @@ func TestBitlineDischargeValidatesAnalyticModel(t *testing.T) {
 	// check the analytic time C*dV/I against the simulated waveform.
 	tech := device.Default65nm()
 	cell := sram.DefaultCell()
-	arr := geom.MustOrganize(cachecfg.L1(16*cachecfg.KB), cell)
+	arr, err := geom.Organize(cachecfg.L1(16*cachecfg.KB), cell)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, op := range []device.OperatingPoint{device.OP(0.20, 10), device.OP(0.50, 14)} {
 		cbl := cell.BitlineCapPerCell(tech, op)*float64(arr.Rows) +
@@ -149,7 +152,10 @@ func TestWordlineChainDelayWithinBand(t *testing.T) {
 	// Elmore+effective-current estimate within ~30%.
 	tech := device.Default65nm()
 	cell := sram.DefaultCell()
-	arr := geom.MustOrganize(cachecfg.L1(16*cachecfg.KB), cell)
+	arr, err := geom.Organize(cachecfg.L1(16*cachecfg.KB), cell)
+	if err != nil {
+		t.Fatal(err)
+	}
 	op := device.OP(0.25, 11)
 
 	cwl := cell.WordlineCapPerCell(tech, op) * float64(arr.Cols)

@@ -66,14 +66,8 @@ func FromPS(ps float64) float64 { return ps * Picosecond }
 // ToMW converts watts to milliwatts.
 func ToMW(w float64) float64 { return w / Milliwatt }
 
-// FromMW converts milliwatts to watts.
-func FromMW(mw float64) float64 { return mw * Milliwatt }
-
 // ToPJ converts joules to picojoules.
 func ToPJ(j float64) float64 { return j / Picojoule }
-
-// FromPJ converts picojoules to joules.
-func FromPJ(pj float64) float64 { return pj * Picojoule }
 
 // ToAngstrom converts metres to angstroms.
 func ToAngstrom(m float64) float64 { return m / Angstrom }
@@ -105,19 +99,10 @@ func FormatSI(v float64, unit string) string {
 	return fmt.Sprintf("%.3g%s", v, unit)
 }
 
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // ApproxEqual reports whether a and b agree to within rel relative tolerance
 // (or abs absolute tolerance near zero).
+//
+//lint:allow deadexport the float comparisons of tests across the module
 func ApproxEqual(a, b, rel, abs float64) bool {
 	d := math.Abs(a - b)
 	if d <= abs {
