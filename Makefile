@@ -125,9 +125,10 @@ cover: ## run the suite with a coverage profile and print the total
 	$(GO) tool cover -func=cover.out | tail -n 1
 
 # golden regenerates checked-in golden files (scenario batch output, the
-# NDJSON stream pinned against it, and the grid expansion).
-golden: ## regenerate the checked-in golden files
-	$(GO) test ./internal/scenario -run 'TestBatchGolden|TestStreamGolden' -update
+# NDJSON stream pinned against it, the model's float bits over every
+# admitted organization, and the grid expansion).
+golden: ## regenerate the checked-in golden files (scenario output, model float bits, grid expansion)
+	$(GO) test ./internal/scenario -run 'TestBatchGolden|TestStreamGolden|TestModelBitsGolden' -update
 	$(GO) test ./internal/grid -run TestExpandGolden -update
 
 # docs regenerates docs/wire-protocol.md from the live protocol fixtures
