@@ -14,7 +14,6 @@
 package circuit
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/device"
@@ -219,83 +218,82 @@ func GateDelay(t *device.Technology, op device.OperatingPoint, wDrive, cLoad flo
 	return 0.69 * r * (cLoad + cj)
 }
 
-// ChainResult describes an optimally sized buffer chain computed by the
-// method of logical effort.
-type ChainResult struct {
-	Stages      int
-	StageEffort float64
-	Delay       float64 // seconds
-	// TotalWidthM is the summed NMOS width of all stages, used for leakage
-	// and area accounting of the chain.
-	TotalWidthM float64
-	// EnergyPerSwitch is the CV^2 energy of charging all internal stage
-	// capacitances plus the load once.
-	EnergyPerSwitch float64
-}
-
 // parasiticDelay is the intrinsic (self-load) delay of an inverter stage in
 // units of Tau.
 const parasiticDelay = 1.0
 
-// OptimalChain sizes an inverter chain from input capacitance cIn to load
-// cLoad using logical effort, choosing the number of stages that minimizes
-// delay with a target stage effort near 4. It returns the chain delay at the
-// operating point, along with total device width for leakage accounting.
+// Chain is an inverter chain of a fixed depth, sized by the method of
+// logical effort: its first stage presents cIn to its driver and every
+// stage has the same effort, (cLoad/cIn)^(1/Stages). The depth is a design
+// decision (OptimalChain picks it at a design point); the stage effort and
+// widths follow the capacitances at whatever operating point the chain is
+// evaluated.
+type Chain struct {
+	Stages int
+}
+
+// effort returns the per-stage effort driving cLoad from cIn; a load below
+// cIn degenerates to unit effort.
+func (ch Chain) effort(cIn, cLoad float64) float64 {
+	f := cLoad / cIn
+	if f < 1 {
+		f = 1
+	}
+	return math.Pow(f, 1/float64(ch.Stages))
+}
+
+// Delay returns the chain's delay from cIn to cLoad at the operating point.
+func (ch Chain) Delay(t *device.Technology, op device.OperatingPoint, cIn, cLoad float64) float64 {
+	return float64(ch.Stages) * (ch.effort(cIn, cLoad) + parasiticDelay) * t.Tau(op)
+}
+
+// WidthM returns the summed NMOS width of the chain's stages at the
+// operating point, for leakage accounting: stage input capacitances form
+// the geometric series cIn * effort^i.
+func (ch Chain) WidthM(t *device.Technology, op device.OperatingPoint, cIn, cLoad float64) float64 {
+	effort := ch.effort(cIn, cLoad)
+	wPerCap := t.WMin / t.GateCap(t.WMin, op) // metres of width per farad of gate
+	var w float64
+	c := cIn
+	for i := 0; i < ch.Stages; i++ {
+		w += c * wPerCap / (1 + BetaP) // NMOS share of the stage width
+		c *= effort
+	}
+	return w
+}
+
+// OptimalChain picks the depth of an inverter chain from input
+// capacitance cIn to load cLoad at the operating point: the stage count
+// near ln(F)/ln(4) (a stage effort near 4) whose Delay is least.
 //
 // cIn is the capacitance the chain is allowed to present to its driver; the
 // first stage has NMOS width such that its input capacitance equals cIn.
-func OptimalChain(t *device.Technology, op device.OperatingPoint, cIn, cLoad float64) ChainResult {
+func OptimalChain(t *device.Technology, op device.OperatingPoint, cIn, cLoad float64) Chain {
 	if cIn <= 0 {
 		panic("circuit: OptimalChain requires cIn > 0")
 	}
 	if cLoad < cIn {
 		cLoad = cIn // degenerate: a single minimum stage suffices
 	}
-	f := cLoad / cIn
 	// Number of stages minimizing N*(F^(1/N) + p): near ln(F)/ln(4).
-	n := int(math.Round(math.Log(f) / math.Log(4)))
+	n := int(math.Round(math.Log(cLoad/cIn) / math.Log(4)))
 	if n < 1 {
 		n = 1
 	}
-	tau := t.Tau(op)
-	best := ChainResult{Stages: -1, Delay: math.Inf(1)}
-	for _, cand := range []int{n - 1, n, n + 1} {
-		if cand < 1 {
+	best, bestDelay := Chain{}, math.Inf(1)
+	for _, cand := range []Chain{{n - 1}, {n}, {n + 1}} {
+		if cand.Stages < 1 {
 			continue
 		}
-		effort := math.Pow(f, 1/float64(cand))
-		d := float64(cand) * (effort + parasiticDelay) * tau
-		if d < best.Delay {
-			best = ChainResult{Stages: cand, StageEffort: effort, Delay: d}
+		if d := cand.Delay(t, op, cIn, cLoad); d < bestDelay {
+			best, bestDelay = cand, d
 		}
 	}
-	// Stage input caps form a geometric series cIn * effort^i.
-	wPerCap := widthPerGateCap(t, op)
-	var totalW, totalC float64
-	c := cIn
-	for i := 0; i < best.Stages; i++ {
-		totalW += c * wPerCap / (1 + BetaP) // NMOS share of the stage width
-		totalC += c
-		c *= best.StageEffort
-	}
-	best.TotalWidthM = totalW
-	best.EnergyPerSwitch = (totalC - cIn + cLoad) * t.Vdd * t.Vdd
 	return best
-}
-
-// widthPerGateCap returns metres of transistor width per farad of gate
-// capacitance at the operating point.
-func widthPerGateCap(t *device.Technology, op device.OperatingPoint) float64 {
-	return t.WMin / t.GateCap(t.WMin, op)
 }
 
 // SwitchingEnergy returns the CV^2 energy of one full-swing transition of
 // capacitance c, or a partial swing of vFrac*Vdd (bitlines swing ~10%).
 func SwitchingEnergy(t *device.Technology, c, vFrac float64) float64 {
 	return c * t.Vdd * (vFrac * t.Vdd)
-}
-
-// String summarizes the chain for diagnostics.
-func (c ChainResult) String() string {
-	return fmt.Sprintf("chain{stages=%d effort=%.2f delay=%.3gs}", c.Stages, c.StageEffort, c.Delay)
 }

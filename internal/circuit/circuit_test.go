@@ -164,16 +164,16 @@ func TestOptimalChainBasic(t *testing.T) {
 	tc := tech()
 	op := device.OP(0.25, 11)
 	cin := tc.GateCap(tc.WMin, op)
-	res := OptimalChain(tc, op, cin, 256*cin)
+	ch := OptimalChain(tc, op, cin, 256*cin)
 	// F=256 -> ~4 stages of effort 4.
-	if res.Stages < 3 || res.Stages > 5 {
-		t.Errorf("stages = %d, want 3..5 for F=256", res.Stages)
+	if ch.Stages < 3 || ch.Stages > 5 {
+		t.Errorf("stages = %d, want 3..5 for F=256", ch.Stages)
 	}
-	if res.Delay <= 0 {
+	if ch.Delay(tc, op, cin, 256*cin) <= 0 {
 		t.Error("chain delay must be positive")
 	}
-	if res.TotalWidthM <= 0 || res.EnergyPerSwitch <= 0 {
-		t.Errorf("chain accounting: %+v", res)
+	if w := ch.WidthM(tc, op, cin, 256*cin); w <= 0 {
+		t.Errorf("chain width = %v, want positive", w)
 	}
 }
 
@@ -181,9 +181,9 @@ func TestOptimalChainDegenerate(t *testing.T) {
 	tc := tech()
 	op := device.OP(0.25, 11)
 	cin := tc.GateCap(tc.WMin, op)
-	res := OptimalChain(tc, op, cin, cin/10) // load smaller than input cap
-	if res.Stages != 1 {
-		t.Errorf("degenerate chain stages = %d, want 1", res.Stages)
+	ch := OptimalChain(tc, op, cin, cin/10) // load smaller than input cap
+	if ch.Stages != 1 {
+		t.Errorf("degenerate chain stages = %d, want 1", ch.Stages)
 	}
 }
 
@@ -202,7 +202,7 @@ func TestOptimalChainDelayMonotoneInLoad(t *testing.T) {
 	cin := tc.GateCap(tc.WMin, op)
 	prev := 0.0
 	for _, f := range []float64{2, 8, 32, 128, 512, 2048} {
-		d := OptimalChain(tc, op, cin, f*cin).Delay
+		d := OptimalChain(tc, op, cin, f*cin).Delay(tc, op, cin, f*cin)
 		if d <= prev {
 			t.Errorf("chain delay not increasing with load: F=%v d=%v prev=%v", f, d, prev)
 		}
@@ -213,8 +213,8 @@ func TestOptimalChainDelayMonotoneInLoad(t *testing.T) {
 func TestOptimalChainSlowerAtSlowCorner(t *testing.T) {
 	tc := tech()
 	cin := tc.GateCap(tc.WMin, device.OP(0.2, 10))
-	fast := OptimalChain(tc, device.OP(0.2, 10), cin, 100*cin).Delay
-	slow := OptimalChain(tc, device.OP(0.5, 14), cin, 100*cin).Delay
+	fast := OptimalChain(tc, device.OP(0.2, 10), cin, 100*cin).Delay(tc, device.OP(0.2, 10), cin, 100*cin)
+	slow := OptimalChain(tc, device.OP(0.5, 14), cin, 100*cin).Delay(tc, device.OP(0.5, 14), cin, 100*cin)
 	if slow <= fast {
 		t.Errorf("slow corner chain %v <= fast corner %v", slow, fast)
 	}

@@ -32,8 +32,8 @@ func ExampleOptimalChain() {
 	op := device.OP(0.25, 11)
 	cin := tech.GateCap(tech.WMin, op)
 	for _, fanout := range []float64{16, 256, 4096} {
-		res := circuit.OptimalChain(tech, op, cin, fanout*cin)
-		fmt.Printf("F=%4.0f: %d stages, %.0f ps\n", fanout, res.Stages, units.ToPS(res.Delay))
+		ch := circuit.OptimalChain(tech, op, cin, fanout*cin)
+		fmt.Printf("F=%4.0f: %d stages, %.0f ps\n", fanout, ch.Stages, units.ToPS(ch.Delay(tech, op, cin, fanout*cin)))
 	}
 	// Output:
 	// F=  16: 2 stages, 33 ps

@@ -9,15 +9,17 @@
 // leakage is the sum of component leakages and the access time is the sum
 // of component delays (they sit in series on the access path).
 //
-// Transistor sizing (driver-chain stage counts and widths) is frozen at a
-// design corner — the fastest legal operating point — exactly as a real
-// netlist would be; evaluating a component at a different (Vth, Tox) changes
-// device currents, capacitances and wire lengths but not the design.
+// Driver chains (the wordline drivers and both bus-driver banks) are
+// circuit.Chain values whose stage counts are frozen at a design corner —
+// the fastest legal operating point — as a real netlist's would be.
+// Evaluating a component at a different (Vth, Tox) changes device
+// currents, capacitances and wire lengths, and the chain widths follow
+// those capacitances, but the stage counts stay. The address and data bus
+// drivers are two banks of one model, busDrivers.
 package components
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cachecfg"
 	"repro/internal/circuit"
@@ -160,8 +162,8 @@ func NewWithParams(t *device.Technology, cfg cachecfg.Config, p Params) (*Cache,
 	c := &Cache{Tech: t, Cfg: cfg, Array: arr, Params: p}
 	c.parts[PartCellArray] = newCellArray(t, arr, p)
 	c.parts[PartDecoder] = newDecoder(t, arr, p)
-	c.parts[PartAddrDrivers] = newAddrDrivers(t, arr, p)
-	c.parts[PartDataDrivers] = newDataDrivers(t, arr, p)
+	c.parts[PartAddrDrivers] = newBusDrivers(t, arr, p, PartAddrDrivers)
+	c.parts[PartDataDrivers] = newBusDrivers(t, arr, p, PartDataDrivers)
 	return c, nil
 }
 
@@ -212,15 +214,14 @@ type cellArray struct {
 	arr geom.Array
 	p   Params
 
-	cell     sram.CellParams
-	wlStages int // wordline driver chain depth, frozen at the design point
+	cell sram.CellParams
+	wl   circuit.Chain // wordline driver chain, depth frozen at the design point
 }
 
 func newCellArray(t *device.Technology, arr geom.Array, p Params) *cellArray {
 	ca := &cellArray{t: t, arr: arr, p: p, cell: arr.Cell}
 	dp := p.DesignPoint
-	chain := circuit.OptimalChain(t, dp, ca.handoffCap(dp), ca.wordlineCap(dp))
-	ca.wlStages = chain.Stages
+	ca.wl = circuit.OptimalChain(t, dp, ca.handoffCap(dp), ca.wordlineCap(dp))
 	return ca
 }
 
@@ -245,48 +246,29 @@ func (ca *cellArray) bitlineCap(op device.OperatingPoint) float64 {
 }
 
 func (ca *cellArray) Leakage(op device.OperatingPoint) circuit.Leakage {
+	return ca.leakage(op, 1)
+}
+
+// leakage evaluates the array's netlist with awakeFraction of the cells at
+// full supply and the rest in the drowsy retention state; sense amps,
+// precharge, column muxes and wordline drivers stay fully on.
+func (ca *cellArray) leakage(op device.OperatingPoint, awakeFraction float64) circuit.Leakage {
 	nl := &circuit.Netlist{Name: "cell-array"}
-	nl.AddChild(ca.cell.Netlist(), float64(ca.arr.TotalCells()))
+	cells := float64(ca.arr.TotalCells())
+	nl.AddChild(ca.cell.Netlist(1), cells*awakeFraction)
+	nl.AddChild(ca.cell.Netlist(sram.DrowsyRetentionFrac), cells*(1-awakeFraction))
 	nl.AddChild(sram.SenseAmp(ca.t), float64(ca.arr.SenseAmps()))
 	nl.AddChild(sram.Precharge(ca.t), float64(ca.arr.Cols*ca.arr.NSub))
 	nl.AddChild(sram.ColumnMux(ca.t), float64(ca.arr.Cols*ca.arr.NSub))
 	// Wordline drivers: one chain per row per subarray, output low (deselected).
-	wlDriverW := ca.chainWidth(op)
+	wlDriverW := ca.wl.WidthM(ca.t, op, ca.handoffCap(op), ca.wordlineCap(op))
 	nl.AddChild(circuit.Inverter("wldrv", wlDriverW, 1), float64(ca.arr.Rows*ca.arr.NSub))
 	return nl.LeakagePower(ca.t, op)
 }
 
-// chainWidth returns the total NMOS width of one wordline driver chain with
-// the frozen stage count, sized at op-dependent capacitances.
-func (ca *cellArray) chainWidth(op device.OperatingPoint) float64 {
-	cin := ca.handoffCap(op)
-	cload := ca.wordlineCap(op)
-	f := cload / cin
-	if f < 1 {
-		f = 1
-	}
-	effort := pow(f, 1/float64(ca.wlStages))
-	wPerCap := ca.t.WMin / ca.t.GateCap(ca.t.WMin, op)
-	var w float64
-	c := cin
-	for i := 0; i < ca.wlStages; i++ {
-		w += c * wPerCap / (1 + circuit.BetaP)
-		c *= effort
-	}
-	return w
-}
-
 func (ca *cellArray) Delay(op device.OperatingPoint) float64 {
 	t := ca.t
-	// Wordline driver chain with frozen depth.
-	cin := ca.handoffCap(op)
-	cwl := ca.wordlineCap(op)
-	f := cwl / cin
-	if f < 1 {
-		f = 1
-	}
-	effort := pow(f, 1/float64(ca.wlStages))
-	dChain := float64(ca.wlStages) * (effort + 1) * t.Tau(op)
+	dChain := ca.wl.Delay(t, op, ca.handoffCap(op), ca.wordlineCap(op))
 
 	// Wordline wire RC (distributed).
 	wlWire := circuit.Wire{LengthM: ca.arr.WordlineLength(t, op)}
@@ -386,162 +368,74 @@ func (d *decoder) DynamicEnergy(op device.OperatingPoint) float64 {
 	return active * groups * 2 * circuit.SwitchingEnergy(t, cLine, 1) * d.p.ActivityFactor * 2
 }
 
-// --- Address bus drivers -----------------------------------------------------
+// --- Address and data bus drivers ---------------------------------------------
 
-type addrDrivers struct {
-	t      *device.Technology
-	arr    geom.Array
-	p      Params
-	bits   int
-	stages int
+// busDrivers is one bank of bus drivers: a buffer chain per bit driving
+// the bus wire between the cache macro and its client. The two banks
+// differ only in their bit count and far-end load. The address bank
+// (PartAddrDrivers) carries cachecfg.AddressBits and also drives the
+// decoder's input buffers in every subarray; the data bank
+// (PartDataDrivers) carries the organization's output bits into the
+// client's lumped load, Params.ExternalLoadF.
+type busDrivers struct {
+	t     *device.Technology
+	arr   geom.Array
+	p     Params
+	id    PartID
+	bits  int
+	chain circuit.Chain // depth frozen at the design point
+
+	// decoderBufs is the number of decoder input buffers on the bus (0 for
+	// the data bank); farLoadF is the lumped far-end load (0 for the
+	// address bank). A bank without a term adds an exact zero.
+	decoderBufs int
+	farLoadF    float64
 }
 
-func newAddrDrivers(t *device.Technology, arr geom.Array, p Params) *addrDrivers {
-	a := &addrDrivers{t: t, arr: arr, p: p, bits: cachecfg.AddressBits}
+func newBusDrivers(t *device.Technology, arr geom.Array, p Params, id PartID) *busDrivers {
+	b := &busDrivers{t: t, arr: arr, p: p, id: id}
+	if id == PartAddrDrivers {
+		b.bits, b.decoderBufs = cachecfg.AddressBits, arr.NSub
+	} else {
+		b.bits, b.farLoadF = arr.Cfg.OutputBits, p.ExternalLoadF
+	}
 	dp := p.DesignPoint
-	chain := circuit.OptimalChain(t, dp, a.cin(dp), a.cload(dp))
-	a.stages = chain.Stages
-	return a
+	b.chain = circuit.OptimalChain(t, dp, b.cin(dp), b.cload(dp))
+	return b
 }
 
-func (a *addrDrivers) ID() PartID { return PartAddrDrivers }
+func (b *busDrivers) ID() PartID { return b.id }
 
-func (a *addrDrivers) cin(op device.OperatingPoint) float64 {
-	return a.t.GateCap(2*a.t.WMin*(1+circuit.BetaP), op)
+func (b *busDrivers) cin(op device.OperatingPoint) float64 {
+	return b.t.GateCap(2*b.t.WMin*(1+circuit.BetaP), op)
 }
 
-func (a *addrDrivers) wire(op device.OperatingPoint) circuit.Wire {
-	return circuit.Wire{LengthM: a.p.ExternalBusM + a.arr.BusLength(a.t, op)}
+func (b *busDrivers) wire(op device.OperatingPoint) circuit.Wire {
+	return circuit.Wire{LengthM: b.p.ExternalBusM + b.arr.BusLength(b.t, op)}
 }
 
-func (a *addrDrivers) cload(op device.OperatingPoint) float64 {
-	// Bus wire plus the decoder's input buffers across subarrays.
-	return a.wire(op).C(a.t) + float64(a.arr.NSub)*a.t.GateCap(4*a.t.WMin*(1+circuit.BetaP), op)
+func (b *busDrivers) cload(op device.OperatingPoint) float64 {
+	// Bus wire, the decoder's input buffers across subarrays, and the
+	// client's far-end load.
+	return b.wire(op).C(b.t) + float64(b.decoderBufs)*b.t.GateCap(4*b.t.WMin*(1+circuit.BetaP), op) + b.farLoadF
 }
 
-func (a *addrDrivers) chainWidth(op device.OperatingPoint) float64 {
-	cin := a.cin(op)
-	f := a.cload(op) / cin
-	if f < 1 {
-		f = 1
-	}
-	effort := pow(f, 1/float64(a.stages))
-	wPerCap := a.t.WMin / a.t.GateCap(a.t.WMin, op)
-	var w float64
-	c := cin
-	for i := 0; i < a.stages; i++ {
-		w += c * wPerCap / (1 + circuit.BetaP)
-		c *= effort
-	}
-	return w
+func (b *busDrivers) Leakage(op device.OperatingPoint) circuit.Leakage {
+	nl := &circuit.Netlist{Name: b.id.String()}
+	nl.AddChild(circuit.Inverter("chain", b.chain.WidthM(b.t, op, b.cin(op), b.cload(op)), 0.5), float64(b.bits))
+	return nl.LeakagePower(b.t, op)
 }
 
-func (a *addrDrivers) Leakage(op device.OperatingPoint) circuit.Leakage {
-	nl := &circuit.Netlist{Name: "addr-drivers"}
-	nl.AddChild(circuit.Inverter("achain", a.chainWidth(op), 0.5), float64(a.bits))
-	return nl.LeakagePower(a.t, op)
-}
-
-func (a *addrDrivers) Delay(op device.OperatingPoint) float64 {
-	t := a.t
-	cin := a.cin(op)
-	cl := a.cload(op)
-	f := cl / cin
-	if f < 1 {
-		f = 1
-	}
-	effort := pow(f, 1/float64(a.stages))
-	dChain := float64(a.stages) * (effort + 1) * t.Tau(op)
-	w := a.wire(op)
-	dWire := 0.38 * w.R(t) * w.C(t)
+func (b *busDrivers) Delay(op device.OperatingPoint) float64 {
+	t := b.t
+	dChain := b.chain.Delay(t, op, b.cin(op), b.cload(op))
+	// Distributed wire RC, plus the wire resistance into the far-end load.
+	w := b.wire(op)
+	dWire := 0.38*w.R(t)*w.C(t) + 0.69*w.R(t)*b.farLoadF
 	return dChain + dWire
 }
 
-func (a *addrDrivers) DynamicEnergy(op device.OperatingPoint) float64 {
-	return float64(a.bits) * a.p.ActivityFactor *
-		circuit.SwitchingEnergy(a.t, a.cload(op), 1)
-}
-
-// --- Data bus drivers ---------------------------------------------------------
-
-type dataDrivers struct {
-	t      *device.Technology
-	arr    geom.Array
-	p      Params
-	bits   int
-	stages int
-}
-
-func newDataDrivers(t *device.Technology, arr geom.Array, p Params) *dataDrivers {
-	d := &dataDrivers{t: t, arr: arr, p: p, bits: arr.Cfg.OutputBits}
-	dp := p.DesignPoint
-	chain := circuit.OptimalChain(t, dp, d.cin(dp), d.cload(dp))
-	d.stages = chain.Stages
-	return d
-}
-
-func (d *dataDrivers) ID() PartID { return PartDataDrivers }
-
-func (d *dataDrivers) cin(op device.OperatingPoint) float64 {
-	return d.t.GateCap(2*d.t.WMin*(1+circuit.BetaP), op)
-}
-
-func (d *dataDrivers) wire(op device.OperatingPoint) circuit.Wire {
-	return circuit.Wire{LengthM: d.p.ExternalBusM + d.arr.BusLength(d.t, op)}
-}
-
-func (d *dataDrivers) cload(op device.OperatingPoint) float64 {
-	return d.wire(op).C(d.t) + d.p.ExternalLoadF
-}
-
-func (d *dataDrivers) chainWidth(op device.OperatingPoint) float64 {
-	cin := d.cin(op)
-	f := d.cload(op) / cin
-	if f < 1 {
-		f = 1
-	}
-	effort := pow(f, 1/float64(d.stages))
-	wPerCap := d.t.WMin / d.t.GateCap(d.t.WMin, op)
-	var w float64
-	c := cin
-	for i := 0; i < d.stages; i++ {
-		w += c * wPerCap / (1 + circuit.BetaP)
-		c *= effort
-	}
-	return w
-}
-
-func (d *dataDrivers) Leakage(op device.OperatingPoint) circuit.Leakage {
-	nl := &circuit.Netlist{Name: "data-drivers"}
-	nl.AddChild(circuit.Inverter("dchain", d.chainWidth(op), 0.5), float64(d.bits))
-	return nl.LeakagePower(d.t, op)
-}
-
-func (d *dataDrivers) Delay(op device.OperatingPoint) float64 {
-	t := d.t
-	cin := d.cin(op)
-	cl := d.cload(op)
-	f := cl / cin
-	if f < 1 {
-		f = 1
-	}
-	effort := pow(f, 1/float64(d.stages))
-	dChain := float64(d.stages) * (effort + 1) * t.Tau(op)
-	w := d.wire(op)
-	dWire := 0.38*w.R(t)*w.C(t) + 0.69*w.R(t)*d.p.ExternalLoadF
-	return dChain + dWire
-}
-
-func (d *dataDrivers) DynamicEnergy(op device.OperatingPoint) float64 {
-	return float64(d.bits) * d.p.ActivityFactor *
-		circuit.SwitchingEnergy(d.t, d.cload(op), 1)
-}
-
-// pow clamps non-positive bases to zero before exponentiating; chain efforts
-// are always positive so this only guards degenerate inputs.
-func pow(x, y float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return math.Pow(x, y)
+func (b *busDrivers) DynamicEnergy(op device.OperatingPoint) float64 {
+	return float64(b.bits) * b.p.ActivityFactor *
+		circuit.SwitchingEnergy(b.t, b.cload(op), 1)
 }

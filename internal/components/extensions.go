@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
-	"repro/internal/device"
-	"repro/internal/sram"
 )
 
 // This file holds extensions beyond the paper's core experiments: the
@@ -24,31 +22,13 @@ func (c *Cache) LeakageWithDrowsy(a Assignment, awakeFraction float64) (circuit.
 	}
 	var total circuit.Leakage
 	for i, part := range c.parts {
-		if PartID(i) != PartCellArray {
+		if ca, ok := part.(*cellArray); ok {
+			total.Add(ca.leakage(a[i], awakeFraction), 1)
+		} else {
 			total.Add(part.Leakage(a[i]), 1)
-			continue
 		}
-		ca, ok := part.(*cellArray)
-		if !ok {
-			return circuit.Leakage{}, fmt.Errorf("components: cell array part has unexpected type %T", part)
-		}
-		total.Add(ca.leakageDrowsy(a[i], awakeFraction), 1)
 	}
 	return total, nil
-}
-
-// leakageDrowsy splits the cell population between awake and drowsy states;
-// all other array structures (sense amps, precharge, wordline drivers)
-// remain fully on.
-func (ca *cellArray) leakageDrowsy(op device.OperatingPoint, awakeFraction float64) circuit.Leakage {
-	nl := &circuit.Netlist{Name: "cell-array-drowsy"}
-	cells := float64(ca.arr.TotalCells())
-	nl.AddChild(ca.cell.Netlist(), cells*awakeFraction)
-	nl.AddChild(ca.cell.DrowsyNetlist(), cells*(1-awakeFraction))
-	nl.AddChild(sram.SenseAmp(ca.t), float64(ca.arr.SenseAmps()))
-	nl.AddChild(sram.Precharge(ca.t), float64(ca.arr.Cols*ca.arr.NSub))
-	nl.AddChild(circuit.Inverter("wldrv", ca.chainWidth(op), 1), float64(ca.arr.Rows*ca.arr.NSub))
-	return nl.LeakagePower(ca.t, op)
 }
 
 // AccessTimeOverlapped returns the access time under an optimistic

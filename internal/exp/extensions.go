@@ -374,7 +374,7 @@ func (e *Env) JointOptimization(ctx context.Context) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		joint, err := opt.OptimizeJointCtx(ctx, tl, opt.SchemeII, ops, target, 0)
+		joint, err := opt.OptimizeJointCtx(ctx, tl, opt.SchemeII, ops, target)
 		if err != nil {
 			return Table{}, err
 		}

@@ -24,7 +24,7 @@ func TestJointRespectsAMAT(t *testing.T) {
 	ops := midOps()
 	for _, frac := range []float64{0.3, 0.6, 0.9} {
 		target := jointTarget(tl, frac)
-		r, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, target, 0)
+		r, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestJointBeatsSingleSidedOptimization(t *testing.T) {
 	tl := jointSystem(t)
 	ops := midOps()
 	target := jointTarget(tl, 0.6)
-	joint, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, target, 0)
+	joint, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestJointMonotoneInBudget(t *testing.T) {
 	ops := midOps()
 	prev := 1e99
 	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8} {
-		r, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, jointTarget(tl, frac), 0)
+		r, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, jointTarget(tl, frac))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestJointMonotoneInBudget(t *testing.T) {
 func TestJointInfeasibleBudget(t *testing.T) {
 	tl := jointSystem(t)
 	ops := midOps()
-	r, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, jointTarget(tl, 0)/2, 0)
+	r, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, jointTarget(tl, 0)/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestJointConservativeAtLooseBudget(t *testing.T) {
 	// With an unconstrained budget both levels should saturate their knobs.
 	tl := jointSystem(t)
 	ops := midOps()
-	r, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, jointTarget(tl, 1.0)*2, 0)
+	r, err := OptimizeJointCtx(t.Context(), tl, SchemeII, ops, jointTarget(tl, 1.0)*2)
 	if err != nil {
 		t.Fatal(err)
 	}

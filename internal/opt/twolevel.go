@@ -108,6 +108,19 @@ type TwoLevelResult struct {
 	Feasible     bool
 }
 
+// result assembles the feasible outcome of an assignment pair.
+func (t *TwoLevel) result(a1, a2 components.Assignment) TwoLevelResult {
+	sys := t.System(a1, a2)
+	return TwoLevelResult{
+		L1Assignment: a1,
+		L2Assignment: a2,
+		LeakageW:     t.LeakageW(a1, a2),
+		AMATS:        sys.AMAT(),
+		TotalEnergyJ: sys.TotalEnergyJ(),
+		Feasible:     true,
+	}
+}
+
 func (r TwoLevelResult) String() string {
 	if !r.Feasible {
 		return "two-level: infeasible"
@@ -123,24 +136,13 @@ func (r TwoLevelResult) String() string {
 func (t *TwoLevel) OptimizeL2Ctx(ctx context.Context, scheme Scheme, a1 components.Assignment, ops []device.OperatingPoint, amatBudget float64) (TwoLevelResult, error) {
 	delayBudget, ok := t.L2DelayBudget(a1, amatBudget)
 	if !ok {
-		return TwoLevelResult{Feasible: false}, nil
+		return TwoLevelResult{}, nil
 	}
 	res, err := OptimizeCtx(ctx, scheme, t.L2, ops, delayBudget)
-	if err != nil {
-		return TwoLevelResult{Feasible: false}, err
+	if err != nil || !res.Feasible {
+		return TwoLevelResult{}, err
 	}
-	if !res.Feasible {
-		return TwoLevelResult{Feasible: false}, nil
-	}
-	sys := t.System(a1, res.Assignment)
-	return TwoLevelResult{
-		L1Assignment: a1,
-		L2Assignment: res.Assignment,
-		LeakageW:     t.LeakageW(a1, res.Assignment),
-		AMATS:        sys.AMAT(),
-		TotalEnergyJ: sys.TotalEnergyJ(),
-		Feasible:     true,
-	}, nil
+	return t.result(a1, res.Assignment), nil
 }
 
 // OptimizeL1Ctx finds the L1 assignment minimizing combined leakage under
@@ -149,22 +151,11 @@ func (t *TwoLevel) OptimizeL2Ctx(ctx context.Context, scheme Scheme, a1 componen
 func (t *TwoLevel) OptimizeL1Ctx(ctx context.Context, scheme Scheme, a2 components.Assignment, ops []device.OperatingPoint, amatBudget float64) (TwoLevelResult, error) {
 	delayBudget, ok := t.L1DelayBudget(a2, amatBudget)
 	if !ok {
-		return TwoLevelResult{Feasible: false}, nil
+		return TwoLevelResult{}, nil
 	}
 	res, err := OptimizeCtx(ctx, scheme, t.L1, ops, delayBudget)
-	if err != nil {
-		return TwoLevelResult{Feasible: false}, err
+	if err != nil || !res.Feasible {
+		return TwoLevelResult{}, err
 	}
-	if !res.Feasible {
-		return TwoLevelResult{Feasible: false}, nil
-	}
-	sys := t.System(res.Assignment, a2)
-	return TwoLevelResult{
-		L1Assignment: res.Assignment,
-		L2Assignment: a2,
-		LeakageW:     t.LeakageW(res.Assignment, a2),
-		AMATS:        sys.AMAT(),
-		TotalEnergyJ: sys.TotalEnergyJ(),
-		Feasible:     true,
-	}, nil
+	return t.result(res.Assignment, a2), nil
 }

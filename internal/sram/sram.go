@@ -43,23 +43,33 @@ func DefaultCell() CellParams {
 }
 
 // Netlist returns the leakage netlist of one cell holding a stable value
-// with both bitlines precharged high (the standby state of an idle row).
+// with both bitlines precharged high (the standby state of an idle row),
+// its supply at supplyFrac of Vdd: 1 for an awake cell, DrowsyRetentionFrac
+// for a drowsy one.
 //
 // Label the internal nodes L (storing 0) and R (storing 1):
-//   - pass transistor at L: off, Vds = Vdd (bitline high, node low) — leaks.
+//   - pass transistor at L: off, Vds = supply (bitline high, node low) — leaks.
 //   - pass transistor at R: off, Vds = 0 — no subthreshold path.
-//   - pull-down at R's inverter (gate at L=0): off, Vds = Vdd — leaks.
-//   - pull-up at L's inverter (gate at R=1): off, Vsd = Vdd — leaks.
+//   - pull-down at R's inverter (gate at L=0): off, Vds = supply — leaks.
+//   - pull-up at L's inverter (gate at R=1): off, Vsd = supply — leaks.
 //   - pull-down at L's inverter: ON (gate at R=1) — full-area gate tunnelling.
 //   - pull-up at R's inverter: ON (gate at L=0) — full-area gate tunnelling.
-func (c CellParams) Netlist() *circuit.Netlist {
+//
+// A drowsy cell's supply collapses to the retention voltage, so every off
+// transistor sees only that much drain bias (killing both the DIBL boost
+// and most of the drain-field leakage) and the conducting transistors
+// tunnel at the reduced oxide voltage. This implements the dynamic
+// counterpart of the paper's static knobs, from its related work [6]; see
+// the drowsy extension experiment.
+func (c CellParams) Netlist(supplyFrac float64) *circuit.Netlist {
+	v := supplyFrac
 	n := &circuit.Netlist{Name: "cell6t"}
-	n.AddElement(circuit.Element{Name: "pg.l.off", Kind: device.NMOS, WidthM: c.WPass, State: circuit.StateOff, VFrac: 1})
+	n.AddElement(circuit.Element{Name: "pg.l.off", Kind: device.NMOS, WidthM: c.WPass, State: circuit.StateOff, VFrac: v})
 	n.AddElement(circuit.Element{Name: "pg.r.off", Kind: device.NMOS, WidthM: c.WPass, State: circuit.StateOff, VFrac: 0})
-	n.AddElement(circuit.Element{Name: "pd.r.off", Kind: device.NMOS, WidthM: c.WPullDown, State: circuit.StateOff, VFrac: 1})
-	n.AddElement(circuit.Element{Name: "pu.l.off", Kind: device.PMOS, WidthM: c.WPullUp, State: circuit.StateOff, VFrac: 1})
-	n.AddElement(circuit.Element{Name: "pd.l.on", Kind: device.NMOS, WidthM: c.WPullDown, State: circuit.StateOn, VFrac: 1})
-	n.AddElement(circuit.Element{Name: "pu.r.on", Kind: device.PMOS, WidthM: c.WPullUp, State: circuit.StateOn, VFrac: 1})
+	n.AddElement(circuit.Element{Name: "pd.r.off", Kind: device.NMOS, WidthM: c.WPullDown, State: circuit.StateOff, VFrac: v})
+	n.AddElement(circuit.Element{Name: "pu.l.off", Kind: device.PMOS, WidthM: c.WPullUp, State: circuit.StateOff, VFrac: v})
+	n.AddElement(circuit.Element{Name: "pd.l.on", Kind: device.NMOS, WidthM: c.WPullDown, State: circuit.StateOn, VFrac: v})
+	n.AddElement(circuit.Element{Name: "pu.r.on", Kind: device.PMOS, WidthM: c.WPullUp, State: circuit.StateOn, VFrac: v})
 	return n
 }
 
@@ -103,25 +113,6 @@ func (c CellParams) WordlineCapPerCell(t *device.Technology, op device.Operating
 // DrowsyRetentionFrac is the retention supply of a drowsy cell as a
 // fraction of Vdd (Flautner et al., ISCA'02 use ~0.3).
 const DrowsyRetentionFrac = 0.3
-
-// DrowsyNetlist returns the cell's leakage netlist in the drowsy state: the
-// cell supply is collapsed to the retention voltage, so every off
-// transistor sees only DrowsyRetentionFrac*Vdd of drain bias (killing both
-// the DIBL boost and most of the drain-field leakage) and the conducting
-// transistors tunnel at the reduced oxide voltage. This implements the
-// dynamic counterpart of the paper's static knobs, from its related work
-// [6]; see the drowsy extension experiment.
-func (c CellParams) DrowsyNetlist() *circuit.Netlist {
-	v := DrowsyRetentionFrac
-	n := &circuit.Netlist{Name: "cell6t-drowsy"}
-	n.AddElement(circuit.Element{Name: "pg.l.off", Kind: device.NMOS, WidthM: c.WPass, State: circuit.StateOff, VFrac: v})
-	n.AddElement(circuit.Element{Name: "pg.r.off", Kind: device.NMOS, WidthM: c.WPass, State: circuit.StateOff, VFrac: 0})
-	n.AddElement(circuit.Element{Name: "pd.r.off", Kind: device.NMOS, WidthM: c.WPullDown, State: circuit.StateOff, VFrac: v})
-	n.AddElement(circuit.Element{Name: "pu.l.off", Kind: device.PMOS, WidthM: c.WPullUp, State: circuit.StateOff, VFrac: v})
-	n.AddElement(circuit.Element{Name: "pd.l.on", Kind: device.NMOS, WidthM: c.WPullDown, State: circuit.StateOn, VFrac: v})
-	n.AddElement(circuit.Element{Name: "pu.r.on", Kind: device.PMOS, WidthM: c.WPullUp, State: circuit.StateOn, VFrac: v})
-	return n
-}
 
 // SenseAmp returns the leakage netlist of one latch-type sense amplifier in
 // its idle (disabled, inputs equalized high) state: the latch NMOS pair sits

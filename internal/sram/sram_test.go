@@ -13,7 +13,7 @@ func tech() *device.Technology { return device.Default65nm() }
 
 func TestCellNetlistInventory(t *testing.T) {
 	c := DefaultCell()
-	n := c.Netlist()
+	n := c.Netlist(1)
 	if got := n.CountTransistors(); got != 6 {
 		t.Errorf("6T cell has %v transistors", got)
 	}
@@ -23,7 +23,7 @@ func TestCellLeakagePaths(t *testing.T) {
 	tc := tech()
 	c := DefaultCell()
 	op := device.OP(0.20, 10)
-	l := c.Netlist().LeakagePower(tc, op)
+	l := c.Netlist(1).LeakagePower(tc, op)
 
 	// Exactly three full-Vds subthreshold paths: PG(l), PD(r), PU(l).
 	wantSub := (tc.OffCurrent(device.NMOS, c.WPass, op) +
@@ -48,11 +48,11 @@ func TestCellLeakageMagnitude(t *testing.T) {
 	// At the fast corner a 65nm cell leaks tens of nanowatts (I*V with
 	// ~100 nA of total current); at the slow corner well under a nanowatt
 	// of subthreshold.
-	fast := c.Netlist().LeakagePower(tc, device.OP(0.20, 10))
+	fast := c.Netlist(1).LeakagePower(tc, device.OP(0.20, 10))
 	if fast.Total() < 20e-9 || fast.Total() > 500e-9 {
 		t.Errorf("fast-corner cell leakage = %v W, want 20..500 nW", fast.Total())
 	}
-	slow := c.Netlist().LeakagePower(tc, device.OP(0.50, 14))
+	slow := c.Netlist(1).LeakagePower(tc, device.OP(0.50, 14))
 	if slow.Total() > fast.Total()/50 {
 		t.Errorf("slow corner %v not << fast corner %v", slow.Total(), fast.Total())
 	}
@@ -63,12 +63,12 @@ func TestGateVsSubthresholdCrossover(t *testing.T) {
 	c := DefaultCell()
 	// The paper's premise: at thin Tox and high Vth, gate leakage can
 	// surpass subthreshold leakage.
-	l := c.Netlist().LeakagePower(tc, device.OP(0.50, 10))
+	l := c.Netlist(1).LeakagePower(tc, device.OP(0.50, 10))
 	if l.GateW <= l.SubthresholdW {
 		t.Errorf("at (0.5V, 10A) gate %v should exceed subthreshold %v", l.GateW, l.SubthresholdW)
 	}
 	// And at thick Tox, low Vth, subthreshold dominates.
-	l = c.Netlist().LeakagePower(tc, device.OP(0.20, 14))
+	l = c.Netlist(1).LeakagePower(tc, device.OP(0.20, 14))
 	if l.SubthresholdW <= l.GateW {
 		t.Errorf("at (0.2V, 14A) subthreshold %v should exceed gate %v", l.SubthresholdW, l.GateW)
 	}
@@ -179,7 +179,7 @@ func TestCellLeakageMonotoneVth(t *testing.T) {
 	vths := units.GridSteps(tc.VthMin, tc.VthMax, 0.025)
 	prev := math.Inf(1)
 	for _, v := range vths {
-		l := c.Netlist().LeakagePower(tc, device.OperatingPoint{Vth: v, ToxM: tc.ToxMin}).Total()
+		l := c.Netlist(1).LeakagePower(tc, device.OperatingPoint{Vth: v, ToxM: tc.ToxMin}).Total()
 		if l >= prev {
 			t.Errorf("cell leakage not decreasing at Vth=%v", v)
 		}
@@ -193,7 +193,7 @@ func TestCellLeakageMonotoneTox(t *testing.T) {
 	toxs := units.GridSteps(10, 14, 0.25)
 	prev := math.Inf(1)
 	for _, x := range toxs {
-		l := c.Netlist().LeakagePower(tc, device.OP(0.35, x)).Total()
+		l := c.Netlist(1).LeakagePower(tc, device.OP(0.35, x)).Total()
 		if l >= prev {
 			t.Errorf("cell leakage not decreasing at Tox=%vA", x)
 		}
