@@ -90,16 +90,18 @@ race: ## run the test suite under the race detector
 # fuzz runs each fuzz target for a bounded time, one after the other
 # (`go test -fuzz` takes one target per run): the journal reader's, the
 # wire decoders', the store's items.idx loader, the one workload document
-# rule (grid.LoadWork, checked against the wire decoders), then the
-# service's worker-facing endpoints (lease, heartbeat, result, fail). Their
+# rule (grid.LoadWork, checked against the wire decoders), the service's
+# worker-facing endpoints (lease, heartbeat, result, fail), then the
+# stack-distance profiler against a brute-force LRU reference. Their
 # seed corpora (and any committed crasher under testdata/fuzz) already
 # run in every plain `go test`; this explores beyond them.
-fuzz: ## fuzz the journal reader, the wire decoders, the store index loader, the document loader and the worker protocol for 20s each
+fuzz: ## fuzz the journal reader, the wire decoders, the store index loader, the document loader, the worker protocol and the profiler for 20s each
 	$(GO) test ./internal/dist/journal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 20s
 	$(GO) test ./internal/work -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 20s
 	$(GO) test ./internal/dist/store -run '^$$' -fuzz '^FuzzOpenIndex$$' -fuzztime 20s
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzLoadWork$$' -fuzztime 20s
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzWorkerProtocol$$' -fuzztime 20s
+	$(GO) test ./internal/profile -run '^$$' -fuzz '^FuzzProfileExact$$' -fuzztime 20s
 
 # bench-compile runs every benchmark exactly once — cheap enough for CI,
 # and it catches benchmarks that bit-rot against API changes.

@@ -62,7 +62,9 @@ type levelCDF struct {
 	writeHits []int64
 	// wb[c] counts dirty evictions (write-backs) from a cache of c
 	// blocks over the profiled stream, end-of-stream residents included
-	// only when they were evicted (not for blocks still resident).
+	// only when they were evicted (not for blocks still resident). It
+	// runs to the deepest such eviction, which can lie past the maximum
+	// reuse distance, and clamps there.
 	wb []int64
 }
 
@@ -316,6 +318,10 @@ func (lp *levelPass) finalize() levelCDF {
 		lp.marks.add(int(lp.curEnd), 1)
 		lp.nMarks++
 	}
+	// maxW is the deepest capacity a write-back range ends at: a tail
+	// depth can exceed every reuse distance, and the wb CDF must reach it
+	// so its decrement lands before at() clamps.
+	maxW := lp.maxD
 	for b, last := range lp.lastTime {
 		gap := lp.dirtyGap[b]
 		if last == 0 || gap < 0 {
@@ -328,6 +334,7 @@ func (lp *levelPass) finalize() levelCDF {
 		if int(gap) < depth {
 			lp.wbDiff[gap+1]++
 			lp.wbDiff[depth+1]--
+			maxW = max(maxW, depth)
 		}
 	}
 
@@ -338,16 +345,18 @@ func (lp *levelPass) finalize() levelCDF {
 		cold:       lp.cold,
 		readHits:   make([]int64, maxD+2),
 		writeHits:  make([]int64, maxD+2),
-		wb:         make([]int64, maxD+2),
+		wb:         make([]int64, maxW+2),
 	}
 	var r, w, wb int64
 	for c := 1; c < maxD+2; c++ {
 		// Accesses at distance c-1 hit every capacity >= c.
 		r += lp.readHist[c-1]
 		w += lp.writeHist[c-1]
-		wb += lp.wbDiff[c]
 		out.readHits[c] = r
 		out.writeHits[c] = w
+	}
+	for c := 1; c < maxW+2; c++ {
+		wb += lp.wbDiff[c]
 		out.wb[c] = wb
 	}
 	return out

@@ -48,16 +48,15 @@ func (c *refLRU) access(b int64, write bool) {
 	}
 }
 
-// streams the profiler must summarize exactly: mixtures of sequential
-// runs, hot-set reuse, and uniform noise, all deterministic.
-func testStreams() map[string][]struct {
+// acc is one access of a reference stream: a block and whether it writes.
+type acc struct {
 	b     int64
 	write bool
-} {
-	type acc = struct {
-		b     int64
-		write bool
-	}
+}
+
+// streams the profiler must summarize exactly: mixtures of sequential
+// runs, hot-set reuse, and uniform noise, all deterministic.
+func testStreams() map[string][]acc {
 	out := make(map[string][]acc)
 
 	rng := rand.New(rand.NewSource(7))
@@ -96,39 +95,68 @@ func testStreams() map[string][]struct {
 	return out
 }
 
-// TestExactAgainstReferenceLRU drives one levelPass and a brute-force
-// FA-LRU simulator over the same streams and demands bit-exact
-// agreement on miss and write-back counts at every probed capacity —
-// the Mattson inclusion property is exact for fully-associative LRU, so
-// any daylight here is a profiler bug, not model error.
+// TestExactAgainstReferenceLRU demands bit-exact agreement with the
+// reference on the generated streams — the Mattson inclusion property is
+// exact for fully-associative LRU, so any daylight here is a profiler
+// bug, not model error.
 func TestExactAgainstReferenceLRU(t *testing.T) {
 	capacities := []int{1, 2, 3, 5, 8, 13, 21, 34, 64, 128, 500, 1000}
 	for name, stream := range testStreams() {
-		t.Run(name, func(t *testing.T) {
-			p := trace.Params{FootprintBytes: 4096, GranuleBytes: 64}
-			lp := newLevelPass(1, p, len(stream))
-			refs := make([]*refLRU, len(capacities))
-			for i, c := range capacities {
-				refs[i] = newRefLRU(c)
-			}
-			for i, a := range stream {
-				lp.step(uint64(a.b), a.write, int32(i+1))
-				for _, r := range refs {
-					r.access(a.b, a.write)
-				}
-			}
-			cdf := lp.finalize()
-			n := int64(len(stream))
-			for i, c := range capacities {
-				gotMisses := n - (at(cdf.readHits, c) + at(cdf.writeHits, c))
-				if gotMisses != refs[i].misses {
-					t.Errorf("capacity %d: profiler misses %d, reference %d", c, gotMisses, refs[i].misses)
-				}
-				if got := at(cdf.wb, c); got != refs[i].wbs {
-					t.Errorf("capacity %d: profiler writebacks %d, reference %d", c, got, refs[i].wbs)
-				}
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkExact(t, stream, capacities) })
+	}
+}
+
+// FuzzProfileExact holds the profiler to the reference on arbitrary short
+// streams over 64 blocks: each byte is one access, its low six bits the
+// block and its top bit a write. The capacities run past the footprint,
+// where a stream's longest reuse distance no longer bounds the answer.
+func FuzzProfileExact(f *testing.F) {
+	// Write block 1, then read block 48: at every capacity of 2 or more,
+	// block 1 is still resident at the end, so nothing is written back.
+	f.Add([]byte{0x80 | 1, 48})
+	f.Add([]byte{0x80 | 3, 3, 7, 0x80 | 7, 3, 9, 12, 3, 0x80 | 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		if len(data) > 128 {
+			data = data[:128]
+		}
+		stream := make([]acc, len(data))
+		for i, x := range data {
+			stream[i] = acc{b: int64(x & 0x3f), write: x&0x80 != 0}
+		}
+		checkExact(t, stream, []int{1, 2, 3, 4, 6, 8, 13, 21, 32, 63, 64, 65})
+	})
+}
+
+// checkExact drives one levelPass and a brute-force FA-LRU reference per
+// capacity over the same stream and demands exact agreement on miss and
+// write-back counts at every capacity.
+func checkExact(t *testing.T, stream []acc, capacities []int) {
+	t.Helper()
+	p := trace.Params{FootprintBytes: 4096, GranuleBytes: 64}
+	lp := newLevelPass(1, p, len(stream))
+	refs := make([]*refLRU, len(capacities))
+	for i, c := range capacities {
+		refs[i] = newRefLRU(c)
+	}
+	for i, a := range stream {
+		lp.step(uint64(a.b), a.write, int32(i+1))
+		for _, r := range refs {
+			r.access(a.b, a.write)
+		}
+	}
+	cdf := lp.finalize()
+	n := int64(len(stream))
+	for i, c := range capacities {
+		gotMisses := n - (at(cdf.readHits, c) + at(cdf.writeHits, c))
+		if gotMisses != refs[i].misses {
+			t.Errorf("capacity %d: profiler misses %d, reference %d", c, gotMisses, refs[i].misses)
+		}
+		if got := at(cdf.wb, c); got != refs[i].wbs {
+			t.Errorf("capacity %d: profiler writebacks %d, reference %d", c, got, refs[i].wbs)
+		}
 	}
 }
 
