@@ -127,8 +127,10 @@ const (
 // would otherwise be re-leased forever, taking the fleet down in turn.
 const maxLeaseExpiries = 3
 
-// maxExecMS caps a reported exec_ms at one year, far inside the exec
-// histogram's fixed-point sum (±9.2e9 s); the status sees finite times.
+// maxExecMS caps a reported exec_ms at one year, far inside the ±9.2e9 s
+// one observation of the exec histogram may reach (its sum keeps whole
+// seconds apart, so any number of capped results adds up right); the
+// status sees finite times.
 const maxExecMS = 365 * 24 * 60 * 60 * 1000
 
 // workerState is the service's per-worker bookkeeping, keyed by the

@@ -70,8 +70,8 @@ type family struct {
 }
 
 // series is one labeled instance of a family. Counters use bits (the
-// integer count), gauges fn, histograms counts/sumNanos/count. Atomics
-// keep the record path lock-free.
+// integer count), gauges fn, histograms counts/sumUnits/sumNanos/count.
+// Atomics keep the record path lock-free.
 type series struct {
 	values []string
 
@@ -81,11 +81,15 @@ type series struct {
 	fn func() float64
 
 	counts []atomic.Uint64 // per-bucket (non-cumulative), +Inf last
-	// sumNanos accumulates the observation sum in fixed point at 1e-9
-	// resolution: a single atomic add per Observe instead of a
-	// compare-and-swap loop on float bits, which matters under worker
-	// contention on the driver's per-item histogram. Capacity is ±9.2e9
-	// in observed units — centuries of second-scale latencies.
+	// sumUnits and sumNanos accumulate the observation sum in fixed point
+	// at 1e-9 resolution, split into whole observed units and the
+	// remainder: integer atomic adds instead of a compare-and-swap loop
+	// on float bits, which matters under worker contention on the
+	// driver's per-item histogram, and an observation under one unit
+	// touches only sumNanos. One observation may reach ±9.2e9 units; the
+	// remainder grows by less than 1e9 per observation, so the sum stays
+	// right for any count of such observations up to 9.2e9.
+	sumUnits atomic.Int64
 	sumNanos atomic.Int64
 	count    atomic.Uint64
 }
@@ -263,11 +267,17 @@ type Histogram struct {
 }
 
 // Observe records one value: a binary search picks the bucket, then
-// three atomic adds (bucket count, fixed-point sum, total count).
+// three atomic adds (bucket count, fixed-point sum, total count), and a
+// fourth for a value of one unit or more (the sum's whole units).
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.buckets, v) // first bucket with ub >= v
 	h.s.counts[i].Add(1)
-	h.s.sumNanos.Add(int64(math.Round(v * 1e9)))
+	nanos := int64(math.Round(v * 1e9))
+	if units := nanos / 1e9; units != 0 {
+		h.s.sumUnits.Add(units)
+		nanos -= units * 1e9
+	}
+	h.s.sumNanos.Add(nanos)
 	h.s.count.Add(1)
 }
 
@@ -349,7 +359,7 @@ func (r *Registry) Snapshot() Snapshot {
 				}
 			case typeHistogram:
 				hs := &HistogramSnapshot{
-					Sum:     float64(s.sumNanos.Load()) / 1e9,
+					Sum:     float64(s.sumUnits.Load()) + float64(s.sumNanos.Load())/1e9,
 					Count:   s.count.Load(),
 					Buckets: make([]Bucket, len(f.buckets)+1),
 				}

@@ -83,6 +83,22 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestHistogramSumDoesNotWrap observes 300 one-year values (the cap
+// /v1/result puts on one exec_ms): 9.5e9 s, past the ±9.2e9 units a
+// single int64 of nanounits holds. The sum must still read 300 years.
+func TestHistogramSumDoesNotWrap(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h", "help", []float64{1}).With()
+	const year = 365 * 24 * 60 * 60.0
+	for i := 0; i < 300; i++ {
+		h.Observe(year)
+	}
+	got := r.Snapshot().Family("h").Get().Histogram.Sum
+	if want := 300 * year; math.Abs(got-want) > 1e-9*want {
+		t.Errorf("sum of 300 one-year observations = %.6e s, want %.6e s", got, want)
+	}
+}
+
 func TestHistogramRejectsBadBuckets(t *testing.T) {
 	r := NewRegistry()
 	for name, buckets := range map[string][]float64{
