@@ -24,6 +24,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/components"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/opt"
 	"repro/internal/units"
 )
@@ -81,7 +82,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "designing %v at 65nm...\n", cfg)
-	d, err := core.DesignCache(core.NewTechnology(), cfg)
+	d, err := core.DesignCache(device.Default65nm(), cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "cacheleak:", err)
 		return 1

@@ -25,7 +25,7 @@ import (
 	"repro/internal/charlib"
 	"repro/internal/cli"
 	"repro/internal/components"
-	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/model"
 	"repro/internal/units"
 )
@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *l2 {
 		cfg = cachecfg.L2(*size)
 	}
-	tech := core.NewTechnology()
+	tech := device.Default65nm()
 	cache, err := components.New(tech, cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "characterize:", err)

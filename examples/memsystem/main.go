@@ -14,6 +14,7 @@ import (
 	"repro/internal/cachecfg"
 	"repro/internal/components"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/exp"
 	"repro/internal/opt"
 	"repro/internal/units"
@@ -54,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mid := components.Uniform(core.OP(0.35, 12))
+	mid := components.Uniform(device.OP(0.35, 12))
 	target := h.AMAT(mid, mid)
 	fmt.Printf("library API: AMAT budget %.0f ps\n", units.ToPS(target))
 	for _, b := range opt.Figure2Budgets() {

@@ -13,17 +13,18 @@ import (
 	"repro/internal/cachecfg"
 	"repro/internal/components"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/opt"
 	"repro/internal/units"
 )
 
 func main() {
-	tech := core.NewTechnology()
+	tech := device.Default65nm()
 
 	// 1. Build the cache: netlists for the four components (cell array,
 	//    decoder, address drivers, data drivers) plus fitted analytical
 	//    models in the paper's form.
-	design, err := core.DesignCache(tech, core.L1Config(16*cachecfg.KB))
+	design, err := core.DesignCache(tech, cachecfg.L1(16*cachecfg.KB))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,8 +32,8 @@ func main() {
 
 	// 2. Evaluate two hand-picked assignments: everything fast vs a split
 	//    with a conservative cell array.
-	fast := components.Uniform(core.OP(0.20, 10))
-	split := components.Split(core.OP(0.45, 14), core.OP(0.25, 11))
+	fast := components.Uniform(device.OP(0.20, 10))
+	split := components.Split(device.OP(0.45, 14), device.OP(0.25, 11))
 	for _, a := range []struct {
 		name string
 		asgn components.Assignment

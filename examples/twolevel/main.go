@@ -13,6 +13,7 @@ import (
 	"repro/internal/cachecfg"
 	"repro/internal/components"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/exp"
 	"repro/internal/opt"
 	"repro/internal/units"
@@ -55,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	a1 := components.Uniform(opt.DefaultOP())
-	target := h.AMAT(a1, components.Uniform(core.OP(0.40, 13)))
+	target := h.AMAT(a1, components.Uniform(device.OP(0.40, 13)))
 	r, err := h.OptimizeL2(ctx, opt.SchemeII, a1, target)
 	if err != nil {
 		log.Fatal(err)

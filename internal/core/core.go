@@ -42,18 +42,6 @@ import (
 	"repro/internal/units"
 )
 
-// Re-exported construction helpers, so callers need only import core.
-
-// NewTechnology returns the calibrated 65 nm BPTM-style technology used in
-// the paper's experiments.
-func NewTechnology() *device.Technology { return device.Default65nm() }
-
-// L1Config returns the canonical L1 organization of the given capacity.
-func L1Config(sizeBytes int) cachecfg.Config { return cachecfg.L1(sizeBytes) }
-
-// OP builds an operating point from volts and angstroms.
-func OP(vth, toxAngstrom float64) device.OperatingPoint { return device.OP(vth, toxAngstrom) }
-
 // CacheDesign bundles a transistor-level cache with its fitted analytical
 // model — everything needed to study and optimize one cache.
 type CacheDesign struct {
@@ -90,7 +78,7 @@ func (d *CacheDesign) Evaluate(a components.Assignment) (leakW, delayS, energyJ 
 // the most expensive invariant (~100ms per design). One technology
 // instance anchors the memo so every design shares identical calibration.
 var (
-	sharedTech     = sync.OnceValue(NewTechnology)
+	sharedTech     = sync.OnceValue(device.Default65nm)
 	designMemo     sweep.Memo[cachecfg.Config, *CacheDesign]
 	sharedKnobGrid = sync.OnceValue(func() []device.OperatingPoint {
 		g := charlib.OptimizationGrid()

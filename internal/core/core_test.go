@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cachecfg"
 	"repro/internal/components"
+	"repro/internal/device"
 	"repro/internal/opt"
 	"repro/internal/units"
 )
@@ -19,7 +20,7 @@ var (
 func setup(t *testing.T) (*CacheDesign, *HierarchyDesign) {
 	t.Helper()
 	once.Do(func() {
-		d, err := DesignCache(NewTechnology(), L1Config(16*cachecfg.KB))
+		d, err := DesignCache(device.Default65nm(), cachecfg.L1(16*cachecfg.KB))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,14 +40,14 @@ func setup(t *testing.T) (*CacheDesign, *HierarchyDesign) {
 
 func TestDesignCacheEvaluate(t *testing.T) {
 	d, _ := setup(t)
-	leak, delay, energy := d.Evaluate(components.Uniform(OP(0.3, 12)))
+	leak, delay, energy := d.Evaluate(components.Uniform(device.OP(0.3, 12)))
 	if leak <= 0 || delay <= 0 || energy <= 0 {
 		t.Errorf("bad evaluation: %v %v %v", leak, delay, energy)
 	}
 }
 
 func TestDesignCacheRejectsBadConfig(t *testing.T) {
-	if _, err := DesignCache(NewTechnology(), cachecfg.Config{SizeBytes: 3}); err == nil {
+	if _, err := DesignCache(device.Default65nm(), cachecfg.Config{SizeBytes: 3}); err == nil {
 		t.Error("bad config accepted")
 	}
 }
@@ -114,7 +115,7 @@ func TestHierarchyBasics(t *testing.T) {
 func TestHierarchyOptimizeL2(t *testing.T) {
 	_, h := setup(t)
 	a1 := components.Uniform(opt.DefaultOP())
-	target := h.AMAT(a1, components.Uniform(OP(0.40, 13)))
+	target := h.AMAT(a1, components.Uniform(device.OP(0.40, 13)))
 	r, err := h.OptimizeL2(t.Context(), opt.SchemeII, a1, target)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +130,7 @@ func TestHierarchyOptimizeL2(t *testing.T) {
 
 func TestHierarchyOptimizeTuples(t *testing.T) {
 	_, h := setup(t)
-	a := components.Uniform(OP(0.35, 12))
+	a := components.Uniform(device.OP(0.35, 12))
 	target := h.AMAT(a, a)
 	r, err := h.OptimizeTuples(t.Context(), opt.TupleBudget{NTox: 2, NVth: 2}, nil, nil, target)
 	if err != nil {

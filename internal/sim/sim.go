@@ -240,21 +240,6 @@ func (c *Cache) reassemble(tag, idx uint64) uint64 {
 	return tag<<(c.idxLSB+uint(log2(len(c.sets)))) | idx<<c.idxLSB
 }
 
-// Flush invalidates every line and returns the number of dirty lines that
-// would have been written back.
-func (c *Cache) Flush() int {
-	dirty := 0
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty {
-				dirty++
-			}
-			c.sets[s][i] = line{}
-		}
-	}
-	return dirty
-}
-
 // Hierarchy is a two-level cache system: the L2 sees the L1 miss stream and
 // the L1's dirty write-backs.
 type Hierarchy struct {

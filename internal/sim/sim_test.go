@@ -165,19 +165,6 @@ func TestReassembleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := MustNew(tinyCfg(1024, 32, 2), LRU, WriteBack)
-	c.Access(0, true)
-	c.Access(32, false)
-	dirty := c.Flush()
-	if dirty != 1 {
-		t.Errorf("flush reported %d dirty lines, want 1", dirty)
-	}
-	if c.Contains(0) || c.Contains(32) {
-		t.Error("flush left valid lines")
-	}
-}
-
 func TestInclusionOfStatsSum(t *testing.T) {
 	c := MustNew(tinyCfg(1024, 32, 2), LRU, WriteBack)
 	g := trace.MustNew(trace.Params{

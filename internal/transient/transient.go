@@ -7,9 +7,9 @@
 // closed-form Elmore and effective-current expressions used everywhere else
 // are cross-checked here on the exact structures they approximate —
 // bitline discharge through a cell's read path, a driver charging a
-// distributed wordline, and an inverter chain. Tests in this package and in
-// internal/components assert agreement within the expected error band of
-// those approximations.
+// distributed wordline, and an inverter chain. This package's own tests
+// assert agreement within the expected error band of those
+// approximations; no other package imports it.
 package transient
 
 import (
