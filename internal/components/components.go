@@ -368,7 +368,7 @@ func (d *decoder) DynamicEnergy(op device.OperatingPoint) float64 {
 	return active * groups * 2 * circuit.SwitchingEnergy(t, cLine, 1) * d.p.ActivityFactor * 2
 }
 
-// --- Address and data bus drivers ---------------------------------------------
+// --- Address and data bus drivers -------------------------------------------
 
 // busDrivers is one bank of bus drivers: a buffer chain per bit driving
 // the bus wire between the cache macro and its client. The two banks

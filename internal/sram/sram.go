@@ -62,7 +62,7 @@ func DefaultCell() CellParams {
 // counterpart of the paper's static knobs, from its related work [6]; see
 // the drowsy extension experiment.
 func (c CellParams) Netlist(supplyFrac float64) *circuit.Netlist {
-	v := supplyFrac
+	v := supplyFrac // drain bias of the leaking off devices, oxide voltage of the on ones
 	n := &circuit.Netlist{Name: "cell6t"}
 	n.AddElement(circuit.Element{Name: "pg.l.off", Kind: device.NMOS, WidthM: c.WPass, State: circuit.StateOff, VFrac: v})
 	n.AddElement(circuit.Element{Name: "pg.r.off", Kind: device.NMOS, WidthM: c.WPass, State: circuit.StateOff, VFrac: 0})
