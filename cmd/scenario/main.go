@@ -244,7 +244,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	if o.frontier {
 		fr = &grid.Frontier{}
 	}
-	return runWorkBatch(ctx, b, single, o, fr, cli.NewProgress("scenario", noun, tickerW), stdout, stderr)
+	return runWorkBatch(ctx, b, single, o, fr, noun, cli.NewProgress("scenario", noun, tickerW), stdout, stderr)
 }
 
 // runWorkBatch drives any ordered workload (a scenario batch, a single
@@ -254,7 +254,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 // Observe hook of work.Run sees the journal-replayed ones and this run's —
 // keyed by input index, so the appended summary always covers the whole
 // grid even on a resume that re-emits nothing.
-func runWorkBatch(ctx context.Context, b work.Batch, single bool, o options, fr *grid.Frontier, prog *cli.Progress, stdout, stderr io.Writer) int {
+func runWorkBatch(ctx context.Context, b work.Batch, single bool, o options, fr *grid.Frontier, noun string, prog *cli.Progress, stdout, stderr io.Writer) int {
 	start := time.Now()
 	man := cli.Manifest{Tool: "scenario", Kind: b.Kind(), Fidelity: work.FidelityOf(b), Items: b.Len(), ItemsRun: b.Len()}
 	if hash, err := b.Hash(); err == nil {
@@ -275,7 +275,7 @@ func runWorkBatch(ctx context.Context, b work.Batch, single bool, o options, fr 
 		}
 		defer jr.Close()
 		if len(done) > 0 {
-			fmt.Fprintf(stderr, "scenario: resuming, %d/%d scenarios already journaled\n", len(done), b.Len())
+			fmt.Fprintf(stderr, "scenario: resuming, %d/%d %s already journaled\n", len(done), b.Len(), noun)
 		}
 		opts.Journal, opts.Done = jr, done
 		man.ItemsResumed = len(done)
