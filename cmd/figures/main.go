@@ -139,66 +139,45 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	env.Fidelity = *fidelity
 	env.Workers = *workers
-	var tickerW io.Writer
-	if *progress {
-		tickerW = stderr
-	}
-	prog := cli.NewProgress("figures", "experiments", tickerW)
-	env.Progress = prog.Hook()
-
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
 			fmt.Fprintln(stderr, "figures:", err)
 			return 1
 		}
 	}
-	var reg *obs.Registry
-	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
-		maddr, stopMetrics, err := obs.Serve(*metricsAddr, reg)
+
+	r := &cli.Run{Name: "figures", Unit: "experiments", Ticker: *progress,
+		Manifest: cli.Manifest{Tool: "figures", Fidelity: *fidelity, Items: len(exps), ItemsRun: len(exps)}}
+	return r.Exec(stderr, func() error {
+		reg, err := r.ServeMetrics(*metricsAddr, nil)
 		if err != nil {
-			fmt.Fprintln(stderr, "figures:", err)
-			return 1
+			return err
 		}
-		defer stopMetrics()
-		fmt.Fprintf(stderr, "figures: metrics on http://%s/metrics\n", maddr)
-	}
-
-	start := time.Now()
-	man := cli.Manifest{Tool: "figures", Fidelity: *fidelity, Items: len(exps), ItemsRun: len(exps)}
-	var runErr error
-	defer func() {
-		man.Finish(start, nil, runErr)
-		cli.EmitManifest(stderr, man)
-	}()
-	if *stream {
-		so := streamOpts{outdir: *outdir, checkpoint: *checkpoint, resume: *resume, workers: *workers, metrics: reg}
-		code, err := runStream(ctx, env, exps, so, prog, stdout, stderr, start, &man)
-		runErr = err
-		return code
-	}
-
-	arts, err := env.RunExperimentsCtx(ctx, exps)
-	if err != nil {
-		runErr = err
-		return cli.Report("figures", err, prog, stderr)
-	}
-	for _, a := range arts {
-		fmt.Fprintln(stdout, a.Render())
-		if *plot && a.Figure != nil {
-			fmt.Fprintln(stdout, a.Figure.Plot(72, 24))
+		env.Progress = r.Progress.Hook()
+		if *stream {
+			so := streamOpts{outdir: *outdir, checkpoint: *checkpoint, resume: *resume, workers: *workers, metrics: reg}
+			return runStream(ctx, r, env, exps, so, stdout, stderr)
 		}
-		if *outdir != "" {
-			path := filepath.Join(*outdir, a.ID+".csv")
-			if err := os.WriteFile(path, []byte(a.CSV()), 0o644); err != nil {
-				fmt.Fprintln(stderr, "figures:", err)
-				return 1
+		arts, err := env.RunExperimentsCtx(ctx, exps)
+		if err != nil {
+			return err
+		}
+		for _, a := range arts {
+			fmt.Fprintln(stdout, a.Render())
+			if *plot && a.Figure != nil {
+				fmt.Fprintln(stdout, a.Figure.Plot(72, 24))
 			}
-			fmt.Fprintf(stdout, "  [wrote %s]\n\n", path)
+			if *outdir != "" {
+				path := filepath.Join(*outdir, a.ID+".csv")
+				if err := os.WriteFile(path, []byte(a.CSV()), 0o644); err != nil {
+					return err
+				}
+				fmt.Fprintf(stdout, "  [wrote %s]\n\n", path)
+			}
 		}
-	}
-	fmt.Fprintf(stdout, "regenerated %d artifacts in %v\n", len(arts), time.Since(start).Round(time.Millisecond))
-	return 0
+		fmt.Fprintf(stdout, "regenerated %d artifacts in %v\n", len(arts), r.Elapsed().Round(time.Millisecond))
+		return nil
+	})
 }
 
 // streamOpts carries the flags runStream honors alongside the NDJSON
@@ -221,57 +200,38 @@ type streamOpts struct {
 // journal-before-emit crash recovery shared with `scenario -checkpoint`
 // and `sweepd serve -checkpoint`. A write error (e.g. a broken pipe)
 // cancels the remaining experiments. With so.outdir each artifact's CSV
-// is also written as it lands. man is the run's manifest, filled with the
-// batch identity and resume split as they become known (the caller emits
-// it); the returned error is the run's fatal error for the manifest
-// outcome, nil on success.
-func runStream(ctx context.Context, env *exp.Env, exps []exp.Experiment, so streamOpts, prog *cli.Progress, stdout, stderr io.Writer, start time.Time, man *cli.Manifest) (int, error) {
-	sink := &artifactSink{w: stdout, outdir: so.outdir}
+// is also written as it lands.
+func runStream(ctx context.Context, r *cli.Run, env *exp.Env, exps []exp.Experiment, so streamOpts, stdout, stderr io.Writer) error {
 	ids := make([]string, len(exps))
 	for i, x := range exps {
 		ids[i] = x.ID
 	}
 	wb, err := exp.NewBatch(ids, env)
 	if err != nil {
-		fmt.Fprintln(stderr, "figures:", err)
-		return 1, err
+		return err
 	}
-	man.Kind = wb.Kind()
-	if hash, err := wb.Hash(); err == nil {
-		man.BatchSHA256 = hash
+	r.Begin(wb)
+	opts := work.Options{Workers: so.workers, Progress: r.Progress.Hook(), Metrics: so.metrics}
+	if err := r.Checkpoint(so.checkpoint, wb, so.resume, &opts); err != nil {
+		return err
 	}
-	opts := work.Options{Workers: so.workers, Progress: prog.Hook(), Metrics: so.metrics}
-	if so.checkpoint != "" {
-		jr, done, err := work.OpenJournal(so.checkpoint, wb, so.resume)
-		if err != nil {
-			fmt.Fprintln(stderr, "figures:", err)
-			return 1, err
-		}
-		defer jr.Close()
-		if len(done) > 0 {
-			fmt.Fprintf(stderr, "figures: resuming, %d/%d experiments already journaled\n", len(done), wb.Len())
-			// Re-write the replayed artifacts' CSV sidecars: the crash
-			// may have landed between the journal append and the sidecar
-			// write, and a resumed run never re-runs those indices — the
-			// journal line is the only place the CSV still exists.
-			if so.outdir != "" {
-				for _, e := range done {
-					if err := writeSidecar(so.outdir, e.Line); err != nil {
-						fmt.Fprintln(stderr, "figures:", err)
-						return 1, err
-					}
-				}
+	// Re-write the replayed artifacts' CSV sidecars: the crash may have
+	// landed between the journal append and the sidecar write, and a
+	// resumed run never re-runs those indices — the journal line is the
+	// only place the CSV still exists.
+	if so.outdir != "" {
+		for _, e := range opts.Done {
+			if err := writeSidecar(so.outdir, e.Line); err != nil {
+				return err
 			}
 		}
-		opts.Journal, opts.Done = jr, done
-		man.ItemsResumed = len(done)
-		man.ItemsRun = wb.Len() - len(done)
 	}
+	sink := &artifactSink{w: stdout, outdir: so.outdir}
 	if err := work.Run(ctx, wb, opts, sink); err != nil {
-		return cli.Report("figures", err, prog, stderr), err
+		return err
 	}
-	fmt.Fprintf(stderr, "figures: streamed %d artifacts in %v\n", sink.count, time.Since(start).Round(time.Millisecond))
-	return 0, nil
+	fmt.Fprintf(stderr, "figures: streamed %d artifacts in %v\n", sink.count, r.Elapsed().Round(time.Millisecond))
+	return nil
 }
 
 // artifactSink is the stream's sink: it forwards each NDJSON line to

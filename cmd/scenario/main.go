@@ -79,7 +79,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"encoding/json"
@@ -88,6 +87,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/profile"
+	"repro/internal/sweep"
 	"repro/internal/work"
 )
 
@@ -110,10 +110,6 @@ type options struct {
 	fidelity       string
 	timeout        time.Duration
 	metricsAddr    string
-
-	// metrics is the run's registry, non-nil when -metrics-addr serves
-	// one; the work driver records into it. Not a flag.
-	metrics *obs.Registry
 }
 
 func registerFlags(fs *flag.FlagSet, o *options) {
@@ -143,7 +139,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	ctx, cancel := cli.WithTimeout(ctx, o.timeout)
 	defer cancel()
 
-	var r io.Reader = stdin
+	in := stdin
 	if o.file != "" {
 		f, err := os.Open(o.file)
 		if err != nil {
@@ -151,17 +147,12 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			return 1
 		}
 		defer f.Close()
-		r = f
+		in = f
 	}
-	data, err := io.ReadAll(r)
+	data, err := io.ReadAll(in)
 	if err != nil {
 		fmt.Fprintln(stderr, "scenario:", err)
 		return 1
-	}
-
-	var tickerW io.Writer
-	if o.progress {
-		tickerW = stderr
 	}
 
 	if !profile.ValidFidelity(o.fidelity) {
@@ -190,17 +181,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			return 2
 		}
 	}
-	if o.metricsAddr != "" {
-		o.metrics = obs.NewRegistry()
-		maddr, stopMetrics, err := obs.Serve(o.metricsAddr, o.metrics)
-		if err != nil {
-			fmt.Fprintln(stderr, "scenario:", err)
-			return 1
-		}
-		defer stopMetrics()
-		fmt.Fprintf(stderr, "scenario: metrics on http://%s/metrics\n", maddr)
-	}
-
 	b, single, err := grid.LoadWork(data, o.fidelity)
 	if err != nil {
 		// The scenario package's own errors already carry the tool's name.
@@ -212,74 +192,51 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		fmt.Fprintln(stderr, "scenario: -frontier and -frontier-refine require a grid document (a top-level \"grid\" object)")
 		return 2
 	}
-	if o.frontierRefine {
-		// The refine ladder's manifest counts the analytical phase (the
-		// full grid); the trace shortlist rides on top and is sized by the
-		// run itself, not the input.
-		start := time.Now()
-		man := cli.Manifest{Tool: "scenario", Kind: "grid", Items: gb.Len(), ItemsRun: gb.Len()}
-		if hash, err := gb.Hash(); err == nil {
-			man.BatchSHA256 = hash
-		}
-		err := grid.Refine(ctx, gb.Spec(), grid.RefineOptions{
-			Workers: o.workers, Checkpoint: o.checkpoint, Resume: o.resume, Progress: refineProgress(tickerW),
-		}, stdout)
-		man.Finish(start, nil, err)
-		cli.EmitManifest(stderr, man)
-		if err != nil {
-			// The per-phase tickers carry partial progress; the
-			// cross-phase note would mix two different totals.
-			return cli.Report("scenario", err, cli.NewProgress("scenario", "points", nil), stderr)
-		}
-		return 0
-	}
 
 	// Grid runs count "points": the unit operators watching a
 	// million-point sweep reason in.
-	noun := "scenarios"
+	r := &cli.Run{Name: "scenario", Unit: "scenarios", Ticker: o.progress, Manifest: cli.Manifest{Tool: "scenario"}}
 	if isGrid {
-		noun = "points"
+		r.Unit = "points"
 	}
-	var fr *grid.Frontier
-	if o.frontier {
-		fr = &grid.Frontier{}
-	}
-	return runWorkBatch(ctx, b, single, o, fr, noun, cli.NewProgress("scenario", noun, tickerW), stdout, stderr)
+	return r.Exec(stderr, func() error {
+		reg, err := r.ServeMetrics(o.metricsAddr, nil)
+		if err != nil {
+			return err
+		}
+		r.Begin(b)
+		if !o.frontierRefine {
+			r.Manifest.Fidelity = work.FidelityOf(b)
+			return runWorkBatch(ctx, r, b, single, o, reg, stdout)
+		}
+		// The refine ladder's manifest counts the analytical phase (the
+		// full grid) and names no fidelity, as each phase has its own; the
+		// trace shortlist rides on top, sized by the run itself. Each
+		// phase ticks under its own label ("scenario [analytical]: 12/4096
+		// points", then "scenario [refine]: 3/17 points").
+		return grid.Refine(ctx, gb.Spec(), grid.RefineOptions{
+			Workers: o.workers, Checkpoint: o.checkpoint, Resume: o.resume,
+			Progress: func(phase string) sweep.Progress { return r.Progress.Phase(phase).Hook() },
+		}, stdout)
+	})
 }
 
 // runWorkBatch drives any ordered workload (a scenario batch, a single
 // config as a batch of one, or an expanded grid) through the unified
 // driver: -stream is work.Run, -checkpoint adds its journal, and the
-// buffered document is work.Collect reassembled. A non-nil frontier accumulates every result line — the
-// Observe hook of work.Run sees the journal-replayed ones and this run's —
-// keyed by input index, so the appended summary always covers the whole
-// grid even on a resume that re-emits nothing.
-func runWorkBatch(ctx context.Context, b work.Batch, single bool, o options, fr *grid.Frontier, noun string, prog *cli.Progress, stdout, stderr io.Writer) int {
-	start := time.Now()
-	man := cli.Manifest{Tool: "scenario", Kind: b.Kind(), Fidelity: work.FidelityOf(b), Items: b.Len(), ItemsRun: b.Len()}
-	if hash, err := b.Hash(); err == nil {
-		man.BatchSHA256 = hash
+// buffered document is work.Collect reassembled. With -frontier the run
+// accumulates every result line — the Observe hook of work.Run sees the
+// journal-replayed ones and this run's — keyed by input index, so the
+// appended summary always covers the whole grid even on a resume that
+// re-emits nothing.
+func runWorkBatch(ctx context.Context, r *cli.Run, b work.Batch, single bool, o options, reg *obs.Registry, stdout io.Writer) error {
+	opts := work.Options{Workers: o.workers, Progress: r.Progress.Hook(), Metrics: reg}
+	if err := r.Checkpoint(o.checkpoint, b, o.resume, &opts); err != nil {
+		return err
 	}
-	var runErr error
-	defer func() {
-		man.Finish(start, nil, runErr)
-		cli.EmitManifest(stderr, man)
-	}()
-	opts := work.Options{Workers: o.workers, Progress: prog.Hook(), Metrics: o.metrics}
-	if o.checkpoint != "" {
-		jr, done, err := work.OpenJournal(o.checkpoint, b, o.resume)
-		if err != nil {
-			runErr = err
-			fmt.Fprintln(stderr, "scenario:", err)
-			return 1
-		}
-		defer jr.Close()
-		if len(done) > 0 {
-			fmt.Fprintf(stderr, "scenario: resuming, %d/%d %s already journaled\n", len(done), b.Len(), noun)
-		}
-		opts.Journal, opts.Done = jr, done
-		man.ItemsResumed = len(done)
-		man.ItemsRun = b.Len() - len(done)
+	var fr *grid.Frontier
+	if o.frontier {
+		fr = &grid.Frontier{}
 	}
 	if o.stream {
 		var frErr error
@@ -291,76 +248,39 @@ func runWorkBatch(ctx context.Context, b work.Batch, single bool, o options, fr 
 			}
 		}
 		if err := work.Run(ctx, b, opts, stdout); err != nil {
-			runErr = err
-			return cli.Report("scenario", err, prog, stderr)
+			return err
 		}
-		if frErr != nil {
-			runErr = frErr
-			fmt.Fprintln(stderr, "scenario:", frErr)
-			return 1
+		if frErr != nil || fr == nil {
+			return frErr
 		}
-		if fr != nil {
-			summary, err := fr.SummaryLine()
-			if err != nil {
-				runErr = err
-				fmt.Fprintln(stderr, "scenario:", err)
-				return 1
-			}
-			if _, err := fmt.Fprintf(stdout, "%s\n", summary); err != nil {
-				runErr = err
-				fmt.Fprintln(stderr, "scenario:", err)
-				return 1
-			}
+		summary, err := fr.SummaryLine()
+		if err != nil {
+			return err
 		}
-		return 0
+		_, err = fmt.Fprintf(stdout, "%s\n", summary)
+		return err
 	}
 	lines, err := work.Collect(ctx, b, opts)
 	if err != nil {
-		runErr = err
-		return cli.Report("scenario", err, prog, stderr)
+		return err
 	}
 	var frontierJSON []byte
 	if fr != nil {
 		for i, line := range lines {
 			if err := fr.Add(i, line); err != nil {
-				runErr = err
-				fmt.Fprintln(stderr, "scenario:", err)
-				return 1
+				return err
 			}
 		}
 		if frontierJSON, err = json.Marshal(fr.Points()); err != nil {
-			runErr = err
-			fmt.Fprintln(stderr, "scenario:", err)
-			return 1
+			return err
 		}
 	}
 	out, err := renderBatchDoc(lines, single, frontierJSON)
 	if err != nil {
-		runErr = err
-		fmt.Fprintln(stderr, "scenario:", err)
-		return 1
+		return err
 	}
 	fmt.Fprintln(stdout, out)
-	return 0
-}
-
-// refineProgress adapts the two-phase refine run to the CLI ticker: each
-// phase reports under its own label ("scenario [analytical]: 12/4096
-// points", then "scenario [refine]: 3/17 points"), so an operator watching
-// stderr sees which fidelity rung is running and how far along it is.
-func refineProgress(w io.Writer) func(phase string, done, total int) {
-	var mu sync.Mutex
-	phases := map[string]*cli.Progress{}
-	return func(phase string, done, total int) {
-		mu.Lock()
-		p, ok := phases[phase]
-		if !ok {
-			p = cli.NewProgress("scenario ["+phase+"]", "points", w)
-			phases[phase] = p
-		}
-		mu.Unlock()
-		p.Hook()(done, total)
-	}
+	return nil
 }
 
 // renderBatchDoc reassembles the driver's NDJSON lines into the buffered

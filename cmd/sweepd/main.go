@@ -82,7 +82,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -103,7 +102,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/profile"
-	"repro/internal/sweep"
 	"repro/internal/work"
 )
 
@@ -275,121 +273,109 @@ func runServe(ctx context.Context, args []string, stdin io.Reader, stdout, stder
 		return 1
 	}
 
-	var tickerW io.Writer
-	if o.progress {
-		tickerW = stderr
-	}
-	prog := cli.NewProgress("sweepd", noun, tickerW)
-	start := time.Now()
-	man := cli.Manifest{Tool: "sweepd serve", Kind: b.Kind(), BatchSHA256: hdr.BatchSHA256,
-		Fidelity: work.FidelityOf(b), Items: b.Len(), ItemsRun: b.Len()}
-	var runErr error
-	defer func() {
-		man.Finish(start, nil, runErr)
-		cli.EmitManifest(stderr, man)
-	}()
-	fail := func(err error) int {
-		runErr = err
-		fmt.Fprintln(stderr, "sweepd:", err)
-		return 1
-	}
+	r := &cli.Run{Name: "sweepd", Unit: noun, Ticker: o.progress,
+		Manifest: cli.Manifest{Tool: "sweepd serve", Fidelity: work.FidelityOf(b)}}
+	return r.Exec(stderr, func() error {
+		r.Begin(b)
+		// The one-shot is a Service holding this one batch over a store of
+		// one journal: the -checkpoint file, or a scratch file removed on
+		// exit.
+		path := o.checkpoint
+		if path == "" {
+			dir, err := os.MkdirTemp("", "sweepd-serve-")
+			if err != nil {
+				return err
+			}
+			defer os.RemoveAll(dir)
+			path = filepath.Join(dir, "batch.journal")
+		}
+		// resumed holds the entries the journal held before admission; they
+		// are not written again, so a resumed run's output is exactly the
+		// remainder.
+		var resumed []journal.Entry
+		if o.resume {
+			resumed, err = journal.Replay(path, hdr)
+			if err != nil && !errors.Is(err, os.ErrNotExist) {
+				return err
+			}
+			if len(resumed) > 0 {
+				fmt.Fprintf(stderr, "sweepd: resuming, %d/%d %s already journaled\n", len(resumed), b.Len(), noun)
+			}
+		} else if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			// Without -resume an existing checkpoint starts fresh.
+			return err
+		}
+		r.Manifest.ItemsResumed = len(resumed)
+		r.Manifest.ItemsRun = b.Len() - len(resumed)
 
-	// The one-shot is a Service holding this one batch over a store of one
-	// journal: the -checkpoint file, or a scratch file removed on exit.
-	path := o.checkpoint
-	if path == "" {
-		dir, err := os.MkdirTemp("", "sweepd-serve-")
+		reg := obs.NewRegistry()
+		sctx, stopService := context.WithCancel(ctx)
+		defer stopService()
+		svc, err := dist.NewService(sctx, dist.ServiceConfig{
+			Store: store.OpenFile(path), Units: o.units, LeaseTTL: o.lease, Metrics: reg,
+		})
 		if err != nil {
-			return fail(err)
+			return err
 		}
-		defer os.RemoveAll(dir)
-		path = filepath.Join(dir, "batch.journal")
-	}
-	// resumed holds the entries the journal held before admission; they are
-	// not written again, so a resumed run's output is exactly the remainder.
-	var resumed []journal.Entry
-	if o.resume {
-		resumed, err = journal.Replay(path, hdr)
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fail(err)
+		defer svc.Close()
+		st, _, err := svc.Submit(b)
+		if err != nil {
+			return err
 		}
-		if len(resumed) > 0 {
-			fmt.Fprintf(stderr, "sweepd: resuming, %d/%d %s already journaled\n", len(resumed), b.Len(), noun)
-		}
-	} else if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		// Without -resume an existing checkpoint starts fresh.
-		return fail(err)
-	}
-	man.ItemsResumed = len(resumed)
-	man.ItemsRun = b.Len() - len(resumed)
-
-	reg := obs.NewRegistry()
-	sctx, stopService := context.WithCancel(ctx)
-	defer stopService()
-	svc, err := dist.NewService(sctx, dist.ServiceConfig{
-		Store: store.OpenFile(path), Units: o.units, LeaseTTL: o.lease, Metrics: reg,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	defer svc.Close()
-	st, _, err := svc.Submit(b)
-	if err != nil {
-		return fail(err)
-	}
-	if o.metricsAddr != "" {
 		// The debug listener serves the service's own registry — the same
 		// families the token-gated /metrics on -addr exposes — plus pprof,
 		// on an address the operator keeps off the worker network.
-		maddr, stopMetrics, err := obs.Serve(o.metricsAddr, reg)
-		if err != nil {
-			return fail(err)
-		}
-		defer stopMetrics()
-		fmt.Fprintf(stderr, "sweepd: metrics on http://%s/metrics\n", maddr)
-	}
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		return fail(err)
-	}
-	srv := &http.Server{Handler: dist.RequireToken(o.token, svc.Handler())}
-	defer srv.Close()
-	// Serve returns ErrServerClosed when the deferred Close runs; the
-	// batch's verdict from Results is the run's real outcome.
-	//lint:allow nofanout HTTP accept loop must not block the result drain; lifecycle is owned by the deferred Close, not the sweep engine
-	go func() { _ = srv.Serve(ln) }()
-	fmt.Fprintf(stderr, "sweepd: serving %d %s on http://%s\n", b.Len(), noun, ln.Addr())
-
-	hook, emitted, total := prog.Hook(), 0, b.Len()-len(resumed)
-	err = svc.Results(ctx, st.ID, func(i int, line []byte) error {
-		// Results yields indices in order, as resumed is sorted.
-		if len(resumed) > 0 && resumed[0].I == i {
-			resumed = resumed[1:]
-			return nil
-		}
-		// The full slice expression makes append copy: line may share
-		// backing storage with a live result body.
-		if _, err := stdout.Write(append(line[:len(line):len(line)], '\n')); err != nil {
+		if _, err := r.ServeMetrics(o.metricsAddr, reg); err != nil {
 			return err
 		}
-		emitted++
-		hook(emitted, total)
-		return nil
+		srv, addr, err := listen(o.addr, o.token, svc)
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		fmt.Fprintf(stderr, "sweepd: serving %d %s on http://%s\n", b.Len(), noun, addr)
+
+		hook, emitted, total := r.Progress.Hook(), 0, b.Len()-len(resumed)
+		err = svc.Results(ctx, st.ID, func(i int, line []byte) error {
+			// Results yields indices in order, as resumed is sorted.
+			if len(resumed) > 0 && resumed[0].I == i {
+				resumed = resumed[1:]
+				return nil
+			}
+			// The full slice expression makes append copy: line may share
+			// backing storage with a live result body.
+			if _, err := stdout.Write(append(line[:len(line):len(line)], '\n')); err != nil {
+				return err
+			}
+			emitted++
+			hook(emitted, total)
+			return nil
+		})
+		// The batch is over: from here every lease answers done, so workers
+		// exit cleanly. Shutdown lets requests already in flight — the last
+		// result upload among them — get their responses before the
+		// listener goes; one that outlasts the grace period is cut by the
+		// deferred Close.
+		stopService()
+		graceCtx, cancelGrace := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancelGrace()
+		_ = srv.Shutdown(graceCtx)
+		return err
 	})
-	// The batch is over: from here every lease answers done, so workers
-	// exit cleanly. Shutdown lets requests already in flight — the last
-	// result upload among them — get their responses before the listener
-	// goes; one that outlasts the grace period is cut by the deferred
-	// Close.
-	stopService()
-	graceCtx, cancelGrace := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelGrace()
-	_ = srv.Shutdown(graceCtx)
+}
+
+// listen serves svc's API, behind the token gate, on addr. The accept
+// loop's ErrServerClosed after the caller's Close is expected: the
+// batch's verdict, not the server's, is a run's outcome.
+func listen(addr, token string, svc *dist.Service) (*http.Server, net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		runErr = err
-		return cli.Report("sweepd", err, prog, stderr)
+		return nil, nil, err
 	}
-	return 0
+	srv := &http.Server{Handler: dist.RequireToken(token, svc.Handler())}
+	//lint:allow nofanout HTTP accept loop must not block the result drain; lifecycle is owned by the caller's Close, not the sweep engine
+	go func() { _ = srv.Serve(ln) }()
+	return srv, ln.Addr(), nil
 }
 
 // runServeStore is `sweepd serve -store DIR`: the multi-batch service.
@@ -417,57 +403,45 @@ func runServeStore(ctx context.Context, o serveOptions, stderr io.Writer) int {
 		return 1
 	}
 	defer st.Close()
-	reg := obs.NewRegistry()
-	svc, err := dist.NewService(ctx, dist.ServiceConfig{
-		Store: st, Units: o.units, LeaseTTL: o.lease, Metrics: reg,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(stderr, "sweepd: "+format+"\n", args...)
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "sweepd:", err)
-		return 1
-	}
-	defer svc.Close()
-	if active, complete := svc.Restore(); active+complete > 0 {
-		fmt.Fprintf(stderr, "sweepd: restored %d batches from %s (%d with work remaining)\n",
-			active+complete, o.store, active)
-	}
-	if o.metricsAddr != "" {
-		maddr, stopMetrics, err := obs.Serve(o.metricsAddr, reg)
+	r := &cli.Run{Name: "sweepd", Manifest: cli.Manifest{Tool: "sweepd serve"}}
+	return r.Exec(stderr, func() error {
+		reg := obs.NewRegistry()
+		svc, err := dist.NewService(ctx, dist.ServiceConfig{
+			Store: st, Units: o.units, LeaseTTL: o.lease, Metrics: reg,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(stderr, "sweepd: "+format+"\n", args...)
+			},
+		})
 		if err != nil {
-			fmt.Fprintln(stderr, "sweepd:", err)
-			return 1
+			return err
 		}
-		defer stopMetrics()
-		fmt.Fprintf(stderr, "sweepd: metrics on http://%s/metrics\n", maddr)
-	}
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		fmt.Fprintln(stderr, "sweepd:", err)
-		return 1
-	}
-	srv := &http.Server{Handler: dist.RequireToken(o.token, svc.Handler())}
-	defer srv.Close()
-	//lint:allow nofanout HTTP accept loop; lifecycle is owned by the deferred Close
-	go func() { _ = srv.Serve(ln) }()
-	fmt.Fprintf(stderr, "sweepd: serving batch queue on http://%s (store %s)\n", ln.Addr(), o.store)
+		defer svc.Close()
+		if active, complete := svc.Restore(); active+complete > 0 {
+			fmt.Fprintf(stderr, "sweepd: restored %d batches from %s (%d with work remaining)\n",
+				active+complete, o.store, active)
+		}
+		if _, err := r.ServeMetrics(o.metricsAddr, reg); err != nil {
+			return err
+		}
+		srv, addr, err := listen(o.addr, o.token, svc)
+		if err != nil {
+			return err
+		}
+		defer srv.Close()
+		fmt.Fprintf(stderr, "sweepd: serving batch queue on http://%s (store %s)\n", addr, o.store)
 
-	start := time.Now()
-	<-ctx.Done()
-	// A signal (or -timeout) is the service's normal shutdown; summarize
-	// what this process did in the manifest.
-	status := svc.Status()
-	man := cli.Manifest{Tool: "sweepd serve"}
-	for _, b := range status.Batches {
-		man.Items += b.N
-		man.ItemsRun += b.ItemsExecuted
-		man.ItemsResumed += b.ItemsCachedJournal + b.ItemsCachedIndex
-	}
-	man.Finish(start, nil, nil)
-	cli.EmitManifest(stderr, man)
-	fmt.Fprintf(stderr, "sweepd: service stopped, store %s holds %d batches\n", o.store, status.Store.Batches)
-	return 0
+		<-ctx.Done()
+		// A signal (or -timeout) is the service's normal shutdown;
+		// summarize what this process did in the manifest.
+		status := svc.Status()
+		for _, b := range status.Batches {
+			r.Manifest.Items += b.N
+			r.Manifest.ItemsRun += b.ItemsExecuted
+			r.Manifest.ItemsResumed += b.ItemsCachedJournal + b.ItemsCachedIndex
+		}
+		fmt.Fprintf(stderr, "sweepd: service stopped, store %s holds %d batches\n", o.store, status.Store.Batches)
+		return nil
+	})
 }
 
 // submitOptions are the `sweepd submit` flags.
@@ -516,21 +490,8 @@ func runSubmit(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
 	}
-	payload, err := b.MarshalRange(sweep.Range{Lo: 0, Hi: b.Len()})
-	if err != nil {
-		fmt.Fprintln(stderr, "sweepd:", err)
-		return 1
-	}
-	body, err := json.Marshal(map[string]json.RawMessage{
-		"kind":    json.RawMessage(fmt.Sprintf("%q", b.Kind())),
-		"payload": payload,
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, "sweepd:", err)
-		return 1
-	}
-
-	st, err := submitRequest(ctx, o, http.MethodPost, "/v1/batches", bytes.NewReader(body))
+	c := &dist.Client{URL: o.coordinator, Token: o.token}
+	st, err := c.Submit(ctx, b)
 	if err != nil {
 		fmt.Fprintln(stderr, "sweepd:", err)
 		return 1
@@ -540,13 +501,13 @@ func runSubmit(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 		st.ID, st.N, noun, cached, st.State)
 
 	if o.results {
-		if err := streamResults(ctx, o, st.ID, stdout); err != nil {
+		if err := c.Results(ctx, st.ID, stdout); err != nil {
 			fmt.Fprintln(stderr, "sweepd:", err)
 			return 1
 		}
 	}
 	if o.results || o.wait {
-		final, err := waitTerminal(ctx, o, st.ID)
+		final, err := c.Wait(ctx, st.ID)
 		if err != nil {
 			fmt.Fprintln(stderr, "sweepd:", err)
 			return 1
@@ -563,79 +524,6 @@ func runSubmit(ctx context.Context, args []string, stdin io.Reader, stdout, stde
 			final.ID, final.ItemsExecuted, final.ItemsCachedJournal+final.ItemsCachedIndex)
 	}
 	return 0
-}
-
-// submitRequest performs one authenticated JSON request against the
-// service and decodes the BatchStatus it answers with.
-func submitRequest(ctx context.Context, o submitOptions, method, path string, body io.Reader) (dist.BatchStatus, error) {
-	var st dist.BatchStatus
-	req, err := http.NewRequestWithContext(ctx, method, o.coordinator+path, body)
-	if err != nil {
-		return st, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if o.token != "" {
-		req.Header.Set("Authorization", "Bearer "+o.token)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return st, err
-	}
-	if resp.StatusCode/100 != 2 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return st, fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return st, fmt.Errorf("%s", resp.Status)
-	}
-	return st, json.Unmarshal(data, &st)
-}
-
-// streamResults copies the batch's ordered NDJSON result stream to out.
-// The service holds the stream open while the batch runs, so this returns
-// when every line is delivered (or the batch goes terminal early).
-func streamResults(ctx context.Context, o submitOptions, id string, out io.Writer) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, o.coordinator+"/v1/batches/"+id+"/results", nil)
-	if err != nil {
-		return err
-	}
-	if o.token != "" {
-		req.Header.Set("Authorization", "Bearer "+o.token)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("results: %s", resp.Status)
-	}
-	_, err = io.Copy(out, resp.Body)
-	return err
-}
-
-// waitTerminal polls the batch until it leaves the queue.
-func waitTerminal(ctx context.Context, o submitOptions, id string) (dist.BatchStatus, error) {
-	for {
-		st, err := submitRequest(ctx, o, http.MethodGet, "/v1/batches/"+id, nil)
-		if err != nil || st.State == dist.BatchDone || st.State == dist.BatchFailed || st.State == dist.BatchCancelled {
-			return st, err
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
 }
 
 // workOptions are the worker flags.
@@ -679,57 +567,42 @@ func runWork(ctx context.Context, args []string, _ io.Reader, _, stderr io.Write
 	ctx, cancel := cli.WithTimeout(ctx, o.timeout)
 	defer cancel()
 
-	var reg *obs.Registry
-	if o.metricsAddr != "" {
-		reg = obs.NewRegistry()
-		maddr, stopMetrics, err := obs.Serve(o.metricsAddr, reg)
+	r := &cli.Run{Name: "sweepd", Manifest: cli.Manifest{Tool: "sweepd work"}}
+	return r.Exec(stderr, func() error {
+		reg, err := r.ServeMetrics(o.metricsAddr, nil)
 		if err != nil {
-			fmt.Fprintln(stderr, "sweepd:", err)
-			return 1
+			return err
 		}
-		defer stopMetrics()
-		fmt.Fprintf(stderr, "sweepd: metrics on http://%s/metrics\n", maddr)
-	}
-
-	start := time.Now()
-	// A worker does not know the batch size; its manifest counts what this
-	// process executed, accumulated as units are reported. OnUnit runs on
-	// the worker's single lease loop, so plain fields are safe.
-	man := cli.Manifest{Tool: "sweepd work"}
-	w := &dist.Worker{
-		Coordinator: o.coordinator,
-		ID:          o.id,
-		Exec:        dist.RegistryExecutor(o.workers, reg),
-		Poll:        o.poll,
-		Token:       o.token,
-	}
-	w.OnUnit = func(u dist.Unit) {
-		man.Kind = u.Kind
-		man.Items += u.Range.Len()
-		man.ItemsRun += u.Range.Len()
-		if o.progress {
-			fmt.Fprintf(stderr, "sweepd: %s finished unit %d (items %d-%d)\n", o.id, u.ID, u.Range.Lo, u.Range.Hi-1)
+		// A worker does not know the batch size; its manifest counts what
+		// this process executed, accumulated as units are reported. OnUnit
+		// runs on the worker's single lease loop, so plain fields are safe.
+		w := &dist.Worker{
+			Coordinator: o.coordinator,
+			ID:          o.id,
+			Exec:        dist.RegistryExecutor(o.workers, reg),
+			Poll:        o.poll,
+			Token:       o.token,
 		}
-	}
-	err := w.Run(ctx)
-	gone := errors.Is(err, dist.ErrCoordinatorGone)
-	if gone {
-		// The serve process exits the moment the last line is emitted;
-		// an idle worker discovering that is the normal end of a sweep.
-		err = nil
-	}
-	man.Finish(start, nil, err)
-	cli.EmitManifest(stderr, man)
-	switch {
-	case gone:
-		fmt.Fprintf(stderr, "sweepd: %s: coordinator gone, assuming the sweep ended\n", o.id)
-	case err != nil:
-		prog := cli.NewProgress("sweepd", "units", nil)
-		return cli.Report("sweepd", err, prog, stderr)
-	default:
-		fmt.Fprintf(stderr, "sweepd: %s done\n", o.id)
-	}
-	return 0
+		w.OnUnit = func(u dist.Unit) {
+			r.Manifest.Kind = u.Kind
+			r.Manifest.Items += u.Range.Len()
+			r.Manifest.ItemsRun += u.Range.Len()
+			if o.progress {
+				fmt.Fprintf(stderr, "sweepd: %s finished unit %d (items %d-%d)\n", o.id, u.ID, u.Range.Lo, u.Range.Hi-1)
+			}
+		}
+		err = w.Run(ctx)
+		switch {
+		case errors.Is(err, dist.ErrCoordinatorGone):
+			// The serve process exits the moment the last line is emitted;
+			// an idle worker discovering that is the normal end of a sweep.
+			fmt.Fprintf(stderr, "sweepd: %s: coordinator gone, assuming the sweep ended\n", o.id)
+			return nil
+		case err == nil:
+			fmt.Fprintf(stderr, "sweepd: %s done\n", o.id)
+		}
+		return err
+	})
 }
 
 // runJournal is `sweepd journal` — journal cat: it replays a checkpoint

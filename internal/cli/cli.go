@@ -1,7 +1,8 @@
 // Package cli holds the shared command-line plumbing of the repository's
 // binaries: signal-aware run contexts, the exit-status convention for
-// cancelled runs, and a serialized progress tracker for partial-progress
-// diagnostics. Every cmd/ main wires its run through SignalContext so
+// cancelled runs, a serialized progress tracker for partial-progress
+// diagnostics, and Run, the scaffold the workload commands run their
+// batches in. Every cmd/ main wires its run through SignalContext so
 // Ctrl-C and SIGTERM cancel long sweeps cleanly instead of killing the
 // process mid-write.
 package cli
@@ -148,6 +149,13 @@ func formatRate(rate float64) string {
 	}
 }
 
+// Phase returns a tracker for one phase of the run p tracks: it counts
+// the same unit, labels its lines "label [phase]", and prints where p
+// prints.
+func (p *Progress) Phase(phase string) *Progress {
+	return NewProgress(p.label+" ["+phase+"]", p.unit, p.w)
+}
+
 // Note renders the partial-progress state ("3/12 experiments") for
 // cancellation messages, or "" when no completion was ever observed.
 func (p *Progress) Note() string {
@@ -200,12 +208,13 @@ func Dispatch(ctx context.Context, name string, cmds []Command, args []string, s
 	return 2
 }
 
-// Manifest is the structured end-of-run record every long-running binary
-// (scenario, figures, sweepd serve/work) emits to stderr as one JSON
-// line, `{"manifest":{...}}` — enough to diagnose any run after the
-// fact: what ran (kind, batch hash, fidelity), how much (items, resume
-// split), how fast (wall time, items/sec), and how it ended. stderr, not
-// stdout: result streams stay byte-identical to sequential runs.
+// Manifest is the structured end-of-run record every workload command
+// (scenario, figures, sweepd serve/work) emits through Run.Exec as the
+// last line of its stderr, `{"manifest":{...}}` — enough to diagnose any
+// run after the fact: what ran (kind, batch hash, fidelity), how much
+// (items, resume split), how fast (wall time, items/sec), and how it
+// ended. stderr, not stdout: result streams stay byte-identical to
+// sequential runs.
 type Manifest struct {
 	// Tool is the emitting binary (and subcommand, e.g. "sweepd serve").
 	Tool string `json:"tool"`
@@ -232,10 +241,10 @@ type Manifest struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// Finish stamps the timing and outcome fields from a run's start time
+// finish stamps the timing and outcome fields from a run's start time
 // and final error: wall clock, the derived rate (rounded to 3 decimals —
 // a diagnostic figure, not a measurement), and the outcome/error pair.
-func (m *Manifest) Finish(start time.Time, clock obs.Clock, err error) {
+func (m *Manifest) finish(start time.Time, clock obs.Clock, err error) {
 	wall := clock.Now().Sub(start)
 	m.WallMS = wall.Milliseconds()
 	if secs := wall.Seconds(); secs > 0 && m.ItemsRun > 0 {
@@ -256,10 +265,10 @@ func (m *Manifest) Finish(start time.Time, clock obs.Clock, err error) {
 	}
 }
 
-// EmitManifest writes the manifest to w as its one-line wire form.
+// emitManifest writes the manifest to w as its one-line wire form.
 // Best-effort: a broken stderr never fails a run that computed its
 // results.
-func EmitManifest(w io.Writer, m Manifest) {
+func emitManifest(w io.Writer, m Manifest) {
 	line, err := json.Marshal(struct {
 		Manifest Manifest `json:"manifest"`
 	}{m})

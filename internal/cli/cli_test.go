@@ -240,13 +240,13 @@ func TestManifestFinishAndEmit(t *testing.T) {
 		Tool: "scenario", Kind: "grid", BatchSHA256: "abc123", Fidelity: "analytical",
 		Items: 1200, ItemsRun: 1000, ItemsResumed: 200,
 	}
-	m.Finish(start, clk.clock(), nil)
+	m.finish(start, clk.clock(), nil)
 	if m.WallMS != 4000 || m.ItemsPerSec != 250 || m.Outcome != "ok" || m.Error != "" {
 		t.Fatalf("finished manifest = %+v", m)
 	}
 
 	var buf bytes.Buffer
-	EmitManifest(&buf, m)
+	emitManifest(&buf, m)
 	line := buf.String()
 	if strings.Count(line, "\n") != 1 || !strings.HasSuffix(line, "\n") {
 		t.Fatalf("manifest must be exactly one line: %q", line)
@@ -271,9 +271,9 @@ func TestManifestFinishAndEmit(t *testing.T) {
 		{errors.New("boom"), "failed"},
 	} {
 		var f Manifest
-		f.Finish(start, clk.clock(), tc.err)
+		f.finish(start, clk.clock(), tc.err)
 		if f.Outcome != tc.want || f.Error == "" {
-			t.Errorf("Finish(%v) = outcome %q error %q, want %q", tc.err, f.Outcome, f.Error, tc.want)
+			t.Errorf("finish(%v) = outcome %q error %q, want %q", tc.err, f.Outcome, f.Error, tc.want)
 		}
 	}
 }

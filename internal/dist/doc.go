@@ -69,5 +69,7 @@
 // work registry — adding a workload kind requires no change here (given
 // an obs.Registry it also records work.Run's per-item metrics).
 // RequireToken optionally gates the protocol behind a shared secret for
-// coordinators listening beyond one trusted host.
+// coordinators listening beyond one trusted host. Client is the API's one
+// client: Worker speaks the worker protocol through it, and `sweepd
+// submit` submits, waits on and streams batches with it.
 package dist

@@ -76,7 +76,7 @@ const (
 const stragglerMinSamples = 3
 
 // Request body caps. Control bodies (lease, heartbeat, fail) are a few
-// dozen bytes — the cap matches the one Worker.do applies to responses.
+// dozen bytes — the cap matches the one Client applies to responses.
 // Submissions and result uploads scale with the batch but are bounded by
 // it; the cap only stops a runaway client from exhausting memory. An
 // over-cap body answers 413.
@@ -162,7 +162,6 @@ type batchRun struct {
 	lines     [][]byte // per input index; nil once terminal (store has them)
 	done      []uint64 // completed-index bitset, kept after terminal
 	doneCount int
-	remaining int
 	unitsDone int
 
 	cachedJournal int // items satisfied by the batch's own store journal
@@ -289,74 +288,40 @@ func NewService(ctx context.Context, cfg ServiceConfig) (*Service, error) {
 	return s, nil
 }
 
-// registerMetrics binds the service families: read-time gauges over
-// service state plus the store-attribution counters.
+// registerMetrics binds the service families: read-time gauges over the
+// Status snapshot, plus the store-attribution counters.
 func (s *Service) registerMetrics() {
-	s.reg.Gauge(MetricQueueDepth, "batches queued or running").WithFunc(func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		depth := 0
-		for _, br := range s.order {
-			if br.active() {
-				depth++
-			}
-		}
-		return float64(depth)
-	})
-	states := []BatchState{BatchQueued, BatchRunning, BatchDone, BatchFailed, BatchCancelled}
+	gauge := func(name, help string, v func(ServiceStatus) float64) {
+		s.reg.Gauge(name, help).WithFunc(func() float64 { return v(s.Status()) })
+	}
+	gauge(MetricQueueDepth, "batches queued or running", func(st ServiceStatus) float64 { return float64(st.QueueDepth) })
 	vec := s.reg.Gauge(MetricBatches, "batches by lifecycle state", "state")
-	for _, st := range states {
-		st := st
+	for _, state := range []BatchState{BatchQueued, BatchRunning, BatchDone, BatchFailed, BatchCancelled} {
 		vec.WithFunc(func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
 			n := 0
-			for _, br := range s.order {
-				if br.state == st {
+			for _, b := range s.Status().Batches {
+				if b.State == state {
 					n++
 				}
 			}
 			return float64(n)
-		}, string(st))
+		}, string(state))
 	}
 	items := s.reg.Counter(MetricStoreItems, "completed items by satisfaction source", "source")
 	s.hitsJournal = items.With("journal")
 	s.hitsIndex = items.With("index")
 	s.itemsExecuted = items.With("executed")
-	s.reg.Gauge(MetricServiceWorkersLive, "workers heard from within one lease TTL").WithFunc(func() float64 {
-		now := s.clock.Now()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		live := 0
-		for _, w := range s.workers {
-			if now.Sub(w.lastSeen) <= s.ttl {
-				live++
+	gauge(MetricServiceWorkersLive, "workers heard from within one lease TTL", func(st ServiceStatus) float64 {
+		n := 0
+		for _, w := range st.Workers {
+			if w.Live {
+				n++
 			}
 		}
-		return float64(live)
+		return float64(n)
 	})
-	s.reg.Gauge(MetricServiceItemsPerSec, "fleet-wide completion rate of executed items").WithFunc(func() float64 {
-		now := s.clock.Now()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.rateLocked(now)
-	})
-	s.reg.Gauge(MetricServiceETA, "seconds of executed work remaining at the current rate").WithFunc(func() float64 {
-		now := s.clock.Now()
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		rate := s.rateLocked(now)
-		if rate <= 0 {
-			return 0
-		}
-		remaining := 0
-		for _, br := range s.order {
-			if br.active() {
-				remaining += br.remaining
-			}
-		}
-		return float64(remaining) / rate
-	})
+	gauge(MetricServiceItemsPerSec, "fleet-wide completion rate of executed items", func(st ServiceStatus) float64 { return st.ItemsPerSec })
+	gauge(MetricServiceETA, "seconds of executed work remaining at the current rate", func(st ServiceStatus) float64 { return st.etaSeconds })
 }
 
 // rateLocked is the fleet-wide executed-items completion rate. Callers
@@ -434,7 +399,6 @@ func (s *Service) Submit(b work.Batch) (BatchStatus, bool, error) {
 		n:             b.Len(),
 		lines:         make([][]byte, b.Len()),
 		done:          make([]uint64, (b.Len()+63)/64),
-		remaining:     b.Len(),
 		cachedJournal: h.HitsJournal,
 		cachedIndex:   h.HitsIndex,
 		state:         BatchQueued,
@@ -444,7 +408,6 @@ func (s *Service) Submit(b work.Batch) (BatchStatus, bool, error) {
 	for _, e := range h.Done {
 		br.lines[e.I] = e.Line
 		br.markDone(e.I)
-		br.remaining--
 	}
 	for _, r := range sweep.Shards(b.Len(), s.units) {
 		payload, err := b.MarshalRange(r)
@@ -470,7 +433,7 @@ func (s *Service) Submit(b work.Batch) (BatchStatus, bool, error) {
 	s.hitsIndex.Add(uint64(h.HitsIndex))
 	s.byID[id] = br
 	s.order = append(s.order, br)
-	if br.remaining == 0 {
+	if br.doneCount == br.n {
 		s.finishLocked(br, BatchDone, "", now)
 		s.logf("batch %s: complete from store (%d journal, %d index)", id, h.HitsJournal, h.HitsIndex)
 	} else {
@@ -578,7 +541,7 @@ func (s *Service) handleLease(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	s.noteWorkerLocked(req.Worker, now)
 	for _, br := range s.order {
-		if !br.active() || br.remaining == 0 {
+		if !br.active() || br.doneCount == br.n {
 			continue
 		}
 		for _, u := range br.units {
@@ -742,7 +705,7 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		u.worker = ""
 		u.leasedAt = time.Time{}
 	}
-	if br.active() && br.remaining == 0 {
+	if br.active() && br.doneCount == br.n {
 		s.finishLocked(br, BatchDone, "", now)
 		s.logf("batch %s: done (%d executed, %d cached)", br.id, br.executed, br.cachedJournal+br.cachedIndex)
 	}
@@ -761,9 +724,6 @@ func (s *Service) recordLocked(br *batchRun, idx int, line []byte) error {
 		br.lines[idx] = line
 	}
 	br.markDone(idx)
-	if br.remaining > 0 {
-		br.remaining--
-	}
 	br.executed++
 	s.itemsExecuted.Inc()
 	return nil
@@ -1048,6 +1008,7 @@ type ServiceStatus struct {
 	ElapsedMS   int64   `json:"elapsed_ms"`
 	ItemsPerSec float64 `json:"items_per_sec"`
 	ETAMS       int64   `json:"eta_ms,omitempty"`
+	etaSeconds  float64 // ETAMS unrounded, for the dist_service_eta_seconds gauge
 	// UnitMeanMS is the mean execution time of completed units across
 	// batches — the straggler baseline.
 	UnitMeanMS float64       `json:"unit_mean_ms,omitempty"`
@@ -1084,11 +1045,12 @@ func (s *Service) Status() ServiceStatus {
 		st.Batches = append(st.Batches, s.batchStatusLocked(br, now))
 		if br.active() {
 			st.QueueDepth++
-			remaining += br.remaining
+			remaining += br.n - br.doneCount
 		}
 	}
-	if st.ItemsPerSec > 0 && remaining > 0 {
-		st.ETAMS = int64(float64(remaining) / st.ItemsPerSec * 1000)
+	if st.ItemsPerSec > 0 {
+		st.etaSeconds = float64(remaining) / st.ItemsPerSec
+		st.ETAMS = int64(st.etaSeconds * 1000)
 	}
 	if s.execCount > 0 {
 		st.UnitMeanMS = s.execSumMS / float64(s.execCount)

@@ -1,12 +1,9 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"time"
@@ -49,12 +46,11 @@ type Worker struct {
 	ID string
 	// Exec executes one unit.
 	Exec Executor
-	// Client is the HTTP client (nil = http.DefaultClient).
+	// Client is the HTTP client (nil = http.DefaultClient) and Token the
+	// coordinator's shared secret (empty = none): the worker's requests go
+	// through a dist.Client built from them and Coordinator.
 	Client *http.Client
-	// Token, when non-empty, is the coordinator's shared secret: every
-	// request carries it as `Authorization: Bearer <token>`. A
-	// coordinator behind dist.RequireToken answers 401 without it.
-	Token string
+	Token  string
 	// Poll is the fallback delay between lease attempts when the
 	// coordinator is busy and did not hint one (0 = 200ms).
 	Poll time.Duration
@@ -74,6 +70,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.Coordinator == "" || w.ID == "" || w.Exec == nil {
 		return fmt.Errorf("dist: worker needs Coordinator, ID and Exec")
 	}
+	c := &Client{URL: w.Coordinator, Token: w.Token, HTTP: w.Client}
 	connected := false // a lease has succeeded against this coordinator
 	unreachable := 0   // consecutive transport failures while idle
 	for {
@@ -81,7 +78,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return err
 		}
 		var lease LeaseResponse
-		if err := w.post(ctx, "/v1/lease", leaseRequest{Worker: w.ID}, &lease); err != nil {
+		if err := c.post(ctx, "/v1/lease", leaseRequest{Worker: w.ID}, &lease); err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
@@ -111,7 +108,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				return err
 			}
 		default:
-			err := w.runUnit(ctx, *lease.Unit, time.Duration(lease.LeaseTTLMS)*time.Millisecond)
+			err := w.runUnit(ctx, c, *lease.Unit, time.Duration(lease.LeaseTTLMS)*time.Millisecond)
 			switch {
 			case errors.Is(err, errLeaseLost):
 				// Someone else got the unit; nothing lost, lease again.
@@ -138,7 +135,7 @@ func (w *Worker) retryDelay(hintMS int64) time.Duration {
 // extends the lease a few times per TTL, and a bounced heartbeat (the
 // coordinator re-leased the unit after presuming us dead) cancels the
 // execution so the worker stops burning CPU on work someone else owns.
-func (w *Worker) runUnit(ctx context.Context, u Unit, ttl time.Duration) error {
+func (w *Worker) runUnit(ctx context.Context, c *Client, u Unit, ttl time.Duration) error {
 	uctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -157,8 +154,7 @@ func (w *Worker) runUnit(ctx context.Context, u Unit, ttl time.Duration) error {
 			case <-uctx.Done():
 				return
 			case <-ticker.C:
-				var ok map[string]bool
-				if err := w.post(uctx, "/v1/heartbeat", heartbeatRequest{Worker: w.ID, Unit: u.ID, Batch: u.Batch}, &ok); err != nil {
+				if err := c.post(uctx, "/v1/heartbeat", heartbeatRequest{Worker: w.ID, Unit: u.ID, Batch: u.Batch}, nil); err != nil {
 					if uctx.Err() == nil {
 						lost = true
 						cancel()
@@ -180,7 +176,7 @@ func (w *Worker) runUnit(ctx context.Context, u Unit, ttl time.Duration) error {
 		if got, want := len(lines), u.Range.Len(); got != want {
 			return fmt.Errorf("dist: worker %s: unit %d produced %d lines, want %d", w.ID, u.ID, got, want)
 		}
-		if err := w.postResult(ctx, u, lines, execMS); err != nil {
+		if err := c.result(ctx, w.ID, u, lines, execMS); err != nil {
 			return fmt.Errorf("dist: worker %s: reporting unit %d: %w", w.ID, u.ID, err)
 		}
 		if w.OnUnit != nil {
@@ -195,87 +191,11 @@ func (w *Worker) runUnit(ctx context.Context, u Unit, ttl time.Duration) error {
 		// Deterministic failure: tell the coordinator so it aborts the
 		// batch instead of re-leasing the unit forever.
 		msg := execErr.Error()
-		var ok map[string]bool
-		if err := w.post(ctx, "/v1/fail", failRequest{Worker: w.ID, Unit: u.ID, Error: msg, Batch: u.Batch}, &ok); err != nil {
+		if err := c.post(ctx, "/v1/fail", failRequest{Worker: w.ID, Unit: u.ID, Error: msg, Batch: u.Batch}, nil); err != nil {
 			return fmt.Errorf("dist: worker %s: unit %d failed (%s); reporting the failure also failed: %w", w.ID, u.ID, msg, err)
 		}
 		return fmt.Errorf("dist: worker %s: unit %d: %s", w.ID, u.ID, msg)
 	}
-}
-
-// post sends one JSON request and decodes the JSON response. Non-2xx
-// responses surface the server's "error" field when present.
-func (w *Worker) post(ctx context.Context, path string, body, out any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Coordinator+path, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	w.authorize(req)
-	return w.do(req, out)
-}
-
-// postResult streams a unit's NDJSON lines to the coordinator, carrying
-// the measured execution time so the coordinator's per-unit timing stats
-// reflect real work, not lease ages inflated by report latency.
-func (w *Worker) postResult(ctx context.Context, u Unit, lines [][]byte, execMS int64) error {
-	body := bytes.Join(lines, []byte("\n"))
-	body = append(body, '\n')
-	// The worker ID is free-form operator input (-id); escape it so an
-	// '&' or space cannot corrupt the query string.
-	target := fmt.Sprintf("%s/v1/result?worker=%s&unit=%d&exec_ms=%d", w.Coordinator, url.QueryEscape(w.ID), u.ID, execMS)
-	if u.Batch != "" {
-		target += "&batch=" + url.QueryEscape(u.Batch)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	w.authorize(req)
-	var ok map[string]bool
-	return w.do(req, &ok)
-}
-
-// authorize attaches the shared-secret header when a token is configured.
-func (w *Worker) authorize(req *http.Request) {
-	if w.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+w.Token)
-	}
-}
-
-// do executes one protocol request.
-func (w *Worker) do(req *http.Request, out any) error {
-	client := w.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return fmt.Errorf("%s", resp.Status)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
 }
 
 // sleep waits d or until ctx ends.

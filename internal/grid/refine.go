@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/profile"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 	"repro/internal/work"
 )
 
@@ -109,10 +110,10 @@ type RefineOptions struct {
 	Checkpoint string
 	// Resume replays existing journals instead of refusing to overwrite.
 	Resume bool
-	// Progress, when non-nil, observes per-phase completion; phase is
-	// "analytical" during the full-grid pass and "refine" during the
-	// trace shortlist.
-	Progress func(phase string, done, total int)
+	// Progress, when non-nil, is asked once per phase for the hook that
+	// observes that phase's completion; phase is "analytical" for the
+	// full-grid pass and "refine" for the trace shortlist.
+	Progress func(phase string) sweep.Progress
 }
 
 // Refine is the multi-fidelity frontier: run the full grid analytically,
@@ -176,7 +177,7 @@ func Refine(ctx context.Context, spec Spec, o RefineOptions, w io.Writer) error 
 func runPhase(ctx context.Context, b work.Batch, o RefineOptions, phase, checkpoint string, fr *Frontier, w io.Writer, after func() []int) ([]int, error) {
 	opts := work.Options{Workers: o.Workers}
 	if o.Progress != nil {
-		opts.Progress = func(done, total int) { o.Progress(phase, done, total) }
+		opts.Progress = o.Progress(phase)
 	}
 	if checkpoint != "" {
 		jr, done, err := work.OpenJournal(checkpoint, b, o.Resume)

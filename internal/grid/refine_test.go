@@ -18,6 +18,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/dist/store"
 	"repro/internal/profile"
+	"repro/internal/sweep"
 	"repro/internal/work"
 )
 
@@ -223,11 +224,13 @@ func TestRefineAgreesWithTraceFrontier(t *testing.T) {
 	phases := map[string]int{}
 	err = Refine(t.Context(), loadSpec(t, fmt.Sprintf(doc, "")), RefineOptions{
 		Workers: 4,
-		Progress: func(phase string, done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			if total > phases[phase] {
-				phases[phase] = total
+		Progress: func(phase string) sweep.Progress {
+			return func(done, total int) {
+				mu.Lock()
+				defer mu.Unlock()
+				if total > phases[phase] {
+					phases[phase] = total
+				}
 			}
 		},
 	}, &out)
