@@ -12,10 +12,12 @@ import (
 // count). An export only tests call is deleted with the tests that test
 // only it, moved into its package's _test.go files, or — an oracle other
 // packages' tests share — allowed with a reason naming its callers. A
-// method named by some interface (in the program, anything it imports, or
-// the predeclared error) is exempt: satisfying an interface is no visible
-// reference. perfbench is its own module and never loaded, so an export
-// only it calls needs an allow too.
+// method is exempt when its receiver type, or a pointer to it, implements
+// an interface that declares the method (one the program declares or
+// imports, or the predeclared error): satisfying an interface is no
+// visible reference. A method only named like an interface method is not.
+// perfbench is its own module and never loaded, so an export only it
+// calls needs an allow too.
 var DeadExport = &Analyzer{
 	Name: "deadexport",
 	Doc: "an exported function or method needs a non-test caller in the module; " +
@@ -40,7 +42,7 @@ func runDeadExport(prog *Program, report func(token.Pos, string)) {
 			}
 		}
 	}
-	ifaceMethods := interfaceMethodNames(prog)
+	ifaces := interfacesByMethod(prog)
 	for _, pkg := range prog.Packages {
 		if pkg.Name == "main" {
 			continue
@@ -48,30 +50,50 @@ func runDeadExport(prog *Program, report func(token.Pos, string)) {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() || fd.Recv != nil && ifaceMethods[fd.Name.Name] {
+				if !ok || !fd.Name.IsExported() {
 					continue
 				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok && !used[funcKey(fn)] {
-					report(fd.Name.Pos(), "exported "+funcKey(fn)+" has no caller outside tests; "+
-						"delete it, move it into a _test.go file, or allow it naming who calls it")
+				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				if !ok || used[funcKey(fn)] || fd.Recv != nil && implementsAny(fn, ifaces[fn.Name()]) {
+					continue
 				}
+				report(fd.Name.Pos(), "exported "+funcKey(fn)+" has no caller outside tests; "+
+					"delete it, move it into a _test.go file, or allow it naming who calls it")
 			}
 		}
 	}
 }
 
-// interfaceMethodNames collects every method name an interface declares:
-// the predeclared error, the named interfaces of the program and of every
-// package it imports (transitively), and the unnamed ones in its source.
-func interfaceMethodNames(prog *Program) map[string]bool {
-	names := map[string]bool{"Error": true}
+// implementsAny reports whether method fn's receiver type, or a pointer
+// to it, implements one of ifaces.
+func implementsAny(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, it := range ifaces {
+		if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+			return true
+		}
+	}
+	return false
+}
+
+// interfacesByMethod indexes every interface the program can see by the
+// names of the methods it declares: the predeclared error, the named
+// interfaces of the program and of every package it imports
+// (transitively), and the unnamed ones in its source.
+func interfacesByMethod(prog *Program) map[string][]*types.Interface {
+	index := make(map[string][]*types.Interface)
 	add := func(t types.Type) {
 		if it, ok := t.Underlying().(*types.Interface); ok {
 			for i := 0; i < it.NumMethods(); i++ {
-				names[it.Method(i).Name()] = true
+				name := it.Method(i).Name()
+				index[name] = append(index[name], it)
 			}
 		}
 	}
+	add(types.Universe.Lookup("error").Type())
 	seen := make(map[*types.Package]bool)
 	var visit func(p *types.Package)
 	visit = func(p *types.Package) {
@@ -96,5 +118,5 @@ func interfaceMethodNames(prog *Program) map[string]bool {
 			}
 		}
 	}
-	return names
+	return index
 }

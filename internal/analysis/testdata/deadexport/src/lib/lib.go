@@ -1,6 +1,7 @@
 // Package lib declares exported API in every shape the deadexport rule
 // judges: unused, used only by tests, used from its own package, used
-// from another package, and methods an interface names.
+// from another package, methods that satisfy an interface, and a method
+// only named like one.
 package lib
 
 // Unused has no caller anywhere.
@@ -37,6 +38,27 @@ func (T) Name() string { return "t" }
 
 // Error satisfies the predeclared error interface.
 func (T) Error() string { return "t" }
+
+// Sizer is an interface of two methods.
+type Sizer interface {
+	Size() int
+	Reset()
+}
+
+// V has Size but not Reset, so it implements no interface declaring Size.
+type V struct{}
+
+// Size is only named like Sizer's method.
+func (V) Size() int { return 0 } // want `exported \(lib.V\).Size has no caller outside tests`
+
+// W implements Sizer through its pointer.
+type W struct{ n int }
+
+// Size satisfies Sizer on *W.
+func (w *W) Size() int { return w.n }
+
+// Reset satisfies Sizer on *W.
+func (w *W) Reset() { w.n = 0 }
 
 // Box is generic: a use of an instantiation is a use of the declaration.
 type Box[E any] struct{ v E }

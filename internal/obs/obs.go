@@ -396,6 +396,8 @@ func (s Snapshot) Family(name string) *FamilySnapshot {
 
 // Get returns the series with exactly the given label values from the
 // family, or nil.
+//
+//lint:allow deadexport obs's and work's tests read metric series by label values
 func (f *FamilySnapshot) Get(values ...string) *SeriesSnapshot {
 	if f == nil {
 		return nil
