@@ -363,7 +363,7 @@ func BenchmarkSchemeIDP(b *testing.B) {
 	budget := lo + 0.5*(hi-lo)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := opt.OptimizeSchemeICtx(b.Context(), fixL1, fixOps, budget, 0)
+		r, err := opt.OptimizeSchemeICtx(b.Context(), fixL1, fixOps, budget)
 		if err != nil || !r.Feasible {
 			b.Fatal("infeasible")
 		}

@@ -79,7 +79,7 @@ func (e *Env) SchemeComparison(ctx context.Context) (Table, error) {
 	fracs := []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	rows, err := sweep.MapCtx(ctx, len(fracs), e.workers(), func(ctx context.Context, i int) ([]string, error) {
 		budget := lo + fracs[i]*(hi-lo)
-		r1, err := opt.OptimizeSchemeICtx(ctx, d.Model, ops, budget, 0)
+		r1, err := opt.OptimizeSchemeICtx(ctx, d.Model, ops, budget)
 		if err != nil {
 			return nil, err
 		}

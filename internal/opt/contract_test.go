@@ -107,7 +107,7 @@ func TestSearchContract(t *testing.T) {
 		{
 			name: "scheme I",
 			search: func(ctx context.Context) (int, any, error) {
-				r, err := OptimizeSchemeICtx(ctx, ev, ops, budget, 0)
+				r, err := OptimizeSchemeICtx(ctx, ev, ops, budget)
 				return r.Evaluated, nil, err
 			},
 			wantEvaluated: int(components.PartCount) * len(ops),

@@ -68,8 +68,8 @@ func OptimizeSchemeIICtx(ctx context.Context, ev ComponentEvaluator, ops []devic
 	return best, nil
 }
 
-// SchemeIBins is the default delay quantization for the Scheme I dynamic
-// program. Finer bins tighten the (conservative) quantization error.
+// SchemeIBins is the delay quantization of the Scheme I dynamic program.
+// Finer bins tighten the (conservative) quantization error.
 const SchemeIBins = 4000
 
 // OptimizeSchemeICtx finds independent per-component pairs minimizing total
@@ -79,10 +79,7 @@ const SchemeIBins = 4000
 // returned assignment never violates the true budget (the DP may miss
 // solutions within one bin width of the boundary). The context is checked
 // between DP layers.
-func OptimizeSchemeICtx(ctx context.Context, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64, bins int) (Result, error) {
-	if bins <= 0 {
-		bins = SchemeIBins
-	}
+func OptimizeSchemeICtx(ctx context.Context, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return infeasible(SchemeI), err
 	}
@@ -91,7 +88,7 @@ func OptimizeSchemeICtx(ctx context.Context, ev ComponentEvaluator, ops []device
 		fronts[k] = componentPareto(ev, []components.PartID{p}, ops)
 	}
 	evaluated := int(components.PartCount) * len(ops)
-	binW := delayBudget / float64(bins)
+	binW := delayBudget / SchemeIBins
 	if binW <= 0 {
 		return infeasible(SchemeI), nil
 	}
@@ -102,22 +99,22 @@ func OptimizeSchemeICtx(ctx context.Context, ev ComponentEvaluator, ops []device
 	// Forward DP: tables[k][b] is the minimum leakage of the first k
 	// components with quantized delay <= b bins; tables[0] is all zeros.
 	tables := make([][]float64, components.PartCount+1)
-	tables[0] = make([]float64, bins+1)
+	tables[0] = make([]float64, SchemeIBins+1)
 	for k := 0; k < int(components.PartCount); k++ {
 		if err := ctx.Err(); err != nil {
 			return infeasible(SchemeI), err
 		}
 		cur := tables[k]
-		nxt := make([]float64, bins+1)
+		nxt := make([]float64, SchemeIBins+1)
 		for i := range nxt {
 			nxt[i] = inf
 		}
 		for _, pt := range fronts[k] {
 			cost := binCost(pt.DelayS)
-			if cost > bins {
+			if cost > SchemeIBins {
 				continue
 			}
-			for b := cost; b <= bins; b++ {
+			for b := cost; b <= SchemeIBins; b++ {
 				if cur[b-cost] == inf {
 					continue
 				}
@@ -131,7 +128,7 @@ func OptimizeSchemeICtx(ctx context.Context, ev ComponentEvaluator, ops []device
 
 	final := tables[components.PartCount]
 	bestBin, bestLeak := -1, inf
-	for b := 0; b <= bins; b++ {
+	for b := 0; b <= SchemeIBins; b++ {
 		if final[b] < bestLeak {
 			bestLeak = final[b]
 			bestBin = b
@@ -193,7 +190,7 @@ func approxEq(a, b float64) bool {
 func OptimizeCtx(ctx context.Context, s Scheme, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
 	switch s {
 	case SchemeI:
-		return OptimizeSchemeICtx(ctx, ev, ops, delayBudget, 0)
+		return OptimizeSchemeICtx(ctx, ev, ops, delayBudget)
 	case SchemeII:
 		return OptimizeSchemeIICtx(ctx, ev, ops, delayBudget)
 	default:
