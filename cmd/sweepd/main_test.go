@@ -995,3 +995,43 @@ func TestServeMetricsAddrAndManifests(t *testing.T) {
 		t.Errorf("worker announced no metrics listener: %q", wstderr.String())
 	}
 }
+
+// TestSubmitWithToken drives the client against a token-gated `serve
+// -store`: with the service's token, submit streams the batch's results
+// byte-identical to the sequential run; with a wrong one it exits 1 and
+// reports the service's 401 text.
+func TestSubmitWithToken(t *testing.T) {
+	b, _, err := grid.LoadWork([]byte(testBatch), "analytical")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := work.Run(t.Context(), b, work.Options{Workers: 1}, &want); err != nil {
+		t.Fatal(err)
+	}
+	sctx, stopServe := context.WithCancel(t.Context())
+	defer stopServe()
+	url, wait := startServeStore(t, sctx, t.TempDir(), "-units", "2", "-token", "s3cret")
+	wctx, stopWorker := context.WithCancel(t.Context())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		runWorkCmd(t, wctx, url, "w0", "-token", "s3cret")
+	}()
+
+	code, stdout, stderr := runSubmitCmd(t, t.Context(), url, testBatch, "-fidelity", "analytical", "-token", "s3cret", "-results")
+	if code != 0 || stdout != want.String() {
+		t.Errorf("submit with the token: exit %d, stdout %q, stderr %q; want 0 and\n%s", code, stdout, stderr, want.String())
+	}
+	code, stdout, stderr = runSubmitCmd(t, t.Context(), url, testBatch, "-fidelity", "analytical", "-token", "wrong", "-results")
+	if code != 1 || stdout != "" || stderr != "sweepd: 401 Unauthorized: missing or invalid bearer token\n" {
+		t.Errorf("submit with a wrong token: exit %d, stdout %q, stderr %q; want 1 and the 401's text", code, stdout, stderr)
+	}
+	stopWorker()
+	wg.Wait()
+	stopServe()
+	if c, serveErr := wait(); c != 0 {
+		t.Fatalf("serve -store: exit %d, stderr:\n%s", c, serveErr)
+	}
+}
