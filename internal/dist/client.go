@@ -84,7 +84,7 @@ func (c *Client) call(ctx context.Context, method, path, contentType string, bod
 	return json.Unmarshal(data, out)
 }
 
-// post sends a JSON body to a worker-protocol endpoint.
+// post sends in as a JSON body and decodes the JSON answer into out.
 func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -102,14 +102,10 @@ func (c *Client) Submit(ctx context.Context, b work.Batch) (BatchStatus, error) 
 	if err != nil {
 		return st, err
 	}
-	body, err := json.Marshal(struct {
+	return st, c.post(ctx, "/v1/batches", struct {
 		Kind    string          `json:"kind"`
 		Payload json.RawMessage `json:"payload"`
-	}{b.Kind(), payload})
-	if err != nil {
-		return st, err
-	}
-	return st, c.call(ctx, http.MethodPost, "/v1/batches", "application/json", body, &st)
+	}{b.Kind(), payload}, &st)
 }
 
 // Wait polls batch id until it reaches a terminal state and returns that
