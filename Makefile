@@ -128,10 +128,15 @@ cover: ## run the suite with a coverage profile and print the total
 
 # golden regenerates checked-in golden files (scenario batch output, the
 # NDJSON stream pinned against it, the model's float bits over every
-# admitted organization, and the grid expansion).
-golden: ## regenerate the checked-in golden files (scenario output, model float bits, grid expansion)
+# admitted organization, the grid expansion, and the stdout of the
+# command surfaces: figures at both fidelities, the example grids through
+# scenario, characterize's samples, a cacheleak frontier, and every
+# example program).
+golden: ## regenerate the checked-in golden files (scenario output, model float bits, grid expansion, figures/scenario/characterize/cacheleak/examples stdout)
 	$(GO) test ./internal/scenario -run 'TestBatchGolden|TestStreamGolden|TestModelBitsGolden' -update
 	$(GO) test ./internal/grid -run TestExpandGolden -update
+	$(GO) test ./cmd/figures ./cmd/scenario ./cmd/characterize ./cmd/cacheleak -run '^TestStdoutGolden$$' -update
+	$(GO) test . -run '^TestExamplesGolden$$' -update
 
 # docs regenerates docs/wire-protocol.md from the live protocol fixtures
 # in internal/docs (the same golden -update idiom as `make golden`). The
