@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/exp"
+	"repro/internal/mem"
 	"repro/internal/opt"
 	"repro/internal/units"
 )
@@ -50,16 +51,18 @@ func main() {
 
 	// The same study through the library API: one tuple optimization with
 	// explicit budgets.
-	h, err := core.DesignHierarchy(ctx, 16*cachecfg.KB, 512*cachecfg.KB,
-		core.HierarchyOptions{Accesses: 300_000})
+	w := core.Workload{Name: core.Average, Seed: 1, Accesses: 300_000}
+	tl, err := core.Point(ctx, w, 16*cachecfg.KB, 512*cachecfg.KB, mem.DefaultDDR())
 	if err != nil {
 		log.Fatal(err)
 	}
 	mid := components.Uniform(device.OP(0.35, 12))
-	target := h.AMAT(mid, mid)
+	target := tl.AMAT(mid, mid)
 	fmt.Printf("library API: AMAT budget %.0f ps\n", units.ToPS(target))
+	ms := &opt.MemorySystem{TwoLevel: tl}
+	vths, toxs := opt.CoarseMenu()
 	for _, b := range opt.Figure2Budgets() {
-		r, err := h.OptimizeTuples(ctx, b, nil, nil, target)
+		r, err := ms.OptimizeTuplesCtx(ctx, b, vths, toxs, target)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/exp"
+	"repro/internal/mem"
 	"repro/internal/opt"
 	"repro/internal/units"
 )
@@ -23,11 +24,11 @@ func main() {
 	ctx := context.Background()
 	env := exp.NewQuickEnv()
 
-	missRates, err := env.MissRateTable(ctx)
+	rates, err := env.MissRateTable(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(missRates.ASCII())
+	fmt.Println(rates.ASCII())
 
 	single, err := env.L2SizeSweep(ctx, false)
 	if err != nil {
@@ -50,14 +51,14 @@ func main() {
 	// The same study through the library API, for one (L1, L2) pair:
 	// optimize the L2 knobs of a 16KB/512KB system under an explicit AMAT
 	// budget.
-	h, err := core.DesignHierarchy(ctx, 16*cachecfg.KB, 512*cachecfg.KB,
-		core.HierarchyOptions{Accesses: 300_000})
+	w := core.Workload{Name: core.Average, Seed: 1, Accesses: 300_000}
+	tl, err := core.Point(ctx, w, 16*cachecfg.KB, 512*cachecfg.KB, mem.DefaultDDR())
 	if err != nil {
 		log.Fatal(err)
 	}
 	a1 := components.Uniform(opt.DefaultOP())
-	target := h.AMAT(a1, components.Uniform(device.OP(0.40, 13)))
-	r, err := h.OptimizeL2(ctx, opt.SchemeII, a1, target)
+	target := tl.AMAT(a1, components.Uniform(device.OP(0.40, 13)))
+	r, err := tl.OptimizeL2Ctx(ctx, opt.SchemeII, a1, core.SharedKnobGrid(), target)
 	if err != nil {
 		log.Fatal(err)
 	}

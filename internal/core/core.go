@@ -13,7 +13,8 @@
 //     constraints — per component (Scheme I), cell-array-vs-periphery
 //     (Scheme II), or uniformly (Scheme III);
 //  4. extend to two-level hierarchies and the whole memory system, with
-//     miss rates from the trace-driven simulator; and
+//     miss rates from the trace-driven simulator or the stack-distance
+//     profiles (Point, one design point at either fidelity); and
 //  5. regenerate every figure and table of the paper's evaluation.
 //
 // The heavy lifting lives in the internal sub-packages (device, circuit,
@@ -36,6 +37,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/opt"
+	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -130,102 +132,85 @@ func (d *CacheDesign) TradeoffCurveCtx(ctx context.Context, scheme opt.Scheme, n
 	return opt.FrontierCtx(ctx, scheme, d.Model, SharedKnobGrid(), units.Linspace(lo, hi, n))
 }
 
-// HierarchyDesign is a two-level cache system plus main memory under a
-// workload mix — the setting of the paper's Section 5. L1 and L2 are the
-// process-wide shared designs (SharedDesign): treat them as read-only.
-type HierarchyDesign struct {
-	L1  *CacheDesign
-	L2  *CacheDesign
-	Mem mem.Spec
+// Average names the equal-weight mix of the trace suites, as in Section 5.
+const Average = "average"
 
-	// M1 and M2 are the local miss rates of the configured sizes under the
-	// simulated workloads.
-	M1, M2 float64
-}
-
-// HierarchyOptions tunes DesignHierarchy's simulation and main memory.
-type HierarchyOptions struct {
-	// Accesses per workload for miss-rate simulation (default 1M).
+// Workload selects a design point's miss rates: a trace suite
+// (trace.Suite) or Average, at a seed, a trace length and a fidelity.
+type Workload struct {
+	Name     string
+	Seed     int64
 	Accesses int
-	// Seed for the synthetic workloads (default 1).
-	Seed int64
-	// Mem overrides the main-memory spec (default DDR).
-	Mem *mem.Spec
+	// Fidelity is profile.FidelityAnalytical for the stack-distance
+	// profiles, and anything else for the trace-driven simulator.
+	Fidelity string
 }
 
-// DesignHierarchy reads the L1 and L2 designs of the given capacities
-// from SharedDesign and simulates the three workload suites to obtain
-// their miss rates. Cancelling ctx aborts the simulation with ctx's error.
-func DesignHierarchy(ctx context.Context, l1Size, l2Size int, o HierarchyOptions) (*HierarchyDesign, error) {
-	if o.Accesses == 0 {
-		o.Accesses = 1_000_000
+// Validate reports whether Name is a suite or Average. It allocates
+// nothing, so per-point config checks can ask it.
+func (w Workload) Validate() error {
+	if _, ok := trace.Suite(w.Name, w.Seed); !ok && w.Name != Average {
+		return fmt.Errorf("unknown workload %q", w.Name)
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	m := mem.DefaultDDR()
-	if o.Mem != nil {
-		m = *o.Mem
-	}
+	return nil
+}
 
+// MissMatrices returns the miss matrix of each suite the workload names,
+// over every (L1, L2) size pair given: simulated at trace fidelity, read
+// from the process-wide stack-distance profiles at analytical fidelity.
+// Cancelling ctx aborts the build with ctx's error.
+func (w Workload) MissMatrices(ctx context.Context, l1Sizes, l2Sizes []int) ([]*sim.MissMatrix, error) {
+	var suites []trace.Params
+	if p, ok := trace.Suite(w.Name, w.Seed); ok {
+		suites = []trace.Params{p}
+	} else if w.Name == Average {
+		suites = trace.Suites(w.Seed)
+	} else {
+		return nil, w.Validate()
+	}
+	build := sim.BuildSuiteMatricesCtx
+	if w.Fidelity == profile.FidelityAnalytical {
+		build = profile.BuildSuiteMatricesCtx
+	}
+	return build(ctx, suites, l1Sizes, l2Sizes, w.Accesses)
+}
+
+// TwoLevel assembles the optimizer view of one (L1, L2) pair: both
+// levels' shared designs (SharedDesign), the pair's local miss rates from
+// mm, and main memory. It refuses a pair mm does not hold. The view is a
+// value, so a caller that keeps it local allocates nothing for it.
+func TwoLevel(l1Size, l2Size int, mm *sim.MissMatrix, memSpec mem.Spec) (opt.TwoLevel, error) {
+	m1, ok1 := mm.L1Local[l1Size]
+	m2, ok2 := mm.L2Local[l1Size][l2Size]
+	if !ok1 || !ok2 {
+		return opt.TwoLevel{}, fmt.Errorf("core: %s miss matrix holds no L1 %d B / L2 %d B pair", mm.Workload, l1Size, l2Size)
+	}
 	l1, err := SharedDesign(cachecfg.L1(l1Size))
 	if err != nil {
-		return nil, fmt.Errorf("core: L1: %w", err)
+		return opt.TwoLevel{}, err
 	}
 	l2, err := SharedDesign(cachecfg.L2(l2Size))
 	if err != nil {
-		return nil, fmt.Errorf("core: L2: %w", err)
+		return opt.TwoLevel{}, err
 	}
+	tl := opt.TwoLevel{L1: l1.Model, L2: l2.Model, M1: m1, M2: m2, Mem: memSpec}
+	if err := tl.Validate(); err != nil {
+		return opt.TwoLevel{}, err
+	}
+	return tl, nil
+}
 
-	ms, err := sim.BuildSuiteMatricesCtx(ctx, trace.Suites(o.Seed), []int{l1Size}, []int{l2Size}, o.Accesses)
+// Point assembles one design point, the setting of the paper's Section 5:
+// the workload's miss matrices at exactly these sizes, averaged over its
+// suites, then TwoLevel. A trace workload simulates on every call.
+func Point(ctx context.Context, w Workload, l1Size, l2Size int, memSpec mem.Spec) (opt.TwoLevel, error) {
+	ms, err := w.MissMatrices(ctx, []int{l1Size}, []int{l2Size})
 	if err != nil {
-		return nil, fmt.Errorf("core: miss rates: %w", err)
+		return opt.TwoLevel{}, err
 	}
 	avg, err := sim.Average(ms)
 	if err != nil {
-		return nil, err
+		return opt.TwoLevel{}, err
 	}
-	return &HierarchyDesign{
-		L1:  l1,
-		L2:  l2,
-		Mem: m,
-		M1:  avg.L1Local[l1Size],
-		M2:  avg.L2Local[l1Size][l2Size],
-	}, nil
-}
-
-// twoLevel assembles the optimizer view.
-func (h *HierarchyDesign) twoLevel() *opt.TwoLevel {
-	return &opt.TwoLevel{L1: h.L1.Model, L2: h.L2.Model, M1: h.M1, M2: h.M2, Mem: h.Mem}
-}
-
-// AMAT returns the average memory access time (s) under the assignments.
-func (h *HierarchyDesign) AMAT(a1, a2 components.Assignment) float64 {
-	return h.twoLevel().AMAT(a1, a2)
-}
-
-// OptimizeL2 minimizes combined leakage over L2 assignments under an AMAT
-// budget with L1 pinned (the paper's first two-level experiment).
-func (h *HierarchyDesign) OptimizeL2(ctx context.Context, scheme opt.Scheme, a1 components.Assignment, amatBudget float64) (opt.TwoLevelResult, error) {
-	return h.twoLevel().OptimizeL2Ctx(ctx, scheme, a1, SharedKnobGrid(), amatBudget)
-}
-
-// MemorySystem returns the whole-system view used by the tuple-budget
-// optimizer of Figure 2.
-func (h *HierarchyDesign) MemorySystem() *opt.MemorySystem {
-	return &opt.MemorySystem{TwoLevel: *h.twoLevel()}
-}
-
-// OptimizeTuples finds the best (#Tox, #Vth) value sets and assignment under
-// an AMAT budget, minimizing total energy. Candidates default to the paper's
-// coarse menus (opt.CoarseMenu) when nil.
-func (h *HierarchyDesign) OptimizeTuples(ctx context.Context, budget opt.TupleBudget, vthCands, toxCands []float64, amatBudget float64) (opt.TupleResult, error) {
-	vths, toxs := opt.CoarseMenu()
-	if vthCands == nil {
-		vthCands = vths
-	}
-	if toxCands == nil {
-		toxCands = toxs
-	}
-	return h.MemorySystem().OptimizeTuplesCtx(ctx, budget, vthCands, toxCands, amatBudget)
+	return TwoLevel(l1Size, l2Size, avg, memSpec)
 }

@@ -1,23 +1,27 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cachecfg"
 	"repro/internal/components"
 	"repro/internal/device"
+	"repro/internal/mem"
 	"repro/internal/opt"
+	"repro/internal/sim"
 	"repro/internal/units"
 )
 
 var (
 	once   sync.Once
 	design *CacheDesign
-	hier   *HierarchyDesign
+	point  *opt.TwoLevel
 )
 
-func setup(t *testing.T) (*CacheDesign, *HierarchyDesign) {
+func setup(t *testing.T) (*CacheDesign, *opt.TwoLevel) {
 	t.Helper()
 	once.Do(func() {
 		d, err := DesignCache(device.Default65nm(), cachecfg.L1(16*cachecfg.KB))
@@ -25,17 +29,17 @@ func setup(t *testing.T) (*CacheDesign, *HierarchyDesign) {
 			t.Fatal(err)
 		}
 		design = d
-		h, err := DesignHierarchy(t.Context(), 16*cachecfg.KB, 512*cachecfg.KB,
-			HierarchyOptions{Accesses: 200_000})
+		tl, err := Point(t.Context(), Workload{Name: Average, Seed: 1, Accesses: 200_000},
+			16*cachecfg.KB, 512*cachecfg.KB, mem.DefaultDDR())
 		if err != nil {
 			t.Fatal(err)
 		}
-		hier = h
+		point = &tl
 	})
-	if design == nil || hier == nil {
+	if design == nil || point == nil {
 		t.Fatal("setup failed earlier")
 	}
-	return design, hier
+	return design, point
 }
 
 func TestDesignCacheEvaluate(t *testing.T) {
@@ -96,27 +100,27 @@ func TestTradeoffCurve(t *testing.T) {
 }
 
 func TestHierarchyBasics(t *testing.T) {
-	_, h := setup(t)
-	if h.M1 <= 0 || h.M1 >= 1 || h.M2 <= 0 || h.M2 > 1 {
-		t.Fatalf("miss rates %v, %v", h.M1, h.M2)
+	_, tl := setup(t)
+	if tl.M1 <= 0 || tl.M1 >= 1 || tl.M2 <= 0 || tl.M2 > 1 {
+		t.Fatalf("miss rates %v, %v", tl.M1, tl.M2)
 	}
 	a1 := components.Uniform(opt.DefaultOP())
 	a2 := components.Uniform(opt.ConservativeOP())
-	am := h.AMAT(a1, a2)
+	am := tl.AMAT(a1, a2)
 	if am < 500*units.Picosecond || am > 10*units.Nanosecond {
 		t.Errorf("AMAT %v out of regime", am)
 	}
-	e := h.twoLevel().System(a1, a2).TotalEnergyJ()
+	e := tl.System(a1, a2).TotalEnergyJ()
 	if e < 10*units.Picojoule || e > 5000*units.Picojoule {
 		t.Errorf("total energy %v pJ out of regime", units.ToPJ(e))
 	}
 }
 
 func TestHierarchyOptimizeL2(t *testing.T) {
-	_, h := setup(t)
+	_, tl := setup(t)
 	a1 := components.Uniform(opt.DefaultOP())
-	target := h.AMAT(a1, components.Uniform(device.OP(0.40, 13)))
-	r, err := h.OptimizeL2(t.Context(), opt.SchemeII, a1, target)
+	target := tl.AMAT(a1, components.Uniform(device.OP(0.40, 13)))
+	r, err := tl.OptimizeL2Ctx(t.Context(), opt.SchemeII, a1, SharedKnobGrid(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +133,12 @@ func TestHierarchyOptimizeL2(t *testing.T) {
 }
 
 func TestHierarchyOptimizeTuples(t *testing.T) {
-	_, h := setup(t)
+	_, tl := setup(t)
 	a := components.Uniform(device.OP(0.35, 12))
-	target := h.AMAT(a, a)
-	r, err := h.OptimizeTuples(t.Context(), opt.TupleBudget{NTox: 2, NVth: 2}, nil, nil, target)
+	target := tl.AMAT(a, a)
+	vths, toxs := opt.CoarseMenu()
+	ms := &opt.MemorySystem{TwoLevel: *tl}
+	r, err := ms.OptimizeTuplesCtx(t.Context(), opt.TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,21 +153,65 @@ func TestHierarchyOptimizeTuples(t *testing.T) {
 	}
 }
 
-// TestHierarchyReadsSharedDesigns pins DesignHierarchy to the process
-// memo: its levels are the designs SharedDesign returns, not private
+// TestHierarchyReadsSharedDesigns pins Point to the process memo: its
+// levels are the models of the designs SharedDesign returns, not private
 // builds.
 func TestHierarchyReadsSharedDesigns(t *testing.T) {
-	_, h := setup(t)
+	_, tl := setup(t)
 	for _, tc := range []struct {
-		got *CacheDesign
+		got opt.CacheEvaluator
 		cfg cachecfg.Config
-	}{{h.L1, cachecfg.L1(16 * cachecfg.KB)}, {h.L2, cachecfg.L2(512 * cachecfg.KB)}} {
+	}{{tl.L1, cachecfg.L1(16 * cachecfg.KB)}, {tl.L2, cachecfg.L2(512 * cachecfg.KB)}} {
 		want, err := SharedDesign(tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tc.got != want {
-			t.Errorf("%v: DesignHierarchy built its own design", tc.cfg)
+		if tc.got != want.Model {
+			t.Errorf("%v: Point built its own design", tc.cfg)
 		}
+	}
+}
+
+// TestTwoLevelRefusesMissingPair checks TwoLevel reads only pairs the
+// matrix holds: a size it lacks is an error, not a miss rate of 0.
+func TestTwoLevelRefusesMissingPair(t *testing.T) {
+	const l1, l2 = 16 * cachecfg.KB, 512 * cachecfg.KB
+	mm := &sim.MissMatrix{
+		Workload: "tpcc",
+		L1Local:  map[int]float64{l1: 0.05},
+		L2Local:  map[int]map[int]float64{l1: {l2: 0.3}},
+	}
+	tl, err := TwoLevel(l1, l2, mm, mem.DefaultDDR())
+	if err != nil {
+		t.Fatalf("held pair refused: %v", err)
+	}
+	if tl.M1 != 0.05 || tl.M2 != 0.3 {
+		t.Errorf("miss rates %v, %v; want 0.05, 0.3", tl.M1, tl.M2)
+	}
+	for _, pair := range [][2]int{{l1, 256 * cachecfg.KB}, {32 * cachecfg.KB, l2}} {
+		if _, err := TwoLevel(pair[0], pair[1], mm, mem.DefaultDDR()); err == nil ||
+			!strings.Contains(err.Error(), "holds no") {
+			t.Errorf("pair %v: err %v, want a refusal", pair, err)
+		}
+	}
+}
+
+// TestWorkloadValidate pins the one name rule: the three suites and
+// Average, nothing else, without allocating.
+func TestWorkloadValidate(t *testing.T) {
+	for _, name := range []string{"spec2000", "specweb", "tpcc", Average} {
+		if err := (Workload{Name: name}).Validate(); err != nil {
+			t.Errorf("%q refused: %v", name, err)
+		}
+	}
+	for _, name := range []string{"", "SPEC2000", "tpcc ", "stream", "ptrchase", "avg"} {
+		err := (Workload{Name: name}).Validate()
+		if err == nil || err.Error() != fmt.Sprintf("unknown workload %q", name) {
+			t.Errorf("%q: err %v, want unknown workload", name, err)
+		}
+	}
+	w := Workload{Name: "tpcc", Seed: 7}
+	if n := testing.AllocsPerRun(100, func() { _ = w.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %v times per call", n)
 	}
 }

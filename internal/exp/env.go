@@ -18,10 +18,8 @@ import (
 
 	"repro/internal/cachecfg"
 	"repro/internal/core"
-	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 )
 
 // Env carries the scale of an experiment run (the workload seed, the
@@ -102,11 +100,8 @@ func (e *Env) design(cfg cachecfg.Config) (*core.CacheDesign, error) {
 // caller rebuilds.
 func (e *Env) SuiteMatricesCtx(ctx context.Context) ([]*sim.MissMatrix, error) {
 	return e.matrices.Do(struct{}{}, func() ([]*sim.MissMatrix, error) {
-		build := sim.BuildSuiteMatricesCtx
-		if e.Fidelity == profile.FidelityAnalytical {
-			build = profile.BuildSuiteMatricesCtx
-		}
-		return build(ctx, trace.Suites(e.Seed), cachecfg.L1Sizes(), cachecfg.L2Sizes(), e.Accesses)
+		w := core.Workload{Name: core.Average, Seed: e.Seed, Accesses: e.Accesses, Fidelity: e.Fidelity}
+		return w.MissMatrices(ctx, cachecfg.L1Sizes(), cachecfg.L2Sizes())
 	})
 }
 

@@ -20,7 +20,7 @@ func (e *Env) fig2System(ctx context.Context) (*opt.MemorySystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &opt.MemorySystem{TwoLevel: *tl}, nil
+	return &opt.MemorySystem{TwoLevel: tl}, nil
 }
 
 // Fig2 reproduces Figure 2: total energy per access (pJ) vs AMAT (ps) for

@@ -19,31 +19,20 @@ import (
 // an L1 cache and assign the default Vth and Tox").
 func l1Fixed() cachecfg.Config { return cachecfg.L1(16 * cachecfg.KB) }
 
-// twoLevelFor assembles the optimizer input for one (L1 size, L2 size).
-func (e *Env) twoLevelFor(ctx context.Context, l1Size, l2Size int) (*opt.TwoLevel, error) {
+// twoLevelFor assembles the optimizer input for one (L1 size, L2 size)
+// from the Env's miss matrix, once both designs pass the Env's fit gate.
+func (e *Env) twoLevelFor(ctx context.Context, l1Size, l2Size int) (tl opt.TwoLevel, err error) {
 	mm, err := e.MissMatrixCtx(ctx)
 	if err != nil {
-		return nil, err
+		return tl, err
 	}
-	l1d, err := e.design(cachecfg.L1(l1Size))
-	if err != nil {
-		return nil, err
+	if _, err := e.design(cachecfg.L1(l1Size)); err != nil {
+		return tl, err
 	}
-	l2d, err := e.design(cachecfg.L2(l2Size))
-	if err != nil {
-		return nil, err
+	if _, err := e.design(cachecfg.L2(l2Size)); err != nil {
+		return tl, err
 	}
-	tl := &opt.TwoLevel{
-		L1:  l1d.Model,
-		L2:  l2d.Model,
-		M1:  mm.L1Local[l1Size],
-		M2:  mm.L2Local[l1Size][l2Size],
-		Mem: mem.DefaultDDR(),
-	}
-	if err := tl.Validate(); err != nil {
-		return nil, err
-	}
-	return tl, nil
+	return core.TwoLevel(l1Size, l2Size, mm, mem.DefaultDDR())
 }
 
 // commonL2AMATTarget returns the AMAT constraint of the L2 experiments: the

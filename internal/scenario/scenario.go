@@ -19,8 +19,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/opt"
 	"repro/internal/profile"
-	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -93,10 +91,8 @@ func (c Config) check() error {
 	if err := cachecfg.L2(c.L2KB * cachecfg.KB).Validate(); err != nil {
 		return fmt.Errorf("l2_kb %d: %w", c.L2KB, err)
 	}
-	switch c.Workload {
-	case "spec2000", "specweb", "tpcc", "average":
-	default:
-		return fmt.Errorf("unknown workload %q", c.Workload)
+	if err := (core.Workload{Name: c.Workload}).Validate(); err != nil {
+		return err
 	}
 	if c.Accesses < 0 {
 		return fmt.Errorf("accesses must not be negative, got %d", c.Accesses)
@@ -185,7 +181,7 @@ type TupleOutcome struct {
 	ToxSetA  []float64 `json:"tox_set_a,omitempty"`
 }
 
-// RunCtx executes the scenario: simulate the workload, build the models,
+// RunCtx executes the scenario: assemble its design point (core.Point),
 // optimize the L2 under the AMAT budget, and run any requested tuple
 // optimizations. Cancelling ctx aborts mid-simulation or mid-search with
 // ctx's error.
@@ -194,41 +190,21 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	l1Size := cfg.L1KB * cachecfg.KB
-	l2Size := cfg.L2KB * cachecfg.KB
-
-	m1, m2, err := missRates(ctx, cfg, l1Size, l2Size)
-	if err != nil {
-		return Result{}, err
-	}
-
-	// Designs are memoized process-wide per cache organization: a sweep
-	// over N design points pays characterize-and-fit once per distinct
-	// (level, size), not once per point — the dominant term of the
-	// per-point cost before this hoist (see BenchmarkGridRunItem).
-	tech := core.SharedTechnology()
-	l1d, err := core.SharedDesign(cachecfg.L1(l1Size))
-	if err != nil {
-		return Result{}, err
-	}
-	l2d, err := core.SharedDesign(cachecfg.L2(l2Size))
-	if err != nil {
-		return Result{}, err
-	}
 	memSpec := mem.DefaultDDR()
 	if cfg.FastMemory {
 		memSpec = mem.FastDDR()
 	}
-	tl := &opt.TwoLevel{L1: l1d.Model, L2: l2d.Model, M1: m1, M2: m2, Mem: memSpec}
-	if err := tl.Validate(); err != nil {
+	w := core.Workload{Name: cfg.Workload, Seed: cfg.Seed, Accesses: cfg.Accesses, Fidelity: cfg.Fidelity}
+	tl, err := core.Point(ctx, w, cfg.L1KB*cachecfg.KB, cfg.L2KB*cachecfg.KB, memSpec)
+	if err != nil {
 		return Result{}, err
 	}
-
-	res := Result{Name: cfg.Name, M1: m1, M2: m2}
+	res := Result{Name: cfg.Name, M1: tl.M1, M2: tl.M2}
 
 	a1 := components.Uniform(opt.DefaultOP())
 	budget := units.FromPS(cfg.AMATBudgetPS)
 	if budget == 0 {
+		tech := core.SharedTechnology()
 		fast := tl.AMAT(a1, components.Uniform(device.OP(tech.VthMin, 10)))
 		slow := tl.AMAT(a1, components.Uniform(device.OP(tech.VthMax, 14)))
 		budget = (fast + slow) / 2
@@ -249,7 +225,7 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 		res.L2Optimization.PeriKnobs = r.L2Assignment[components.PartDecoder].String()
 	}
 
-	ms := &opt.MemorySystem{TwoLevel: *tl}
+	ms := &opt.MemorySystem{TwoLevel: tl}
 	vths, toxs := opt.CoarseMenu()
 	for _, b := range cfg.TupleBudgets {
 		tb := opt.TupleBudget{NTox: b[0], NVth: b[1]}
@@ -266,39 +242,4 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 		res.Tuples = append(res.Tuples, outcome)
 	}
 	return res, nil
-}
-
-// missRates computes the configured workload's (or the suite average's)
-// miss rates at the requested fidelity: trace-driven simulation by
-// default, or the stack-distance fast path when the config opts into
-// analytical fidelity. Under the fast path the per-workload profile is
-// memoized process-wide, so a grid of design points pays one profiling
-// pass per workload instead of one simulation per point.
-func missRates(ctx context.Context, cfg Config, l1Size, l2Size int) (float64, float64, error) {
-	var suites []trace.Params
-	if cfg.Workload == "average" {
-		suites = trace.Suites(cfg.Seed)
-	} else {
-		for _, p := range trace.Suites(cfg.Seed) {
-			if p.Name == cfg.Workload {
-				suites = []trace.Params{p}
-			}
-		}
-	}
-	if len(suites) == 0 {
-		return 0, 0, fmt.Errorf("scenario: workload %q not found", cfg.Workload)
-	}
-	build := sim.BuildSuiteMatricesCtx
-	if cfg.Fidelity == profile.FidelityAnalytical {
-		build = profile.BuildSuiteMatricesCtx
-	}
-	ms, err := build(ctx, suites, []int{l1Size}, []int{l2Size}, cfg.Accesses)
-	if err != nil {
-		return 0, 0, err
-	}
-	avg, err := sim.Average(ms)
-	if err != nil {
-		return 0, 0, err
-	}
-	return avg.L1Local[l1Size], avg.L2Local[l1Size][l2Size], nil
 }

@@ -140,10 +140,29 @@ func TPCC(seed int64) Params {
 	}
 }
 
+// suites lists the evaluation's workloads in order; the i-th is seeded
+// seed+i, so the three streams of one seed differ.
+var suites = [...]func(seed int64) Params{SPEC2000, SPECWEB, TPCC}
+
 // Suites returns the three calibrated workloads used throughout the
 // evaluation.
 func Suites(seed int64) []Params {
-	return []Params{SPEC2000(seed), SPECWEB(seed + 1), TPCC(seed + 2)}
+	ps := make([]Params, len(suites))
+	for i, suite := range suites {
+		ps[i] = suite(seed + int64(i))
+	}
+	return ps
+}
+
+// Suite returns the Suites(seed) entry named name and whether there is
+// one: the one rule from a suite name to its stream. It allocates nothing.
+func Suite(name string, seed int64) (Params, bool) {
+	for i, suite := range suites {
+		if p := suite(seed + int64(i)); p.Name == name {
+			return p, true
+		}
+	}
+	return Params{}, false
 }
 
 // Stream returns a streaming robustness workload (outside the paper's

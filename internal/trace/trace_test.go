@@ -194,6 +194,33 @@ func TestSuites(t *testing.T) {
 	}
 }
 
+// TestSuiteMatchesSuites pins the one name rule to the evaluation's
+// streams: Suite(name, seed) is the entry of Suites(seed) with that name,
+// every suite seeded at its offset from seed, and no other name is a
+// suite.
+func TestSuiteMatchesSuites(t *testing.T) {
+	for _, seed := range []int64{1, 7, -3} {
+		want := []Params{SPEC2000(seed), SPECWEB(seed + 1), TPCC(seed + 2)}
+		all := Suites(seed)
+		if len(all) != len(want) {
+			t.Fatalf("seed %d: %d suites, want %d", seed, len(all), len(want))
+		}
+		for i, p := range all {
+			if p != want[i] {
+				t.Errorf("seed %d: Suites[%d] = %+v, want %+v", seed, i, p, want[i])
+			}
+			if got, ok := Suite(p.Name, seed); !ok || got != p {
+				t.Errorf("seed %d: Suite(%q) = %+v, %v; want the Suites entry %+v", seed, p.Name, got, ok, p)
+			}
+		}
+	}
+	for _, name := range []string{"", "average", "stream", "ptrchase", "TPCC"} {
+		if _, ok := Suite(name, 1); ok {
+			t.Errorf("Suite(%q) is a suite", name)
+		}
+	}
+}
+
 func TestCollect(t *testing.T) {
 	p := SPEC2000(1)
 	p.FootprintBytes = 1 << 20
