@@ -1,6 +1,8 @@
 // Command tracegen writes a synthetic memory-reference trace to stdout or a
 // file, one access per line ("R 0xADDR" / "W 0xADDR"), for use with external
-// cache simulators or for inspecting the calibrated workloads.
+// cache simulators or for inspecting the calibrated workloads. A suite and
+// seed name the stream scenario and figures simulate for that workload and
+// seed (trace.Suite).
 //
 // SIGINT/SIGTERM abort generation cleanly (no partial final line is left
 // unflushed; exit 130 with a partial-progress note); -timeout bounds long
@@ -53,15 +55,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	ctx, cancel := cli.WithTimeout(ctx, *timeout)
 	defer cancel()
 
-	var p trace.Params
-	switch *suite {
-	case "spec2000":
-		p = trace.SPEC2000(*seed)
-	case "specweb":
-		p = trace.SPECWEB(*seed)
-	case "tpcc":
-		p = trace.TPCC(*seed)
-	default:
+	p, ok := trace.Suite(*suite, *seed)
+	if !ok {
 		fmt.Fprintf(stderr, "tracegen: unknown suite %q\n", *suite)
 		return 1
 	}

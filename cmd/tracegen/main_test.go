@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cli"
+	"repro/internal/trace"
 )
 
 var lineRE = regexp.MustCompile(`^[RW] 0x[0-9a-f]+$`)
@@ -55,6 +57,41 @@ func TestRunToFile(t *testing.T) {
 	}
 	if n := strings.Count(string(data), "\n"); n != 10 {
 		t.Errorf("file has %d lines, want 10", n)
+	}
+}
+
+// TestRunEmitsTheSimulatedStreams checks tracegen writes, for every suite
+// and seed, the stream scenario and figures simulate: the first accesses
+// of trace.New over the trace.Suites(seed) entry of that name.
+func TestRunEmitsTheSimulatedStreams(t *testing.T) {
+	const n = 64
+	for _, seed := range []int64{1, 7} {
+		for _, p := range trace.Suites(seed) {
+			t.Run(fmt.Sprintf("%s/seed%d", p.Name, seed), func(t *testing.T) {
+				var stdout, stderr bytes.Buffer
+				args := []string{"-suite", p.Name, "-seed", fmt.Sprint(seed), "-n", fmt.Sprint(n)}
+				if code := run(t.Context(), args, &stdout, &stderr); code != 0 {
+					t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+				}
+				g, err := trace.New(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want strings.Builder
+				for i := 0; i < n; i++ {
+					a := g.Next()
+					op := 'R'
+					if a.Write {
+						op = 'W'
+					}
+					fmt.Fprintf(&want, "%c 0x%x\n", op, a.Addr)
+				}
+				if got := stdout.String(); got != want.String() {
+					t.Errorf("tracegen -suite %s -seed %d is not the simulated stream\ngot:\n%.80s\nwant:\n%.80s",
+						p.Name, seed, got, want.String())
+				}
+			})
+		}
 	}
 }
 
