@@ -84,6 +84,30 @@ func TestLoadWork(t *testing.T) {
 	}
 }
 
+// TestLoadWorkRefusesNegativeBudget checks every document kind refuses a
+// negative amat_budget_ps at load, naming the field and the value, while
+// 0 keeps its meaning (the midpoint of the feasible range).
+func TestLoadWorkRefusesNegativeBudget(t *testing.T) {
+	const neg = `{"name":"x","l1_kb":16,"l2_kb":256,"workload":"tpcc","accesses":20000,"amat_budget_ps":-5,"fidelity":"analytical"}`
+	for _, tc := range []struct{ name, doc string }{
+		{"single", neg},
+		{"batch", `{"scenarios":[` + neg + `]}`},
+		{"grid", `{"grid":{"name":"g-{amat_budget_ps}","axes":{"amat_budget_ps":[-5,1900]},"base":{"l1_kb":16,"l2_kb":256,"workload":"tpcc","accesses":20000,"fidelity":"analytical"}}}`},
+		{"grid, second value", `{"grid":{"name":"g-{amat_budget_ps}","axes":{"amat_budget_ps":[1900,-5]},"base":{"l1_kb":16,"l2_kb":256,"workload":"tpcc","accesses":20000,"fidelity":"analytical"}}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, _, err := LoadWork([]byte(tc.doc), "")
+			if err == nil || !strings.Contains(err.Error(), "amat_budget_ps must not be negative, got -5") {
+				t.Fatalf("LoadWork = (%v, %v), want a refusal naming amat_budget_ps and -5", b, err)
+			}
+		})
+	}
+	zero := strings.Replace(neg, `"amat_budget_ps":-5`, `"amat_budget_ps":0`, 1)
+	if _, _, err := LoadWork([]byte(zero), ""); err != nil {
+		t.Errorf("budget 0 refused: %v", err)
+	}
+}
+
 // TestWireFullRangeGetsExpandChecks pins the grid decoder to Expand: a
 // payload over the whole grid gets Expand's every check, the
 // duplicate-name scan among them, while a sub-range decodes as a unit.

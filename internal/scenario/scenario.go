@@ -100,6 +100,9 @@ func (c Config) check() error {
 	if c.Accesses > profile.MaxAccesses {
 		return fmt.Errorf("accesses %d above the cap of %d", c.Accesses, profile.MaxAccesses)
 	}
+	if c.AMATBudgetPS < 0 {
+		return fmt.Errorf("amat_budget_ps must not be negative, got %.6g", c.AMATBudgetPS)
+	}
 	if c.Scheme < 0 || c.Scheme > 3 {
 		return fmt.Errorf("scheme must be 1, 2 or 3, got %d", c.Scheme)
 	}
