@@ -52,9 +52,9 @@ func BenchmarkCollect(b *testing.B) {
 // nearly nothing, so this is the worst case — the instrumentation
 // (sampled latency timing plus a handful of atomic adds per item) is
 // priced against the driver's own per-item overhead, not against real
-// workloads whose items run 0.4ms–75ms. The acceptance bar is <5%
-// sec/op between the two sub-benchmarks; CI's bench-regression gate
-// then watches both.
+// workloads whose items run 0.4ms–75ms. The target is <5% sec/op
+// between the two sub-benchmarks, which nothing checks yet; CI's
+// bench-regression gate watches each against the merge base.
 func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("bare", func(b *testing.B) {
 		benchRun(b, 4)

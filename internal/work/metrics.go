@@ -37,11 +37,11 @@ const (
 	// labeled (kind, fidelity). Latency is sampled, not exhaustive: the
 	// first sampleWarm items of a run are all timed (small batches get
 	// full coverage), then a deterministic 1-in-sampleEvery sample — a
-	// clock read costs ~50ns and timing every item of a million-point
-	// analytical grid would bust the driver's <5% instrumentation
-	// budget (BenchmarkObsOverhead). The histogram's count therefore
-	// reflects observations, not items; MetricItemsTotal counts every
-	// item exactly.
+	// clock read costs ~50ns, and timing every item of a million-point
+	// analytical grid would cost more than the <5% of driver sec/op the
+	// instrumentation targets (a target BenchmarkObsOverhead prices but
+	// nothing checks). The histogram's count therefore reflects
+	// observations, not items; MetricItemsTotal counts every item exactly.
 	MetricItemSeconds = "work_item_seconds"
 	// MetricItemsTotal counts successfully completed items, labeled
 	// (kind, fidelity). Replayed checkpoint indices are not counted —
@@ -61,10 +61,11 @@ const (
 // item is two clock reads and four atomic adds (histogram, counter, two
 // run-local counters); everything derived — in-flight, queue depth,
 // throughput — is a read-time gauge (obs WithFunc) evaluated only when
-// somebody scrapes, so instrumentation stays within the <5% sec/op
-// budget BenchmarkObsOverhead enforces even on near-zero-cost items.
-// All of it is observation-only — no code path here can alter the bytes
-// the driver emits.
+// somebody scrapes. On near-zero-cost items BenchmarkObsOverhead's
+// metrics/bare medians have read from −5% to +7.5% on a 2-vCPU host,
+// inside a run-to-run spread of about 20%; the <5% sec/op budget is a
+// target no test or gate checks yet. All of it is observation-only — no
+// code path here can alter the bytes the driver emits.
 type runMetrics struct {
 	itemSeconds *obs.Histogram
 	items       *obs.Counter
