@@ -170,7 +170,8 @@ func LinearRegression(rows [][]float64, ys []float64) ([]float64, Stats, error) 
 	return coef, Evaluate(ys, pred), nil
 }
 
-// Model is a parametric scalar function of a feature vector.
+// Model is a parametric scalar function of a feature vector. It must
+// neither modify nor retain params: the solver passes one reused buffer.
 type Model func(params []float64, x []float64) float64
 
 // LMOptions configures the Levenberg–Marquardt solver.
@@ -199,8 +200,13 @@ func (o LMOptions) withDefaults() LMOptions {
 
 // LevenbergMarquardt minimizes sum_i w_i*(model(p, xs[i]) - ys[i])^2 over p,
 // starting from p0. It returns the best parameters found, fit statistics,
-// and an error when the system is singular or the iteration budget is
-// exhausted far from a stationary point.
+// and an error when an option's length does not match the samples or p0, or
+// when the iteration budget is exhausted far from a stationary point.
+//
+// Each iteration evaluates the model once per (sample, parameter) for the
+// forward-difference Jacobian, around the stored model values at p, and once
+// per sample for each candidate step; an accepted candidate's values become
+// the next base. The buffers are allocated once per call.
 func LevenbergMarquardt(model Model, xs [][]float64, ys []float64, p0 []float64, opts LMOptions) ([]float64, Stats, error) {
 	if len(xs) != len(ys) || len(xs) == 0 {
 		return nil, Stats{}, fmt.Errorf("fit: need paired samples, got %d/%d", len(xs), len(ys))
@@ -208,8 +214,17 @@ func LevenbergMarquardt(model Model, xs [][]float64, ys []float64, p0 []float64,
 	if len(p0) == 0 {
 		return nil, Stats{}, errors.New("fit: empty initial parameter vector")
 	}
+	n, np := len(xs), len(p0)
+	if opts.Weights != nil && len(opts.Weights) != n {
+		return nil, Stats{}, fmt.Errorf("fit: LMOptions.Weights has length %d, want %d (one per sample)", len(opts.Weights), n)
+	}
+	if opts.Lower != nil && len(opts.Lower) != np {
+		return nil, Stats{}, fmt.Errorf("fit: LMOptions.Lower has length %d, want %d (one per parameter)", len(opts.Lower), np)
+	}
+	if opts.Upper != nil && len(opts.Upper) != np {
+		return nil, Stats{}, fmt.Errorf("fit: LMOptions.Upper has length %d, want %d (one per parameter)", len(opts.Upper), np)
+	}
 	opts = opts.withDefaults()
-	np := len(p0)
 	p := append([]float64(nil), p0...)
 
 	weight := func(i int) float64 {
@@ -229,53 +244,62 @@ func LevenbergMarquardt(model Model, xs [][]float64, ys []float64, p0 []float64,
 		}
 	}
 
-	sse := func(p []float64) float64 {
+	// sse stores each sample's model value at p in vals.
+	sse := func(p, vals []float64) float64 {
 		var s float64
 		for i := range xs {
-			r := (model(p, xs[i]) - ys[i]) * weight(i)
+			vals[i] = model(p, xs[i])
+			r := (vals[i] - ys[i]) * weight(i)
 			s += r * r
 		}
 		return s
 	}
+	base, vals := make([]float64, n), make([]float64, n)
+	res, jac := make([]float64, n), make([]float64, n*np)
+	jtj, damped := make([][]float64, np), make([][]float64, np)
+	for a := range jtj {
+		jtj[a], damped[a] = make([]float64, np), make([]float64, np)
+	}
+	jtr, cand, pert := make([]float64, np), make([]float64, np), make([]float64, np)
 
 	lambda := opts.InitialLambda
-	curSSE := sse(p)
+	curSSE := sse(p, base)
 	iters := 0
 	converged := false
 
-	for ; iters < opts.MaxIterations; iters++ {
-		// Residuals and numerical Jacobian.
-		res := make([]float64, len(xs))
-		jac := make([][]float64, len(xs))
+	for !converged && iters < opts.MaxIterations {
+		iters++
+		// Residuals and numerical Jacobian; jac is row-major, one row per sample.
 		for i := range xs {
-			res[i] = (ys[i] - model(p, xs[i])) * weight(i)
-			jac[i] = make([]float64, np)
-			for j := 0; j < np; j++ {
-				h := 1e-6 * math.Max(math.Abs(p[j]), 1e-6)
-				pj := append([]float64(nil), p...)
-				pj[j] += h
-				jac[i][j] = (model(pj, xs[i]) - model(p, xs[i])) * weight(i) / h
+			res[i] = (ys[i] - base[i]) * weight(i)
+		}
+		copy(pert, p)
+		for j := 0; j < np; j++ {
+			h := 1e-6 * math.Max(math.Abs(p[j]), 1e-6)
+			pert[j] = p[j] + h
+			for i := range xs {
+				jac[i*np+j] = (model(pert, xs[i]) - base[i]) * weight(i) / h
 			}
+			pert[j] = p[j]
 		}
 		// Normal equations (JtJ + lambda*diag(JtJ)) d = Jt r.
-		jtj := make([][]float64, np)
-		jtr := make([]float64, np)
 		for a := 0; a < np; a++ {
-			jtj[a] = make([]float64, np)
+			clear(jtj[a])
 		}
+		clear(jtr)
 		for i := range xs {
+			row := jac[i*np : (i+1)*np]
 			for a := 0; a < np; a++ {
 				for b := 0; b < np; b++ {
-					jtj[a][b] += jac[i][a] * jac[i][b]
+					jtj[a][b] += row[a] * row[b]
 				}
-				jtr[a] += jac[i][a] * res[i]
+				jtr[a] += row[a] * res[i]
 			}
 		}
 		improved := false
 		for attempt := 0; attempt < 12; attempt++ {
-			damped := make([][]float64, np)
 			for a := 0; a < np; a++ {
-				damped[a] = append([]float64(nil), jtj[a]...)
+				copy(damped[a], jtj[a])
 				diag := jtj[a][a]
 				if diag == 0 {
 					diag = 1e-12
@@ -287,15 +311,15 @@ func LevenbergMarquardt(model Model, xs [][]float64, ys []float64, p0 []float64,
 				lambda *= 10
 				continue
 			}
-			cand := make([]float64, np)
 			for j := range cand {
 				cand[j] = p[j] + delta[j]
 			}
 			clampP(cand)
-			candSSE := sse(cand)
+			candSSE := sse(cand, vals)
 			if candSSE < curSSE {
 				rel := (curSSE - candSSE) / math.Max(curSSE, 1e-300)
-				p = cand
+				p, cand = cand, p
+				base, vals = vals, base
 				curSSE = candSSE
 				lambda = math.Max(lambda/10, 1e-12)
 				improved = true
@@ -309,17 +333,10 @@ func LevenbergMarquardt(model Model, xs [][]float64, ys []float64, p0 []float64,
 		if !improved {
 			converged = true // stuck at a (local) minimum
 		}
-		if converged {
-			break
-		}
 	}
 
-	pred := make([]float64, len(ys))
-	for i := range xs {
-		pred[i] = model(p, xs[i])
-	}
-	stats := Evaluate(ys, pred)
-	stats.Iterations = iters + 1
+	stats := Evaluate(ys, base)
+	stats.Iterations = iters
 	if !converged {
 		return p, stats, ErrNoConverge
 	}
