@@ -77,8 +77,10 @@ func (d *CacheDesign) Evaluate(a components.Assignment) (leakW, delayS, energyJ 
 // The shared substrate behind SharedDesign/SharedKnobGrid: design-space
 // sweeps evaluate the same few cache organizations at thousands to
 // millions of (config, budget) points, and characterize-and-fit is by far
-// the most expensive invariant (~100ms per design). One technology
-// instance anchors the memo so every design shares identical calibration.
+// the most expensive invariant (~40 ms per design on a 2-vCPU host,
+// nearly all of it in the model fits; BenchmarkDesignColdStart). One
+// technology instance anchors the memo so every design shares identical
+// calibration.
 var (
 	sharedTech     = sync.OnceValue(device.Default65nm)
 	designMemo     sweep.Memo[cachecfg.Config, *CacheDesign]
