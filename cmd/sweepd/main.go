@@ -350,7 +350,7 @@ func runServe(ctx context.Context, args []string, stdin io.Reader, stdout, stder
 			emitted++
 			hook(emitted, total)
 			return nil
-		})
+		}, nil)
 		// The batch is over: from here every lease answers done, so workers
 		// exit cleanly. Shutdown lets requests already in flight — the last
 		// result upload among them — get their responses before the

@@ -117,7 +117,7 @@ func main() {
 		}
 		_, err := fmt.Printf("%s\n", line)
 		return err
-	})
+	}, nil)
 	// With the batch over, leases answer done and the workers exit.
 	stopService()
 	wg.Wait()

@@ -88,7 +88,7 @@ func results(ctx context.Context, s *Service, id string) (string, error) {
 		buf.Write(line)
 		buf.WriteByte('\n')
 		return nil
-	})
+	}, nil)
 	return buf.String(), err
 }
 
@@ -858,4 +858,38 @@ func (r repeatReader) Read(p []byte) (int, error) {
 		p[i] = byte(r)
 	}
 	return len(p), nil
+}
+
+// TestResultRefusesNonCanonicalLines pins that a worker line is accepted
+// only in the form the journal stores it: a spaced line, or a compact
+// one with a raw '&', would stream live as posted but replay re-encoded
+// once the batch is terminal. Either answers 400 naming the unit and the
+// line, records nothing, and leaves the worker table as it was.
+func TestResultRefusesNonCanonicalLines(t *testing.T) {
+	fc := &fakeClock{now: time.Unix(1000, 0)}
+	s, srv, _, _ := batchService(t, toyBatch{1}, ServiceConfig{Units: 1, Clock: fc.clock})
+	lease := leaseRaw(t, srv, "w0")
+	if lease.Unit == nil {
+		t.Fatal("no unit leased")
+	}
+	before := s.Status()
+	for _, line := range []string{`{"i": 0, "s":"a&b"}`, `{"i":0,"s":"a&b"}`} {
+		target := fmt.Sprintf("%s/v1/result?worker=w1&batch=%s&unit=0", srv.URL, lease.Unit.Batch)
+		resp, err := srv.Client().Post(target, "application/x-ndjson", strings.NewReader(line+"\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unit 0 result line 0") {
+			t.Errorf("%s: HTTP %d %s, want 400 naming unit 0 line 0", line, resp.StatusCode, msg)
+		}
+	}
+	after := s.Status()
+	if !reflect.DeepEqual(after.Workers, before.Workers) {
+		t.Errorf("refused results changed the workers:\n%+v\n->\n%+v", before.Workers, after.Workers)
+	}
+	if b := after.Batches[0]; b.ItemsDone != 0 || b.UnitsDone != 0 {
+		t.Errorf("refused results recorded into the batch: %+v", b)
+	}
 }

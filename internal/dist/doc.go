@@ -61,7 +61,9 @@
 // entries are ordinary checkpoint journals (internal/dist/journal),
 // readable by `sweepd journal` and adoptable in both directions
 // (hash-verified). Admission replays a batch's journal, so units whose
-// whole range is already journaled are never leased again.
+// whole range is already journaled are never leased again. A result line
+// must be canonical (journal.Canonical: exactly as the journal stores
+// it), so a live stream and a replay of one batch serve the same bytes.
 //
 // Payload kinds are not this package's business: Submit takes any
 // work.Batch (units carry its own range marshalling), and

@@ -124,7 +124,7 @@ func TestNoLeakWhenConsumerAbandons(t *testing.T) {
 		read++
 		cancel()
 		return nil
-	})
+	}, nil)
 	if read != 1 {
 		t.Fatalf("read %d lines before abandoning, want 1", read)
 	}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -84,6 +85,9 @@ const (
 	maxControlBody = 1 << 20
 	maxResultBody  = 256 << 20
 )
+
+// resultsBuffer is the largest write a results stream makes.
+const resultsBuffer = 64 << 10
 
 // ServiceConfig tunes a Service.
 type ServiceConfig struct {
@@ -410,12 +414,7 @@ func (s *Service) Submit(b work.Batch) (BatchStatus, bool, error) {
 		br.markDone(e.I)
 	}
 	for _, r := range sweep.Shards(b.Len(), s.units) {
-		payload, err := b.MarshalRange(r)
-		if err != nil {
-			h.Close()
-			return BatchStatus{}, false, fmt.Errorf("dist: rendering unit payload for [%d, %d): %w", r.Lo, r.Hi, err)
-		}
-		u := &unitState{unit: Unit{ID: len(br.units), Range: r, Kind: b.Kind(), Payload: payload, Batch: id}}
+		u := &unitState{unit: Unit{ID: len(br.units), Range: r, Kind: b.Kind(), Batch: id}}
 		allDone := true
 		for i := r.Lo; i < r.Hi; i++ {
 			if !br.isDone(i) {
@@ -424,8 +423,12 @@ func (s *Service) Submit(b work.Batch) (BatchStatus, bool, error) {
 			}
 		}
 		if allDone {
+			// Never leased, so its payload is never rendered.
 			u.state = unitDone
 			br.unitsDone++
+		} else if u.unit.Payload, err = b.MarshalRange(r); err != nil {
+			h.Close()
+			return BatchStatus{}, false, fmt.Errorf("dist: rendering unit payload for [%d, %d): %w", r.Lo, r.Hi, err)
 		}
 		br.units = append(br.units, u)
 	}
@@ -664,10 +667,12 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
+	// Only a line the journal stores byte for byte may stream live: any
+	// other would read differently once the batch replays from the store.
 	for k, line := range lines {
-		if !json.Valid(line) {
+		if !journal.Canonical(line) {
 			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": fmt.Sprintf("unit %d result line %d is not JSON", unitID, k),
+				"error": fmt.Sprintf("unit %d result line %d is not canonical JSON (compact, as json.Marshal writes it)", unitID, k),
 			})
 			return
 		}
@@ -846,8 +851,11 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 // its lines run out — nil for a done batch, the failure of a failed one,
 // an error wrapping context.Canceled for a cancelled one — or the error
 // of ctx (or of the service's own context, should it end first). A yield
-// error stops the walk and is returned as is.
-func (s *Service) Results(ctx context.Context, id string, yield func(i int, line []byte) error) error {
+// error stops the walk and is returned as is. A non-nil idle is called,
+// without the service's lock, before the walk waits for a line that is
+// not there yet, once per run of yielded lines: the moment to flush what
+// yield buffered.
+func (s *Service) Results(ctx context.Context, id string, yield func(i int, line []byte) error, idle func()) error {
 	br, ok := s.lookup(id)
 	if !ok {
 		return fmt.Errorf("dist: unknown batch %s", id)
@@ -860,6 +868,7 @@ func (s *Service) Results(ctx context.Context, id string, yield func(i int, line
 	// Once terminal, lines come from one store replay walked forward
 	// alongside i; an empty replay ends the walk, so nil means unread.
 	var stored []journal.Entry
+	yielded := false // since the last idle call
 	for i := 0; i < br.n; i++ {
 		var line []byte
 		s.mu.Lock()
@@ -878,6 +887,14 @@ func (s *Service) Results(ctx context.Context, id string, yield func(i int, line
 			if l := br.lines[i]; l != nil {
 				line = l
 				break
+			}
+			if yielded && idle != nil {
+				// The line may land while idle runs: look again after.
+				s.mu.Unlock()
+				idle()
+				yielded = false
+				s.mu.Lock()
+				continue
 			}
 			s.cond.Wait()
 		}
@@ -901,6 +918,7 @@ func (s *Service) Results(ctx context.Context, id string, yield func(i int, line
 		if err := yield(i, line); err != nil {
 			return err
 		}
+		yielded = true
 	}
 	return s.verdict(br, br.n)
 }
@@ -924,8 +942,10 @@ func (s *Service) verdict(br *batchRun, gap int) error {
 }
 
 // handleResults streams a batch's result lines (Results) as input-ordered
-// NDJSON, flushed per line, so a client following a running batch sees
-// results live.
+// NDJSON. Lines that are ready together go out in one write of up to
+// resultsBuffer bytes, and the stream is flushed whenever the next line
+// is not ready yet, so a client following a running batch sees results
+// live.
 func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.lookup(id); !ok {
@@ -933,24 +953,23 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	bw := bufio.NewWriterSize(w, resultsBuffer)
 	flusher, _ := w.(http.Flusher)
-	// The verdict has no place in a stream already under way: the stream
-	// simply ends, and the batch status says why.
-	_ = s.Results(r.Context(), id, func(_ int, line []byte) error {
-		// Two writes, not append(line, '\n'): the line may share backing
-		// storage with other lines (result-body subslices), and appending
-		// in place would be a write into shared memory.
-		if _, err := w.Write(line); err != nil {
-			return err
-		}
-		if _, err := w.Write([]byte{'\n'}); err != nil {
-			return err
-		}
-		if flusher != nil {
+	flush := func() {
+		if bw.Flush() == nil && flusher != nil {
 			flusher.Flush()
 		}
-		return nil
-	})
+	}
+	// The verdict has no place in a stream already under way: the stream
+	// simply ends, and the batch status says why. A failed write sticks
+	// in bw, so the next yield returns it and ends the walk.
+	_ = s.Results(r.Context(), id, func(_ int, line []byte) error {
+		if _, err := bw.Write(line); err != nil {
+			return err
+		}
+		return bw.WriteByte('\n')
+	}, flush)
+	flush()
 }
 
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {

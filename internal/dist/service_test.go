@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -577,4 +578,63 @@ func TestServiceStatusAndMetrics(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
+}
+
+// TestResultsStreamLive pins live delivery over HTTP: while one unit of a
+// running batch is held, GET .../results already carries the lines of
+// the unit before it, and once the held unit completes, the whole body is
+// the sequential output.
+func TestResultsStreamLive(t *testing.T) {
+	s, srv, id, stop := batchService(t, toyBatch{4}, ServiceConfig{Units: 2})
+	release := make(chan struct{})
+	exec := toyExec(-1)
+	held := func(ctx context.Context, u Unit) ([][]byte, error) {
+		if u.ID == 1 {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return exec(ctx, u)
+	}
+	werr := make(chan error, 1)
+	go func() { werr <- runWorkers(t.Context(), srv, 2, held) }()
+
+	ctx, cancel := context.WithTimeout(t.Context(), 20*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/batches/"+id+"/results", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatalf("results while unit 1 is held: %v", err)
+	}
+	defer resp.Body.Close()
+	body := bufio.NewReader(resp.Body)
+	var got strings.Builder
+	for k := 0; k < 2; k++ {
+		line, err := body.ReadString('\n')
+		if err != nil {
+			t.Fatalf("line %d did not arrive while unit 1 was held: %v", k, err)
+		}
+		got.WriteString(line)
+	}
+	if st := s.Status().Batches[0]; st.State != BatchRunning || st.ItemsDone != 2 {
+		t.Fatalf("unit 1 is not held: %+v", st)
+	}
+	close(release)
+	rest, err := io.ReadAll(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.Write(rest)
+	if got.String() != toyWant(4) {
+		t.Errorf("streamed %q, want %q", got.String(), toyWant(4))
+	}
+	stop() // leases answer done from here: the workers exit
+	if err := <-werr; err != nil {
+		t.Fatalf("workers: %v", err)
+	}
 }

@@ -77,7 +77,11 @@ produce. Query parameters attribute the upload: ` + "`worker`" + `, ` + "`batch`
 and ` + "`unit`" + ` are required, ` + "`exec_ms`" + ` carries the worker-measured
 execution time (feeding the straggler baseline): when present it must be
 a number of milliseconds from 0 to one year, or the upload answers 400
-and changes nothing. Accepted lines are
+and changes nothing. Each line must be exactly as the journal stores it
+— compact JSON with ` + "`<`" + `, ` + "`>`" + ` and ` + "`&`" + ` escaped, as ` + "`json.Marshal`" + `
+writes it — or the upload answers 400 naming the line and changes
+nothing, so a live stream and a later replay serve the same bytes.
+Accepted lines are
 appended to the batch's store journal before any result stream can see
 them. The upload is idempotent: re-posting a completed unit is
 acknowledged without effect.`
@@ -93,7 +97,9 @@ Streams the batch's results as NDJSON in input order — byte-identical
 to a sequential ` + "`scenario -stream`" + ` run of the same input, whether each
 line was just executed or served from the store. On a batch that is
 still running, the stream blocks and delivers lines as they complete;
-on a terminal batch it replays from the store. A failed or cancelled
+on a terminal batch it replays from the store. Lines that are ready
+together go out in one write, and the stream is flushed whenever the
+next line is not ready yet. A failed or cancelled
 batch ends the stream early with the lines that exist. A one-shot serve
 writes exactly this stream to stdout.`
 

@@ -422,7 +422,7 @@ func distributeBatch(t *testing.T, b work.Batch) []json.RawMessage {
 	err = svc.Results(t.Context(), bs.ID, func(_ int, line []byte) error {
 		lines = append(lines, line)
 		return nil
-	})
+	}, nil)
 	stop() // leases answer done from here: the workers exit
 	wg.Wait()
 	if err != nil {

@@ -298,7 +298,7 @@ func distributed(t *testing.T, b work.Batch) []byte {
 		out.Write(line)
 		out.WriteByte('\n')
 		return nil
-	})
+	}, nil)
 	stop() // leases answer done from here: the workers exit
 	wg.Wait()
 	if err != nil {
