@@ -9,8 +9,8 @@ GO ?= go
 # The perf-snapshot file for the current PR and the packages it records.
 # Bump SNAPSHOT per PR (BENCH_7.json, ...) so the repo keeps the
 # trajectory instead of overwriting it.
-SNAPSHOT ?= BENCH_29.json
-SNAPSHOT_PKGS = ./internal/sweep ./internal/work ./internal/profile ./internal/grid ./internal/obs ./internal/core
+SNAPSHOT ?= BENCH_30.json
+SNAPSHOT_PKGS = ./internal/sweep ./internal/work ./internal/profile ./internal/grid ./internal/obs ./internal/core ./internal/dist/journal ./internal/dist
 
 # help is self-maintaining: annotate a target with a trailing `## text`
 # and it appears here.
@@ -74,16 +74,19 @@ race: ## run the test suite under the race detector
 	$(GO) test -race ./...
 
 # fuzz runs each fuzz target for a bounded time, one after the other
-# (`go test -fuzz` takes one target per run): the journal reader's, the
-# wire decoders', the store's items.idx loader, the one workload document
-# rule (grid.LoadWork, checked against the wire decoders), the service's
-# worker-facing endpoints (lease, heartbeat, result, fail), the
-# stack-distance profiler against a brute-force LRU reference, then the
-# Levenberg–Marquardt solver against its previous implementation, bit for
-# bit. Their seed corpora (and any committed crasher under testdata/fuzz)
-# already run in every plain `go test`; this explores beyond them.
-fuzz: ## fuzz the journal reader, the wire decoders, the store index loader, the document loader, the worker protocol, the profiler and the model-fit solver for 20s each
+# (`go test -fuzz` takes one target per run): the journal reader's
+# (against its previous implementation), the one-pass JSON validator
+# against encoding/json, the wire decoders', the store's items.idx
+# loader, the one workload document rule (grid.LoadWork, checked against
+# the wire decoders), the service's worker-facing endpoints (lease,
+# heartbeat, result, fail), the stack-distance profiler against a
+# brute-force LRU reference, then the Levenberg–Marquardt solver against
+# its previous implementation, bit for bit. Their seed corpora (and any
+# committed crasher under testdata/fuzz) already run in every plain
+# `go test`; this explores beyond them.
+fuzz: ## fuzz the journal reader, the JSON line validator, the wire decoders, the store index loader, the document loader, the worker protocol, the profiler and the model-fit solver for 20s each
 	$(GO) test ./internal/dist/journal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 20s
+	$(GO) test ./internal/dist/journal -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime 20s
 	$(GO) test ./internal/work -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 20s
 	$(GO) test ./internal/dist/store -run '^$$' -fuzz '^FuzzOpenIndex$$' -fuzztime 20s
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzLoadWork$$' -fuzztime 20s
