@@ -101,10 +101,18 @@ func SharedTechnology() *device.Technology { return sharedTech() }
 // evaluation is pure, so sharing one design across concurrent
 // optimizations preserves the byte-identical-output invariant. Treat the
 // returned design as read-only. Its fit gate is DesignCache's; exp
-// applies its own on top (model.CacheModel.CheckR2).
+// applies its own on top (model.CacheModel.CheckR2). The build registers
+// the model's knob search over SharedKnobGrid (opt.Prepare), so every
+// search of the design on that grid answers from one search, built on
+// its first query.
 func SharedDesign(cfg cachecfg.Config) (*CacheDesign, error) {
 	return designMemo.Do(cfg, func() (*CacheDesign, error) {
-		return DesignCache(sharedTech(), cfg)
+		d, err := DesignCache(sharedTech(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		opt.Prepare(d.Model, SharedKnobGrid())
+		return d, nil
 	})
 }
 

@@ -9,17 +9,41 @@
 //     delay quantization) with per-component Pareto sets and a
 //     multiple-choice-knapsack dynamic program;
 //   - Scheme II: one pair for the cell array, one for the periphery —
-//     solved by scanning pair x pair with Pareto pruning;
-//   - Scheme III: a single pair — solved by scanning the grid.
+//     solved by combining the two groups' Pareto fronts;
+//   - Scheme III: a single pair — solved over the grid's candidates.
 //
 // Section 5's two-level and whole-memory-system optimizations, and the
 // Figure 2 (#Tox, #Vth) tuple-budget search, build on the same machinery in
 // twolevel.go and tuple.go.
 //
-// Every single search is a sequential scan on the caller's goroutine, so
-// its result, tie-breaking included, follows the scan order alone (the
-// Scheme III and tuple scans keep the earliest feasible candidate), and
-// Result.Evaluated counts each candidate scored. Parallelism belongs to
+// Schemes I–III answer from one prepared search per (evaluator, ops)
+// pair. What a scheme needs from the pair alone, never from the budget,
+// is built on the first query of that scheme, on the querying goroutine:
+// the four component fronts (Scheme I), the cell and periphery fronts
+// (Scheme II), and the uniform candidates sorted stably by delay with a
+// prefix argmin over (leakage, scan index) (Scheme III). A query then
+// runs Scheme I's dynamic program, combines Scheme II's fronts, or
+// binary-searches Scheme III's candidates for the last one within the
+// budget. Each returns what an ordered scan of ops returns: the least
+// leakage, the earliest candidate in ops on exact ties (ParetoFront
+// sorts stably to keep it). Result.Evaluated counts every candidate
+// scored once per knob group, len(ops) times 4, 2 or 1 for Schemes I,
+// II and III, as a scan would; Scheme I reports 0 for a budget of zero
+// or less, which it refuses before its dynamic program. A NaN budget,
+// which no delay meets, is infeasible in every scheme, and a cancelled
+// context is reported before any work. One search is safe for
+// concurrent queries: FrontierCtx fans its budgets out over one.
+//
+// Searches are held by evaluator. Prepare registers an evaluator with
+// the ops slice it is searched over; only core.SharedDesign's memo build
+// calls it, once per cache organization, for SharedKnobGrid. A search of
+// a registered evaluator over that same slice (the same backing array
+// and length) answers from the registered search; any other pair, an
+// evaluator whose type is not comparable included, gets a search built
+// for the call.
+//
+// The tuple searches are plain ordered scans on the caller's goroutine
+// that keep the earliest feasible candidate. Parallelism belongs to
 // callers that sweep independent work — FrontierCtx,
 // OptimizeL2FrontierCtx and TupleCurveCtx over budgets, and the drivers
 // above them over design points.
