@@ -18,7 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 
 	"repro/internal/cachecfg"
 	"repro/internal/cli"
@@ -67,6 +69,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(stderr, "cacheleak:", err)
 		return 1
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"frac", *frac}, {"delay-ps", *delayPS}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			fmt.Fprintf(stderr, "cacheleak: -%s must be finite, got %s\n", f.name, strconv.FormatFloat(f.v, 'f', -1, 64))
+			return 1
+		}
 	}
 	var sch opt.Scheme
 	switch *scheme {

@@ -57,3 +57,27 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
 }
+
+// TestRunRejectsNonFiniteBudget pins the budget flags to finite values,
+// refused before the cache is designed: a NaN or infinite budget names no
+// point of the feasible range, and -delay-ps must not pass through
+// unnoticed because NaN > 0 is false.
+func TestRunRejectsNonFiniteBudget(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-frac", "NaN"},
+		{"-delay-ps", "NaN"},
+		{"-frac", "+Inf"},
+		{"-delay-ps", "-Inf"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(t.Context(), []string{"-scheme", "1", tc.flag, tc.value}, &stdout, &stderr); code != 1 {
+			t.Errorf("%s %s: exit %d, want 1", tc.flag, tc.value, code)
+		}
+		if want := "cacheleak: " + tc.flag + " must be finite"; !strings.Contains(stderr.String(), want) {
+			t.Errorf("%s %s: stderr %q, want %q", tc.flag, tc.value, stderr.String(), want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s %s: designed the cache before refusing: %q", tc.flag, tc.value, stdout.String())
+		}
+	}
+}
