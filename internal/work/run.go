@@ -3,6 +3,7 @@ package work
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -11,6 +12,10 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
+
+// errNotCanonical refuses a checkpointed line that journal.Canonical
+// rejects: its entry would hold a re-encoding, or nest too deep to read.
+var errNotCanonical = errors.New("line is not canonical JSON (compact, as json.Marshal writes it), so its journal entry would not replay it")
 
 // Options tunes one driver run. The zero value streams with GOMAXPROCS
 // workers, no progress hook, and no checkpointing.
@@ -26,7 +31,8 @@ type Options struct {
 	Progress sweep.Progress
 	// Journal, when non-nil, records every completed line before it is
 	// written to the sink, so a killed run can resume (Run only; Collect
-	// does not checkpoint).
+	// does not checkpoint). A line journal.Canonical rejects fails the
+	// run before any of it is journaled or written.
 	Journal *journal.Journal
 	// Done carries the entries a previous run already completed, sorted
 	// by input index (journal replay via OpenJournal). Covered indices are
@@ -128,7 +134,13 @@ func Run(ctx context.Context, b Batch, o Options, w io.Writer) error {
 		idx := indexOf(emitted)
 		var err error
 		if o.Journal != nil {
-			err = o.Journal.Record(idx, line)
+			// A resume replays the journal, not the stream, so a line it
+			// would not replay byte for byte is refused.
+			if journal.Canonical(line) {
+				err = o.Journal.Record(idx, line)
+			} else {
+				err = errNotCanonical
+			}
 		}
 		if err == nil {
 			if o.Observe != nil {

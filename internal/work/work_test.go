@@ -324,3 +324,53 @@ func TestKindsSorted(t *testing.T) {
 		t.Fatalf("registered kind missing from %v", kinds)
 	}
 }
+
+// lineBatch is a one-item batch whose item renders a fixed line.
+type lineBatch struct{ line string }
+
+func (b lineBatch) Kind() string          { return "line" }
+func (b lineBatch) Len() int              { return 1 }
+func (b lineBatch) Hash() (string, error) { return journal.Hash(b.line) }
+func (b lineBatch) RunItem(context.Context, int) (json.RawMessage, error) {
+	return json.RawMessage(b.line), nil
+}
+func (b lineBatch) MarshalRange(sweep.Range) (json.RawMessage, error) {
+	return json.Marshal(b.line)
+}
+
+// TestRunRefusesLinesTheJournalCannotReplay pins the checkpoint path to
+// lines a resume reproduces: a line with spaces, which the journal would
+// hold compacted, and one nested 10000 deep, whose entry no Replay reads,
+// each fail the run naming the item, with nothing of it journaled or
+// written.
+func TestRunRefusesLinesTheJournalCannotReplay(t *testing.T) {
+	for name, line := range map[string]string{
+		"spaced": `{"a": 1}`,
+		"deep":   strings.Repeat("[", 10000) + strings.Repeat("]", 10000),
+	} {
+		t.Run(name, func(t *testing.T) {
+			b := lineBatch{line}
+			path := filepath.Join(t.TempDir(), "line.journal")
+			jr, _, err := OpenJournal(path, b, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			err = Run(t.Context(), b, Options{Journal: jr}, &out)
+			jr.Close()
+			if err == nil || !strings.Contains(err.Error(), "work: emitting item 0: line is not canonical JSON") {
+				t.Fatalf("err = %v, want item 0 refused as not canonical", err)
+			}
+			if out.Len() != 0 {
+				t.Errorf("the refused line reached the sink: %q", out.String())
+			}
+			h, err := Header(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done, err := journal.Replay(path, h); err != nil || len(done) != 0 {
+				t.Errorf("journal replays %d entries, err %v; want an empty journal", len(done), err)
+			}
+		})
+	}
+}
