@@ -9,8 +9,8 @@ GO ?= go
 # The perf-snapshot file for the current PR and the packages it records.
 # Bump SNAPSHOT per PR (BENCH_7.json, ...) so the repo keeps the
 # trajectory instead of overwriting it.
-SNAPSHOT ?= BENCH_30.json
-SNAPSHOT_PKGS = ./internal/sweep ./internal/work ./internal/profile ./internal/grid ./internal/obs ./internal/core ./internal/dist/journal ./internal/dist
+SNAPSHOT ?= BENCH_31.json
+SNAPSHOT_PKGS = ./internal/sweep ./internal/work ./internal/profile ./internal/grid ./internal/obs ./internal/core ./internal/dist/journal ./internal/dist ./internal/opt
 
 # help is self-maintaining: annotate a target with a trailing `## text`
 # and it appears here.
@@ -80,11 +80,12 @@ race: ## run the test suite under the race detector
 # loader, the one workload document rule (grid.LoadWork, checked against
 # the wire decoders), the service's worker-facing endpoints (lease,
 # heartbeat, result, fail), the stack-distance profiler against a
-# brute-force LRU reference, then the Levenberg–Marquardt solver against
-# its previous implementation, bit for bit. Their seed corpora (and any
+# brute-force LRU reference, the Levenberg–Marquardt solver against its
+# previous implementation, bit for bit, then the prepared knob search
+# against the searches it replaced. Their seed corpora (and any
 # committed crasher under testdata/fuzz) already run in every plain
 # `go test`; this explores beyond them.
-fuzz: ## fuzz the journal reader, the JSON line validator, the wire decoders, the store index loader, the document loader, the worker protocol, the profiler and the model-fit solver for 20s each
+fuzz: ## fuzz the journal reader, the JSON line validator, the wire decoders, the store index loader, the document loader, the worker protocol, the profiler, the model-fit solver and the knob search for 20s each
 	$(GO) test ./internal/dist/journal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 20s
 	$(GO) test ./internal/dist/journal -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime 20s
 	$(GO) test ./internal/work -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 20s
@@ -93,6 +94,7 @@ fuzz: ## fuzz the journal reader, the JSON line validator, the wire decoders, th
 	$(GO) test ./internal/dist -run '^$$' -fuzz '^FuzzWorkerProtocol$$' -fuzztime 20s
 	$(GO) test ./internal/profile -run '^$$' -fuzz '^FuzzProfileExact$$' -fuzztime 20s
 	$(GO) test ./internal/fit -run '^$$' -fuzz '^FuzzLevenbergMarquardt$$' -fuzztime 20s
+	$(GO) test ./internal/opt -run '^$$' -fuzz '^FuzzSearch$$' -fuzztime 20s
 
 # bench-compile runs every benchmark exactly once — cheap enough for CI,
 # and it catches benchmarks that bit-rot against API changes.

@@ -21,7 +21,7 @@ var (
 	l1Direct   Direct
 )
 
-func testModels(t *testing.T) (*model.CacheModel, *model.CacheModel, Direct) {
+func testModels(t testing.TB) (*model.CacheModel, *model.CacheModel, Direct) {
 	t.Helper()
 	onceModels.Do(func() {
 		tech := device.Default65nm()
