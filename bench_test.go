@@ -36,7 +36,7 @@ var (
 	fixEnv  *exp.Env
 	fixL1   *model.CacheModel
 	fixL2   *model.CacheModel
-	fixSys  *opt.MemorySystem
+	fixSys  *opt.TwoLevel
 	fixOps  []device.OperatingPoint
 )
 
@@ -61,9 +61,9 @@ func fixtures(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fixSys = &opt.MemorySystem{TwoLevel: opt.TwoLevel{
+		fixSys = &opt.TwoLevel{
 			L1: fixL1, L2: fixL2, M1: 0.07, M2: 0.17, Mem: mem.DefaultDDR(),
-		}}
+		}
 		g := charlib.OptimizationGrid()
 		fixOps = opt.PairsFromGrid(g.Vths, g.ToxAs)
 	})
@@ -363,7 +363,7 @@ func BenchmarkSchemeIDP(b *testing.B) {
 	budget := lo + 0.5*(hi-lo)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := opt.OptimizeSchemeICtx(b.Context(), fixL1, fixOps, budget)
+		r, err := opt.OptimizeCtx(b.Context(), opt.SchemeI, fixL1, fixOps, budget)
 		if err != nil || !r.Feasible {
 			b.Fatal("infeasible")
 		}
@@ -377,7 +377,7 @@ func BenchmarkSchemeIIScan(b *testing.B) {
 	budget := lo + 0.5*(hi-lo)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := opt.OptimizeSchemeIICtx(b.Context(), fixL1, fixOps, budget)
+		r, err := opt.OptimizeCtx(b.Context(), opt.SchemeII, fixL1, fixOps, budget)
 		if err != nil || !r.Feasible {
 			b.Fatal("infeasible")
 		}
@@ -392,7 +392,7 @@ func BenchmarkTupleOptimize(b *testing.B) {
 	for i := range mid {
 		mid[i] = device.OP(0.35, 12)
 	}
-	target := fixSys.AMATS(mid)
+	target := fixSys.AMAT(mid.L1(), mid.L2())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := fixSys.OptimizeTuplesCtx(b.Context(), opt.TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)

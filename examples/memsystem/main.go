@@ -59,10 +59,9 @@ func main() {
 	mid := components.Uniform(device.OP(0.35, 12))
 	target := tl.AMAT(mid, mid)
 	fmt.Printf("library API: AMAT budget %.0f ps\n", units.ToPS(target))
-	ms := &opt.MemorySystem{TwoLevel: tl}
 	vths, toxs := opt.CoarseMenu()
 	for _, b := range opt.Figure2Budgets() {
-		r, err := ms.OptimizeTuplesCtx(ctx, b, vths, toxs, target)
+		r, err := tl.OptimizeTuplesCtx(ctx, b, vths, toxs, target)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -137,8 +137,7 @@ func TestHierarchyOptimizeTuples(t *testing.T) {
 	a := components.Uniform(device.OP(0.35, 12))
 	target := tl.AMAT(a, a)
 	vths, toxs := opt.CoarseMenu()
-	ms := &opt.MemorySystem{TwoLevel: *tl}
-	r, err := ms.OptimizeTuplesCtx(t.Context(), opt.TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
+	r, err := tl.OptimizeTuplesCtx(t.Context(), opt.TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,7 @@ func TestHierarchyOptimizeTuples(t *testing.T) {
 func TestHierarchyReadsSharedDesigns(t *testing.T) {
 	_, tl := setup(t)
 	for _, tc := range []struct {
-		got opt.CacheEvaluator
+		got opt.Evaluator
 		cfg cachecfg.Config
 	}{{tl.L1, cachecfg.L1(16 * cachecfg.KB)}, {tl.L2, cachecfg.L2(512 * cachecfg.KB)}} {
 		want, err := SharedDesign(tc.cfg)

@@ -50,9 +50,9 @@ type Env struct {
 	// and the size and budget-fraction sweeps inside an experiment: 0
 	// uses GOMAXPROCS, 1 runs them one at a time. A single knob search
 	// always runs on one goroutine; the opt budget sweeps (FrontierCtx,
-	// OptimizeL2FrontierCtx, TupleCurveCtx) and the miss-matrix suite
-	// builders size themselves from GOMAXPROCS — cap that instead to
-	// bound total parallelism. Output is identical at any setting.
+	// TupleCurveCtx) and the miss-matrix suite builders size themselves
+	// from GOMAXPROCS — cap that instead to bound total parallelism.
+	// Output is identical at any setting.
 	Workers int
 	// Progress, when non-nil, observes top-level experiment completion:
 	// it is called once per finished experiment with (done, total). Calls

@@ -48,11 +48,11 @@ func (e *Env) ModelVsDirectAblation(ctx context.Context) (Table, error) {
 	}
 	for _, frac := range []float64{0.35, 0.55, 0.75} {
 		budget := lo + frac*(hi-lo)
-		rm, err := opt.OptimizeSchemeIICtx(ctx, d.Model, ops, budget)
+		rm, err := opt.OptimizeCtx(ctx, opt.SchemeII, d.Model, ops, budget)
 		if err != nil {
 			return Table{}, err
 		}
-		rd, err := opt.OptimizeSchemeIICtx(ctx, dir, ops, budget)
+		rd, err := opt.OptimizeCtx(ctx, opt.SchemeII, dir, ops, budget)
 		if err != nil {
 			return Table{}, err
 		}
@@ -114,7 +114,7 @@ func (e *Env) DrowsyExtension(ctx context.Context) (Table, error) {
 	ops := core.SharedKnobGrid()
 	lo, hi := opt.FeasibleDelayRange(d.Model, ops)
 	budget := lo + 0.55*(hi-lo)
-	r, err := opt.OptimizeSchemeIICtx(ctx, d.Model, ops, budget)
+	r, err := opt.OptimizeCtx(ctx, opt.SchemeII, d.Model, ops, budget)
 	if err != nil {
 		return Table{}, err
 	}
@@ -193,7 +193,7 @@ func (e *Env) TemperatureSensitivity(ctx context.Context) (Table, error) {
 		dir := opt.Direct{Cache: cache}
 		ops := opt.PairsFromGrid(units.GridSteps(0.20, 0.50, 0.025), units.GridSteps(10, 14, 0.5))
 		lo, hi := opt.FeasibleDelayRange(dir, ops)
-		r, err := opt.OptimizeSchemeIICtx(ctx, dir, ops, lo+0.55*(hi-lo))
+		r, err := opt.OptimizeCtx(ctx, opt.SchemeII, dir, ops, lo+0.55*(hi-lo))
 		if err != nil {
 			return Table{}, err
 		}
@@ -412,23 +412,24 @@ func (e *Env) MemorySensitivity(ctx context.Context) (Table, error) {
 	}
 	vths, toxs := opt.CoarseMenu()
 	for _, m := range []mem.Spec{mem.DefaultDDR(), mem.FastDDR()} {
-		ms := &opt.MemorySystem{TwoLevel: base.TwoLevel}
-		ms.Mem = m
+		tl := base
+		tl.Mem = m
 		var fastSA, slowSA opt.SystemAssignment
 		for i := range fastSA {
 			fastSA[i] = device.OP(0.20, 10)
 			slowSA[i] = device.OP(0.50, 14)
 		}
-		target := ms.AMATS(fastSA) + 0.25*(ms.AMATS(slowSA)-ms.AMATS(fastSA))
-		e22, err := ms.OptimizeTuplesCtx(ctx, opt.TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
+		fast, slow := tl.AMAT(fastSA.L1(), fastSA.L2()), tl.AMAT(slowSA.L1(), slowSA.L2())
+		target := fast + 0.25*(slow-fast)
+		e22, err := tl.OptimizeTuplesCtx(ctx, opt.TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
 		if err != nil {
 			return Table{}, err
 		}
-		e21, err := ms.OptimizeTuplesCtx(ctx, opt.TupleBudget{NTox: 2, NVth: 1}, vths, toxs, target)
+		e21, err := tl.OptimizeTuplesCtx(ctx, opt.TupleBudget{NTox: 2, NVth: 1}, vths, toxs, target)
 		if err != nil {
 			return Table{}, err
 		}
-		e12, err := ms.OptimizeTuplesCtx(ctx, opt.TupleBudget{NTox: 1, NVth: 2}, vths, toxs, target)
+		e12, err := tl.OptimizeTuplesCtx(ctx, opt.TupleBudget{NTox: 1, NVth: 2}, vths, toxs, target)
 		if err != nil {
 			return Table{}, err
 		}

@@ -15,18 +15,14 @@ import (
 
 // fig2System assembles the whole-memory-system optimizer input: 16 KB L1 +
 // 512 KB L2 + main memory with the averaged workload statistics.
-func (e *Env) fig2System(ctx context.Context) (*opt.MemorySystem, error) {
-	tl, err := e.twoLevelFor(ctx, 16*cachecfg.KB, 512*cachecfg.KB)
-	if err != nil {
-		return nil, err
-	}
-	return &opt.MemorySystem{TwoLevel: tl}, nil
+func (e *Env) fig2System(ctx context.Context) (opt.TwoLevel, error) {
+	return e.twoLevelFor(ctx, 16*cachecfg.KB, 512*cachecfg.KB)
 }
 
 // Fig2 reproduces Figure 2: total energy per access (pJ) vs AMAT (ps) for
 // the five (#Tox, #Vth) tuple budgets the paper plots.
 func (e *Env) Fig2(ctx context.Context) (Figure, error) {
-	ms, err := e.fig2System(ctx)
+	tl, err := e.fig2System(ctx)
 	if err != nil {
 		return Figure{}, err
 	}
@@ -37,8 +33,8 @@ func (e *Env) Fig2(ctx context.Context) (Figure, error) {
 		fastSA[i] = device.OP(0.20, 10)
 		slowSA[i] = device.OP(0.50, 14)
 	}
-	fast := ms.AMATS(fastSA)
-	slow := ms.AMATS(slowSA)
+	fast := tl.AMAT(fastSA.L1(), fastSA.L2())
+	slow := tl.AMAT(slowSA.L1(), slowSA.L2())
 	budgets := units.Linspace(fast*1.02, slow, 12)
 
 	fig := Figure{
@@ -49,7 +45,7 @@ func (e *Env) Fig2(ctx context.Context) (Figure, error) {
 	}
 	for _, b := range opt.Figure2Budgets() {
 		s := Series{Name: b.String()}
-		curve, err := ms.TupleCurveCtx(ctx, b, vths, toxs, budgets)
+		curve, err := tl.TupleCurveCtx(ctx, b, vths, toxs, budgets)
 		if err != nil {
 			return Figure{}, err
 		}
@@ -68,7 +64,7 @@ func (e *Env) Fig2(ctx context.Context) (Figure, error) {
 // Fig2Summary distils Figure 2 into the paper's textual findings: the best
 // budget, the (2,2)-vs-(2,3) gap, and the knob comparison.
 func (e *Env) Fig2Summary(ctx context.Context) (Table, error) {
-	ms, err := e.fig2System(ctx)
+	tl, err := e.fig2System(ctx)
 	if err != nil {
 		return Table{}, err
 	}
@@ -79,8 +75,8 @@ func (e *Env) Fig2Summary(ctx context.Context) (Table, error) {
 		fastSA[i] = device.OP(0.20, 10)
 		slowSA[i] = device.OP(0.50, 14)
 	}
-	fast := ms.AMATS(fastSA)
-	slow := ms.AMATS(slowSA)
+	fast := tl.AMAT(fastSA.L1(), fastSA.L2())
+	slow := tl.AMAT(slowSA.L1(), slowSA.L2())
 	target := fast + 0.25*(slow-fast)
 
 	t := Table{
@@ -93,7 +89,7 @@ func (e *Env) Fig2Summary(ctx context.Context) (Table, error) {
 		},
 	}
 	for _, b := range opt.Figure2Budgets() {
-		r, err := ms.OptimizeTuplesCtx(ctx, b, vths, toxs, target)
+		r, err := tl.OptimizeTuplesCtx(ctx, b, vths, toxs, target)
 		if err != nil {
 			return Table{}, err
 		}
@@ -159,7 +155,7 @@ func (e *Env) BaselineComparison(ctx context.Context) (Table, error) {
 		row := make([]string, 0, 4)
 		row = append(row, fmt.Sprintf("%.0f", units.ToPS(budget)))
 		for _, grid := range [][]device.OperatingPoint{full, vthOnly, toxOnly} {
-			r, err := opt.OptimizeSchemeIICtx(ctx, d.Model, grid, budget)
+			r, err := opt.OptimizeCtx(ctx, opt.SchemeII, d.Model, grid, budget)
 			if err != nil {
 				return Table{}, err
 			}

@@ -79,15 +79,15 @@ func (e *Env) SchemeComparison(ctx context.Context) (Table, error) {
 	fracs := []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	rows, err := sweep.MapCtx(ctx, len(fracs), e.workers(), func(ctx context.Context, i int) ([]string, error) {
 		budget := lo + fracs[i]*(hi-lo)
-		r1, err := opt.OptimizeSchemeICtx(ctx, d.Model, ops, budget)
+		r1, err := opt.OptimizeCtx(ctx, opt.SchemeI, d.Model, ops, budget)
 		if err != nil {
 			return nil, err
 		}
-		r2, err := opt.OptimizeSchemeIICtx(ctx, d.Model, ops, budget)
+		r2, err := opt.OptimizeCtx(ctx, opt.SchemeII, d.Model, ops, budget)
 		if err != nil {
 			return nil, err
 		}
-		r3, err := opt.OptimizeSchemeIIICtx(ctx, d.Model, ops, budget)
+		r3, err := opt.OptimizeCtx(ctx, opt.SchemeIII, d.Model, ops, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +136,7 @@ func (e *Env) SchemeAssignments(ctx context.Context) (Table, error) {
 	}
 	for _, frac := range []float64{0.3, 0.45, 0.6, 0.75, 0.9} {
 		budget := lo + frac*(hi-lo)
-		r, err := opt.OptimizeSchemeIICtx(ctx, d.Model, ops, budget)
+		r, err := opt.OptimizeCtx(ctx, opt.SchemeII, d.Model, ops, budget)
 		if err != nil {
 			return Table{}, err
 		}
@@ -229,7 +229,7 @@ func (e *Env) KnobSensitivity(ctx context.Context) (Table, error) {
 		{"strategy: both free", full},
 	}
 	for _, s := range strategies {
-		r, err := opt.OptimizeSchemeIICtx(ctx, m, s.ops, budget)
+		r, err := opt.OptimizeCtx(ctx, opt.SchemeII, m, s.ops, budget)
 		if err != nil {
 			return Table{}, err
 		}

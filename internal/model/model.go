@@ -282,7 +282,7 @@ func (cm *CacheModel) DynamicEnergyJ(a components.Assignment) float64 {
 }
 
 // PartLeakageW returns one component's modelled leakage, enabling the
-// decomposition-based optimizers (opt.ComponentEvaluator).
+// decomposition-based optimizers (opt.Evaluator).
 func (cm *CacheModel) PartLeakageW(p components.PartID, op device.OperatingPoint) float64 {
 	return cm.Comps[p].Leak.Eval(op.Vth, op.ToxAngstrom())
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/mem"
 )
 
-// vthEvaluator is a fake CacheEvaluator whose scores depend only on an
+// vthEvaluator is a fake Evaluator whose scores depend only on an
 // operating point's Vth, so candidates that differ only in Tox tie exactly.
 // Every component scores alike; dynamic energy is zero.
 type vthEvaluator struct {
@@ -59,7 +59,7 @@ func TestSearchContract(t *testing.T) {
 	// set) choice holding 0.4: {0.2,0.4} and {0.3,0.4}, each with Tox 10
 	// or 12. Enumeration order puts ({0.2,0.4}, {10}) first.
 	flat := vthEvaluator{delay: map[float64]float64{0.2: 1e-10, 0.3: 1e-10, 0.4: 1e-10}, leak: leak}
-	ms := &MemorySystem{TwoLevel: TwoLevel{L1: flat, L2: flat, M1: 0.1, M2: 0.5, Mem: mem.DefaultDDR()}}
+	tl := &TwoLevel{L1: flat, L2: flat, M1: 0.1, M2: 0.5, Mem: mem.DefaultDDR()}
 	vths, toxs := []float64{0.2, 0.3, 0.4}, []float64{10, 12}
 	type tupleWinner struct{ Vths, Toxs []float64 }
 
@@ -89,7 +89,7 @@ func TestSearchContract(t *testing.T) {
 		{
 			name: "scheme III",
 			search: func(ctx context.Context) (int, any, error) {
-				r, err := OptimizeSchemeIIICtx(ctx, ev, ops, budget)
+				r, err := OptimizeCtx(ctx, SchemeIII, ev, ops, budget)
 				return r.Evaluated, r.Assignment, err
 			},
 			wantEvaluated: len(ops),
@@ -98,7 +98,7 @@ func TestSearchContract(t *testing.T) {
 		{
 			name: "scheme II",
 			search: func(ctx context.Context) (int, any, error) {
-				r, err := OptimizeSchemeIICtx(ctx, wide, wideOps, 1e-6)
+				r, err := OptimizeCtx(ctx, SchemeII, wide, wideOps, 1e-6)
 				return r.Evaluated, r.Assignment, err
 			},
 			wantEvaluated: 2 * len(wideOps),
@@ -107,7 +107,7 @@ func TestSearchContract(t *testing.T) {
 		{
 			name: "scheme I",
 			search: func(ctx context.Context) (int, any, error) {
-				r, err := OptimizeSchemeICtx(ctx, ev, ops, budget)
+				r, err := OptimizeCtx(ctx, SchemeI, ev, ops, budget)
 				return r.Evaluated, nil, err
 			},
 			wantEvaluated: int(components.PartCount) * len(ops),
@@ -115,7 +115,7 @@ func TestSearchContract(t *testing.T) {
 		{
 			name: "tuples",
 			search: func(ctx context.Context) (int, any, error) {
-				r, err := ms.OptimizeTuplesCtx(ctx, TupleBudget{NTox: 1, NVth: 2}, vths, toxs, 1)
+				r, err := tl.OptimizeTuplesCtx(ctx, TupleBudget{NTox: 1, NVth: 2}, vths, toxs, 1)
 				return r.Evaluated, tupleWinner{r.VthSet, r.ToxSet}, err
 			},
 			// C(3,2) Vth sets x C(2,1) Tox sets, each a 2-point menu

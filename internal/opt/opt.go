@@ -28,11 +28,10 @@
 // leakage, the earliest candidate in ops on exact ties (ParetoFront
 // sorts stably to keep it). Result.Evaluated counts every candidate
 // scored once per knob group, len(ops) times 4, 2 or 1 for Schemes I,
-// II and III, as a scan would; Scheme I reports 0 for a budget of zero
-// or less, which it refuses before its dynamic program. A NaN budget,
-// which no delay meets, is infeasible in every scheme, and a cancelled
-// context is reported before any work. One search is safe for
-// concurrent queries: FrontierCtx fans its budgets out over one.
+// II and III, as a scan would. A NaN budget, which no delay meets, is
+// infeasible in every scheme, and a cancelled context is reported
+// before any work. One search is safe for concurrent queries:
+// FrontierCtx fans its budgets out over one.
 //
 // Searches are held by evaluator. Prepare registers an evaluator with
 // the ops slice it is searched over; only core.SharedDesign's memo build
@@ -44,9 +43,8 @@
 //
 // The tuple searches are plain ordered scans on the caller's goroutine
 // that keep the earliest feasible candidate. Parallelism belongs to
-// callers that sweep independent work — FrontierCtx,
-// OptimizeL2FrontierCtx and TupleCurveCtx over budgets, and the drivers
-// above them over design points.
+// callers that sweep independent work — FrontierCtx and TupleCurveCtx
+// over budgets, and the drivers above them over design points.
 package opt
 
 import (
@@ -57,24 +55,22 @@ import (
 	"repro/internal/device"
 )
 
-// Evaluator scores a whole-cache assignment. Both the fitted analytical
-// model (model.CacheModel) and the direct circuit netlists (via Direct)
+// Evaluator scores one cache: the leakage, access time and dynamic
+// energy of a whole-cache assignment, and one component's leakage and
+// delay at an operating point, which Schemes I and II and the tuple
+// search sum per knob group. Both the fitted analytical model
+// (model.CacheModel) and the direct circuit netlists (via Direct)
 // satisfy it.
 type Evaluator interface {
 	LeakageW(a components.Assignment) float64
 	AccessTimeS(a components.Assignment) float64
-}
-
-// ComponentEvaluator exposes per-component scores, required by the
-// decomposition-based optimizers (Schemes I and II).
-type ComponentEvaluator interface {
-	Evaluator
+	DynamicEnergyJ(a components.Assignment) float64
 	PartLeakageW(p components.PartID, op device.OperatingPoint) float64
 	PartDelayS(p components.PartID, op device.OperatingPoint) float64
 }
 
-// Direct adapts a transistor-level cache to the evaluator interfaces. It is
-// the "run the netlist" reference against which fitted models are validated.
+// Direct adapts a transistor-level cache to Evaluator. It is the "run the
+// netlist" reference against which fitted models are validated.
 type Direct struct {
 	Cache *components.Cache
 }
@@ -89,12 +85,17 @@ func (d Direct) AccessTimeS(a components.Assignment) float64 {
 	return d.Cache.AccessTime(a)
 }
 
-// PartLeakageW implements ComponentEvaluator.
+// DynamicEnergyJ implements Evaluator.
+func (d Direct) DynamicEnergyJ(a components.Assignment) float64 {
+	return d.Cache.DynamicEnergy(a)
+}
+
+// PartLeakageW implements Evaluator.
 func (d Direct) PartLeakageW(p components.PartID, op device.OperatingPoint) float64 {
 	return d.Cache.Part(p).Leakage(op).Total()
 }
 
-// PartDelayS implements ComponentEvaluator.
+// PartDelayS implements Evaluator.
 func (d Direct) PartDelayS(p components.PartID, op device.OperatingPoint) float64 {
 	return d.Cache.Part(p).Delay(op)
 }

@@ -108,15 +108,15 @@ func TestSchemeOrdering(t *testing.T) {
 	lo, hi := FeasibleDelayRange(l1m, ops)
 	budget := lo + 0.5*(hi-lo)
 
-	r3, err := OptimizeSchemeIIICtx(t.Context(), l1m, ops, budget)
+	r3, err := OptimizeCtx(t.Context(), SchemeIII, l1m, ops, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := OptimizeSchemeIICtx(t.Context(), l1m, ops, budget)
+	r2, err := OptimizeCtx(t.Context(), SchemeII, l1m, ops, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := OptimizeSchemeICtx(t.Context(), l1m, ops, budget)
+	r1, err := OptimizeCtx(t.Context(), SchemeI, l1m, ops, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestOptimalAssignmentStructure(t *testing.T) {
 	lo, hi := FeasibleDelayRange(l1m, ops)
 	for _, frac := range []float64{0.35, 0.5, 0.7} {
 		budget := lo + frac*(hi-lo)
-		r, err := OptimizeSchemeIICtx(t.Context(), l1m, ops, budget)
+		r, err := OptimizeCtx(t.Context(), SchemeII, l1m, ops, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestOptimalAssignmentStructure(t *testing.T) {
 // ExhaustiveSchemeI enumerates the full cross product of candidate points —
 // exponential, usable only on coarse grids: the reference the Scheme I DP
 // is validated against.
-func ExhaustiveSchemeI(ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) Result {
+func ExhaustiveSchemeI(ev Evaluator, ops []device.OperatingPoint, delayBudget float64) Result {
 	best := infeasible(SchemeI)
 	var asgn components.Assignment
 	var recurse func(k int, delay, leak float64)
@@ -221,7 +221,7 @@ func TestSchemeIMatchesExhaustiveOnCoarseGrid(t *testing.T) {
 	lo, hi := FeasibleDelayRange(l1m, ops)
 	for _, frac := range []float64{0.4, 0.6, 0.9} {
 		budget := lo + frac*(hi-lo)
-		dp, err := OptimizeSchemeICtx(t.Context(), l1m, ops, budget)
+		dp, err := OptimizeCtx(t.Context(), SchemeI, l1m, ops, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestOptimumMonotoneInBudget(t *testing.T) {
 	lo, hi := FeasibleDelayRange(l1m, ops)
 	var prev float64 = math.Inf(1)
 	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
-		r, err := OptimizeSchemeIIICtx(t.Context(), l1m, ops, lo+frac*(hi-lo))
+		r, err := OptimizeCtx(t.Context(), SchemeIII, l1m, ops, lo+frac*(hi-lo))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,11 +307,11 @@ func TestDirectAgreesWithModelOrdering(t *testing.T) {
 	ops := coarseOps()
 	lo, hi := FeasibleDelayRange(l1m, ops)
 	budget := lo + 0.6*(hi-lo)
-	rm, err := OptimizeSchemeIICtx(t.Context(), l1m, ops, budget)
+	rm, err := OptimizeCtx(t.Context(), SchemeII, l1m, ops, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := OptimizeSchemeIICtx(t.Context(), dir, ops, budget)
+	rd, err := OptimizeCtx(t.Context(), SchemeII, dir, ops, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +354,11 @@ func TestVthKnobBeatsToxKnob(t *testing.T) {
 	lo, hi := FeasibleDelayRange(l1m, full)
 	budget := lo + 0.6*(hi-lo)
 
-	vOnly, err := OptimizeSchemeIIICtx(t.Context(), l1m, VthOnlyGrid(units.GridSteps(0.20, 0.50, 0.005), 12), budget)
+	vOnly, err := OptimizeCtx(t.Context(), SchemeIII, l1m, VthOnlyGrid(units.GridSteps(0.20, 0.50, 0.005), 12), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tOnly, err := OptimizeSchemeIIICtx(t.Context(), l1m, ToxOnlyGrid(units.GridSteps(10, 14, 0.1), 0.3), budget)
+	tOnly, err := OptimizeCtx(t.Context(), SchemeIII, l1m, ToxOnlyGrid(units.GridSteps(10, 14, 0.1), 0.3), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,11 +502,11 @@ func TestCombinations(t *testing.T) {
 	}
 }
 
-func systemForTest(t *testing.T) *MemorySystem {
+func systemForTest(t *testing.T) *TwoLevel {
 	l1m, l2m, _ := testModels(t)
-	return &MemorySystem{TwoLevel: TwoLevel{
+	return &TwoLevel{
 		L1: l1m, L2: l2m, M1: 0.07, M2: 0.17, Mem: mem.DefaultDDR(),
-	}}
+	}
 }
 
 func TestTupleBudgetValidate(t *testing.T) {
@@ -522,11 +522,11 @@ func TestTupleBudgetValidate(t *testing.T) {
 }
 
 func TestTupleOptimizerRespectsBudget(t *testing.T) {
-	ms := systemForTest(t)
+	tl := systemForTest(t)
 	vths, toxs := CoarseMenu()
-	amatMid := amatMidTarget(ms)
+	amatMid := amatMidTarget(tl)
 	for _, b := range Figure2Budgets() {
-		r, err := ms.OptimizeTuplesCtx(t.Context(), b, vths, toxs, amatMid)
+		r, err := tl.OptimizeTuplesCtx(t.Context(), b, vths, toxs, amatMid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -546,18 +546,16 @@ func TestTupleOptimizerRespectsBudget(t *testing.T) {
 	}
 }
 
-func amatMidTarget(ms *MemorySystem) float64 {
-	fast := ms.AMATS(uniformSystem(device.OP(0.20, 10)))
-	slow := ms.AMATS(uniformSystem(device.OP(0.50, 14)))
+func amatMidTarget(tl *TwoLevel) float64 {
+	fast := uniformAMAT(tl, device.OP(0.20, 10))
+	slow := uniformAMAT(tl, device.OP(0.50, 14))
 	return fast + 0.45*(slow-fast)
 }
 
-func uniformSystem(op device.OperatingPoint) SystemAssignment {
-	var sa SystemAssignment
-	for i := range sa {
-		sa[i] = op
-	}
-	return sa
+// uniformAMAT is tl's AMAT with every knob group at op.
+func uniformAMAT(tl *TwoLevel, op device.OperatingPoint) float64 {
+	a := components.Uniform(op)
+	return tl.AMAT(a, a)
 }
 
 func TestTupleBudgetOrdering(t *testing.T) {
@@ -565,11 +563,11 @@ func TestTupleBudgetOrdering(t *testing.T) {
 	// knob finding, E(1 Tox, 2 Vth) <= E(2 Tox, 1 Vth), which manifests in
 	// the constrained (tight-AMAT) region where Figure 2 lives — at very
 	// loose AMAT budgets every configuration converges to max knobs.
-	ms := systemForTest(t)
+	tl := systemForTest(t)
 	vths, toxs := CoarseMenu()
-	target := amatMidTarget(ms)
+	target := amatMidTarget(tl)
 	get := func(b TupleBudget, tgt float64) float64 {
-		r, err := ms.OptimizeTuplesCtx(t.Context(), b, vths, toxs, tgt)
+		r, err := tl.OptimizeTuplesCtx(t.Context(), b, vths, toxs, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -590,7 +588,7 @@ func TestTupleBudgetOrdering(t *testing.T) {
 	}
 	// "a single Tox and dual Vth process outperforms that with a single Vth
 	// and dual Tox": compare where the AMAT constraint binds.
-	tight := amatTightTarget(ms)
+	tight := amatTightTarget(tl)
 	e12t := get(TupleBudget{1, 2}, tight)
 	e21t := get(TupleBudget{2, 1}, tight)
 	if e12t >= e21t {
@@ -603,9 +601,9 @@ func TestTupleBudgetOrdering(t *testing.T) {
 	}
 }
 
-func amatTightTarget(ms *MemorySystem) float64 {
-	fast := ms.AMATS(uniformSystem(device.OP(0.20, 10)))
-	slow := ms.AMATS(uniformSystem(device.OP(0.50, 14)))
+func amatTightTarget(tl *TwoLevel) float64 {
+	fast := uniformAMAT(tl, device.OP(0.20, 10))
+	slow := uniformAMAT(tl, device.OP(0.50, 14))
 	return fast + 0.22*(slow-fast)
 }
 
@@ -613,12 +611,12 @@ func TestTupleCurveMonotone(t *testing.T) {
 	// Looser AMAT budgets can only lower the optimal energy... until the
 	// leakage-window effect kicks in; at minimum the curve must be finite
 	// and feasible across the sweep.
-	ms := systemForTest(t)
+	tl := systemForTest(t)
 	vths, toxs := CoarseMenu()
-	fast := ms.AMATS(uniformSystem(device.OP(0.20, 10)))
-	slow := ms.AMATS(uniformSystem(device.OP(0.50, 14)))
+	fast := uniformAMAT(tl, device.OP(0.20, 10))
+	slow := uniformAMAT(tl, device.OP(0.50, 14))
 	budgets := units.Linspace(fast*1.02, slow, 6)
-	curve, err := ms.TupleCurveCtx(t.Context(), TupleBudget{2, 2}, vths, toxs, budgets)
+	curve, err := tl.TupleCurveCtx(t.Context(), TupleBudget{2, 2}, vths, toxs, budgets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,31 +670,19 @@ func TestSystemAssignmentProjection(t *testing.T) {
 	}
 }
 
-func TestMemorySystemEvalConsistency(t *testing.T) {
-	ms := systemForTest(t)
-	sa := uniformSystem(device.OP(0.3, 12))
-	sys := ms.Eval(sa)
-	if !units.ApproxEqual(ms.TotalEnergyJ(sa), sys.TotalEnergyJ(), 1e-12, 0) {
-		t.Error("TotalEnergyJ disagrees with amat.System")
-	}
-	if !units.ApproxEqual(ms.AMATS(sa), sys.AMAT(), 1e-12, 0) {
-		t.Error("AMATS disagrees with amat.System")
-	}
-}
-
 func TestTupleOptimizerAgreesWithDirectObjective(t *testing.T) {
 	// The inlined objective inside OptimizeTuplesCtx must match the amat.System
 	// computation for the winning assignment.
-	ms := systemForTest(t)
+	tl := systemForTest(t)
 	vths, toxs := CoarseMenu()
-	r, err := ms.OptimizeTuplesCtx(t.Context(), TupleBudget{2, 2}, vths, toxs, amatMidTarget(ms))
+	r, err := tl.OptimizeTuplesCtx(t.Context(), TupleBudget{2, 2}, vths, toxs, amatMidTarget(tl))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Feasible {
 		t.Fatal("infeasible")
 	}
-	want := ms.TotalEnergyJ(r.Assignment)
+	want := tl.System(r.Assignment.L1(), r.Assignment.L2()).TotalEnergyJ()
 	if !units.ApproxEqual(r.EnergyJ, want, 1e-6, 0) {
 		t.Errorf("inlined objective %v != amat.System %v", r.EnergyJ, want)
 	}

@@ -52,7 +52,7 @@ var periphParts = []components.PartID{components.PartDecoder, components.PartAdd
 
 // componentPareto builds the Pareto set of a component group driven by one
 // shared pair, scanning the candidate operating points in order.
-func componentPareto(ev ComponentEvaluator, parts []components.PartID, ops []device.OperatingPoint) []ParetoPoint {
+func componentPareto(ev Evaluator, parts []components.PartID, ops []device.OperatingPoint) []ParetoPoint {
 	pts := make([]ParetoPoint, len(ops))
 	for i, op := range ops {
 		pts[i].OP = op

@@ -12,9 +12,13 @@ import (
 	"repro/internal/units"
 )
 
+// ComponentEvaluator is the name reference_test.go, kept verbatim, gives
+// the evaluators it searches.
+type ComponentEvaluator = Evaluator
+
 // tableEvaluator scores a fuzz input's candidates from its rows: an
 // operating point's Vth is its row, and each component reads its own
-// column. Rows whose bytes agree tie exactly.
+// column. Rows whose bytes agree tie exactly. Dynamic energy is zero.
 type tableEvaluator struct {
 	delay, leak [][components.PartCount]float64
 }
@@ -42,6 +46,8 @@ func (e tableEvaluator) LeakageW(a components.Assignment) float64 {
 	}
 	return l
 }
+
+func (e tableEvaluator) DynamicEnergyJ(components.Assignment) float64 { return 0 }
 
 // fuzzScore decodes one score byte: 255 is NaN, 254 is +Inf, and any
 // other byte b is (b & 15) units, so that rows tie often.
@@ -78,16 +84,22 @@ func fuzzSearchInput(rows, ids []byte) (ev tableEvaluator, ops []device.Operatin
 	return ev, ops, len(ops) > 0
 }
 
-// addContractSeeds seeds FuzzSearch with TestSearchContract's fixtures:
-// the Scheme I and III menu, whose two 0.3 V candidates tie, and Scheme
-// II's twenty candidates in tied pairs.
-func addContractSeeds(f *testing.F) {
+// fuzzSeed is one FuzzSearch input.
+type fuzzSeed struct {
+	rows, ids []byte
+	budget    float64
+}
+
+// contractSeeds are TestSearchContract's fixtures as FuzzSearch inputs at
+// their budgets: the Scheme I and III menu, whose two 0.3 V candidates
+// tie, and Scheme II's twenty candidates in tied pairs.
+func contractSeeds() []fuzzSeed {
 	row := func(d, l byte) []byte { return []byte{d, d, d, d, l, l, l, l} }
 	var rows []byte
 	for _, r := range [][2]byte{{1, 3}, {2, 2}, {2, 2}, {3, 1}} {
 		rows = append(rows, row(r[0], r[1])...)
 	}
-	f.Add(rows, []byte{0, 1, 2, 3}, 0.95e-9)
+	menu := fuzzSeed{rows, []byte{0, 1, 2, 3}, 0.95e-9}
 
 	rows = nil
 	var ids []byte
@@ -97,7 +109,7 @@ func addContractSeeds(f *testing.F) {
 		rows = append(rows, row(v+1, 10-v)...)
 		ids = append(ids, byte(2*k), byte(2*k+1))
 	}
-	f.Add(rows, ids, 1e-6)
+	return []fuzzSeed{menu, {rows, ids, 1e-6}}
 }
 
 // searchOutcome runs one search, reporting a panic as its text.
@@ -124,15 +136,26 @@ func sameResult(a, b Result) bool {
 // exact ties, +Inf and NaN scores, 1–64 operating points with repeats —
 // answers Schemes I–III at the fuzzed budget, its negation, 0 and ±Inf,
 // each with the same Result as the reference, float bits, assignment,
-// feasibility and Evaluated included. A panic is an outcome both must
-// share: Scheme I's dynamic program, kept as it was, indexes its tables
-// by a bin count that a NaN or infinite front delay, or a budget so small
-// that the count overflows, sends out of range. A NaN budget, which the
-// Scheme I and II references mishandle, must come back infeasible with
-// the scheme's full Evaluated count.
+// feasibility and Evaluated included, but for three outcomes. A NaN
+// budget, which the Scheme I and II references mishandle, must come back
+// infeasible with the scheme's full Evaluated count. Scheme I at a budget
+// of zero or less reports that full count where its reference reports 0.
+// And where the reference panics — its Scheme I dynamic program indexes
+// its tables by a bin count that a NaN or infinite front delay, or a
+// budget so small that the count overflows, sends out of range — the
+// search must not: it answers infeasible, or feasible within the budget
+// with the assignment's own leakage.
 func FuzzSearch(f *testing.F) {
-	addContractSeeds(f)
+	seeds := contractSeeds()
+	for _, sd := range seeds {
+		f.Add(sd.rows, sd.ids, sd.budget)
+	}
 	f.Add([]byte{255, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 254, 1, 1, 1, 3, 3, 3, 3, 1, 1, 1, 1}, []byte{0, 1, 2, 2, 1, 0}, 1e-9)
+	// A positive budget so small that every nonzero delay's Scheme I bin
+	// count overflows an int.
+	for _, sd := range seeds {
+		f.Add(sd.rows, sd.ids, 1e-300)
+	}
 	f.Fuzz(func(t *testing.T, rows, ids []byte, budget float64) {
 		ev, ops, ok := fuzzSearchInput(rows, ids)
 		if !ok {
@@ -151,9 +174,20 @@ func FuzzSearch(f *testing.F) {
 					continue
 				}
 				want, wantErr, wantPanic := searchOutcome(func() (Result, error) { return referenceSearch[scheme](ctx, ev, ops, b) })
-				if gotPanic != wantPanic || gotErr != wantErr || !sameResult(got, want) {
-					t.Fatalf("%v at budget %v:\n got %+v, err %v, panic %q\nwant %+v, err %v, panic %q",
-						scheme, b, got, gotErr, gotPanic, want, wantErr, wantPanic)
+				if wantPanic != "" {
+					if gotErr != nil || gotPanic != "" || got.Scheme != scheme ||
+						got.Feasible && !(got.DelayS <= b && got.LeakageW == ev.LeakageW(got.Assignment)) {
+						t.Fatalf("%v at budget %v, where the reference panics %q: %+v, err %v, panic %q; want infeasible, or feasible within the budget",
+							scheme, b, wantPanic, got, gotErr, gotPanic)
+					}
+					continue
+				}
+				if scheme == SchemeI && b <= 0 {
+					want.Evaluated = s.evaluated(SchemeI)
+				}
+				if gotPanic != "" || gotErr != wantErr || !sameResult(got, want) {
+					t.Fatalf("%v at budget %v:\n got %+v, err %v, panic %q\nwant %+v, err %v",
+						scheme, b, got, gotErr, gotPanic, want, wantErr)
 				}
 			}
 		}
@@ -163,8 +197,11 @@ func FuzzSearch(f *testing.F) {
 // TestSearchBudgetEdges pins each scheme at the budgets no caller should
 // have to special-case. A NaN budget, which no delay meets, is infeasible
 // with the scheme's full Evaluated count: it must neither panic Scheme I's
-// bin arithmetic nor pass Scheme II's "rem < 0" test. Every other edge
-// answers exactly as the reference searches do.
+// bin arithmetic nor pass Scheme II's "rem < 0" test. So is Scheme I at
+// 1e-300 s, where every delay's bin count overflows an int and panics the
+// reference. Scheme I at a budget of zero or less reports the full count
+// where the reference reports 0. Every other edge answers exactly as the
+// reference searches do.
 func TestSearchBudgetEdges(t *testing.T) {
 	ev := vthEvaluator{
 		delay: map[float64]float64{0.2: 1e-10, 0.3: 2e-10},
@@ -180,6 +217,7 @@ func TestSearchBudgetEdges(t *testing.T) {
 		{"-Inf", math.Inf(-1), false},
 		{"-1s", -1, false},
 		{"0", 0, false},
+		{"1e-300s", 1e-300, false},
 		{"+Inf", math.Inf(1), true},
 	} {
 		for _, scheme := range []Scheme{SchemeI, SchemeII, SchemeIII} {
@@ -191,8 +229,8 @@ func TestSearchBudgetEdges(t *testing.T) {
 				if got.Feasible != tc.feasible {
 					t.Errorf("Feasible = %v, want %v: %+v", got.Feasible, tc.feasible, got)
 				}
-				if math.IsNaN(tc.budget) {
-					groups := map[Scheme]int{SchemeI: int(components.PartCount), SchemeII: 2, SchemeIII: 1}[scheme]
+				groups := map[Scheme]int{SchemeI: int(components.PartCount), SchemeII: 2, SchemeIII: 1}[scheme]
+				if math.IsNaN(tc.budget) || scheme == SchemeI && tc.budget == 1e-300 {
 					if want := infeasible(scheme); got.Scheme != want.Scheme || got.LeakageW != want.LeakageW ||
 						got.Assignment != want.Assignment || got.Evaluated != groups*len(ops) {
 						t.Errorf("got %+v, want infeasible with Evaluated %d", got, groups*len(ops))
@@ -202,6 +240,9 @@ func TestSearchBudgetEdges(t *testing.T) {
 				want, err := referenceSearch[scheme](t.Context(), ev, ops, tc.budget)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if scheme == SchemeI && tc.budget <= 0 {
+					want.Evaluated = groups * len(ops)
 				}
 				if !sameResult(got, want) {
 					t.Errorf("got %+v, want the reference's %+v", got, want)

@@ -160,9 +160,8 @@ func (s *search) buildUniform() {
 // decompose additively, in O(|cell front| * log |periph front|).
 func (s *search) schemeII(delayBudget float64) Result {
 	s.splitOnce.Do(func() {
-		ev := s.ev.(ComponentEvaluator)
-		s.cellFront = componentPareto(ev, []components.PartID{components.PartCellArray}, s.ops)
-		s.periphFront = componentPareto(ev, periphParts, s.ops)
+		s.cellFront = componentPareto(s.ev, []components.PartID{components.PartCellArray}, s.ops)
+		s.periphFront = componentPareto(s.ev, periphParts, s.ops)
 	})
 	best := infeasible(SchemeII)
 	best.Evaluated = s.evaluated(SchemeII)
@@ -188,21 +187,29 @@ func (s *search) schemeII(delayBudget float64) Result {
 // schemeI runs the multiple-choice-knapsack dynamic program over the
 // per-component fronts; the context is checked between DP layers.
 func (s *search) schemeI(ctx context.Context, delayBudget float64) (Result, error) {
-	ev := s.ev.(ComponentEvaluator)
 	s.partsOnce.Do(func() {
 		for k, p := range components.Parts() {
-			s.partFronts[k] = componentPareto(ev, []components.PartID{p}, s.ops)
+			s.partFronts[k] = componentPareto(s.ev, []components.PartID{p}, s.ops)
 		}
 	})
 	fronts := &s.partFronts
-	evaluated := s.evaluated(SchemeI)
+	r := infeasible(SchemeI)
+	r.Evaluated = s.evaluated(SchemeI)
 	binW := delayBudget / SchemeIBins
 	if binW <= 0 {
-		return infeasible(SchemeI), nil
+		return r, nil
 	}
 
 	const inf = math.MaxFloat64
-	binCost := func(d float64) int { return int(math.Ceil(d/binW - 1e-12)) }
+	// binCost is a delay's whole bins; ok is false for a delay that fits
+	// no bin of the budget, NaN and a count past any int included.
+	binCost := func(d float64) (int, bool) {
+		c := math.Ceil(d/binW - 1e-12)
+		if !(c <= SchemeIBins) {
+			return 0, false
+		}
+		return int(c), true
+	}
 
 	// Forward DP: tables[k][b] is the minimum leakage of the first k
 	// components with quantized delay <= b bins; tables[0] is all zeros.
@@ -218,8 +225,8 @@ func (s *search) schemeI(ctx context.Context, delayBudget float64) (Result, erro
 			nxt[i] = inf
 		}
 		for _, pt := range fronts[k] {
-			cost := binCost(pt.DelayS)
-			if cost > SchemeIBins {
+			cost, ok := binCost(pt.DelayS)
+			if !ok {
 				continue
 			}
 			for b := cost; b <= SchemeIBins; b++ {
@@ -243,8 +250,6 @@ func (s *search) schemeI(ctx context.Context, delayBudget float64) (Result, erro
 		}
 	}
 	if bestBin < 0 {
-		r := infeasible(SchemeI)
-		r.Evaluated = evaluated
 		return r, nil
 	}
 
@@ -254,8 +259,8 @@ func (s *search) schemeI(ctx context.Context, delayBudget float64) (Result, erro
 	for k := int(components.PartCount) - 1; k >= 0; k-- {
 		found := false
 		for _, pt := range fronts[k] {
-			cost := binCost(pt.DelayS)
-			if cost > b || tables[k][b-cost] == inf {
+			cost, ok := binCost(pt.DelayS)
+			if !ok || cost > b || tables[k][b-cost] == inf {
 				continue
 			}
 			if approxEq(tables[k][b-cost]+pt.LeakageW, tables[k+1][b]) {
@@ -266,57 +271,24 @@ func (s *search) schemeI(ctx context.Context, delayBudget float64) (Result, erro
 			}
 		}
 		if !found {
-			r := infeasible(SchemeI)
-			r.Evaluated = evaluated
 			return r, nil
 		}
 	}
 
 	var trueDelay float64
 	for i := range asgn {
-		trueDelay += ev.PartDelayS(partID(i), asgn[i])
+		trueDelay += s.ev.PartDelayS(partID(i), asgn[i])
 	}
-	return Result{
-		Scheme:     SchemeI,
-		Assignment: asgn,
-		LeakageW:   ev.LeakageW(asgn),
-		DelayS:     trueDelay,
-		Feasible:   true,
-		Evaluated:  evaluated,
-	}, nil
-}
-
-// OptimizeSchemeIIICtx finds the least-leaky uniform assignment meeting
-// the delay budget: the earliest candidate in ops among those tied for
-// the least leakage. On cancellation it returns ctx's error and an
-// infeasible result.
-func OptimizeSchemeIIICtx(ctx context.Context, ev Evaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
-	return searchFor(ev, ops).query(ctx, SchemeIII, delayBudget)
-}
-
-// OptimizeSchemeIICtx finds the least-leaky (cell pair, periphery pair)
-// assignment meeting the delay budget. The two groups decompose additively,
-// so each group is reduced to its Pareto front first (the cell front, then
-// the periphery front) and the fronts are combined in
-// O(|cell front| * log |periph front|).
-func OptimizeSchemeIICtx(ctx context.Context, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
-	return searchFor(ev, ops).query(ctx, SchemeII, delayBudget)
+	r.Assignment = asgn
+	r.LeakageW = s.ev.LeakageW(asgn)
+	r.DelayS = trueDelay
+	r.Feasible = true
+	return r, nil
 }
 
 // SchemeIBins is the delay quantization of the Scheme I dynamic program.
 // Finer bins tighten the (conservative) quantization error.
 const SchemeIBins = 4000
-
-// OptimizeSchemeICtx finds independent per-component pairs minimizing total
-// leakage under the delay budget. Components are reduced to Pareto fronts
-// and combined with a multiple-choice-knapsack dynamic program over a
-// quantized delay budget. Delays are rounded up to bin boundaries, so the
-// returned assignment never violates the true budget (the DP may miss
-// solutions within one bin width of the boundary). The context is checked
-// between DP layers.
-func OptimizeSchemeICtx(ctx context.Context, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
-	return searchFor(ev, ops).query(ctx, SchemeI, delayBudget)
-}
 
 func approxEq(a, b float64) bool {
 	if a == b {
@@ -326,8 +298,19 @@ func approxEq(a, b float64) bool {
 	return d <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// OptimizeCtx dispatches to the scheme-specific optimizer.
-func OptimizeCtx(ctx context.Context, s Scheme, ev ComponentEvaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
+// OptimizeCtx finds the least-leaky assignment of scheme s that meets
+// the delay budget, answered from the prepared search of (ev, ops); any
+// scheme but I and II is Scheme III. Scheme III (one pair for the whole
+// cache) and Scheme II (one pair for the cell array, one for the
+// periphery) are exact, and return the earliest candidate in ops among
+// those tied for the least leakage. Scheme I (a pair per component) runs
+// a dynamic program over the budget cut into SchemeIBins bins: each delay
+// is rounded up to whole bins, less a 1e-12-bin allowance for rounding
+// error, so its assignment exceeds the true budget by at most that
+// allowance per component, and it may miss one within a bin width of the
+// budget. On cancellation OptimizeCtx returns ctx's error and an
+// infeasible result; Scheme I also checks ctx between its DP layers.
+func OptimizeCtx(ctx context.Context, s Scheme, ev Evaluator, ops []device.OperatingPoint, delayBudget float64) (Result, error) {
 	return searchFor(ev, ops).query(ctx, s, delayBudget)
 }
 
@@ -347,7 +330,7 @@ func FeasibleDelayRange(ev Evaluator, ops []device.OperatingPoint) (lo, hi float
 // budget — the leakage-vs-delay trade-off curve of the scheme. Budgets are
 // independent, so each runs on its own worker, all querying one search;
 // results come back in budget order.
-func FrontierCtx(ctx context.Context, s Scheme, ev ComponentEvaluator, ops []device.OperatingPoint, budgets []float64) ([]Result, error) {
+func FrontierCtx(ctx context.Context, s Scheme, ev Evaluator, ops []device.OperatingPoint, budgets []float64) ([]Result, error) {
 	p := searchFor(ev, ops)
 	return sweep.MapCtx(ctx, len(budgets), 0, func(ctx context.Context, i int) (Result, error) {
 		return p.query(ctx, s, budgets[i])

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/amat"
 	"repro/internal/components"
 	"repro/internal/device"
 	"repro/internal/sweep"
@@ -75,29 +74,6 @@ func (sa SystemAssignment) DistinctToxs() int {
 	return len(seen)
 }
 
-// MemorySystem evaluates whole-system assignments: L1 + L2 + main memory,
-// the setting of the paper's Figure 2.
-type MemorySystem struct {
-	TwoLevel
-}
-
-// Eval returns the amat.System for a system assignment.
-func (ms *MemorySystem) Eval(sa SystemAssignment) amat.System {
-	return ms.System(sa.L1(), sa.L2())
-}
-
-// TotalEnergyJ is the Figure 2 objective.
-//
-//lint:allow deadexport opt's tests check tuple results against the Figure 2 objective
-func (ms *MemorySystem) TotalEnergyJ(sa SystemAssignment) float64 {
-	return ms.Eval(sa).TotalEnergyJ()
-}
-
-// AMATS returns the system AMAT.
-func (ms *MemorySystem) AMATS(sa SystemAssignment) float64 {
-	return ms.Eval(sa).AMAT()
-}
-
 // TupleBudget is a process-cost budget: how many distinct Tox values and how
 // many distinct Vth values the fab flow provides.
 type TupleBudget struct {
@@ -146,7 +122,7 @@ type groupMetrics struct {
 	delay []float64
 }
 
-func (ms *MemorySystem) groupTables(ops []device.OperatingPoint) [GroupCount]groupMetrics {
+func (t *TwoLevel) groupTables(ops []device.OperatingPoint) [GroupCount]groupMetrics {
 	var out [GroupCount]groupMetrics
 	for g := GroupID(0); g < GroupCount; g++ {
 		out[g] = groupMetrics{
@@ -156,12 +132,12 @@ func (ms *MemorySystem) groupTables(ops []device.OperatingPoint) [GroupCount]gro
 	}
 	for i, op := range ops {
 		for _, gc := range []struct {
-			ev   CacheEvaluator
+			ev   Evaluator
 			cell GroupID
 			peri GroupID
 		}{
-			{ms.L1, GroupL1Cell, GroupL1Periph},
-			{ms.L2, GroupL2Cell, GroupL2Periph},
+			{t.L1, GroupL1Cell, GroupL1Periph},
+			{t.L2, GroupL2Cell, GroupL2Periph},
 		} {
 			out[gc.cell].leak[i] = gc.ev.PartLeakageW(components.PartCellArray, op)
 			out[gc.cell].delay[i] = gc.ev.PartDelayS(components.PartCellArray, op)
@@ -185,7 +161,7 @@ func (ms *MemorySystem) groupTables(ops []device.OperatingPoint) [GroupCount]gro
 // running best and a strict inequality, so the earliest minimum wins ties.
 // A budget the candidate lists cannot fill is an error. Cancellation
 // aborts the enumeration with ctx's error.
-func (ms *MemorySystem) OptimizeTuplesCtx(ctx context.Context, budget TupleBudget, vthCands, toxCands []float64, amatBudget float64) (TupleResult, error) {
+func (t *TwoLevel) OptimizeTuplesCtx(ctx context.Context, budget TupleBudget, vthCands, toxCands []float64, amatBudget float64) (TupleResult, error) {
 	res := TupleResult{Budget: budget, EnergyJ: math.Inf(1)}
 	if err := budget.Validate(len(vthCands), len(toxCands)); err != nil {
 		return res, err
@@ -193,7 +169,7 @@ func (ms *MemorySystem) OptimizeTuplesCtx(ctx context.Context, budget TupleBudge
 	toxSets := combinations(len(toxCands), budget.NTox)
 	for _, vs := range combinations(len(vthCands), budget.NVth) {
 		for _, ts := range toxSets {
-			if err := ms.tupleCombo(ctx, &res, vthCands, toxCands, vs, ts, amatBudget); err != nil {
+			if err := t.tupleCombo(ctx, &res, vthCands, toxCands, vs, ts, amatBudget); err != nil {
 				return TupleResult{Budget: budget, EnergyJ: math.Inf(1)}, err
 			}
 		}
@@ -203,7 +179,7 @@ func (ms *MemorySystem) OptimizeTuplesCtx(ctx context.Context, budget TupleBudge
 
 // tupleCombo scans all group assignments of one (Vth set, Tox set) choice,
 // folding them into the running best res.
-func (ms *MemorySystem) tupleCombo(ctx context.Context, res *TupleResult, vthCands, toxCands []float64, vs, ts []int, amatBudget float64) error {
+func (t *TwoLevel) tupleCombo(ctx context.Context, res *TupleResult, vthCands, toxCands []float64, vs, ts []int, amatBudget float64) error {
 	// Build the pair menu for this value-set choice.
 	ops := make([]device.OperatingPoint, 0, len(vs)*len(ts))
 	for _, vi := range vs {
@@ -211,7 +187,7 @@ func (ms *MemorySystem) tupleCombo(ctx context.Context, res *TupleResult, vthCan
 			ops = append(ops, device.OP(vthCands[vi], toxCands[ti]))
 		}
 	}
-	tables := ms.groupTables(ops)
+	tables := t.groupTables(ops)
 	n := len(ops)
 
 	// Enumerate all n^4 group assignments, checking the context once per
@@ -228,7 +204,7 @@ func (ms *MemorySystem) tupleCombo(ctx context.Context, res *TupleResult, vthCan
 				for idx[3] = 0; idx[3] < n; idx[3]++ {
 					res.Evaluated++
 					t2 := tables[2].delay[idx[2]] + tables[3].delay[idx[3]]
-					am := t1 + ms.M1*(t2+ms.M2*ms.Mem.LatencyS)
+					am := t1 + t.M1*(t2+t.M2*t.Mem.LatencyS)
 					if am > amatBudget {
 						continue
 					}
@@ -237,9 +213,9 @@ func (ms *MemorySystem) tupleCombo(ctx context.Context, res *TupleResult, vthCan
 					for g := range sa {
 						sa[g] = ops[idx[g]]
 					}
-					edyn := ms.L1.DynamicEnergyJ(sa.L1()) +
-						ms.M1*(ms.L2.DynamicEnergyJ(sa.L2())+ms.M2*ms.Mem.EnergyJ)
-					e := edyn + (l1leak+l2leak+ms.Mem.StandbyW)*am
+					edyn := t.L1.DynamicEnergyJ(sa.L1()) +
+						t.M1*(t.L2.DynamicEnergyJ(sa.L2())+t.M2*t.Mem.EnergyJ)
+					e := edyn + (l1leak+l2leak+t.Mem.StandbyW)*am
 					if e < res.EnergyJ {
 						res.EnergyJ = e
 						res.AMATS = am
@@ -259,9 +235,9 @@ func (ms *MemorySystem) tupleCombo(ctx context.Context, res *TupleResult, vthCan
 // TupleCurveCtx sweeps AMAT budgets for one tuple budget — one Figure 2
 // series. Budgets are independent and run in parallel, collected in budget
 // order.
-func (ms *MemorySystem) TupleCurveCtx(ctx context.Context, budget TupleBudget, vthCands, toxCands []float64, amatBudgets []float64) ([]TupleResult, error) {
+func (t *TwoLevel) TupleCurveCtx(ctx context.Context, budget TupleBudget, vthCands, toxCands []float64, amatBudgets []float64) ([]TupleResult, error) {
 	return sweep.MapCtx(ctx, len(amatBudgets), 0, func(ctx context.Context, i int) (TupleResult, error) {
-		return ms.OptimizeTuplesCtx(ctx, budget, vthCands, toxCands, amatBudgets[i])
+		return t.OptimizeTuplesCtx(ctx, budget, vthCands, toxCands, amatBudgets[i])
 	})
 }
 

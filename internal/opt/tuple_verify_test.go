@@ -9,9 +9,9 @@ import (
 
 // bruteForceTuples exhaustively enumerates every pair of value subsets and
 // every group assignment using only the public evaluation path
-// (MemorySystem.Eval), as an independent check of the optimizer's inlined
+// (TwoLevel.System), as an independent check of the optimizer's inlined
 // objective and pruning.
-func bruteForceTuples(ms *MemorySystem, budget TupleBudget, vthCands, toxCands []float64, amatBudget float64) TupleResult {
+func bruteForceTuples(tl *TwoLevel, budget TupleBudget, vthCands, toxCands []float64, amatBudget float64) TupleResult {
 	res := TupleResult{Budget: budget, EnergyJ: math.Inf(1)}
 	for _, vs := range combinations(len(vthCands), budget.NVth) {
 		for _, ts := range combinations(len(toxCands), budget.NTox) {
@@ -33,7 +33,7 @@ func bruteForceTuples(ms *MemorySystem, budget TupleBudget, vthCands, toxCands [
 					sa[g] = ops[c%n]
 					c /= n
 				}
-				sys := ms.Eval(sa)
+				sys := tl.System(sa.L1(), sa.L2())
 				if sys.AMAT() > amatBudget {
 					continue
 				}
@@ -50,18 +50,18 @@ func bruteForceTuples(ms *MemorySystem, budget TupleBudget, vthCands, toxCands [
 }
 
 func TestTupleOptimizerMatchesBruteForce(t *testing.T) {
-	ms := systemForTest(t)
+	tl := systemForTest(t)
 	// Tiny candidate menus keep the brute force tractable: 3 Vth x 2 Tox,
 	// budget (2,2) -> C(3,2)*C(2,2)=3 subset pairs x 4^4 assignments.
 	vths := []float64{0.20, 0.35, 0.50}
 	toxs := []float64{10, 14}
 	for _, frac := range []float64{0.3, 0.6} {
-		target := amatFracTarget(ms, frac)
-		fast, err := ms.OptimizeTuplesCtx(t.Context(), TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
+		target := amatFracTarget(tl, frac)
+		fast, err := tl.OptimizeTuplesCtx(t.Context(), TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow := bruteForceTuples(ms, TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
+		slow := bruteForceTuples(tl, TupleBudget{NTox: 2, NVth: 2}, vths, toxs, target)
 		if fast.Feasible != slow.Feasible {
 			t.Fatalf("frac %v: feasibility mismatch (fast %v, brute %v)", frac, fast.Feasible, slow.Feasible)
 		}
@@ -74,18 +74,18 @@ func TestTupleOptimizerMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func amatFracTarget(ms *MemorySystem, frac float64) float64 {
-	fast := ms.AMATS(uniformSystem(device.OP(0.20, 10)))
-	slow := ms.AMATS(uniformSystem(device.OP(0.50, 14)))
+func amatFracTarget(tl *TwoLevel, frac float64) float64 {
+	fast := uniformAMAT(tl, device.OP(0.20, 10))
+	slow := uniformAMAT(tl, device.OP(0.50, 14))
 	return fast + frac*(slow-fast)
 }
 
 func TestTupleSingleValueBudgets(t *testing.T) {
 	// (1,1) budgets degenerate to Scheme-III-style uniform choices over the
 	// candidate menu; the result must use exactly one value of each knob.
-	ms := systemForTest(t)
+	tl := systemForTest(t)
 	vths, toxs := CoarseMenu()
-	r, err := ms.OptimizeTuplesCtx(t.Context(), TupleBudget{NTox: 1, NVth: 1}, vths, toxs, amatFracTarget(ms, 0.7))
+	r, err := tl.OptimizeTuplesCtx(t.Context(), TupleBudget{NTox: 1, NVth: 1}, vths, toxs, amatFracTarget(tl, 0.7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTupleSingleValueBudgets(t *testing.T) {
 		t.Errorf("(1,1) used %d Vths / %d Toxs", r.Assignment.DistinctVths(), r.Assignment.DistinctToxs())
 	}
 	// More budget can only help.
-	r22, err := ms.OptimizeTuplesCtx(t.Context(), TupleBudget{NTox: 2, NVth: 2}, vths, toxs, amatFracTarget(ms, 0.7))
+	r22, err := tl.OptimizeTuplesCtx(t.Context(), TupleBudget{NTox: 2, NVth: 2}, vths, toxs, amatFracTarget(tl, 0.7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,23 +11,12 @@ import (
 	"repro/internal/mem"
 )
 
-// CacheEvaluator extends ComponentEvaluator with dynamic energy — everything
-// the system-level optimizations need from one cache.
-type CacheEvaluator interface {
-	ComponentEvaluator
-	DynamicEnergyJ(a components.Assignment) float64
-}
-
-// DynamicEnergyJ lets Direct satisfy CacheEvaluator.
-func (d Direct) DynamicEnergyJ(a components.Assignment) float64 {
-	return d.Cache.DynamicEnergy(a)
-}
-
 // TwoLevel is a two-level cache system under optimization: fitted (or
 // direct) evaluators for each level plus the architectural statistics of the
-// chosen workload and sizes.
+// chosen workload and sizes. With its main memory it is also the whole
+// memory system of Figure 2's tuple search (tuple.go).
 type TwoLevel struct {
-	L1, L2 CacheEvaluator
+	L1, L2 Evaluator
 	// M1, M2 are the local miss rates of the chosen (L1 size, L2 size) under
 	// the workload (from sim.MissMatrix).
 	M1, M2 float64

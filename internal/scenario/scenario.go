@@ -228,11 +228,10 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 		res.L2Optimization.PeriKnobs = r.L2Assignment[components.PartDecoder].String()
 	}
 
-	ms := &opt.MemorySystem{TwoLevel: tl}
 	vths, toxs := opt.CoarseMenu()
 	for _, b := range cfg.TupleBudgets {
 		tb := opt.TupleBudget{NTox: b[0], NVth: b[1]}
-		tr, err := ms.OptimizeTuplesCtx(ctx, tb, vths, toxs, budget)
+		tr, err := tl.OptimizeTuplesCtx(ctx, tb, vths, toxs, budget)
 		if err != nil {
 			return Result{}, err
 		}
