@@ -48,7 +48,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		assoc   = fs.Int("assoc", 4, "associativity")
 		outBits = fs.Int("out", 64, "data output width in bits")
 		scheme  = fs.Int("scheme", 2, "assignment scheme: 1, 2 or 3")
-		delayPS = fs.Float64("delay-ps", 0, "delay budget in ps (overrides -frac)")
+		delayPS = fs.Float64("delay-ps", 0, "delay budget in ps, overriding -frac (0 = use -frac)")
 		frac    = fs.Float64("frac", 0.5, "delay budget as a fraction of the feasible range")
 		curve   = fs.Int("curve", 0, "print a frontier of N budgets instead of one point")
 		timeout = fs.Duration("timeout", 0, "abort the run after this duration (0 = unbounded)")
@@ -78,6 +78,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "cacheleak: -%s must be finite, got %s\n", f.name, strconv.FormatFloat(f.v, 'f', -1, 64))
 			return 1
 		}
+	}
+	if *delayPS < 0 {
+		fmt.Fprintf(stderr, "cacheleak: -delay-ps must not be negative, got %s\n", strconv.FormatFloat(*delayPS, 'f', -1, 64))
+		return 1
 	}
 	var sch opt.Scheme
 	switch *scheme {

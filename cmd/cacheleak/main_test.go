@@ -31,13 +31,21 @@ func TestRunCurve(t *testing.T) {
 	}
 }
 
+// TestRunInfeasibleBudget pins the diagnostic for a budget no assignment
+// meets, Scheme I's included at a budget so small that every delay's bin
+// count overflows an int.
 func TestRunInfeasibleBudget(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(t.Context(), []string{"-size", "16384", "-delay-ps", "1"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("1ps budget: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "no assignment meets") {
-		t.Errorf("missing diagnostic: %q", stderr.String())
+	for _, args := range [][]string{
+		{"-size", "16384", "-delay-ps", "1"},
+		{"-size", "16384", "-scheme", "1", "-delay-ps", "1e-290"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(t.Context(), args, &stdout, &stderr); code != 1 {
+			t.Fatalf("%v: exit %d, want 1", args, code)
+		}
+		if !strings.Contains(stderr.String(), "no assignment meets") {
+			t.Errorf("%v: missing diagnostic: %q", args, stderr.String())
+		}
 	}
 }
 
@@ -59,21 +67,23 @@ func TestRunRejectsBadConfig(t *testing.T) {
 }
 
 // TestRunRejectsNonFiniteBudget pins the budget flags to finite values,
-// refused before the cache is designed: a NaN or infinite budget names no
-// point of the feasible range, and -delay-ps must not pass through
-// unnoticed because NaN > 0 is false.
+// and -delay-ps to values of at least 0, its "use -frac" default, refused
+// before the cache is designed: a NaN, infinite or negative budget names
+// no point of the feasible range, and -delay-ps must not pass through
+// unnoticed because NaN > 0 and -5 > 0 are false.
 func TestRunRejectsNonFiniteBudget(t *testing.T) {
-	for _, tc := range []struct{ flag, value string }{
-		{"-frac", "NaN"},
-		{"-delay-ps", "NaN"},
-		{"-frac", "+Inf"},
-		{"-delay-ps", "-Inf"},
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-frac", "NaN", "must be finite"},
+		{"-delay-ps", "NaN", "must be finite"},
+		{"-frac", "+Inf", "must be finite"},
+		{"-delay-ps", "-Inf", "must be finite"},
+		{"-delay-ps", "-5", "must not be negative, got -5"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(t.Context(), []string{"-scheme", "1", tc.flag, tc.value}, &stdout, &stderr); code != 1 {
 			t.Errorf("%s %s: exit %d, want 1", tc.flag, tc.value, code)
 		}
-		if want := "cacheleak: " + tc.flag + " must be finite"; !strings.Contains(stderr.String(), want) {
+		if want := "cacheleak: " + tc.flag + " " + tc.want; !strings.Contains(stderr.String(), want) {
 			t.Errorf("%s %s: stderr %q, want %q", tc.flag, tc.value, stderr.String(), want)
 		}
 		if stdout.Len() != 0 {
