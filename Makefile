@@ -9,7 +9,7 @@ GO ?= go
 # The perf-snapshot file for the current PR and the packages it records.
 # Bump SNAPSHOT per PR (BENCH_7.json, ...) so the repo keeps the
 # trajectory instead of overwriting it.
-SNAPSHOT ?= BENCH_31.json
+SNAPSHOT ?= BENCH_33.json
 SNAPSHOT_PKGS = ./internal/sweep ./internal/work ./internal/profile ./internal/grid ./internal/obs ./internal/core ./internal/dist/journal ./internal/dist ./internal/opt
 
 # help is self-maintaining: annotate a target with a trailing `## text`
@@ -81,11 +81,12 @@ race: ## run the test suite under the race detector
 # the wire decoders), the service's worker-facing endpoints (lease,
 # heartbeat, result, fail), the stack-distance profiler against a
 # brute-force LRU reference, the Levenberg–Marquardt solver against its
-# previous implementation, bit for bit, then the prepared knob search
-# against the searches it replaced. Their seed corpora (and any
+# previous implementation, bit for bit, the prepared knob search against
+# the searches it replaced, then the frontier's one-pass line reader
+# against encoding/json (its previous code). Their seed corpora (and any
 # committed crasher under testdata/fuzz) already run in every plain
 # `go test`; this explores beyond them.
-fuzz: ## fuzz the journal reader, the JSON line validator, the wire decoders, the store index loader, the document loader, the worker protocol, the profiler, the model-fit solver and the knob search for 20s each
+fuzz: ## fuzz the journal reader, the JSON line validator, the wire decoders, the store index loader, the document loader, the worker protocol, the profiler, the model-fit solver, the knob search and the frontier line reader for 20s each
 	$(GO) test ./internal/dist/journal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 20s
 	$(GO) test ./internal/dist/journal -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime 20s
 	$(GO) test ./internal/work -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 20s
@@ -95,6 +96,7 @@ fuzz: ## fuzz the journal reader, the JSON line validator, the wire decoders, th
 	$(GO) test ./internal/profile -run '^$$' -fuzz '^FuzzProfileExact$$' -fuzztime 20s
 	$(GO) test ./internal/fit -run '^$$' -fuzz '^FuzzLevenbergMarquardt$$' -fuzztime 20s
 	$(GO) test ./internal/opt -run '^$$' -fuzz '^FuzzSearch$$' -fuzztime 20s
+	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzFrontierAdd$$' -fuzztime 20s
 
 # bench-compile runs every benchmark exactly once — cheap enough for CI,
 # and it catches benchmarks that bit-rot against API changes.

@@ -170,19 +170,27 @@ func (w Workload) Validate() error {
 // from the process-wide stack-distance profiles at analytical fidelity.
 // Cancelling ctx aborts the build with ctx's error.
 func (w Workload) MissMatrices(ctx context.Context, l1Sizes, l2Sizes []int) ([]*sim.MissMatrix, error) {
-	var suites []trace.Params
-	if p, ok := trace.Suite(w.Name, w.Seed); ok {
-		suites = []trace.Params{p}
-	} else if w.Name == Average {
-		suites = trace.Suites(w.Seed)
-	} else {
-		return nil, w.Validate()
+	suites, err := w.suites()
+	if err != nil {
+		return nil, err
 	}
 	build := sim.BuildSuiteMatricesCtx
 	if w.Fidelity == profile.FidelityAnalytical {
 		build = profile.BuildSuiteMatricesCtx
 	}
 	return build(ctx, suites, l1Sizes, l2Sizes, w.Accesses)
+}
+
+// suites returns the trace suites the workload averages over, in
+// trace.Suites order.
+func (w Workload) suites() ([]trace.Params, error) {
+	if p, ok := trace.Suite(w.Name, w.Seed); ok {
+		return []trace.Params{p}, nil
+	}
+	if w.Name == Average {
+		return trace.Suites(w.Seed), nil
+	}
+	return nil, w.Validate()
 }
 
 // TwoLevel assembles the optimizer view of one (L1, L2) pair: both
@@ -195,6 +203,11 @@ func TwoLevel(l1Size, l2Size int, mm *sim.MissMatrix, memSpec mem.Spec) (opt.Two
 	if !ok1 || !ok2 {
 		return opt.TwoLevel{}, fmt.Errorf("core: %s miss matrix holds no L1 %d B / L2 %d B pair", mm.Workload, l1Size, l2Size)
 	}
+	return twoLevel(l1Size, l2Size, m1, m2, memSpec)
+}
+
+// twoLevel is TwoLevel once the pair's local miss rates are known.
+func twoLevel(l1Size, l2Size int, m1, m2 float64, memSpec mem.Spec) (opt.TwoLevel, error) {
 	l1, err := SharedDesign(cachecfg.L1(l1Size))
 	if err != nil {
 		return opt.TwoLevel{}, err
@@ -211,16 +224,41 @@ func TwoLevel(l1Size, l2Size int, mm *sim.MissMatrix, memSpec mem.Spec) (opt.Two
 }
 
 // Point assembles one design point, the setting of the paper's Section 5:
-// the workload's miss matrices at exactly these sizes, averaged over its
-// suites, then TwoLevel. A trace workload simulates on every call.
+// the workload's local miss rates at exactly these sizes, averaged with
+// equal weight over its suites, then the view TwoLevel builds. A trace
+// workload simulates its suites, in parallel, on every call. An
+// analytical one reads each suite's process-wide profile
+// (profile.ProfileCtx) on the caller's goroutine, with the operations
+// sim.Average performs, so its miss rates are the matrix path's bit for
+// bit.
 func Point(ctx context.Context, w Workload, l1Size, l2Size int, memSpec mem.Spec) (opt.TwoLevel, error) {
-	ms, err := w.MissMatrices(ctx, []int{l1Size}, []int{l2Size})
+	if w.Fidelity != profile.FidelityAnalytical {
+		ms, err := w.MissMatrices(ctx, []int{l1Size}, []int{l2Size})
+		if err != nil {
+			return opt.TwoLevel{}, err
+		}
+		avg, err := sim.Average(ms)
+		if err != nil {
+			return opt.TwoLevel{}, err
+		}
+		return TwoLevel(l1Size, l2Size, avg, memSpec)
+	}
+	suites, err := w.suites()
 	if err != nil {
 		return opt.TwoLevel{}, err
 	}
-	avg, err := sim.Average(ms)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return opt.TwoLevel{}, err
 	}
-	return TwoLevel(l1Size, l2Size, avg, memSpec)
+	wt := 1 / float64(len(suites))
+	var m1, m2 float64
+	for _, p := range suites {
+		pr, err := profile.ProfileCtx(ctx, p, w.Accesses)
+		if err != nil {
+			return opt.TwoLevel{}, fmt.Errorf("core: workload %s: %w", p.Name, err)
+		}
+		m1 += wt * pr.L1MissRatio(l1Size)
+		m2 += wt * pr.L2LocalMissRatio(l1Size, l2Size)
+	}
+	return twoLevel(l1Size, l2Size, m1, m2, memSpec)
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/mem"
 	"repro/internal/opt"
+	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -191,6 +195,59 @@ func TestTwoLevelRefusesMissingPair(t *testing.T) {
 		if _, err := TwoLevel(pair[0], pair[1], mm, mem.DefaultDDR()); err == nil ||
 			!strings.Contains(err.Error(), "holds no") {
 			t.Errorf("pair %v: err %v, want a refusal", pair, err)
+		}
+	}
+}
+
+// TestPointMissRatesExact pins Point's analytical miss rates to the
+// matrix path bit for bit: every suite and Average, every L1 × L2 size
+// of the design space, two seeds and two trace lengths, against TwoLevel
+// over sim.Average of the workload's matrices. No golden holds an
+// analytical Average point. A cancelled context fails Point at either
+// fidelity, even with every profile warm.
+func TestPointMissRatesExact(t *testing.T) {
+	l1s, l2s := cachecfg.L1Sizes(), cachecfg.L2Sizes()
+	for _, name := range []string{"spec2000", "specweb", "tpcc", Average} {
+		for _, seed := range []int64{1, 7} {
+			for _, n := range []int{20_000, 50_000} {
+				w := Workload{Name: name, Seed: seed, Accesses: n, Fidelity: profile.FidelityAnalytical}
+				ms, err := w.MissMatrices(t.Context(), l1s, l2s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				avg, err := sim.Average(ms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, l1 := range l1s {
+					for _, l2 := range l2s {
+						want, err := TwoLevel(l1, l2, avg, mem.DefaultDDR())
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := Point(t.Context(), w, l1, l2, mem.DefaultDDR())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(got.M1) != math.Float64bits(want.M1) ||
+							math.Float64bits(got.M2) != math.Float64bits(want.M2) {
+							t.Errorf("%+v L1 %d L2 %d: M1, M2 = %v, %v; want %v, %v",
+								w, l1, l2, got.M1, got.M2, want.M1, want.M2)
+						}
+						if got != want {
+							t.Errorf("%+v L1 %d L2 %d: Point %+v, want %+v", w, l1, l2, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	for _, fidelity := range []string{profile.FidelityAnalytical, profile.FidelityTrace} {
+		w := Workload{Name: Average, Seed: 1, Accesses: 20_000, Fidelity: fidelity}
+		if _, err := Point(ctx, w, 16*cachecfg.KB, 512*cachecfg.KB, mem.DefaultDDR()); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled Point returned %v, want context.Canceled", fidelity, err)
 		}
 	}
 }

@@ -17,8 +17,8 @@
 package device
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/units"
 )
@@ -52,9 +52,15 @@ type OperatingPoint struct {
 func (op OperatingPoint) ToxAngstrom() float64 { return units.ToAngstrom(op.ToxM) }
 
 // String formats the point the way the paper quotes values, e.g.
-// "(Vth=0.30V, Tox=12.0A)".
+// "(Vth=0.30V, Tox=12.0A)": the bytes fmt's "(Vth=%.2fV, Tox=%.1fA)"
+// writes, with one allocation.
 func (op OperatingPoint) String() string {
-	return fmt.Sprintf("(Vth=%.2fV, Tox=%.1fA)", op.Vth, op.ToxAngstrom())
+	var buf [32]byte
+	b := append(buf[:0], "(Vth="...)
+	b = strconv.AppendFloat(b, op.Vth, 'f', 2, 64)
+	b = append(b, "V, Tox="...)
+	b = strconv.AppendFloat(b, op.ToxAngstrom(), 'f', 1, 64)
+	return string(append(b, "A)"...))
 }
 
 // OP is shorthand for constructing an OperatingPoint from volts and angstroms.

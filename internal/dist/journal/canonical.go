@@ -96,7 +96,7 @@ func scanValue(b []byte, i, depth int) int {
 	case 'n':
 		return scanLiteral(b, i, "null")
 	}
-	return scanNumber(b, i)
+	return ScanNumber(b, i)
 }
 
 // scanString returns the offset just past the string starting at b[i],
@@ -143,9 +143,14 @@ func scanLiteral(b []byte, i int, lit string) int {
 	return i + len(lit)
 }
 
-// scanNumber returns the offset just past the number starting at b[i],
-// or -1: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
-func scanNumber(b []byte, i int) int {
+// ScanNumber returns the offset just past the JSON number starting at
+// b[i], or -1 when none starts there:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. grid.Frontier's
+// one-pass line reader checks its numbers with it too.
+func ScanNumber(b []byte, i int) int {
+	if i >= len(b) {
+		return -1
+	}
 	if b[i] == '-' {
 		i++
 	}

@@ -1,9 +1,13 @@
 package grid
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
+
+	"repro/internal/dist/journal"
 )
 
 // Frontier reduces a grid run's NDJSON result lines to the
@@ -46,8 +50,17 @@ type frontierSummary struct {
 // Add records the result line of design point i. Infeasible points (no
 // knob assignment met the AMAT budget) are skipped — they have no
 // leakage/AMAT coordinates to trade off. Lines must be the scenario
-// result frames a grid run emits.
+// result frames a grid run emits. A line in the frame json.Marshal writes
+// for a result with no tuples is read in one pass (scanLine); any other
+// line goes through encoding/json, whose errors Add returns.
 func (f *Frontier) Add(i int, line []byte) error {
+	if c, feasible, ok := scanLine(line); ok {
+		if feasible {
+			c.idx = i
+			f.cand = append(f.cand, c)
+		}
+		return nil
+	}
 	var res struct {
 		Name string `json:"name"`
 		L2   struct {
@@ -69,6 +82,108 @@ func (f *Frontier) Add(i int, line []byte) error {
 		leakageMW: res.L2.LeakageMW,
 	})
 	return nil
+}
+
+// scanLine reads a line in the frame json.Marshal writes for a
+// scenario.Result with no tuples: compact, its keys in declaration order,
+// every string printable ASCII with no '"' or '\\'. For such a line it
+// reports ok with what json.Unmarshal decodes into Add's fields: the
+// point's feasibility and coordinates, and its name when it is feasible.
+// The numbers Add skips are checked against JSON's grammar, and the two
+// it reads are parsed with strconv.ParseFloat, as encoding/json parses
+// them. Any other line, or a coordinate ParseFloat refuses, reports false.
+func scanLine(line []byte) (c frontierCand, feasible, ok bool) {
+	s := lineScan{rest: line, ok: true}
+	s.lit(`{"name":"`)
+	name := s.str()
+	s.lit(`,"l1_local_miss":`)
+	s.num()
+	s.lit(`,"l2_local_miss":`)
+	s.num()
+	s.lit(`,"amat_budget_ps":`)
+	s.num()
+	s.lit(`,"l2_optimization":{"feasible":`)
+	feasible = s.boolean()
+	s.lit(`,"leakage_mw":`)
+	leak := s.num()
+	s.lit(`,"amat_ps":`)
+	amat := s.num()
+	s.lit(`,"energy_pj":`)
+	s.num()
+	s.lit(`,"l2_cell_knobs":"`)
+	s.str()
+	s.lit(`,"l2_periph_knobs":"`)
+	s.str()
+	s.lit(`}}`)
+	if !s.ok || len(s.rest) > 0 {
+		return frontierCand{}, false, false
+	}
+	var errLeak, errAMAT error
+	c.leakageMW, errLeak = strconv.ParseFloat(string(leak), 64)
+	c.amatPS, errAMAT = strconv.ParseFloat(string(amat), 64)
+	if errLeak != nil || errAMAT != nil {
+		return frontierCand{}, false, false
+	}
+	if feasible {
+		c.name = string(name)
+	}
+	return c, feasible, true
+}
+
+// lineScan is a cursor over one line for scanLine. The first step that
+// does not match clears ok, and every step after it does nothing.
+type lineScan struct {
+	rest []byte
+	ok   bool
+}
+
+// lit consumes l.
+func (s *lineScan) lit(l string) {
+	if s.ok = s.ok && len(s.rest) >= len(l) && string(s.rest[:len(l)]) == l; s.ok {
+		s.rest = s.rest[len(l):]
+	}
+}
+
+// str consumes a string's contents and its closing quote, and returns
+// the contents: printable ASCII other than '"' and '\\', which decode to
+// themselves.
+func (s *lineScan) str() []byte {
+	for i := 0; s.ok && i < len(s.rest); i++ {
+		switch c := s.rest[i]; {
+		case c == '"':
+			v := s.rest[:i]
+			s.rest = s.rest[i+1:]
+			return v
+		case c < 0x20 || c > 0x7e || c == '\\':
+			s.ok = false
+		}
+	}
+	s.ok = false
+	return nil
+}
+
+// boolean consumes true or false.
+func (s *lineScan) boolean() bool {
+	if s.ok && bytes.HasPrefix(s.rest, []byte("true")) {
+		s.rest = s.rest[len("true"):]
+		return true
+	}
+	s.lit("false")
+	return false
+}
+
+// num consumes a JSON number (journal.ScanNumber) and returns its text.
+func (s *lineScan) num() []byte {
+	if !s.ok {
+		return nil
+	}
+	end := journal.ScanNumber(s.rest, 0)
+	if s.ok = end > 0; !s.ok {
+		return nil
+	}
+	v := s.rest[:end]
+	s.rest = s.rest[end:]
+	return v
 }
 
 // Points computes the front: candidates sorted by (AMAT, leakage, input

@@ -93,6 +93,13 @@ func (m *Memo) BuildMissMatrixCtx(ctx context.Context, p trace.Params, l1Sizes, 
 // point, and experiment in the process shares one pass per workload.
 var shared = NewMemo()
 
+// ProfileCtx returns the process-wide memoized profile for (p, n), the
+// one the package-level builders read, building it on first use. Builds
+// aborted by ctx do not poison the cache.
+func ProfileCtx(ctx context.Context, p trace.Params, n int) (*Profile, error) {
+	return shared.ProfileCtx(ctx, p, n)
+}
+
 // BuildMissMatrixCtx builds the workload's miss matrix analytically: one
 // memoized profiling pass (shared process-wide per workload and stream
 // length), then O(1) lookups per grid cell.

@@ -106,10 +106,12 @@ func (c Config) check() error {
 	if c.Scheme < 0 || c.Scheme > 3 {
 		return fmt.Errorf("scheme must be 1, 2 or 3, got %d", c.Scheme)
 	}
-	vths, toxs := opt.CoarseMenu()
-	for _, b := range c.TupleBudgets {
-		if err := (opt.TupleBudget{NTox: b[0], NVth: b[1]}).Validate(len(vths), len(toxs)); err != nil {
-			return err
+	if len(c.TupleBudgets) > 0 {
+		vths, toxs := opt.CoarseMenu()
+		for _, b := range c.TupleBudgets {
+			if err := (opt.TupleBudget{NTox: b[0], NVth: b[1]}).Validate(len(vths), len(toxs)); err != nil {
+				return err
+			}
 		}
 	}
 	if !profile.ValidFidelity(c.Fidelity) {
@@ -228,6 +230,9 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 		res.L2Optimization.PeriKnobs = r.L2Assignment[components.PartDecoder].String()
 	}
 
+	if len(cfg.TupleBudgets) == 0 {
+		return res, nil
+	}
 	vths, toxs := opt.CoarseMenu()
 	for _, b := range cfg.TupleBudgets {
 		tb := opt.TupleBudget{NTox: b[0], NVth: b[1]}
