@@ -9,7 +9,7 @@ GO ?= go
 # The perf-snapshot file for the current PR and the packages it records.
 # Bump SNAPSHOT per PR (BENCH_7.json, ...) so the repo keeps the
 # trajectory instead of overwriting it.
-SNAPSHOT ?= BENCH_33.json
+SNAPSHOT ?= BENCH_34.json
 SNAPSHOT_PKGS = ./internal/sweep ./internal/work ./internal/profile ./internal/grid ./internal/obs ./internal/core ./internal/dist/journal ./internal/dist ./internal/opt
 
 # help is self-maintaining: annotate a target with a trailing `## text`

@@ -1,6 +1,11 @@
 package journal
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"strconv"
+)
 
 // maxDepth is encoding/json's nesting limit: a value nested deeper is
 // not valid JSON to it, so it is not to compactValid either.
@@ -11,7 +16,46 @@ const maxDepth = 10000
 // stay valid inside Record's entry object, and holds none of the bytes
 // json.Marshal escapes (a raw '<', '>', '&', U+2028 or U+2029).
 func Canonical(line []byte) bool {
-	return compactValid(line, 1) && !bytes.ContainsAny(line, "<>&\u2028\u2029")
+	return compactValid(line, 1) && !marshalEscapes(line)
+}
+
+// marshalEscapes reports whether b holds a '<', '>' or '&', or the UTF-8
+// encoding of U+2028 or U+2029 (E2 80 A8, E2 80 A9): the bytes
+// json.Marshal rewrites in a json.RawMessage. A lead byte E2 never
+// continues an earlier sequence, so a byte-wise match is a rune-wise one.
+func marshalEscapes(b []byte) bool {
+	for i, c := range b {
+		switch c {
+		case '<', '>', '&':
+			return true
+		case 0xE2:
+			if i+2 < len(b) && b[i+1] == 0x80 && (b[i+2] == 0xA8 || b[i+2] == 0xA9) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// AppendEntry appends to dst the line Record writes for entry (i, line),
+// its '\n' included, and reports whether line is Canonical. The line is
+// json.Marshal's entry: for a canonical line that is {"i":N,"line":LINE}
+// around line's own bytes, built here in one pass over line; any other
+// line goes through json.Marshal, whose error AppendEntry returns, dst
+// unchanged, for a line that is not JSON.
+func AppendEntry(dst []byte, i int, line []byte) ([]byte, bool, error) {
+	if !Canonical(line) {
+		data, err := json.Marshal(Entry{I: i, Line: line})
+		if err != nil {
+			return dst, false, fmt.Errorf("journal: %w", err)
+		}
+		return append(append(dst, data...), '\n'), false, nil
+	}
+	dst = append(dst, `{"i":`...)
+	dst = strconv.AppendInt(dst, int64(i), 10)
+	dst = append(dst, `,"line":`...)
+	dst = append(dst, line...)
+	return append(dst, "}\n"...), true, nil
 }
 
 // parseEntry reads an entry line, its '\n' included, in the form Record

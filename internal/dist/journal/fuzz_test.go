@@ -182,6 +182,7 @@ func checkCanonical(t *testing.T, i uint32, x []byte) {
 	if got := Canonical(x); got != want {
 		t.Fatalf("Canonical(%q) = %t, json.Marshal gives %q, %v, entry valid %t", x, got, m, err, json.Valid(e))
 	}
+	checkAppend(t, int(i), x, want)
 	if !want {
 		return
 	}
@@ -191,5 +192,25 @@ func checkCanonical(t *testing.T, i uint32, x []byte) {
 	got, ok := parseEntry(append(e, '\n'))
 	if short := i < 1e9; ok != short || ok && (got.I != int(i) || !bytes.Equal(got.Line, x)) {
 		t.Fatalf("parseEntry(%q) = %d %q %t, want %t", e, got.I, got.Line, ok, short)
+	}
+}
+
+// checkAppend is FuzzCanonical's property of the writing side, on one
+// line and entry index, with no files: AppendEntry adds json.Marshal's
+// entry and a newline to what dst held, and reports canonical as
+// Canonical does; for a line json.Marshal refuses it returns that error
+// and dst unchanged. TestAppendMatchesRecord writes the entries out.
+func checkAppend(t *testing.T, i int, x []byte, canonical bool) {
+	e, merr := json.Marshal(Entry{I: i, Line: x})
+	got, ok, err := AppendEntry([]byte("dst"), i, x)
+	if merr != nil {
+		if want := "journal: " + merr.Error(); err == nil || err.Error() != want || ok || string(got) != "dst" {
+			t.Fatalf("AppendEntry(%d, %q) = %q, %t, %v; want dst unchanged and %q", i, x, got, ok, err, want)
+		}
+		return
+	}
+	if err != nil || ok != canonical || string(got) != "dst"+string(e)+"\n" {
+		t.Fatalf("AppendEntry(%d, %q) = %q, %t, %v; want dst, json.Marshal's entry %q and a newline, canonical %t",
+			i, x, got, ok, err, e, canonical)
 	}
 }

@@ -82,10 +82,10 @@ func Hash(v any) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Journal is an open checkpoint file. Record appends entries; all methods
-// are safe only for one goroutine at a time (callers serialize — the
-// coordinator appends under its state lock, the single-process stream
-// appends from the emitting loop).
+// Journal is an open checkpoint file. Append and Record append entries;
+// all methods are safe only for one goroutine at a time (callers
+// serialize — the coordinator appends under its state lock, the
+// single-process stream appends from the emitting loop).
 type Journal struct {
 	f *os.File
 }
@@ -295,21 +295,30 @@ func Stat(path string) (Stats, error) {
 		Complete: s.done == s.h.N, TornTail: s.torn}, nil
 }
 
-// Record appends one completed item: its input index and its exact result
-// line (compact JSON, no trailing newline). The append is a single write
-// syscall, so a crash leaves at worst one torn final line — which Open
-// tolerates. Nothing is fsynced, because results are recomputable: the
-// write survives a process crash in the page cache, not a power loss.
-func (j *Journal) Record(i int, line []byte) error {
-	e := Entry{I: i, Line: json.RawMessage(line)}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if _, err := j.f.Write(append(data, '\n')); err != nil {
+// Append writes entries, whole lines as AppendEntry makes them, in a
+// single write syscall, so a crash leaves a prefix of complete entries
+// and at worst one torn final line — which Open tolerates. A write that
+// fails part-way may leave some entries behind; appending them again only
+// adds duplicates, which replay resolves first-wins. Nothing is fsynced,
+// because results are recomputable: the write survives a process crash
+// in the page cache, not a power loss.
+func (j *Journal) Append(entries []byte) error {
+	if _, err := j.f.Write(entries); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	return nil
+}
+
+// Record appends one completed item, Append's one-entry case: its input
+// index and its exact result line (compact JSON, no trailing newline).
+//
+//lint:allow deadexport perfbench's traced service pass (a module of its own) and journal's tests record entries one at a time
+func (j *Journal) Record(i int, line []byte) error {
+	data, _, err := AppendEntry(nil, i, line)
+	if err != nil {
+		return err
+	}
+	return j.Append(data)
 }
 
 // Close closes the underlying file.

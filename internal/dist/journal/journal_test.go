@@ -200,6 +200,78 @@ func TestDuplicateEntries(t *testing.T) {
 	}
 }
 
+// TestAppendMatchesRecord writes out what FuzzCanonical checks in memory:
+// for a canonical line and for lines json.Marshal rewrites (spaced,
+// escaped, not UTF-8), a journal given three entries in one Append holds
+// the bytes of one given them by Record one at a time, so it replays as
+// the same entries, or fails as it does; and a line json.Marshal refuses
+// makes Record return AppendEntry's error and write nothing.
+func TestAppendMatchesRecord(t *testing.T) {
+	h := testHeader(3)
+	head, err := json.Marshal(Header{V: Version, Kind: h.Kind, BatchSHA256: h.BatchSHA256, N: h.N})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []string{
+		`{"a":[1,-2.5e+3,0.5E-7,true,false,null,"\u00e9\n\/"],"b":{}}`,
+		`{"a": 1}`, `"a&b"`, `"<>"`, "\"\u2028\u2029\"", "\"\xff\"",
+		`01`, `{"a"}`, `tru`,
+	} {
+		line := []byte(x)
+		dir := t.TempDir()
+		journalOf := func(name string, add func(*Journal) error) (data []byte, replay string, err error) {
+			path := filepath.Join(dir, name)
+			j, err := Create(path, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addErr := add(j)
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if data, err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+			done, err := Replay(path, h)
+			return data, fmt.Sprintf("%s %v", render(done), err), addErr
+		}
+
+		if _, merr := json.Marshal(Entry{I: 0, Line: line}); merr != nil {
+			data, _, err := journalOf("refused.journal", func(j *Journal) error { return j.Record(0, line) })
+			if want := "journal: " + merr.Error(); err == nil || err.Error() != want || string(data) != string(head)+"\n" {
+				t.Fatalf("Record(0, %q) = %v and left %q; want %q and the header alone", x, err, data, want)
+			}
+			continue
+		}
+		order := []int{2, 0, 2}
+		var entries []byte
+		for _, k := range order {
+			if entries, _, err = AppendEntry(entries, k, line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		one, oneReplay, err := journalOf("one.journal", func(j *Journal) error {
+			for _, k := range order {
+				if err := j.Record(k, line); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, allReplay, err := journalOf("all.journal", func(j *Journal) error { return j.Append(entries) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(one) != string(all) || oneReplay != allReplay {
+			t.Fatalf("line %q: one Append wrote\n%q\nand replays as %s; Record one at a time wrote\n%q\nand replays as %s",
+				x, all, allReplay, one, oneReplay)
+		}
+	}
+}
+
 // TestHashMismatchRefused checks resuming against a different batch fails
 // with a clear diagnostic instead of splicing unrelated results.
 func TestHashMismatchRefused(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -163,7 +164,7 @@ type batchRun struct {
 	n    int
 
 	units     []*unitState
-	lines     [][]byte // per input index; nil once terminal (store has them)
+	lines     [][]byte // per input index; dropped once terminal (store has them)
 	done      []uint64 // completed-index bitset, kept after terminal
 	doneCount int
 	unitsDone int
@@ -465,9 +466,11 @@ func (s *Service) Cancel(id string) (BatchStatus, bool) {
 	return s.batchStatusLocked(br, now), true
 }
 
-// finishLocked moves a batch to a terminal state: the in-memory lines
-// are dropped (the store journal has every completed one — result
-// streams switch to it), and a done batch's journal handle closes.
+// finishLocked moves a batch to a terminal state: the batch drops its
+// in-memory lines (a result stream under way keeps them; one that starts
+// later, or needs a line that arrives late, reads the store journal,
+// which has every completed line), and a done batch's journal handle
+// closes.
 // Failed and cancelled batches keep the handle open to absorb late
 // results as cache entries. Callers hold mu.
 func (s *Service) finishLocked(br *batchRun, st BatchState, errMsg string, now time.Time) {
@@ -641,11 +644,13 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 
 	now := s.clock.Now()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	br, ok := s.byID[batch]
-	var u *unitState
+	var (
+		u *unitState
+		h *store.Handle // nil once the batch is done: nothing is recorded then
+	)
 	if ok && unitID >= 0 && unitID < len(br.units) {
-		u = br.units[unitID]
+		u, h = br.units[unitID], br.handle
 	}
 	if readErr != nil {
 		if u != nil && br.active() && u.state == unitLeased && u.worker == worker {
@@ -653,9 +658,11 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 			s.finishLocked(br, BatchFailed, msg, now)
 			s.logf("batch %s: failed: %s", br.id, msg)
 		}
+		s.mu.Unlock()
 		writeJSON(w, code, map[string]string{"error": readErr.Error()})
 		return
 	}
+	s.mu.Unlock()
 	if u == nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "unknown unit"})
 		return
@@ -667,33 +674,41 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	// Only a line the journal stores byte for byte may stream live: any
-	// other would read differently once the batch replays from the store.
-	for k, line := range lines {
-		if !journal.Canonical(line) {
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": fmt.Sprintf("unit %d result line %d is not canonical JSON (compact, as json.Marshal writes it)", unitID, k),
-			})
-			return
-		}
+	items, bad, err := prepareItems(h, u.unit.Range.Lo, lines)
+	switch {
+	case bad >= 0:
+		// Only a line the journal stores byte for byte may stream live: any
+		// other would read differently once the batch replays from the store.
+		writeJSON(w, http.StatusBadRequest, map[string]string{
+			"error": fmt.Sprintf("unit %d result line %d is not canonical JSON (compact, as json.Marshal writes it)", unitID, bad),
+		})
+		return
+	case err != nil:
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": fmt.Sprintf("dist: store append failed: %v", err)})
+		return
 	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	ws := s.noteWorkerLocked(worker, now)
-	stored := 0
-	for k, line := range lines {
-		idx := u.unit.Range.Lo + k
-		if br.isDone(idx) {
-			continue // idempotent: first arrival won
-		}
-		if br.handle == nil {
-			continue // done batch: everything already journaled
-		}
-		if err := s.recordLocked(br, idx, line); err != nil {
-			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+	var fresh []store.Item
+	if br.handle != nil { // a done batch has journaled everything already
+		// Idempotent per index: the first arrival won.
+		fresh = slices.DeleteFunc(items, func(it store.Item) bool { return br.isDone(it.I) })
+		if err := br.handle.Append(fresh); err != nil {
+			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": fmt.Sprintf("dist: store append failed: %v", err)})
 			return
 		}
-		stored++
 	}
-	ws.itemsDone += stored
+	for _, it := range fresh {
+		if br.lines != nil {
+			br.lines[it.I] = lines[it.I-u.unit.Range.Lo]
+		}
+		br.markDone(it.I)
+	}
+	br.executed += len(fresh)
+	s.itemsExecuted.Add(uint64(len(fresh)))
+	ws.itemsDone += len(fresh)
 	if u.state != unitDone {
 		u.state = unitDone
 		br.unitsDone++
@@ -718,20 +733,34 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"accepted": true})
 }
 
-// recordLocked stores one freshly executed line: journal first (the
-// store is the source of truth a restart replays), then the in-memory
-// state streams read. Callers hold mu and have checked !isDone(idx).
-func (s *Service) recordLocked(br *batchRun, idx int, line []byte) error {
-	if err := br.handle.Record(idx, line); err != nil {
-		return fmt.Errorf("dist: store append failed: %w", err)
+// prepareItems makes a unit's result lines, items lo, lo+1, ..., ready
+// for store.Handle.Append with no lock held: each line's journal entry,
+// all in one buffer, and, when h is not nil, its item key. It reports the
+// position of the first line that is not canonical as bad, -1 when every
+// line is, and a key's error as err.
+func prepareItems(h *store.Handle, lo int, lines [][]byte) (items []store.Item, bad int, err error) {
+	// An entry frames its line in {"i":N,"line":...}\n, 34 bytes at most.
+	n := 0
+	for _, line := range lines {
+		n += len(line) + 34
 	}
-	if br.lines != nil {
-		br.lines[idx] = line
+	entries := make([]byte, 0, n)
+	items = make([]store.Item, len(lines))
+	for k, line := range lines {
+		start := len(entries)
+		var canonical bool
+		if entries, canonical, _ = journal.AppendEntry(entries, lo+k, line); !canonical {
+			return nil, k, nil
+		}
+		items[k] = store.Item{I: lo + k, Entry: entries[start:len(entries):len(entries)]}
+		if h == nil {
+			continue
+		}
+		if items[k].Key, err = h.ItemKey(lo + k); err != nil {
+			return nil, -1, err
+		}
 	}
-	br.markDone(idx)
-	br.executed++
-	s.itemsExecuted.Inc()
-	return nil
+	return items, -1, nil
 }
 
 // recordUnitExecLocked folds one completed unit's execution time into
@@ -843,18 +872,22 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // Results calls yield with batch id's result lines in input order, each
-// as soon as the ordered prefix through it is complete: from memory while
-// the batch runs, from one replay of its store journal once it is
-// terminal — cached or fresh, the bytes are identical to a sequential
-// run. A failed or cancelled batch's lines end at its first gap: those
-// indices will never complete. The return is the batch's verdict once
-// its lines run out — nil for a done batch, the failure of a failed one,
-// an error wrapping context.Canceled for a cancelled one — or the error
-// of ctx (or of the service's own context, should it end first). A yield
-// error stops the walk and is returned as is. A non-nil idle is called,
-// without the service's lock, before the walk waits for a line that is
-// not there yet, once per run of yielded lines: the moment to flush what
-// yield buffered.
+// as soon as the ordered prefix through it is complete: from memory, and
+// from one replay of its store journal for lines that never reached
+// memory (a batch done at admission, late results of a failed or
+// cancelled one) — cached or fresh, the bytes are identical to a
+// sequential run. Each wait takes every line ready by then in one hold of
+// the service's lock and yields them outside it; a walk that started
+// while the batch ran keeps its lines once the batch ends. A failed or
+// cancelled batch's lines end at its first gap: those indices will never
+// complete. The return is the batch's verdict once its lines run out —
+// nil for a done batch, the failure of a failed one, an error wrapping
+// context.Canceled for a cancelled one — or the error of ctx (or of the
+// service's own context, should it end first), checked before every
+// yield. A yield error stops the walk and is returned as is. A non-nil
+// idle is called, without the service's lock, before the walk waits for
+// a line that is not there yet, once per run of yielded lines: the moment
+// to flush what yield buffered.
 func (s *Service) Results(ctx context.Context, id string, yield func(i int, line []byte) error, idle func()) error {
 	br, ok := s.lookup(id)
 	if !ok {
@@ -865,27 +898,32 @@ func (s *Service) Results(ctx context.Context, id string, yield func(i int, line
 	stop := context.AfterFunc(ctx, s.cond.Broadcast)
 	defer stop()
 
-	// Once terminal, lines come from one store replay walked forward
-	// alongside i; an empty replay ends the walk, so nil means unread.
-	var stored []journal.Entry
-	yielded := false // since the last idle call
-	for i := 0; i < br.n; i++ {
-		var line []byte
+	s.mu.Lock()
+	lines := br.lines // nil for a batch done at admission
+	s.mu.Unlock()
+	var (
+		i       int             // the next line to yield
+		stored  []journal.Entry // one store replay, walked forward alongside i
+		yielded bool            // since the last idle call
+	)
+	put := func(line []byte) error {
+		if err := s.stopped(ctx); err != nil {
+			return err
+		}
+		if err := yield(i, line); err != nil {
+			return err
+		}
+		i++
+		return nil
+	}
+	for i < br.n {
 		s.mu.Lock()
 		for {
-			if err := ctx.Err(); err != nil {
+			if err := s.stopped(ctx); err != nil {
 				s.mu.Unlock()
 				return err
 			}
-			if err := s.ctx.Err(); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-			if br.lines == nil { // terminal: switch to the store journal
-				break
-			}
-			if l := br.lines[i]; l != nil {
-				line = l
+			if br.terminal() || lines[i] != nil {
 				break
 			}
 			if yielded && idle != nil {
@@ -898,8 +936,17 @@ func (s *Service) Results(ctx context.Context, id string, yield func(i int, line
 			}
 			s.cond.Wait()
 		}
+		// Lines i through end-1 are ready. A slot of lines is written once,
+		// under mu, so once seen here it reads the same without the lock.
+		end := i
+		for end < len(lines) && lines[end] != nil {
+			end++
+		}
 		s.mu.Unlock()
-		if line == nil {
+		if end == i {
+			// The batch ended without line i in memory: the store has it,
+			// with any lines after it, or no one does. An empty replay ends
+			// the walk, so nil means unread.
 			if stored == nil {
 				var err error
 				stored, err = s.store.Replay(journal.Header{Kind: br.kind, BatchSHA256: br.hash, N: br.n})
@@ -913,14 +960,29 @@ func (s *Service) Results(ctx context.Context, id string, yield func(i int, line
 			if len(stored) == 0 || stored[0].I != i {
 				return s.verdict(br, i)
 			}
-			line = stored[0].Line
+			for ; len(stored) > 0 && stored[0].I == i; stored = stored[1:] {
+				if err := put(stored[0].Line); err != nil {
+					return err
+				}
+			}
 		}
-		if err := yield(i, line); err != nil {
-			return err
+		for i < end {
+			if err := put(lines[i]); err != nil {
+				return err
+			}
 		}
 		yielded = true
 	}
 	return s.verdict(br, br.n)
+}
+
+// stopped is the error that ends a results walk: ctx's, or the service's
+// own once the service winds down.
+func (s *Service) stopped(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return s.ctx.Err()
 }
 
 // verdict is the outcome Results reports for a batch whose lines ran out

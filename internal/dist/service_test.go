@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -636,5 +637,99 @@ func TestResultsStreamLive(t *testing.T) {
 	stop() // leases answer done from here: the workers exit
 	if err := <-werr; err != nil {
 		t.Fatalf("workers: %v", err)
+	}
+}
+
+// TestResultsFollowBatchPastItsJournal pins that a stream following a
+// batch to its end serves the batch's last lines from memory: with the
+// batch done and its journal deleted after the last result, the stream
+// that read the first unit's lines before that still completes, with
+// every line.
+func TestResultsFollowBatchPastItsJournal(t *testing.T) {
+	dir := t.TempDir()
+	s, srv := startService(t, t.Context(), dir, ServiceConfig{Units: 2})
+	bs, _, err := s.Submit(toyBatch{4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := leaseRaw(t, srv, "w0"), leaseRaw(t, srv, "w1")
+	if first.Unit == nil || second.Unit == nil {
+		t.Fatalf("leases: %+v, %+v", first, second)
+	}
+	postToyResult(t, srv, "w0", *first.Unit, -1)
+
+	reading, resume := make(chan struct{}), make(chan struct{})
+	type outcome struct {
+		out string
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		var out strings.Builder
+		err := s.Results(t.Context(), bs.ID, func(i int, line []byte) error {
+			if i == 0 {
+				close(reading)
+				<-resume
+			}
+			out.Write(line)
+			out.WriteByte('\n')
+			return nil
+		}, nil)
+		done <- outcome{out.String(), err}
+	}()
+	<-reading
+	postToyResult(t, srv, "w1", *second.Unit, -1)
+	if st := s.Status().Batches[0]; st.State != BatchDone {
+		t.Fatalf("batch after its last result: %+v", st)
+	}
+	if err := os.Remove(filepath.Join(dir, bs.ID+".journal")); err != nil {
+		t.Fatal(err)
+	}
+	close(resume)
+	if got := <-done; got.err != nil || got.out != toyWant(4) {
+		t.Errorf("stream after the journal went: %q, %v; want %q", got.out, got.err, toyWant(4))
+	}
+}
+
+// TestResultAppendFailureRecordsNothing pins that a unit whose journal
+// append fails answers 500 and leaves the batch as it was: none of the
+// unit's indices done, the unit still out on its lease.
+func TestResultAppendFailureRecordsNothing(t *testing.T) {
+	s, srv, id, _ := batchService(t, toyBatch{4}, ServiceConfig{Units: 2})
+	lease := leaseRaw(t, srv, "w0")
+	if lease.Unit == nil {
+		t.Fatalf("lease = %+v", lease)
+	}
+	// Close the batch's journal behind the service's back: its next write
+	// fails.
+	s.mu.Lock()
+	err := s.byID[id].handle.Close()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := fmt.Sprintf("%s/v1/result?worker=w0&batch=%s&unit=%d", srv.URL, id, lease.Unit.ID)
+	resp, err := srv.Client().Post(target, "application/x-ndjson", strings.NewReader("{\"i\":0}\n{\"i\":1}\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(msg), "store append failed") {
+		t.Fatalf("result over a failing journal: HTTP %d %s, want 500 naming the append", resp.StatusCode, msg)
+	}
+	st := s.Status()
+	if b := st.Batches[0]; b.ItemsDone != 0 || b.ItemsExecuted != 0 || b.UnitsDone != 0 || b.UnitsLeased != 1 {
+		t.Errorf("a failed append changed the batch: %+v", b)
+	}
+	if st.Store.ItemsExecuted != 0 {
+		t.Errorf("a failed append counted %d executed items", st.Store.ItemsExecuted)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := 0; i < 4; i++ {
+		if s.byID[id].isDone(i) {
+			t.Errorf("index %d is done after a failed append", i)
+		}
 	}
 }

@@ -27,9 +27,10 @@
 // over one journal file and nothing else, which is what a one-shot
 // `sweepd serve -checkpoint FILE` runs on.
 //
-// Crash tolerance follows the journal's rules: appends are single writes,
-// a torn final line (journal or index) is discarded on open, and any
-// deeper corruption is an error. The store never re-derives a result line
+// Crash tolerance follows the journal's rules: a unit's journal entries
+// go out in one write and its index entries in another, a torn final line
+// (journal or index) is discarded on open, and any deeper corruption is an
+// error. The store never re-derives a result line
 // — every cached line was recorded exactly as some batch executed it, and
 // the ItemKeyer contract (equal keys ⇒ byte-identical lines) is what
 // makes serving it to a different batch sound.
@@ -87,9 +88,9 @@ type itemRef struct {
 	i     int
 }
 
-// Store is an open store directory. Admit and Record calls are safe for
-// concurrent use; per-batch handles must not be duplicated (one live
-// Handle per batch ID — the service's submit path guarantees it).
+// Store is an open store directory. Admit calls are safe for concurrent
+// use; per-batch handles must not be duplicated (one live Handle per
+// batch ID — the service's submit path guarantees it).
 type Store struct {
 	dir  string
 	file string // OpenFile's journal path; empty for a store directory
@@ -173,7 +174,8 @@ func (s *Store) Replay(h journal.Header) ([]journal.Entry, error) {
 
 // Handle is one admitted batch: its open journal, the lines already
 // present at admission (from its own journal and from sibling journals
-// via the item index), and the bookkeeping to record new lines.
+// via the item index), and the bookkeeping to record new lines. Its
+// methods are for one goroutine at a time, except ItemKey.
 type Handle struct {
 	// ID is the batch's store identity (kind-hash).
 	ID string
@@ -192,6 +194,17 @@ type Handle struct {
 	s     *Store
 	jr    *journal.Journal
 	keyer work.ItemKeyer // nil: kind has no per-item identity
+}
+
+// Item is one result line on its way into a batch's journal, made ready
+// before any lock is taken: its input index, its journal entry
+// (journal.AppendEntry, '\n' included) and its item key (Handle.ItemKey;
+// empty for none). Append then copies and writes, and encodes only the
+// index entries of keys the index does not map yet.
+type Item struct {
+	I     int
+	Entry []byte
+	Key   string
 }
 
 // Admit registers a batch with the store and returns its handle. It
@@ -215,11 +228,11 @@ func (s *Store) Admit(b work.Batch) (*Handle, error) {
 		h.keyer, _ = b.(work.ItemKeyer)
 	}
 
-	jr, done, err := journal.Open(s.journalPath(h.ID), h.Header, true)
+	jr, own, err := journal.Open(s.journalPath(h.ID), h.Header, true)
 	if err != nil {
 		return nil, fmt.Errorf("store: admitting %s: %w", h.ID, err)
 	}
-	h.jr, h.Done, h.HitsJournal = jr, done, len(done)
+	h.jr, h.Done, h.HitsJournal = jr, own, len(own)
 
 	if err := s.fillFromIndex(h); err != nil {
 		jr.Close()
@@ -229,9 +242,10 @@ func (s *Store) Admit(b work.Batch) (*Handle, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, known := s.recs[h.ID]; !known && s.file == "" {
-		// First admission: persist the spec record and index whatever the
-		// journal already held (an adopted checkpoint's lines are not in
-		// items.idx yet — this pass is what makes them shareable).
+		// First admission: persist the spec record and index what the
+		// batch's own journal already held (an adopted checkpoint's lines
+		// are not in items.idx yet — this pass is what makes them
+		// shareable). Lines adopted through the index are mapped already.
 		payload, err := b.MarshalRange(sweep.Range{Lo: 0, Hi: b.Len()})
 		if err != nil {
 			jr.Close()
@@ -244,12 +258,18 @@ func (s *Store) Admit(b work.Batch) (*Handle, error) {
 		}
 		s.seq = rec.Seq
 		s.recs[h.ID] = rec
-		if h.keyer != nil {
-			for _, e := range h.Done {
-				if err := s.indexItemLocked(h, e.I); err != nil {
+		if h.keyer != nil && len(own) > 0 {
+			items := make([]Item, len(own))
+			for k, e := range own {
+				if items[k].Key, err = h.keyer.ItemKey(e.I); err != nil {
 					jr.Close()
 					return nil, err
 				}
+				items[k].I = e.I
+			}
+			if err := s.indexLocked(h.ID, items); err != nil {
+				jr.Close()
+				return nil, err
 			}
 		}
 	}
@@ -259,9 +279,10 @@ func (s *Store) Admit(b work.Batch) (*Handle, error) {
 // fillFromIndex adopts lines for h's missing indices from other batches'
 // journals: it resolves each missing item key through the index, groups
 // the references by source journal, replays each source once against its
-// recorded header, and records the adopted lines into h's own journal —
-// so per-batch journals stay self-contained and a future resubmit needs
-// no cross-reads at all. h.Done stays sorted by input index.
+// recorded header, and records the adopted lines into h's own journal in
+// one append — so per-batch journals stay self-contained and a future
+// resubmit needs no cross-reads at all. h.Done becomes a new slice, sorted
+// by input index; the one it held is left as it was.
 func (s *Store) fillFromIndex(h *Handle) error {
 	if h.keyer == nil || len(h.Done) == h.Header.N || len(s.items) == 0 {
 		return nil
@@ -293,74 +314,120 @@ func (s *Store) fillFromIndex(h *Handle) error {
 		}
 		wanted[ref.batch] = append(wanted[ref.batch], adoption{i: i, src: ref.i})
 	}
+	var (
+		adopted []journal.Entry
+		entries []byte
+	)
 	for _, src := range order {
 		s.mu.Lock()
 		rec := s.recs[src]
 		s.mu.Unlock()
-		entries, err := s.Replay(journal.Header{Kind: rec.Kind, BatchSHA256: rec.BatchSHA256, N: rec.N})
+		replayed, err := s.Replay(journal.Header{Kind: rec.Kind, BatchSHA256: rec.BatchSHA256, N: rec.N})
 		if err != nil {
 			// A referenced journal that is gone or unreadable is a cache
 			// miss, not a failure: the item re-executes and re-indexes.
 			continue
 		}
 		for _, a := range wanted[src] {
-			k, ok := slices.BinarySearchFunc(entries, a.src, func(e journal.Entry, i int) int { return cmp.Compare(e.I, i) })
+			k, ok := slices.BinarySearchFunc(replayed, a.src, func(e journal.Entry, i int) int { return cmp.Compare(e.I, i) })
 			if !ok {
 				continue
 			}
-			if err := h.jr.Record(a.i, entries[k].Line); err != nil {
+			line := replayed[k].Line
+			if entries, _, err = journal.AppendEntry(entries, a.i, line); err != nil {
 				return err
 			}
-			h.Done = append(h.Done, journal.Entry{I: a.i, Line: entries[k].Line})
-			h.HitsIndex++
+			adopted = append(adopted, journal.Entry{I: a.i, Line: line})
 		}
 	}
+	if len(adopted) == 0 {
+		return nil
+	}
+	if err := h.jr.Append(entries); err != nil {
+		return err
+	}
+	h.HitsIndex = len(adopted)
+	h.Done = slices.Concat(h.Done, adopted)
 	slices.SortFunc(h.Done, func(a, b journal.Entry) int { return cmp.Compare(a.I, b.I) })
 	return nil
 }
 
-// Record appends item i's result line to the batch's journal and, for
-// keyed kinds, registers the line's item key in the shared index (first
-// occurrence wins). Call once per index; the service's idempotency check
-// sits above this.
-func (h *Handle) Record(i int, line []byte) error {
-	if err := h.jr.Record(i, line); err != nil {
-		return err
-	}
+// ItemKey is item i's key in the shared index, or "" when the store
+// indexes none of the batch's items (a kind without keys, or an OpenFile
+// store). It reads only the batch, so it is safe on any goroutine and
+// needs no lock: callers compute keys before they take theirs.
+func (h *Handle) ItemKey(i int) (string, error) {
 	if h.keyer == nil {
+		return "", nil
+	}
+	return h.keyer.ItemKey(i)
+}
+
+// Append records items in one journal write and one items.idx write: the
+// journal gets every entry, in order, and the index each key it does not
+// map yet (first occurrence wins, inside items too). Call it once per
+// index; the service's idempotency check sits above this. When the
+// journal write fails the index is left alone; either failure may leave
+// entries behind, which a later append only duplicates.
+func (h *Handle) Append(items []Item) error {
+	if len(items) == 0 {
 		return nil
+	}
+	n := 0
+	for _, it := range items {
+		n += len(it.Entry)
+	}
+	entries := make([]byte, 0, n)
+	for _, it := range items {
+		entries = append(entries, it.Entry...)
+	}
+	if err := h.jr.Append(entries); err != nil {
+		return err
 	}
 	h.s.mu.Lock()
 	defer h.s.mu.Unlock()
-	return h.s.indexItemLocked(h, i)
+	return h.s.indexLocked(h.ID, items)
 }
 
 // Close closes the batch's journal (the shared index belongs to the
 // store and stays open).
 func (h *Handle) Close() error { return h.jr.Close() }
 
-// indexItemLocked appends an items.idx entry for h's item i unless its
-// key is already mapped. Caller holds s.mu.
-func (s *Store) indexItemLocked(h *Handle, i int) error {
-	k, err := h.keyer.ItemKey(i)
+// indexLocked maps batch id's items whose key is set and not mapped yet,
+// appending their items.idx entries in one write; when that fails it maps
+// none of them. Caller holds s.mu.
+func (s *Store) indexLocked(id string, items []Item) error {
+	var (
+		buf   []byte
+		added []string
+		err   error
+	)
+	for _, it := range items {
+		if _, dup := s.items[it.Key]; it.Key == "" || dup {
+			continue
+		}
+		var data []byte
+		if data, err = json.Marshal(idxEntry{Key: it.Key, Batch: id, I: it.I}); err != nil {
+			err = fmt.Errorf("store: %w", err)
+			break
+		}
+		buf = append(append(buf, data...), '\n')
+		s.items[it.Key] = itemRef{batch: id, i: it.I}
+		added = append(added, it.Key)
+	}
+	if err == nil && len(added) > 0 {
+		if s.idx == nil {
+			err = fmt.Errorf("store: %s: recording into a closed store", id)
+		} else if _, err = s.idx.Write(buf); err != nil {
+			err = fmt.Errorf("store: %w", err)
+		}
+	}
 	if err != nil {
-		return err
+		for _, k := range added {
+			delete(s.items, k)
+		}
 	}
-	if _, dup := s.items[k]; dup {
-		return nil
-	}
-	if s.idx == nil {
-		return fmt.Errorf("store: %s: recording into a closed store", h.ID)
-	}
-	data, err := json.Marshal(idxEntry{Key: k, Batch: h.ID, I: i})
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := s.idx.Write(append(data, '\n')); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.items[k] = itemRef{batch: h.ID, i: i}
-	return nil
+	return err
 }
 
 // journalPath is the journal file of batch id.

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/dist/journal"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 	"repro/internal/work"
 )
 
@@ -35,10 +37,11 @@ func tinyBatch(t *testing.T, names ...string) scenario.Batch {
 	return b
 }
 
-// runAll executes every missing item of an admitted batch through the
-// handle, as the service would.
+// runAll executes every missing item of an admitted batch and appends
+// them through the handle as one unit, as the service would.
 func runAll(t *testing.T, h *Handle, b work.Batch) {
 	t.Helper()
+	var items []Item
 	done := h.Done
 	for i := 0; i < b.Len(); i++ {
 		if len(done) > 0 && done[0].I == i {
@@ -49,10 +52,25 @@ func runAll(t *testing.T, h *Handle, b work.Batch) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Record(i, line); err != nil {
-			t.Fatal(err)
-		}
+		items = append(items, item(t, h, i, line))
 	}
+	if err := h.Append(items); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// item makes item i's line ready for Append, as the service does.
+func item(t *testing.T, h *Handle, i int, line []byte) Item {
+	t.Helper()
+	entry, _, err := journal.AppendEntry(nil, i, line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := h.ItemKey(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Item{I: i, Entry: entry, Key: key}
 }
 
 // TestAdmitFreshThenResubmit pins the tentpole's core promise: a second
@@ -450,5 +468,132 @@ func TestOpenFileKeepsOneJournal(t *testing.T) {
 	defer h.Close()
 	if h.HitsJournal != b.Len() {
 		t.Fatalf("re-admission resumed %d lines, want %d", h.HitsJournal, b.Len())
+	}
+}
+
+// keyedBatch is a batch whose item i has key keys[i]: keys may repeat,
+// inside a unit and across batches, and need not be plain ASCII. Its
+// items are never run; tests append lines for them by hand.
+type keyedBatch struct {
+	kind string
+	keys []string
+}
+
+func (b keyedBatch) Kind() string          { return b.kind }
+func (b keyedBatch) Len() int              { return len(b.keys) }
+func (b keyedBatch) Hash() (string, error) { return journal.Hash(b.keys) }
+func (b keyedBatch) RunItem(context.Context, int) (json.RawMessage, error) {
+	return nil, errors.New("keyedBatch items are appended by hand")
+}
+func (b keyedBatch) MarshalRange(r sweep.Range) (json.RawMessage, error) { return json.Marshal(r) }
+func (b keyedBatch) ItemKey(i int) (string, error)                       { return b.keys[i], nil }
+
+// TestUnitAppendsMatchLineByLine pins the write path's bytes: appending a
+// unit's lines in one Append leaves each batch journal and items.idx as
+// appending them one line at a time does, and both hold exactly what
+// json.Marshal writes for each entry, one line each, with the first
+// occurrence of an item key indexed. The lines include two that are not
+// canonical, the keys repeat inside a unit and across batches, and the
+// keys and one batch ID hold bytes json.Marshal escapes. The second
+// batch adopts two items from the first at admission, in one append.
+func TestUnitAppendsMatchLineByLine(t *testing.T) {
+	a := keyedBatch{kind: "keyed", keys: []string{
+		"k/a", "k/b", "k/a", "k<&>/\u00e9", "k/c", "k/b", "k/d", "k/e", "k/a", "k/f"}}
+	b := keyedBatch{kind: "keyed<b>", keys: []string{"k/c", "k/x", "k/a", "k/y", "k/y", "k/z"}}
+	line := func(i int) []byte {
+		switch i {
+		case 5:
+			return []byte(`{"s":"a<b"}`)
+		case 7:
+			return []byte(`{"i": 7}`)
+		}
+		return []byte(fmt.Sprintf(`{"i":%d}`, i))
+	}
+	// Each batch's units, as runs of the items the service would append:
+	// b's items 0 and 2 are adopted from a at admission.
+	units := map[string][][]int{
+		"keyed":    {{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9}},
+		"keyed<b>": {{1, 3}, {4, 5}},
+	}
+
+	// fill runs both batches through a fresh store, appending k items at
+	// a time (0: a unit at a time), and returns the store's directory.
+	fill := func(k int) string {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for _, batch := range []keyedBatch{a, b} {
+			h, err := s.Admit(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, unit := range units[batch.kind] {
+				var items []Item
+				for _, i := range unit {
+					items = append(items, item(t, h, i, line(i)))
+				}
+				for len(items) > 0 {
+					n := len(items)
+					if k > 0 {
+						n = min(k, n)
+					}
+					if err := h.Append(items[:n]); err != nil {
+						t.Fatal(err)
+					}
+					items = items[n:]
+				}
+			}
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+
+	// The reference: json.Marshal of every journal entry and index entry,
+	// one write each, as the store wrote them before units were appended
+	// whole.
+	want := map[string]string{}
+	marshal := func(v any) string {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data) + "\n"
+	}
+	indexed := map[string]bool{}
+	for _, batch := range []keyedBatch{a, b} {
+		hash, _ := batch.Hash()
+		id := BatchID(batch.kind, hash)
+		name := id + ".journal"
+		want[name] = marshal(journal.Header{V: journal.Version, Kind: batch.kind, BatchSHA256: hash, N: batch.Len()})
+		if batch.kind == b.kind {
+			want[name] += marshal(journal.Entry{I: 0, Line: line(4)}) + marshal(journal.Entry{I: 2, Line: line(0)})
+		}
+		for _, unit := range units[batch.kind] {
+			for _, i := range unit {
+				want[name] += marshal(journal.Entry{I: i, Line: line(i)})
+				if k := batch.keys[i]; !indexed[k] {
+					indexed[k] = true
+					want["items.idx"] += marshal(idxEntry{Key: k, Batch: id, I: i})
+				}
+			}
+		}
+	}
+
+	for _, k := range []int{0, 1} {
+		dir := fill(k)
+		for name, w := range want {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != w {
+				t.Errorf("%d items per append: %s holds\n%s\nwant\n%s", k, name, got, w)
+			}
+		}
 	}
 }

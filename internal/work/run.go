@@ -136,8 +136,8 @@ func Run(ctx context.Context, b Batch, o Options, w io.Writer) error {
 		if o.Journal != nil {
 			// A resume replays the journal, not the stream, so a line it
 			// would not replay byte for byte is refused.
-			if journal.Canonical(line) {
-				err = o.Journal.Record(idx, line)
+			if entry, canonical, _ := journal.AppendEntry(nil, idx, line); canonical {
+				err = o.Journal.Append(entry)
 			} else {
 				err = errNotCanonical
 			}

@@ -58,6 +58,8 @@ type UnmarshalFunc func(payload json.RawMessage) (Batch, error)
 // lets an overlapping grid reuse a prior grid's points instead of
 // re-simulating them. Kinds without a per-item identity simply do not
 // implement it and only ever hit the cache on whole-batch resubmission.
+// ItemKey must be safe for concurrent use: the dist service keys a
+// unit's lines on each result request's own goroutine, with no lock held.
 type ItemKeyer interface {
 	ItemKey(i int) (string, error)
 }
